@@ -31,7 +31,7 @@ from . import data as data_io
 from . import evidence as evidence_mod
 from . import metrics
 from .families import VariationalState
-from .models import GPModel, linreg_subset_ensemble, logistic_subset_ensemble
+from .models import linreg_subset_ensemble, logistic_subset_ensemble
 from .optimizers import NonFiniteGradientError
 
 ENV_PREFIX = "VBMA_"
@@ -41,7 +41,7 @@ NUMERICAL_ERROR = 2
 
 _RUN_KEYS = (
     "samples", "pretrain_iters", "joint_iters", "window", "seed",
-    "optimizer", "step_size", "threads",
+    "optimizer", "step_size",
 )
 
 
@@ -108,7 +108,6 @@ def vbma_config(settings):
             seed=_get(run, "seed", 0, int),
             optimizer=_get(run, "optimizer", "adam"),
             step_size=_get(run, "step_size", None, float),
-            threads=_get(run, "threads", 1, int),
         )
     except ValueError as err:
         raise CliError(str(err))
@@ -192,10 +191,6 @@ def _header(settings):
     ]
 
 
-def _write_rows(path, header_comments, columns):
-    data_io.write_csv(path, columns, header_comments=header_comments)
-
-
 def _format(v):
     if isinstance(v, float):
         return f"{v:.10g}"
@@ -243,10 +238,11 @@ def load_fit(out_dir, models):
             f"no fit artifacts in {out_dir}; run the fit subcommand first"
         )
     _, q, states = parse_checkpoint(ckpt.read_text())
-    missing = [m.name for m in models if m.name not in states]
-    if missing:
-        raise CliError(f"checkpoint lacks models {missing}; config mismatch?")
-    variational = [states[m.name] for m in models]
+    names = [m.name for m in models]
+    if list(states) != names:
+        raise CliError(f"checkpoint holds models {list(states)}, the config builds {names}; "
+                       "config mismatch?")
+    variational = [states[name] for name in names]
     return metrics.BmaPosterior(models, q, variational)
 
 
@@ -299,7 +295,7 @@ def cmd_evidence(args):
     out.mkdir(parents=True, exist_ok=True)
     estimates = []
     for m in models:
-        if isinstance(m, GPModel) or m.has_proper_prior():
+        if m.has_proper_prior():
             estimates.append(
                 evidence_mod.mc_log_evidence(m, args.mc_samples, seed=args.seed or 0)
             )
@@ -354,56 +350,54 @@ def cmd_bf(args):
     return 0
 
 
-def _prediction_inputs(ds, models):
-    """Per-row predictor mappings (or coordinates for spatial models)."""
+def _prediction_inputs(ds):
+    """(row set, design over every non-response column): test rows if any."""
     rows = "test" if (~ds.train_mask).any() else "train"
-    if isinstance(models[0], GPModel):
-        xs = np.column_stack([ds.column("x1", rows), ds.column("x2", rows)])
-        return rows, [xs[i] for i in range(len(xs))]
-    names = [n for n in ds.columns if n != ds.response]
-    cols = {n: ds.column(n, rows) for n in names}
-    n = len(ds.y(rows))
-    return rows, [{k: v[i] for k, v in cols.items()} for i in range(n)]
+    return rows, ds.design(ds.inputs, rows)
 
 
-def cmd_predict(args):
-    settings = resolve_settings(args)
-    ds, models = build_ensemble(settings)
-    posterior = load_fit(args.out, models)
-    rows, xs = _prediction_inputs(ds, models)
-    levels = tuple(float(v) for v in args.levels.split(",")) if args.levels else ()
+def _levels_and_draws(args):
+    """Checked ``--levels`` (comma-separated, each in (0, 1)) and ``--draws``."""
+    try:
+        levels = tuple(float(v) for v in args.levels.split(",") if v.strip())
+    except ValueError:
+        raise CliError(f"bad --levels {args.levels!r}: expected comma-separated numbers")
     for lev in levels:
         if not 0 < lev < 1:
             raise CliError(f"credibility level {lev} outside (0, 1)")
-    rng = np.random.default_rng(args.seed or 0)
+    if args.draws < 1:
+        raise CliError(f"--draws must be >= 1, got {args.draws}")
+    return levels, args.draws
+
+
+def cmd_predict(args):
+    levels, n_draws = _levels_and_draws(args)
+    settings = resolve_settings(args)
+    ds, models = build_ensemble(settings)
+    posterior = load_fit(args.out, models)
+    rows, X = _prediction_inputs(ds)
+    draws = metrics.bma_draw(posterior, X, n_draws, np.random.default_rng(args.seed or 0))
     names = ["row", "mean"]
+    columns = [range(len(X)), draws.mean(axis=0)]
     for lev in levels:
         names += [f"lo{lev:g}", f"hi{lev:g}"]
-    table = []
-    for idx, x in enumerate(xs):
-        draws = metrics.bma_draw(posterior, x, args.draws, rng)
-        row = [idx, float(draws.mean())]
-        for lev in levels:
-            lo, hi = metrics.equal_tail_interval(draws, 1.0 - lev)
-            row += [lo, hi]
-        table.append(tuple(row))
+        columns += metrics.equal_tail_interval(draws, 1.0 - lev)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "predictions.csv", _header(settings) + [f"rows={rows}"],
-                names, table)
-    print(f"predict: wrote {len(table)} rows ({rows} set)")
+                names, zip(*columns))
+    print(f"predict: wrote {len(X)} rows ({rows} set)")
     return 0
 
 
 def cmd_coverage(args):
+    levels, n_draws = _levels_and_draws(args)
     settings = resolve_settings(args)
     ds, models = build_ensemble(settings)
     posterior = load_fit(args.out, models)
-    rows, xs = _prediction_inputs(ds, models)
-    y = ds.y(rows)
-    levels = tuple(float(v) for v in args.levels.split(","))
-    cov = metrics.coverage_curve(posterior, xs, y, levels,
-                                 n_draws=args.draws, seed=args.seed or 0)
+    rows, X = _prediction_inputs(ds)
+    cov = metrics.coverage_curve(posterior, X, ds.y(rows), levels,
+                                 n_draws=n_draws, seed=args.seed or 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "coverage.csv", _header(settings) + [f"rows={rows}"],
@@ -483,7 +477,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="INI configuration file")
     sub.add_argument("--out", default="vbma-out", help="artifact directory")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None)
     sub.add_argument("--optimizer", default=None, choices=["adam", "rmsprop"])
     sub.add_argument("--step-size", dest="step_size", type=float, default=None)
     sub.add_argument("--samples", type=int, default=None, help="MC draws per gradient (S)")

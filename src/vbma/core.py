@@ -14,7 +14,6 @@ a trailing-window average for stability.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,6 @@ class VbmaConfig:
     step_size: float = None       # optimizer default when None
     conv_tol: float = 1e-4        # relative change of windowed mean ELBO
     conv_window: int = 50
-    threads: int = 1
     init_var: float = 0.01
 
     def __post_init__(self):
@@ -137,8 +135,8 @@ def update_weights(elbos, log_prior_weights):
 
 
 def _model_rng(seed, iteration, k):
-    # independent, reproducible substream per (iteration, model); serial and
-    # parallel execution therefore produce identical results
+    # independent, reproducible substream per (iteration, model), so a
+    # model's draws do not depend on the other models in the ensemble
     return np.random.default_rng(np.random.SeedSequence((seed, iteration, k)))
 
 
@@ -164,8 +162,7 @@ def init_state(config, models):
     )
 
 
-def _step_model(args):
-    model, state, opt, weight, S, rng = args
+def _step_model(model, state, opt, weight, S, rng):
     z = rng.standard_normal((S, state.dim))
     G, L = estimate_grad_and_elbo(model, state, z, rng=rng)
     lam = np.concatenate([state.mu, state.raw_scale])
@@ -186,55 +183,45 @@ def run(config: VbmaConfig, models, progress=None):
     state = init_state(config, models)
     k = state.k
     log_prior = np.log(np.array([m.prior_weight for m in models], dtype=float))
-    pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
-    mapper = pool.map if pool else map
 
     def one_iteration(t, weights):
-        jobs = [
-            (models[i], state.variational[i], state.opts[i], weights[i],
-             config.n_samples, _model_rng(config.seed, t, i))
-            for i in range(k)
-        ]
-        try:
-            results = list(mapper(_step_model, jobs))
-        except IterationError as err:
-            err.state = state
-            raise
         elbos = np.empty(k)
-        for i, (vs, L) in enumerate(results):
+        for i in range(k):
+            try:
+                vs, L = _step_model(models[i], state.variational[i], state.opts[i], weights[i],
+                                    config.n_samples, _model_rng(config.seed, t, i))
+            except IterationError as err:
+                err.state = state
+                raise
             state.variational[i] = vs
             state.elbo_trace[i].append(L)
             elbos[i] = L
         return elbos
 
-    try:
-        for t in range(config.pretrain_iters):
-            one_iteration(t, state.q)  # q frozen at 1/K
-            state.iteration += 1
-            if progress:
-                progress(state)
+    for t in range(config.pretrain_iters):
+        one_iteration(t, state.q)  # q frozen at 1/K
+        state.iteration += 1
+        if progress:
+            progress(state)
 
-        state.phase = "joint"
-        ens_elbo = []
-        for t in range(config.pretrain_iters, config.pretrain_iters + config.joint_iters):
-            elbos = one_iteration(t, state.q)
-            state.log_weights = elbos + log_prior
-            state.q = update_weights(elbos, log_prior)
-            state.weight_trace.append(state.q.copy())
-            state.iteration += 1
-            ens_elbo.append(float(state.q @ elbos))
-            if progress:
-                progress(state)
-            w = config.conv_window
-            if len(ens_elbo) >= 2 * w and len(state.weight_trace) >= config.window:
-                recent = np.mean(ens_elbo[-w:])
-                previous = np.mean(ens_elbo[-2 * w:-w])
-                if abs(recent - previous) < config.conv_tol * (abs(previous) + 1e-12):
-                    state.converged = True
-                    break
-    finally:
-        if pool:
-            pool.shutdown()
+    state.phase = "joint"
+    ens_elbo = []
+    for t in range(config.pretrain_iters, config.pretrain_iters + config.joint_iters):
+        elbos = one_iteration(t, state.q)
+        state.log_weights = elbos + log_prior
+        state.q = update_weights(elbos, log_prior)
+        state.weight_trace.append(state.q.copy())
+        state.iteration += 1
+        ens_elbo.append(float(state.q @ elbos))
+        if progress:
+            progress(state)
+        w = config.conv_window
+        if len(ens_elbo) >= 2 * w and len(state.weight_trace) >= config.window:
+            recent = np.mean(ens_elbo[-w:])
+            previous = np.mean(ens_elbo[-2 * w:-w])
+            if abs(recent - previous) < config.conv_tol * (abs(previous) + 1e-12):
+                state.converged = True
+                break
 
     state.q = state.final_weights(config.window)
     return state

@@ -50,8 +50,16 @@ class Dataset:
             return x[~self.train_mask]
         return x
 
+    @property
+    def inputs(self):
+        """Names of the non-response columns, in table order."""
+        return tuple(n for n in self.columns if n != self.response)
+
     def design(self, names, rows="train"):
-        """Stacked design matrix (no intercept column) for the named predictors."""
+        """Stacked design matrix (no intercept column) for the named predictors;
+        ``(n_rows, 0)`` when ``names`` is empty."""
+        if not names:
+            return np.zeros((len(self.y(rows)), 0))
         return np.column_stack([self.column(n, rows) for n in names])
 
     def y(self, rows="train"):

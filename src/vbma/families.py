@@ -103,7 +103,7 @@ def reparam_sample(mu, raw_scale, lognormal_mask, z):
     ``mu``/``raw_scale`` may be tape nodes, making the transform differentiable
     in the variational parameters.
     """
-    if len(z) != len(lognormal_mask):
+    if np.shape(z)[-1] != len(lognormal_mask):
         raise ValueError("z has wrong length for this state")
     sd = ad.sqrt(ad.softplus(raw_scale))
     u = mu + z * sd
@@ -115,7 +115,10 @@ def reparam_sample(mu, raw_scale, lognormal_mask, z):
 
 
 def sample(state: VariationalState, z):
-    """Plain-array draw from q at auxiliary standard-normal vector ``z``."""
+    """Plain-array draw from q at auxiliary standard normals ``z``.
+
+    ``z`` is one vector ``(dim,)`` or a block ``(c, dim)`` giving ``c`` draws.
+    """
     theta = reparam_sample(state.mu, state.raw_scale, state.lognormal_mask, np.asarray(z, dtype=float))
     return theta.value if isinstance(theta, ad.Node) else theta
 
@@ -154,8 +157,3 @@ def reparam_jacobian(state: VariationalState, z, theta):
     outer = (1.0 - m) + m * theta  # d theta / d u
     return outer, outer * z * dsd_draw
 
-
-def analytic_entropy_normal(state: VariationalState):
-    """Entropy of the normal coordinates (used only by tests/oracles)."""
-    var = ad.softplus(state.raw_scale)
-    return 0.5 * np.sum(np.log(2.0 * np.pi * np.e * var))

@@ -22,6 +22,8 @@ class BmaPosterior:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
+        if not len(self.models) == len(self.weights) == len(self.variational):
+            raise ValueError("models, weights and variational states differ in number")
         if abs(self.weights.sum() - 1.0) > 1e-8:
             raise ValueError("weights must sum to 1")
 
@@ -54,21 +56,26 @@ class CoefficientSummary:
         return dens
 
 
-def bma_draw(posterior: BmaPosterior, x_new, n_draws, rng, noise=True):
-    """i.i.d. draws from the variational BMA predictive mixture at ``x_new``.
+def _model_draws(model, state, count, X, rng, noise):
+    """(count, m) predictive draws of one model, its thetas drawn as one block."""
+    thetas = families.sample(state, rng.standard_normal((count, state.dim)))
+    return model.draw_predictive(thetas, X, rng, noise=noise)
 
-    Each draw picks a model from Categorical(q), a parameter vector from its
-    variational posterior, then one predictive sample.
+
+def bma_draw(posterior: BmaPosterior, X, n_draws, rng, noise=True):
+    """Draws from the variational BMA predictive mixture at the rows of ``X``.
+
+    Returns ``(n_draws, m)``.  The draws are split across models by
+    Multinomial(n_draws, q), then each model predicts every row for each of
+    its parameter draws; rows of the result are grouped by model.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    picks = rng.choice(posterior.k, size=n_draws, p=posterior.weights)
-    out = np.empty(n_draws)
-    for i, k in enumerate(picks):
-        state = posterior.variational[k]
-        theta = families.sample(state, rng.standard_normal(state.dim))
-        out[i] = posterior.models[k].draw_predictive(theta, x_new, rng, noise=noise)
-    return out
+    counts = rng.multinomial(n_draws, posterior.weights)
+    return np.concatenate([
+        _model_draws(model, state, c, X, rng, noise)
+        for model, state, c in zip(posterior.models, posterior.variational, counts) if c
+    ])
 
 
 def bayes_factor(weights, prior_weights, i, j):
@@ -83,40 +90,47 @@ def bayes_factor(weights, prior_weights, i, j):
 
 
 def equal_tail_interval(draws, alpha):
-    """Empirical (alpha/2, 1-alpha/2) quantiles, linear interpolation."""
+    """Empirical (alpha/2, 1-alpha/2) quantiles along axis 0, linear
+    interpolation: one interval per column of ``draws``."""
     draws = np.asarray(draws, dtype=float)
     if draws.size == 0:
         raise ValueError("draws must be nonempty")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(lo), float(hi)
+    lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
+    return lo, hi
 
 
-def coverage_curve(posterior, x_test, y_test, levels, n_draws=2000, seed=0, noise=True):
+def coverage_curve(posterior, X_test, y_test, levels, n_draws=2000, seed=0, noise=True):
     """Empirical coverage of equal-tail predictive intervals per level.
 
     ``levels`` are credibility levels (e.g. 0.1 .. 0.9); returns a dict
-    level -> fraction of test responses inside their interval.
+    level -> fraction of test responses inside their interval.  Every level
+    reads the same ``n_draws`` draws, so intervals are nested in the level.
     """
     y_test = np.asarray(y_test, dtype=float)
     if len(y_test) == 0:
         raise ValueError("test set must be nonempty")
-    rng = np.random.default_rng(seed)
-    hits = {lev: 0 for lev in levels}
-    for x, y in zip(x_test, y_test):
-        draws = bma_draw(posterior, x, n_draws, rng, noise=noise)
-        for lev in levels:
-            lo, hi = equal_tail_interval(draws, 1.0 - lev)
-            hits[lev] += int(lo <= y <= hi)
-    return {lev: hits[lev] / len(y_test) for lev in levels}
+    draws = bma_draw(posterior, X_test, n_draws, np.random.default_rng(seed), noise=noise)
+    out = {}
+    for lev in levels:
+        lo, hi = equal_tail_interval(draws, 1.0 - lev)
+        out[lev] = float(np.mean((lo <= y_test) & (y_test <= hi)))
+    return out
 
 
-def predictive_means(posterior, x_test, n_draws=2000, seed=0):
+def predictive_means(posterior, X, n_theta=50, seed=0):
+    """Model-averaged conditional means at the rows of ``X``.
+
+    Stratified over models: sum_k q_k times the mean of ``n_theta``
+    noise-free draws of model k; models with q_k = 0 are skipped.
+    """
     rng = np.random.default_rng(seed)
-    return np.array(
-        [bma_draw(posterior, x, n_draws, rng, noise=False).mean() for x in x_test]
-    )
+    out = np.zeros(len(X))
+    for model, state, q in zip(posterior.models, posterior.variational, posterior.weights):
+        if q > 0.0:
+            out += q * _model_draws(model, state, n_theta, X, rng, noise=False).mean(axis=0)
+    return out
 
 
 def coefficient_summary(posterior, name, n_draws=5000, seed=0):
@@ -134,7 +148,7 @@ def coefficient_summary(posterior, name, n_draws=5000, seed=0):
     q_inc = posterior.weights[including]
     inclusion = float(q_inc.sum())
     rng = np.random.default_rng(seed)
-    draws = []
+    draws = [np.empty(0)]
     if inclusion > 0:
         counts = rng.multinomial(n_draws, q_inc / inclusion)
         for k, c in zip(including, counts):
@@ -142,10 +156,9 @@ def coefficient_summary(posterior, name, n_draws=5000, seed=0):
             state = posterior.variational[k]
             pos = model.coefficient_names().index(name)
             idx = model.layout.slice("beta").start + pos
-            for _ in range(c):
-                theta = families.sample(state, rng.standard_normal(state.dim))
-                draws.append(theta[idx])
-    return CoefficientSummary(name, inclusion, np.array(draws))
+            thetas = families.sample(state, rng.standard_normal((c, state.dim)))
+            draws.append(thetas[:, idx])
+    return CoefficientSummary(name, inclusion, np.concatenate(draws))
 
 
 def rmse(predictions, truth):

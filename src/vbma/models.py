@@ -5,9 +5,9 @@ toy used by the test oracles.
 
 Every model exposes the same surface: a parameter layout (named blocks with
 family tags), ``log_lik``/``log_prior``/``log_joint`` that accept either a
-plain array or an autodiff node, a predictive simulator, and a prior model
-weight.  Instances are immutable after construction and safe to evaluate
-concurrently.
+plain array or an autodiff node, a vectorized predictive simulator, and a
+prior model weight.  Instances are immutable after construction and safe to
+evaluate concurrently.
 
 The improper blocks of the g-prior models (``phi ~ 1/phi``, flat intercept)
 are implemented as log-prior terms ``-log phi`` and ``0``.  Cross-model
@@ -92,7 +92,13 @@ class Model:
     def log_joint(self, theta):
         return self.log_lik(theta) + self.log_prior(theta)
 
-    def draw_predictive(self, theta, x_new, rng, noise=True):
+    def draw_predictive(self, thetas, X, rng, noise=True):
+        """Predictive draws for T parameter draws at m input rows.
+
+        ``thetas`` is ``(T, d)`` and ``X`` is ``(m, k)``; the result is
+        ``(T, m)``.  Entry ``[t, i]`` is one draw of the response at ``X[i]``
+        given ``thetas[t]``, or with ``noise=False`` its conditional mean.
+        """
         raise NotImplementedError
 
     def has_proper_prior(self):
@@ -149,10 +155,17 @@ class GaussianMeanModel(Model):
     def sample_prior(self, rng):
         return np.array([rng.normal(self.prior_mean, self.prior_sd)])
 
-    def draw_predictive(self, theta, x_new, rng, noise=True):
-        theta = np.asarray(theta, dtype=float)
-        mean = theta[0]
-        return mean + (rng.normal(0.0, self.obs_sd) if noise else 0.0)
+    def draw_predictive(self, thetas, X, rng, noise=True):
+        mean = np.asarray(thetas, dtype=float)[:, :1] + np.zeros(len(X))
+        return mean + rng.normal(0.0, self.obs_sd, mean.shape) if noise else mean
+
+
+def _linear_predictor(thetas, X, columns):
+    """(T, m) values of beta0 + x'beta, with beta = thetas[:, 1:1+p] and x the
+    ``columns`` of each row of ``X``."""
+    thetas = np.asarray(thetas, dtype=float)
+    X = np.asarray(X, dtype=float)[:, columns]
+    return thetas[:, :1] + thetas[:, 1:1 + len(columns)] @ X.T
 
 
 class LinRegModel(Model):
@@ -160,13 +173,17 @@ class LinRegModel(Model):
 
     Priors: phi ~ 1/phi, flat intercept, slopes ~ N(0, g (X'X)^-1 / phi).
     The design matrix must be centered (intercept handled separately).
+    ``inputs`` names the columns of the rows given to ``draw_predictive``
+    (default: ``predictors``); the model picks its predictors from them.
     """
 
-    def __init__(self, X, y, predictors=(), g=None, name=None, prior_weight=1.0):
+    def __init__(self, X, y, predictors=(), g=None, name=None, prior_weight=1.0,
+                 inputs=None):
         self.X = np.asarray(X, dtype=float) if len(predictors) else np.zeros((len(y), 0))
         self.y = np.asarray(y, dtype=float)
         self.predictors = tuple(predictors)
         self.p = len(self.predictors)
+        self._columns = [tuple(inputs or self.predictors).index(p) for p in self.predictors]
         self.n = len(self.y)
         self.g = float(self.n if g is None else g)
         self.name = name or ("lin:" + ("+".join(self.predictors) or "intercept"))
@@ -221,27 +238,29 @@ class LinRegModel(Model):
             )
         return out
 
-    def draw_predictive(self, theta, x_new, rng, noise=True):
-        theta = np.asarray(theta, dtype=float)
-        beta0, beta, phi = self._unpack(theta)
-        if isinstance(x_new, dict):
-            x_new = [x_new[p] for p in self.predictors]
-        mean = float(beta0) if beta is None else float(beta0 + np.dot(np.asarray(x_new, dtype=float), beta))
+    def draw_predictive(self, thetas, X, rng, noise=True):
+        mean = _linear_predictor(thetas, X, self._columns)
         if not noise:
             return mean
-        return mean + rng.normal(0.0, 1.0 / np.sqrt(float(phi)))
+        phi = np.asarray(thetas, dtype=float)[:, self.layout.slice("phi")]
+        return mean + rng.standard_normal(mean.shape) / np.sqrt(phi)
 
 
 class LogisticModel(Model):
-    """Bernoulli regression with logit link and independent normal priors."""
+    """Bernoulli regression with logit link and independent normal priors.
 
-    def __init__(self, X, y, predictors=(), prior_sd=10.0, name=None, prior_weight=1.0):
+    ``inputs`` is as for ``LinRegModel``.
+    """
+
+    def __init__(self, X, y, predictors=(), prior_sd=10.0, name=None, prior_weight=1.0,
+                 inputs=None):
         self.X = np.asarray(X, dtype=float) if len(predictors) else np.zeros((len(y), 0))
         self.y = np.asarray(y, dtype=float)
         if not set(np.unique(self.y)) <= {0.0, 1.0}:
             raise ValueError("responses must be binary 0/1")
         self.predictors = tuple(predictors)
         self.p = len(self.predictors)
+        self._columns = [tuple(inputs or self.predictors).index(p) for p in self.predictors]
         self.prior_sd = float(prior_sd)
         self.name = name or ("logit:" + ("+".join(self.predictors) or "intercept"))
         self.prior_weight = prior_weight
@@ -281,16 +300,9 @@ class LogisticModel(Model):
     def sample_prior(self, rng):
         return rng.normal(0.0, self.prior_sd, size=self.layout.dim)
 
-    def success_prob(self, theta, x_new):
-        theta = np.asarray(theta, dtype=float)
-        if isinstance(x_new, dict):
-            x_new = [x_new[p] for p in self.predictors]
-        a = theta[0] + (np.dot(np.asarray(x_new, dtype=float), theta[1:]) if self.p else 0.0)
-        return 1.0 / (1.0 + np.exp(-a))
-
-    def draw_predictive(self, theta, x_new, rng, noise=True):
-        p = self.success_prob(theta, x_new)
-        return float(rng.random() < p) if noise else p
+    def draw_predictive(self, thetas, X, rng, noise=True):
+        p = 1.0 / (1.0 + np.exp(-_linear_predictor(thetas, X, self._columns)))
+        return (rng.random(p.shape) < p).astype(float) if noise else p
 
 
 class GPModel(Model):
@@ -408,11 +420,15 @@ class GPModel(Model):
         var = np.maximum(eta**2 - np.sum(w**2, axis=0), 0.0)
         return mean, var, sigma**2
 
-    def draw_predictive(self, theta, x_new, rng, noise=True):
-        mean, var, noise_var = self.predict_dist(theta, np.atleast_2d(x_new))
-        total = var + (noise_var if noise else 0.0)
-        out = mean + np.sqrt(total) * rng.standard_normal(len(mean))
-        return float(out[0]) if np.asarray(x_new).ndim == 1 else out
+    def draw_predictive(self, thetas, X, rng, noise=True):
+        # one factorization of K per parameter draw, shared by all inputs
+        out = np.empty((len(thetas), len(X)))
+        for t, theta in enumerate(thetas):
+            mean, var, noise_var = self.predict_dist(theta, X)
+            out[t] = mean
+            if noise:
+                out[t] += np.sqrt(var + noise_var) * rng.standard_normal(len(X))
+        return out
 
 
 def _normalize_prior_weights(models):
@@ -428,8 +444,8 @@ def linreg_subset_ensemble(dataset, predictors, g=None):
     models = []
     for r in range(len(predictors) + 1):
         for subset in itertools.combinations(predictors, r):
-            X = dataset.design(subset, "train") if subset else np.zeros((len(y), 0))
-            models.append(LinRegModel(X, y, predictors=subset, g=g))
+            models.append(LinRegModel(dataset.design(subset, "train"), y, predictors=subset,
+                                      g=g, inputs=dataset.inputs))
     return _normalize_prior_weights(models)
 
 
@@ -439,6 +455,6 @@ def logistic_subset_ensemble(dataset, predictors, prior_sd=10.0):
     models = []
     for r in range(len(predictors) + 1):
         for subset in itertools.combinations(predictors, r):
-            X = dataset.design(subset, "train") if subset else np.zeros((len(y), 0))
-            models.append(LogisticModel(X, y, predictors=subset, prior_sd=prior_sd))
+            models.append(LogisticModel(dataset.design(subset, "train"), y, predictors=subset,
+                                        prior_sd=prior_sd, inputs=dataset.inputs))
     return _normalize_prior_weights(models)

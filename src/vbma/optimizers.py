@@ -1,4 +1,4 @@
-"""Stochastic gradient ASCENT steppers (Adam, RMSprop) and schedules.
+"""Stochastic gradient ASCENT steppers (Adam, RMSprop).
 
 All steppers move in the +gradient direction; the caller supplies the raw
 (possibly weight-scaled) gradient estimate.  A step with a non-finite
@@ -6,8 +6,6 @@ gradient is rejected before any state is touched.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,30 +80,3 @@ def make_optimizer(name, step_size=None, **kw):
         return RMSprop(step_size=0.01 if step_size is None else step_size, **kw)
     raise ValueError(f"unknown optimizer '{name}'")
 
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Either a constant rate or the power family a / (b + t)^kappa."""
-
-    kind: str  # "constant" | "power"
-    a: float = 1.0
-    b: float = 0.0
-    kappa: float = 1.0
-
-    def rate(self, t):
-        if self.kind == "constant":
-            return self.a
-        return self.a / (self.b + t) ** self.kappa
-
-
-def robbins_monro_check(schedule: StepSchedule) -> bool:
-    """True iff sum(rho_t) diverges while sum(rho_t^2) converges.
-
-    For a/(b+t)^kappa this holds exactly when 1/2 < kappa <= 1; constant
-    schedules fail the second condition (they remain usable in practice).
-    """
-    if schedule.kind == "constant":
-        return False
-    if schedule.kind == "power":
-        return 0.5 < schedule.kappa <= 1.0
-    raise ValueError(f"unknown schedule kind '{schedule.kind}'")

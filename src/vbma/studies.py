@@ -83,28 +83,3 @@ def gp_study(grid_size=20, n_test=100, seed=0, offset_sds=2.0, **truth):
         m.prior_weight /= total
     return ds, models
 
-
-def gp_predictive_means(posterior, coords_new, n_theta=50, seed=0):
-    """Model-averaged conditional means at new inputs.
-
-    Unlike the generic per-point predictive sampler, this draws a modest
-    number of parameter vectors per model and reuses each one's conditional
-    mean for every requested input, so the kernel factorization cost is paid
-    once per draw instead of once per (draw, input) pair.
-    """
-    from . import families
-
-    coords_new = np.atleast_2d(np.asarray(coords_new, dtype=float))
-    rng = np.random.default_rng(seed)
-    out = np.zeros(len(coords_new))
-    for model, state, q in zip(posterior.models, posterior.variational,
-                               posterior.weights):
-        if q == 0.0:
-            continue
-        acc = np.zeros(len(coords_new))
-        for _ in range(n_theta):
-            theta = families.sample(state, rng.standard_normal(state.dim))
-            mean, _, _ = model.predict_dist(theta, coords_new)
-            acc += mean
-        out += q * acc / n_theta
-    return out

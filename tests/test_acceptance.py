@@ -283,7 +283,7 @@ def test_criterion_7b_gp_rmse_vs_oracle(gp_fit):
     coords_test = np.column_stack([ds.column("x1", "test"), ds.column("x2", "test")])
     y_test = ds.y("test")
     post = BmaPosterior(models, state.q, state.variational)
-    pred = studies.gp_predictive_means(post, coords_test, n_theta=50, seed=3)
+    pred = metrics.predictive_means(post, coords_test, n_theta=50, seed=3)
     vbma_rmse = metrics.rmse(pred, y_test)
     coords_tr = np.column_stack([ds.column("x1", "train"), ds.column("x2", "train")])
     oracle = GPModel(coords_tr, ds.y("train"), free_mean=False, mean_offset=0.0)

@@ -151,6 +151,61 @@ def test_predict_without_fit_is_usage_error(tmp_path, crime_cfg):
                     "--out", str(tmp_path / "missing")]) == 1
 
 
+@pytest.fixture(scope="module")
+def crime_fit_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("crime")
+    cfg = root / "crime.ini"
+    cfg.write_text("[study]\nname = crime\n\n"
+                   "[run]\nsamples = 4\npretrain_iters = 10\njoint_iters = 5\nwindow = 5\n")
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(root)]) == 0
+    # the same table under a four-model ensemble that the eight-model fit does not match
+    subset = root / "subset.ini"
+    subset.write_text("[data]\ncsv = bundled:crime.csv\nresponse = y\n"
+                      "log = y,M,Prob\ncenter = y,M,Prob\n\n"
+                      "[ensemble]\nkind = linear\npredictors = M,Prob\n")
+    return root, cfg, subset
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["coverage", "--levels", "1.0"], "cfg"),
+    (["predict", "--levels", "0.5,x"], "cfg"),
+    (["predict", "--draws", "0"], "cfg"),
+    (["predict"], "subset"),
+], ids=["coverage-level-1", "predict-level-x", "predict-draws-0", "checkpoint-mismatch"])
+def test_bad_predictive_inputs_are_usage_errors(crime_fit_dir, capsys, argv, config):
+    root, cfg, subset = crime_fit_dir
+    config = cfg if config == "cfg" else subset
+    assert run_cli(argv + ["--config", str(config), "--out", str(root)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def _table(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+
+
+def test_gp_predict_and_coverage_are_sane_and_rerun_identically(tmp_path):
+    cfg = tmp_path / "gp.ini"
+    cfg.write_text("[study]\nname = gp\ngrid_size = 6\nn_test = 6\n\n"
+                   "[run]\nsamples = 4\npretrain_iters = 5\njoint_iters = 5\nwindow = 3\n")
+    out = tmp_path / "out"
+    common = ["--config", str(cfg), "--out", str(out)]
+    assert run_cli(["fit"] + common) == 0
+    outputs = []
+    for _ in range(2):
+        assert run_cli(["predict"] + common + ["--levels", "0.5,0.8,0.95", "--draws", "40"]) == 0
+        assert run_cli(["coverage"] + common + ["--draws", "40"]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("predictions.csv", "coverage.csv")])
+    assert outputs[0] == outputs[1]
+    pred = _table(out / "predictions.csv")
+    assert pred.shape == (6, 8) and np.isfinite(pred).all()
+    lo, hi = pred[:, 2::2], pred[:, 3::2]  # levels increase left to right
+    assert (lo <= hi).all()
+    assert (lo[:, 1:] <= lo[:, :-1]).all() and (hi[:, 1:] >= hi[:, :-1]).all()
+    cov = _table(out / "coverage.csv")[:, 1]
+    assert ((0.0 <= cov) & (cov <= 1.0)).all() and (np.diff(cov) >= 0).all()
+
+
 def test_coverage_artifact(tmp_path, single_model_cfg):
     out = tmp_path / "out"
     run_cli(["fit", "--config", str(single_model_cfg), "--out", str(out)])

@@ -212,24 +212,20 @@ def test_pretrain_phase_keeps_uniform_weights():
         assert np.allclose(q, 0.5)
 
 
-def run_pair(threads, seed=3):
+def run_pair(seed=3):
     model_a = conjugate_model(seed=11, n=12)
     model_b = conjugate_model(seed=12, n=12)
     model_a.prior_weight = model_b.prior_weight = 0.5
     cfg = VbmaConfig(n_samples=6, pretrain_iters=25, joint_iters=25, window=10,
-                     seed=seed, threads=threads)
+                     seed=seed)
     return core.run(cfg, [model_a, model_b])
 
 
 def test_bitwise_determinism_and_thread_independence():
-    a, b, c = run_pair(1), run_pair(1), run_pair(2)
+    a, b = run_pair(), run_pair()
     assert np.array_equal(a.q, b.q)
     assert a.elbo_trace == b.elbo_trace
-    for va, vc in zip(a.variational, c.variational):
-        assert np.array_equal(va.mu, vc.mu)  # threading must not change results
-        assert np.array_equal(va.raw_scale, vc.raw_scale)
-    assert np.array_equal(a.q, c.q)
-    different = run_pair(1, seed=99)
+    different = run_pair(seed=99)
     assert not np.array_equal(a.q, different.q)
 
 

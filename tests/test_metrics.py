@@ -100,7 +100,7 @@ def test_bma_posterior_validates_weights():
 def test_bma_draw_noiseless_mixture_moments():
     post = two_model_posterior(w=0.3, mus=(0.0, 5.0))
     rng = np.random.default_rng(1)
-    draws = bma_draw(post, None, 20_000, rng, noise=False)
+    draws = bma_draw(post, np.zeros((1, 0)), 20_000, rng, noise=False)
     # component selection frequency ~ (0.3, 0.7); means at 0 and 5
     assert draws.mean() == pytest.approx(0.7 * 5.0, abs=0.1)
     near_five = np.mean(np.abs(draws - 5.0) < 1.0)
@@ -110,13 +110,13 @@ def test_bma_draw_noiseless_mixture_moments():
 def test_bma_draw_includes_observation_noise():
     post = two_model_posterior(w=1.0, mus=(0.0, 0.0), obs_sd=2.0)
     rng = np.random.default_rng(2)
-    draws = bma_draw(post, None, 20_000, rng, noise=True)
+    draws = bma_draw(post, np.zeros((1, 0)), 20_000, rng, noise=True)
     assert draws.std() == pytest.approx(2.0, rel=0.05)
 
 
 def test_bma_draw_validation():
     with pytest.raises(ValueError):
-        bma_draw(two_model_posterior(), None, 0, np.random.default_rng(0))
+        bma_draw(two_model_posterior(), np.zeros((1, 0)), 0, np.random.default_rng(0))
 
 
 # -- coverage calibration -----------------------------------------------------
@@ -134,7 +134,7 @@ def test_coverage_is_calibrated_when_variational_equals_posterior():
     mean, sd = model.posterior()
     post = BmaPosterior([model], np.array([1.0]), [normal_state([mean], [sd**2])])
     levels = (0.1, 0.3, 0.5, 0.7, 0.9)
-    cov = coverage_curve(post, [None] * n_test, y_test, levels, n_draws=1500, seed=0)
+    cov = coverage_curve(post, np.zeros((n_test, 0)), y_test, levels, n_draws=1500, seed=0)
     for lev in levels:
         assert cov[lev] == pytest.approx(lev, abs=0.06)
 
@@ -204,5 +204,5 @@ def test_rmse_basic_and_validation():
 
 def test_predictive_means_mixture():
     post = two_model_posterior(w=0.5, mus=(0.0, 4.0))
-    means = metrics.predictive_means(post, [None, None], n_draws=4000, seed=0)
+    means = metrics.predictive_means(post, np.zeros((2, 0)), n_theta=4000, seed=0)
     assert np.allclose(means, 2.0, atol=0.15)

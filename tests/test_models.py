@@ -114,9 +114,9 @@ def test_linreg_singular_subset_rejected():
 def test_linreg_predictive_draws(lin_model):
     theta = np.array([0.0, 1.0, 0.0, 100.0])
     r = np.random.default_rng(0)
-    val = lin_model.draw_predictive(theta, {"u": 2.0, "v": 5.0}, r, noise=False)
+    val = lin_model.draw_predictive(theta[None], np.array([[2.0, 5.0]]), r, noise=False)
     assert val == pytest.approx(2.0)
-    draws = [lin_model.draw_predictive(theta, [2.0, 0.0], r) for _ in range(500)]
+    draws = [lin_model.draw_predictive(theta[None], np.array([[2.0, 0.0]]), r) for _ in range(500)]
     assert np.std(draws) == pytest.approx(0.1, rel=0.2)
 
 
@@ -169,10 +169,13 @@ def test_logistic_rejects_nonbinary_response():
 
 def test_logistic_success_prob_and_predictive(logit_model):
     theta = np.array([0.0, np.log(3.0), 0.0])
-    p = logit_model.success_prob(theta, {"u": 1.0, "v": 9.9})
+    # inputs in another order: the model picks u and v by name
+    m = LogisticModel(logit_model.X, logit_model.y, predictors=("u", "v"), inputs=("v", "w", "u"))
+    p = m.draw_predictive(theta[None], np.array([[9.9, -3.0, 1.0]]), np.random.default_rng(0),
+                          noise=False)
     assert p == pytest.approx(0.75)
-    assert logit_model.draw_predictive(theta, [1.0, 0.0], np.random.default_rng(0),
-                                       noise=False) == pytest.approx(0.75)
+    assert logit_model.draw_predictive(theta[None], np.array([[1.0, 0.0]]),
+                                       np.random.default_rng(0), noise=False) == pytest.approx(0.75)
 
 
 # -- Gaussian process ---------------------------------------------------------

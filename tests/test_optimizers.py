@@ -1,11 +1,10 @@
-"""Optimizer steppers and step-size schedule conditions."""
+"""Optimizer steppers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from vbma import optimizers
-from vbma.optimizers import Adam, RMSprop, StepSchedule, robbins_monro_check
+from vbma.optimizers import Adam, RMSprop
 
 
 def ascend(opt, grad_fn, x0, iters):
@@ -68,29 +67,3 @@ def test_make_optimizer_defaults():
     with pytest.raises(ValueError):
         optimizers.make_optimizer("sgd")
 
-
-def test_constant_schedule_fails_robbins_monro():
-    assert robbins_monro_check(StepSchedule("constant", a=0.05)) is False
-
-
-@given(st.floats(min_value=0.501, max_value=1.0))
-@settings(max_examples=50, deadline=None)
-def test_power_schedule_in_valid_range_passes(kappa):
-    assert robbins_monro_check(StepSchedule("power", a=1.0, b=1.0, kappa=kappa)) is True
-
-
-@given(st.one_of(st.floats(min_value=0.0, max_value=0.5),
-                 st.floats(min_value=1.0001, max_value=5.0)))
-@settings(max_examples=50, deadline=None)
-def test_power_schedule_outside_range_fails(kappa):
-    assert robbins_monro_check(StepSchedule("power", a=1.0, b=1.0, kappa=kappa)) is False
-
-
-def test_schedule_rates():
-    assert StepSchedule("constant", a=0.3).rate(100) == 0.3
-    assert StepSchedule("power", a=2.0, b=1.0, kappa=1.0).rate(3) == pytest.approx(0.5)
-
-
-def test_unknown_schedule_kind():
-    with pytest.raises(ValueError):
-        robbins_monro_check(StepSchedule("cosine"))

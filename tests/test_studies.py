@@ -81,6 +81,6 @@ def test_gp_predictive_means_matches_direct_computation():
     )
     post = metrics.BmaPosterior([model], np.array([1.0]), [state])
     coords = np.column_stack([ds.column("x1", "test"), ds.column("x2", "test")])
-    approx = studies.gp_predictive_means(post, coords, n_theta=3, seed=0)
+    approx = metrics.predictive_means(post, coords, n_theta=3, seed=0)
     exact, _, _ = model.predict_dist(theta, coords)
     assert np.allclose(approx, exact, atol=1e-3)
