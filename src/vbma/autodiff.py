@@ -1,12 +1,15 @@
-"""Reverse-mode automatic differentiation for scalar objectives.
+"""Reverse-mode automatic differentiation for scalar and row objectives.
 
 A ``Node`` wraps a numpy array (or python float) and records the operations
 applied to it.  Calling :func:`grad` on a scalar-valued function replays the
 recorded tape backwards and returns the exact gradient with respect to every
-input coordinate.  The supported operation set is deliberately small: the
-elementwise arithmetic and link functions needed by log-density models, plus
-the reductions (sum, dot) and one multivariate-normal primitive needed to
-express Gaussian-process marginals efficiently.
+input coordinate.  A row objective maps an ``(S, d)`` block to ``S`` values,
+row ``s`` depending only on row ``s`` of the block; one sweep then gives every
+row's gradient.  Constant operands are not recorded, so the sweep computes no
+gradient that nothing reads.  The supported operation set is deliberately
+small: the elementwise arithmetic and link functions needed by log-density
+models, plus the reductions (sum, dot) and one multivariate-normal primitive
+needed to express Gaussian-process marginals efficiently.
 
 Tapes are single-use and confined to the thread that built them; there is no
 shared mutable state between evaluations.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 
 class UnsupportedOperationError(TypeError):
@@ -31,7 +35,7 @@ class NonFiniteValueError(FloatingPointError):
 
 
 def _check_finite(value, op):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteValueError(op)
     return value
 
@@ -80,10 +84,10 @@ class Node:
         return Node(-self.value, ((self, lambda g: -g),))
 
     def __sub__(self, other):
-        return add(self, -_as_node(other))
+        return add(self, -other if isinstance(other, Node) else -_value_of(other))
 
     def __rsub__(self, other):
-        return add(_as_node(other), -self)
+        return add(other, -self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -94,18 +98,26 @@ class Node:
         return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_as_node(other), self)
+        return div(other, self)
 
     def __pow__(self, other):
         return power(self, other)
 
     def __rpow__(self, other):
-        return power(_as_node(other), self)
+        return power(other, self)
 
     def __getitem__(self, idx):
-        def vjp(g, idx=idx, shape=self.value.shape):
+        shape = self.value.shape
+        parts = idx if isinstance(idx, tuple) else (idx,)
+        basic = all(isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
+                    for i in parts)
+
+        def vjp(g):
             out = np.zeros(shape)
-            np.add.at(out, idx, g)
+            if basic:  # each element selected at most once
+                out[idx] = g
+            else:
+                np.add.at(out, idx, g)
             return out
 
         return Node(self.value[idx], ((self, vjp),))
@@ -137,10 +149,6 @@ class Node:
         return f"Node({self.value!r})"
 
 
-def _as_node(x):
-    return x if isinstance(x, Node) else Node(x)
-
-
 def _value_of(x):
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
 
@@ -149,66 +157,51 @@ def _is_const(x):
     return not isinstance(x, Node)
 
 
+def _links(*pairs):
+    """The (operand, vjp) pairs of an operation whose operand is on the tape;
+    constants get no gradient."""
+    return tuple(pair for pair in pairs if isinstance(pair[0], Node))
+
+
 # -- elementary operations --------------------------------------------------
 
 
 def add(a, b):
-    a, b = _as_node(a), _as_node(b)
-    val = _check_finite(a.value + b.value, "add")
-    return Node(
-        val,
-        (
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(g, b.value.shape)),
-        ),
-    )
+    av, bv = _value_of(a), _value_of(b)
+    val = _check_finite(av + bv, "add")
+    return Node(val, _links(
+        (a, lambda g: _unbroadcast(g, av.shape)),
+        (b, lambda g: _unbroadcast(g, bv.shape)),
+    ))
 
 
 def mul(a, b):
-    a, b = _as_node(a), _as_node(b)
-    val = _check_finite(a.value * b.value, "mul")
-    return Node(
-        val,
-        (
-            (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-            (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
-        ),
-    )
+    av, bv = _value_of(a), _value_of(b)
+    val = _check_finite(av * bv, "mul")
+    return Node(val, _links(
+        (a, lambda g: _unbroadcast(g * bv, av.shape)),
+        (b, lambda g: _unbroadcast(g * av, bv.shape)),
+    ))
 
 
 def div(a, b):
-    a, b = _as_node(a), _as_node(b)
+    av, bv = _value_of(a), _value_of(b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = _check_finite(a.value / b.value, "div")
-    return Node(
-        val,
-        (
-            (a, lambda g: _unbroadcast(g / b.value, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g * a.value / b.value**2, b.value.shape)),
-        ),
-    )
+        val = _check_finite(av / bv, "div")
+    return Node(val, _links(
+        (a, lambda g: _unbroadcast(g / bv, av.shape)),
+        (b, lambda g: _unbroadcast(-g * av / bv**2, bv.shape)),
+    ))
 
 
 def power(a, b):
-    a = _as_node(a)
-    if _is_const(b):
-        bval = np.asarray(b, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = _check_finite(a.value**bval, "pow")
-        return Node(
-            val,
-            ((a, lambda g: _unbroadcast(g * bval * a.value ** (bval - 1), a.value.shape)),),
-        )
-    b = _as_node(b)
+    av, bv = _value_of(a), _value_of(b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val = _check_finite(a.value**b.value, "pow")
-    return Node(
-        val,
-        (
-            (a, lambda g: _unbroadcast(g * b.value * a.value ** (b.value - 1), a.value.shape)),
-            (b, lambda g: _unbroadcast(g * val * np.log(a.value), b.value.shape)),
-        ),
-    )
+        val = _check_finite(av**bv, "pow")
+    return Node(val, _links(
+        (a, lambda g: _unbroadcast(g * bv * av ** (bv - 1), av.shape)),
+        (b, lambda g: _unbroadcast(g * val * np.log(av), bv.shape)),
+    ))
 
 
 def exp(x):
@@ -272,44 +265,49 @@ def sigmoid(x):
     return Node(val, ((x, lambda g: g * val * (1.0 - val)),))
 
 
-def vsum(x):
+def vsum(x, axis=None):
+    """Sum of all elements, or along ``axis``."""
     if _is_const(x):
-        return np.sum(x)
-    val = _check_finite(np.sum(x.value), "sum")
-    return Node(val, ((x, lambda g, shape=x.value.shape: np.broadcast_to(g, shape).copy()),))
+        return np.sum(x, axis=axis)
+    val = _check_finite(np.sum(x.value, axis=axis), "sum")
+    shape = x.value.shape
+
+    def vjp(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, shape).copy()
+
+    return Node(val, ((x, vjp),))
 
 
 def dot(a, b):
     """Inner/matrix product; either side may be a constant array."""
-    a, b = _as_node(a), _as_node(b)
-    val = _check_finite(a.value @ b.value, "dot")
+    if _is_const(a) and _is_const(b):
+        return _value_of(a) @ _value_of(b)
+    av, bv = _value_of(a), _value_of(b)
+    val = _check_finite(av @ bv, "dot")
 
     def vjp_a(g):
-        if b.value.ndim == 1 and a.value.ndim == 1:
-            return g * b.value
-        if a.value.ndim == 1:
-            return g @ b.value.T if b.value.ndim > 1 else g * b.value
-        return np.outer(g, b.value) if b.value.ndim == 1 else g @ b.value.T
+        if bv.ndim == 1:
+            return g * bv if av.ndim == 1 else np.outer(g, bv)
+        return g @ bv.T
 
     def vjp_b(g):
-        if a.value.ndim == 1 and b.value.ndim == 1:
-            return g * a.value
-        if b.value.ndim == 1:
-            return a.value.T @ g
-        return np.outer(a.value, g) if a.value.ndim == 1 else a.value.T @ g
+        if av.ndim == 1:
+            return g * av if bv.ndim == 1 else np.outer(av, g)
+        return av.T @ g
 
-    return Node(val, ((a, vjp_a), (b, vjp_b)))
+    return Node(val, _links((a, vjp_a), (b, vjp_b)))
 
 
 def concat(parts):
-    parts = [_as_node(p) for p in parts]
-    sizes = [np.atleast_1d(p.value).size for p in parts]
-    val = np.concatenate([np.atleast_1d(p.value) for p in parts])
-    offsets = np.cumsum([0] + sizes)
-    links = []
-    for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-        links.append((p, lambda g, lo=lo, hi=hi, shape=p.value.shape: g[lo:hi].reshape(shape)))
-    return Node(val, tuple(links))
+    vals = [_value_of(p) for p in parts]
+    offsets = np.cumsum([0] + [v.size for v in vals])
+    val = np.concatenate([np.atleast_1d(v) for v in vals])
+    return Node(val, _links(*(
+        (p, lambda g, lo=lo, hi=hi, shape=v.shape: g[lo:hi].reshape(shape))
+        for p, v, lo, hi in zip(parts, vals, offsets[:-1], offsets[1:])
+    )))
 
 
 def gaussian_spd_logpdf(resid, cov):
@@ -319,22 +317,26 @@ def gaussian_spd_logpdf(resid, cov):
     Cholesky factorization instead of O(n^3) scalar records.  Raises
     ``np.linalg.LinAlgError`` if the factorization fails.
     """
-    r, K = _as_node(resid), _as_node(cov)
-    n = r.value.shape[0]
-    c, low = cho_factor(K.value, lower=True)
-    alpha = cho_solve((c, low), r.value)
+    r, K = _value_of(resid), _value_of(cov)
+    n = r.shape[0]
+    c, low = cho_factor(K, lower=True)
+    alpha = cho_solve((c, low), r)
     logdet = 2.0 * np.sum(np.log(np.diag(c)))
-    val = -0.5 * (n * np.log(2.0 * np.pi) + logdet + r.value @ alpha)
+    val = -0.5 * (n * np.log(2.0 * np.pi) + logdet + r @ alpha)
     _check_finite(val, "gaussian_spd_logpdf")
 
     def vjp_r(g):
         return -g * alpha
 
     def vjp_K(g):
-        Kinv = cho_solve((c, low), np.eye(n))
+        # K^-1 from the existing factor; dpotri fills the lower triangle only
+        low_inv, info = dpotri(c, lower=1)
+        if info:
+            raise np.linalg.LinAlgError("covariance inverse failed")
+        Kinv = np.tril(low_inv) + np.tril(low_inv, -1).T
         return g * 0.5 * (np.outer(alpha, alpha) - Kinv)
 
-    return Node(val, ((r, vjp_r), (K, vjp_K)))
+    return Node(val, _links((resid, vjp_r), (cov, vjp_K)))
 
 
 # -- reverse sweep ----------------------------------------------------------
@@ -372,31 +374,46 @@ def backward(out: Node):
             continue
         for parent, vjp in node.parents:
             contrib = vjp(node._grad)
-            if parent._grad is None:
-                parent._grad = np.zeros_like(parent.value)
-            parent._grad = parent._grad + contrib
+            # a contribution may be another node's gradient array: never add
+            # into it in place
+            parent._grad = contrib if parent._grad is None else parent._grad + contrib
 
 
 def grad(f, x):
     """Evaluate ``f`` at ``x`` and return ``(value, gradient)``.
 
-    ``f`` must map a 1-d parameter node to a scalar node using only the
-    supported operations; the gradient has the same length as ``x``.
+    Scalar objective: ``x`` is 1-d and ``f`` maps it to a scalar node using
+    only the supported operations; returns a float and a gradient of the same
+    length as ``x``.
+
+    Row objective: ``x`` is an ``(S, d)`` block and ``f`` returns an ``(S,)``
+    node whose row ``s`` depends only on ``x[s]``.  One sweep backpropagates
+    the sum, so row ``s`` of the gradient is that of ``f``'s row ``s``;
+    returns ``(values (S,), grads (S, d))``.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteValueError("input")
+    rows = x.ndim == 2
     leaf = Node(x)
     out = f(leaf)
     if not isinstance(out, Node):
         # constant objective: gradient is exactly zero
-        return float(np.asarray(out)), np.zeros_like(x)
-    backward(out)
+        val = np.asarray(out, dtype=float)
+        return (np.broadcast_to(val, x.shape[:1]).copy() if rows else float(val)), np.zeros_like(x)
+    if rows:
+        if out.value.shape != x.shape[:1]:
+            raise ValueError(f"row objective returned shape {out.value.shape}, "
+                             f"expected ({x.shape[0]},)")
+        backward(vsum(out))
+    else:
+        backward(out)
     g = leaf._grad
     if g is None:
         g = np.zeros_like(x)
     _check_finite(g, "backward")
-    return float(out.value), np.asarray(g, dtype=float).reshape(x.shape)
+    g = np.asarray(g, dtype=float).reshape(x.shape)
+    return (out.value.copy() if rows else float(out.value)), g
 
 
 def value(f, x):

@@ -73,6 +73,10 @@ def resolve_settings(args):
     """Merge config file, environment, and flags into one flat dict."""
     sections = _read_ini(args.config) if args.config else {}
     run = dict(sections.get("run", {}))
+    unknown = [key for key in run if key not in _RUN_KEYS]
+    if unknown:
+        raise CliError(f"unknown key {', '.join(map(repr, unknown))} in [run] "
+                       f"(known: {', '.join(_RUN_KEYS)})")
     run.update(_env_overrides())
     for key in _RUN_KEYS:
         flag = getattr(args, key, None)

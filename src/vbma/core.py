@@ -83,17 +83,47 @@ class EnsembleState:
         return "\n".join(lines) + "\n"
 
 
+def _objective(model, state):
+    # sticking-the-landing form: the variational parameters are constants in log q
+    return lambda th: model.log_joint(th) - families.log_q(state, th)
+
+
 def estimate_grad_and_elbo(model, state, z_draws, rng=None):
     """MC estimates (G, L) for one model from shared auxiliary draws.
 
     G stacks the gradient with respect to (mu, raw_scale); L is the mean
     sampled ELBO.  A draw whose log-joint is non-finite is rejected and
     resampled from ``rng``; more than 50% rejections aborts the iteration.
+
+    A model whose class sets ``supports_blocks`` is evaluated on all S draws
+    in one tape pass.  If any draw fails there, the estimate is made again
+    draw by draw from the same ``z_draws`` and ``rng``, so rejections and
+    redraws are exactly those of the row loop.
     """
     z_draws = np.atleast_2d(np.asarray(z_draws, dtype=float))
     S, d = z_draws.shape
     if d != state.dim:
         raise ValueError("auxiliary draws have wrong dimension")
+    if model.supports_blocks:
+        try:
+            return _estimate_block(model, state, z_draws)
+        except (ad.NonFiniteValueError, np.linalg.LinAlgError):
+            pass
+    return _estimate_rows(model, state, z_draws, rng)
+
+
+def _estimate_block(model, state, z_draws):
+    theta = families.sample(state, z_draws)
+    vals, g_theta = ad.grad(_objective(model, state), theta)
+    d_mu, d_raw = families.reparam_jacobian(state, z_draws, theta)
+    S = len(z_draws)
+    G = np.concatenate([(g_theta * d_mu).sum(axis=0), (g_theta * d_raw).sum(axis=0)])
+    return G / S, vals.sum() / S
+
+
+def _estimate_rows(model, state, z_draws, rng):
+    S, d = z_draws.shape
+    objective = _objective(model, state)
     g_mu = np.zeros(d)
     g_raw = np.zeros(d)
     elbo = 0.0
@@ -104,9 +134,7 @@ def estimate_grad_and_elbo(model, state, z_draws, rng=None):
         while True:
             theta = families.sample(state, z)
             try:
-                val, g_theta = ad.grad(
-                    lambda th: model.log_joint(th) - families.log_q(state, th), theta
-                )
+                val, g_theta = ad.grad(objective, theta)
                 break
             except (ad.NonFiniteValueError, np.linalg.LinAlgError):
                 rejects += 1

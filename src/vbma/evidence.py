@@ -88,12 +88,11 @@ def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
         batch = min(n_samples, 100_000)
     log_liks = np.empty(n_samples)
     done = 0
-    vectorized = hasattr(model, "log_lik_batch")
     while done < n_samples:
         m = min(batch, n_samples - done)
         thetas = np.stack([model.sample_prior(rng) for _ in range(m)])
-        if vectorized:
-            log_liks[done:done + m] = model.log_lik_batch(thetas)
+        if model.supports_blocks:
+            log_liks[done:done + m] = model.log_lik(thetas)
         else:
             for j in range(m):
                 out = model.log_lik(thetas[j])

@@ -126,10 +126,12 @@ def sample(state: VariationalState, z):
 def log_q(state: VariationalState, theta):
     """Log-density of the mean-field family at ``theta`` (may be a tape node).
 
-    Variational parameters enter as constants; differentiate through ``theta``.
+    ``theta`` is one vector ``(dim,)`` or a block ``(S, dim)``, giving a scalar
+    or ``(S,)`` values.  Variational parameters enter as constants;
+    differentiate through ``theta``.
     """
     theta_vals = theta.value if isinstance(theta, ad.Node) else np.asarray(theta, dtype=float)
-    if len(theta_vals) != state.dim:
+    if np.shape(theta_vals)[-1] != state.dim:
         raise ValueError("theta has wrong length for this state")
     m = state.lognormal_mask
     if np.any((m > 0) & (theta_vals <= 0)):
@@ -138,15 +140,16 @@ def log_q(state: VariationalState, theta):
     # on log scale for log-normal coordinates; identity for normal ones
     x = theta * (1.0 - m) + m * ad.log(theta * m + (1.0 - m))
     quad = (x - state.mu) ** 2 / var
-    jac = ad.vsum(ad.log(theta * m + (1.0 - m)) * m)  # -log(theta) terms
-    return -0.5 * ad.vsum(np.log(2.0 * np.pi) + np.log(var) + quad) - jac
+    jac = ad.vsum(ad.log(theta * m + (1.0 - m)) * m, axis=-1)  # -log(theta) terms
+    return -0.5 * ad.vsum(np.log(2.0 * np.pi) + np.log(var) + quad, axis=-1) - jac
 
 
 def reparam_jacobian(state: VariationalState, z, theta):
     """Analytic d theta / d (mu, raw_scale) of the transform, per coordinate.
 
-    Returns ``(d_mu, d_raw)`` arrays of length dim.  Used to chain the
-    parameter-space gradient through the transform without taping it.
+    Returns ``(d_mu, d_raw)`` arrays shaped like ``theta``: ``(dim,)`` or a
+    block ``(S, dim)``.  Used to chain the parameter-space gradient through
+    the transform without taping it.
     """
     z = np.asarray(z, dtype=float)
     theta = np.asarray(theta, dtype=float)

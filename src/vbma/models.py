@@ -6,7 +6,10 @@ toy used by the test oracles.
 Every model exposes the same surface: a parameter layout (named blocks with
 family tags), ``log_lik``/``log_prior``/``log_joint`` that accept either a
 plain array or an autodiff node, a vectorized predictive simulator, and a
-prior model weight.  Instances are immutable after construction and safe to
+prior model weight.  A model whose class sets ``supports_blocks`` evaluates
+its log densities over the last axis, so one call takes a single ``(d,)``
+parameter vector or an ``(S, d)`` block of S draws and returns a scalar or
+``(S,)`` values.  Instances are immutable after construction and safe to
 evaluate concurrently.
 
 The improper blocks of the g-prior models (``phi ~ 1/phi``, flat intercept)
@@ -22,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
 from . import autodiff as ad
 from .data import sq_exp_kernel
@@ -82,6 +86,9 @@ class Model:
     name: str
     layout: ParamLayout
     prior_weight: float = 1.0
+    # True when log_lik/log_prior work over the last axis, taking an (S, d)
+    # block to (S,) values; otherwise they take one (d,) vector at a time
+    supports_blocks: bool = False
 
     def log_lik(self, theta):
         raise NotImplementedError
@@ -116,6 +123,8 @@ class GaussianMeanModel(Model):
     closed form; this is the workhorse oracle for the variational machinery.
     """
 
+    supports_blocks = True
+
     def __init__(self, y, obs_sd=1.0, prior_mean=0.0, prior_sd=1.0,
                  name="normal-mean", prior_weight=1.0):
         self.y = np.asarray(y, dtype=float)
@@ -127,13 +136,13 @@ class GaussianMeanModel(Model):
         self.layout = ParamLayout([ParamBlock("mu", 1, FamilyTag.NORMAL)])
 
     def log_lik(self, theta):
-        mu = theta[0]
+        mu = theta[..., 0:1]
         n = len(self.y)
-        ssq = ad.vsum((self.y - mu) ** 2)
+        ssq = ad.vsum((self.y - mu) ** 2, axis=-1)
         return -0.5 * (n * (LOG2PI + 2.0 * np.log(self.obs_sd)) + ssq / self.obs_sd**2)
 
     def log_prior(self, theta):
-        mu = theta[0]
+        mu = theta[..., 0]
         return -0.5 * (LOG2PI + 2.0 * np.log(self.prior_sd)
                        + (mu - self.prior_mean) ** 2 / self.prior_sd**2)
 
@@ -177,6 +186,8 @@ class LinRegModel(Model):
     (default: ``predictors``); the model picks its predictors from them.
     """
 
+    supports_blocks = True
+
     def __init__(self, X, y, predictors=(), g=None, name=None, prior_weight=1.0,
                  inputs=None):
         self.X = np.asarray(X, dtype=float) if len(predictors) else np.zeros((len(y), 0))
@@ -212,23 +223,24 @@ class LinRegModel(Model):
         return self.predictors
 
     def _unpack(self, theta):
-        beta0 = theta[self.layout.slice("beta0")][0]
-        phi = theta[self.layout.slice("phi")][0]
-        beta = theta[self.layout.slice("beta")] if self.p else None
+        """beta0 (..., 1), beta (..., p) or None, and phi (...) from theta (..., d)."""
+        beta0 = theta[..., self.layout.slice("beta0")]
+        phi = theta[..., self.layout.slice("phi").start]
+        beta = theta[..., self.layout.slice("beta")] if self.p else None
         return beta0, beta, phi
 
     def log_lik(self, theta):
         beta0, beta, phi = self._unpack(theta)
-        mean = beta0 if beta is None else beta0 + ad.dot(self.X, beta)
+        mean = beta0 if beta is None else beta0 + ad.dot(beta, self.X.T)
         resid = self.y - mean
-        ssq = ad.vsum(resid**2)
+        ssq = ad.vsum(resid**2, axis=-1)
         return 0.5 * self.n * (ad.log(phi) - LOG2PI) - 0.5 * phi * ssq
 
     def log_prior(self, theta):
         beta0, beta, phi = self._unpack(theta)
         out = -ad.log(phi)  # phi ~ 1/phi; flat intercept contributes 0
         if beta is not None:
-            quad = ad.dot(beta, ad.dot(self.xtx, beta))
+            quad = ad.vsum(beta * ad.dot(beta, self.xtx), axis=-1)
             out = out + (
                 -0.5 * self.p * LOG2PI
                 + 0.5 * self.p * ad.log(phi)
@@ -252,6 +264,8 @@ class LogisticModel(Model):
     ``inputs`` is as for ``LinRegModel``.
     """
 
+    supports_blocks = True
+
     def __init__(self, X, y, predictors=(), prior_sd=10.0, name=None, prior_weight=1.0,
                  inputs=None):
         self.X = np.asarray(X, dtype=float) if len(predictors) else np.zeros((len(y), 0))
@@ -274,27 +288,19 @@ class LogisticModel(Model):
         return self.predictors
 
     def _logits(self, theta):
-        beta0 = theta[0]
+        beta0 = theta[..., 0:1]
         if not self.p:
             return beta0 * np.ones(len(self.y))
-        beta = theta[1:]
-        return beta0 + ad.dot(self.X, beta)
+        return beta0 + ad.dot(theta[..., 1:], self.X.T)
 
     def log_lik(self, theta):
         a = self._logits(theta)
         # log p(y|a) = -softplus((1-2y) a), the stable log-sigmoid form
-        return -ad.vsum(ad.softplus(self._sign * a))
-
-    def log_lik_batch(self, thetas):
-        """Vectorized log-likelihood over rows of ``thetas`` (plain numpy)."""
-        thetas = np.asarray(thetas, dtype=float)
-        a = thetas[:, :1] + (thetas[:, 1:] @ self.X.T if self.p else 0.0)
-        s = self._sign[None, :] * a
-        return -np.sum(np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))), axis=1)
+        return -ad.vsum(ad.softplus(self._sign * a), axis=-1)
 
     def log_prior(self, theta):
         d = self.layout.dim
-        ssq = ad.vsum(theta**2)
+        ssq = ad.vsum(theta**2, axis=-1)
         return -0.5 * (d * (LOG2PI + 2.0 * np.log(self.prior_sd)) + ssq / self.prior_sd**2)
 
     def sample_prior(self, rng):
@@ -414,9 +420,9 @@ class GPModel(Model):
         d2 = self.coords[:, 1][:, None] - coords_new[:, 1][None, :]
         ks = eta**2 * np.exp(-(d1**2) / (2 * nu1**2) - (d2**2) / (2 * nu2**2))
         L = np.linalg.cholesky(K)
-        alpha = np.linalg.solve(L.T, np.linalg.solve(L, self.y - beta))
+        alpha = cho_solve((L, True), self.y - beta)
         mean = beta + ks.T @ alpha
-        w = np.linalg.solve(L, ks)
+        w = solve_triangular(L, ks, lower=True)
         var = np.maximum(eta**2 - np.sum(w**2, axis=0), 0.0)
         return mean, var, sigma**2
 

@@ -51,6 +51,39 @@ def test_getitem_scatters_gradient():
     assert np.allclose(g, [0.0, 6.0, 0.0])
 
 
+def test_getitem_repeated_fancy_index_accumulates():
+    _, g = ad.grad(lambda v: ad.vsum(v[[0, 0, 2]]), np.array([1.0, 2.0, 3.0]))
+    assert np.allclose(g, [2.0, 0.0, 1.0])
+
+
+def test_row_objective_gives_each_rows_gradient():
+    A = np.arange(6.0).reshape(3, 2) / 4.0
+    X = np.random.default_rng(2).standard_normal((5, 3))
+
+    def f(v):  # row s depends only on v[s]
+        return ad.vsum(ad.exp(v[..., :2]) * ad.dot(v, A), axis=-1) + ad.vsum(v**2, axis=-1)
+
+    vals, grads = ad.grad(f, X)
+    assert vals.shape == (5,) and grads.shape == (5, 3)
+    for s in range(5):
+        val, g = ad.grad(f, X[s])
+        assert vals[s] == pytest.approx(val, rel=1e-14)
+        assert np.allclose(grads[s], g, rtol=1e-14, atol=0.0)
+
+
+def test_row_objective_must_return_one_value_per_row():
+    with pytest.raises(ValueError, match="row objective"):
+        ad.grad(lambda v: ad.vsum(v), np.ones((3, 2)))
+
+
+def test_vsum_axis_matches_fd():
+    def f(v):
+        m = v * np.arange(1.0, 7.0).reshape(2, 3)
+        return ad.vsum(ad.vsum(m, axis=0) ** 2) + ad.vsum(ad.vsum(m, axis=-1) ** 3)
+
+    assert ad.finite_diff_check(f, np.array([0.3, -1.0, 0.5]), h=1e-6) < 1e-5
+
+
 def test_diamond_graph_accumulates_both_paths():
     # y = u * u with u reused: dy/dx must see both parents
     _, g = ad.grad(lambda v: (v[0] + v[0]) * v[0], np.array([3.0]))
@@ -141,6 +174,12 @@ def test_unsupported_operations_raise():
 def test_nonfinite_intermediate_names_the_operation():
     with pytest.raises(ad.NonFiniteValueError) as err:
         ad.grad(lambda v: ad.log(v[0] - 10.0), np.array([1.0]))
+    assert "log" in str(err.value)
+
+
+def test_nonfinite_row_names_the_operation():
+    with pytest.raises(ad.NonFiniteValueError) as err:
+        ad.grad(lambda v: ad.vsum(ad.log(v), axis=-1), np.array([[1.0], [-1.0]]))
     assert "log" in str(err.value)
 
 

@@ -252,6 +252,15 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["fit"]) == 1 or run_cli(["fit", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("line", ["threads = 2", "sampels = 3"])
+def test_unknown_run_key_is_usage_error(tmp_path, crime_cfg, capsys, line):
+    crime_cfg.write_text(crime_cfg.read_text() + line + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--config", str(crime_cfg), "--out", str(out)]) == 1
+    assert f"error: unknown key '{line.split()[0]}'" in capsys.readouterr().err
+    assert not (out / "weights.csv").exists()
+
+
 def test_numerical_failures_exit_two(tmp_path, crime_cfg, monkeypatch):
     def boom(cfg, models, progress=None):
         raise core.IterationError("synthetic blow-up")

@@ -10,7 +10,8 @@ from vbma import autodiff as ad
 from vbma import core, families
 from vbma.core import IterationError, VbmaConfig, estimate_grad_and_elbo, update_weights
 from vbma.families import FamilyTag, VariationalState
-from vbma.models import GaussianMeanModel, Model, ParamBlock, ParamLayout
+from vbma.models import (GaussianMeanModel, LinRegModel, LogisticModel, Model, ParamBlock,
+                         ParamLayout)
 
 
 def conjugate_model(seed=0, n=25):
@@ -102,6 +103,58 @@ def test_rejection_resampling_and_abort():
     # without a resampling rng the first bad draw aborts
     with pytest.raises(IterationError):
         estimate_grad_and_elbo(model, state, np.array([[-2.0]]))
+
+
+class FragileBlockModel(FragileModel):
+    """FragileModel evaluated over the last axis, so it takes the block pass."""
+
+    supports_blocks = True
+
+    def log_joint(self, theta):
+        return ad.log(theta[..., 0])
+
+
+def test_block_estimate_matches_row_loop():
+    y = np.random.default_rng(3).normal(size=20)
+    X = np.random.default_rng(4).standard_normal((20, 2))
+    X -= X.mean(axis=0)
+    yb = (y > 0).astype(float)
+    models = [conjugate_model(), LinRegModel(X, y, predictors=("a", "b")),
+              LinRegModel(X[:, :0], y), LogisticModel(X, yb, predictors=("a", "b"))]
+    rng = np.random.default_rng(9)
+    for model in models:
+        state = VariationalState.initial(model.layout.tags(), init_var=0.1)
+        state.mu += 0.3 * rng.standard_normal(state.dim)
+        z = rng.standard_normal((10, state.dim))
+        G, L = estimate_grad_and_elbo(model, state, z)
+        G_rows, L_rows = core._estimate_rows(model, state, z, None)
+        np.testing.assert_allclose(G, G_rows, rtol=1e-12, atol=1e-12)
+        assert L == pytest.approx(L_rows, rel=1e-12, abs=1e-12)
+
+
+def test_failed_block_pass_falls_back_to_row_loop():
+    state = make_state(0.0, 1.0)
+    # a draw below zero fails the block pass; the row loop redraws it
+    z = np.array([[1.0], [-0.5], [2.0], [-1.0], [0.3], [0.7], [1.1], [0.2], [0.9], [1.4]])
+    rng_block, rng_rows = np.random.default_rng(2), np.random.default_rng(2)
+    G, L = estimate_grad_and_elbo(FragileBlockModel(), state, z, rng=rng_block)
+    G_rows, L_rows = estimate_grad_and_elbo(FragileModel(), state, z, rng=rng_rows)
+    assert np.array_equal(G, G_rows) and L == L_rows
+    assert rng_block.bit_generator.state == rng_rows.bit_generator.state
+    # the same abort, with the same message, as the row loop
+    z_many = np.random.default_rng(5).standard_normal((40, 1))
+    errors = []
+    for model in (FragileBlockModel(), FragileModel()):
+        with pytest.raises(IterationError) as err:
+            estimate_grad_and_elbo(model, state, z_many, rng=np.random.default_rng(0))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    # draws that all succeed take the block pass and agree with the rows
+    z_ok = np.abs(z)
+    G, L = estimate_grad_and_elbo(FragileBlockModel(), state, z_ok)
+    G_rows, L_rows = core._estimate_rows(FragileModel(), state, z_ok, None)
+    np.testing.assert_allclose(G, G_rows, rtol=1e-12, atol=1e-12)
+    assert L == pytest.approx(L_rows, rel=1e-12, abs=1e-12)
 
 
 # -- weight update ------------------------------------------------------------

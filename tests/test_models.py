@@ -120,6 +120,41 @@ def test_linreg_predictive_draws(lin_model):
     assert np.std(draws) == pytest.approx(0.1, rel=0.2)
 
 
+# -- block evaluation ---------------------------------------------------------
+
+
+def block_models():
+    r = rng()
+    X = r.standard_normal((30, 2))
+    X -= X.mean(axis=0)
+    y = 0.5 + X @ np.array([1.0, -0.7]) + r.normal(0, 0.5, 30)
+    yb = (r.random(30) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+    return {
+        "linear": LinRegModel(X, y, predictors=("u", "v")),
+        "linear-intercept": LinRegModel(X[:, :0], y),
+        "logistic": LogisticModel(X, yb, predictors=("u", "v"), prior_sd=3.0),
+        "logistic-intercept": LogisticModel(X[:, :0], yb),
+        "normal-mean": GaussianMeanModel(y, obs_sd=0.8, prior_mean=0.2, prior_sd=2.0),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(block_models()))
+def test_block_log_joint_and_grad_match_rows(kind):
+    m = block_models()[kind]
+    assert m.supports_blocks
+    thetas = rng().standard_normal((7, m.layout.dim))
+    positive = [t is FamilyTag.LOGNORMAL for t in m.layout.tags()]
+    thetas[:, positive] = np.exp(thetas[:, positive])
+    vals, grads = ad.grad(m.log_joint, thetas)
+    assert vals.shape == (7,) and grads.shape == thetas.shape
+    plain = m.log_joint(thetas)  # plain arrays in, plain arrays out
+    for s, theta in enumerate(thetas):
+        val, g = ad.grad(m.log_joint, theta)
+        np.testing.assert_allclose(vals[s], val, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(plain[s], val, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[s], g, rtol=1e-12, atol=1e-12)
+
+
 # -- logistic regression ------------------------------------------------------
 
 
@@ -147,10 +182,12 @@ def test_logistic_log_prior_matches_scipy(logit_model):
 
 
 def test_logistic_batch_agrees_with_single(logit_model):
+    # log_lik on an (S, d) block gives each row's log-likelihood
     thetas = rng().standard_normal((8, 3))
-    batch = logit_model.log_lik_batch(thetas)
+    batch = logit_model.log_lik(thetas)
     single = [as_float(logit_model.log_lik(t)) for t in thetas]
-    assert np.allclose(batch, single, atol=1e-9)
+    assert batch.shape == (8,)
+    assert np.allclose(batch, single, rtol=1e-12, atol=1e-12)
 
 
 def test_logistic_stable_at_extreme_logits(logit_model):
