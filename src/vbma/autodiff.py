@@ -107,17 +107,9 @@ class Node:
         return power(other, self)
 
     def __getitem__(self, idx):
-        shape = self.value.shape
-        parts = idx if isinstance(idx, tuple) else (idx,)
-        basic = all(isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
-                    for i in parts)
-
-        def vjp(g):
+        def vjp(g, idx=idx, shape=self.value.shape):
             out = np.zeros(shape)
-            if basic:  # each element selected at most once
-                out[idx] = g
-            else:
-                np.add.at(out, idx, g)
+            np.add.at(out, idx, g)
             return out
 
         return Node(self.value[idx], ((self, vjp),))
