@@ -3,13 +3,14 @@
 A ``Node`` wraps a numpy array (or python float) and records the operations
 applied to it.  Calling :func:`grad` on a scalar-valued function replays the
 recorded tape backwards and returns the exact gradient with respect to every
-input coordinate.  A row objective maps an ``(S, d)`` block to ``S`` values,
-row ``s`` depending only on row ``s`` of the block; one sweep then gives every
-row's gradient.  Constant operands are not recorded, so the sweep computes no
-gradient that nothing reads.  The supported operation set is deliberately
-small: the elementwise arithmetic and link functions needed by log-density
-models, plus the reductions (sum, dot) and one multivariate-normal primitive
-needed to express Gaussian-process marginals efficiently.
+input coordinate.  A row objective maps a block of rows, such as ``(S, d)``
+or ``(K, S, d)``, to one value per row, each depending only on its own row;
+one sweep then gives every row's gradient.  Constant operands are not
+recorded, so the sweep computes no gradient that nothing reads.  The
+supported operation set is deliberately small: the elementwise arithmetic and
+link functions needed by log-density models, plus the reductions (sum, dot)
+and one multivariate-normal primitive needed to express Gaussian-process
+marginals efficiently.
 
 Tapes are single-use and confined to the thread that built them; there is no
 shared mutable state between evaluations.
@@ -233,13 +234,10 @@ def _softplus_np(x):
 
 
 def _sigmoid_np(x):
-    out = np.empty_like(np.asarray(x, dtype=float))
+    # stable: exp only of -|x|; 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
     x = np.asarray(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(x):
@@ -273,21 +271,31 @@ def vsum(x, axis=None):
 
 
 def dot(a, b):
-    """Inner/matrix product; either side may be a constant array."""
+    """Matrix product with ``@`` semantics, leading axes included (a stack of
+    matrices broadcasts); either side may be a constant array."""
     if _is_const(a) and _is_const(b):
         return _value_of(a) @ _value_of(b)
     av, bv = _value_of(a), _value_of(b)
     val = _check_finite(av @ bv, "dot")
+    # as matrices: a 1-d left operand is a row, a 1-d right operand a column
+    am = av[None, :] if av.ndim == 1 else av
+    bm = bv[:, None] if bv.ndim == 1 else bv
+
+    def as_matrix(g):
+        g = np.asarray(g)
+        if bv.ndim == 1:
+            g = g[..., None]
+        if av.ndim == 1:
+            g = g[..., None, :]
+        return g
 
     def vjp_a(g):
-        if bv.ndim == 1:
-            return g * bv if av.ndim == 1 else np.outer(g, bv)
-        return g @ bv.T
+        ga = as_matrix(g) @ np.swapaxes(bm, -1, -2)
+        return _unbroadcast(ga[..., 0, :] if av.ndim == 1 else ga, av.shape)
 
     def vjp_b(g):
-        if av.ndim == 1:
-            return g * av if bv.ndim == 1 else np.outer(av, g)
-        return av.T @ g
+        gb = np.swapaxes(am, -1, -2) @ as_matrix(g)
+        return _unbroadcast(gb[..., 0] if bv.ndim == 1 else gb, bv.shape)
 
     return Node(val, _links((a, vjp_a), (b, vjp_b)))
 
@@ -325,7 +333,7 @@ def gaussian_spd_logpdf(resid, cov):
         low_inv, info = dpotri(c, lower=1)
         if info:
             raise np.linalg.LinAlgError("covariance inverse failed")
-        Kinv = np.tril(low_inv) + np.tril(low_inv, -1).T
+        Kinv = np.where(np.tri(len(low_inv), dtype=bool), low_inv, low_inv.T)
         return g * 0.5 * (np.outer(alpha, alpha) - Kinv)
 
     return Node(val, _links((resid, vjp_r), (cov, vjp_K)))
@@ -378,25 +386,26 @@ def grad(f, x):
     only the supported operations; returns a float and a gradient of the same
     length as ``x``.
 
-    Row objective: ``x`` is an ``(S, d)`` block and ``f`` returns an ``(S,)``
-    node whose row ``s`` depends only on ``x[s]``.  One sweep backpropagates
-    the sum, so row ``s`` of the gradient is that of ``f``'s row ``s``;
-    returns ``(values (S,), grads (S, d))``.
+    Row objective: ``x`` is a block ``(..., d)`` of rows, such as ``(S, d)``
+    or ``(K, S, d)``, and ``f`` returns a node of shape ``x.shape[:-1]`` whose
+    entry for a row depends only on that row.  One sweep backpropagates the
+    sum, so each row of the gradient is that of ``f``'s entry for the row;
+    returns ``(values x.shape[:-1], grads x.shape)``.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteValueError("input")
-    rows = x.ndim == 2
+    rows = x.ndim >= 2
     leaf = Node(x)
     out = f(leaf)
     if not isinstance(out, Node):
         # constant objective: gradient is exactly zero
         val = np.asarray(out, dtype=float)
-        return (np.broadcast_to(val, x.shape[:1]).copy() if rows else float(val)), np.zeros_like(x)
+        return (np.broadcast_to(val, x.shape[:-1]).copy() if rows else float(val)), np.zeros_like(x)
     if rows:
-        if out.value.shape != x.shape[:1]:
+        if out.value.shape != x.shape[:-1]:
             raise ValueError(f"row objective returned shape {out.value.shape}, "
-                             f"expected ({x.shape[0]},)")
+                             f"expected {x.shape[:-1]}")
         backward(vsum(out))
     else:
         backward(out)

@@ -22,6 +22,10 @@ from . import autodiff as ad
 from . import families, optimizers
 
 
+# what a draw raises when its log joint cannot be evaluated
+REJECTED = (ad.NonFiniteValueError, np.linalg.LinAlgError)
+
+
 class IterationError(RuntimeError):
     """Too many rejected draws (or a fatal model failure) in one iteration."""
 
@@ -89,36 +93,45 @@ def _objective(model, state):
 
 
 def estimate_grad_and_elbo(model, state, z_draws, rng=None):
-    """MC estimates (G, L) for one model from shared auxiliary draws.
+    """MC estimates (G, L) for one model, or for a stack of K, from shared
+    auxiliary draws.
 
     G stacks the gradient with respect to (mu, raw_scale); L is the mean
     sampled ELBO.  A draw whose log-joint is non-finite is rejected and
     resampled from ``rng``; more than 50% rejections aborts the iteration.
 
     A model whose class sets ``supports_blocks`` is evaluated on all S draws
-    in one tape pass.  If any draw fails there, the estimate is made again
-    draw by draw from the same ``z_draws`` and ``rng``, so rejections and
-    redraws are exactly those of the row loop.
+    in one tape pass, as a stack of one.  If any draw fails there, the
+    estimate is made again draw by draw from the same ``z_draws`` and
+    ``rng``, so rejections and redraws are exactly those of the row loop.
+
+    For a ``models.Stack``'s model with a ``families.StackedState``,
+    ``z_draws`` is the ``(K, S, D)`` block and the result is G ``(K, 2D)``
+    and L ``(K,)`` from one tape pass; a failed draw raises, and the caller
+    redoes each member on its own.
     """
     z_draws = np.atleast_2d(np.asarray(z_draws, dtype=float))
-    S, d = z_draws.shape
-    if d != state.dim:
+    if z_draws.shape[-1] != state.dim:
         raise ValueError("auxiliary draws have wrong dimension")
+    if z_draws.ndim == 3:
+        return _estimate_block(model, state, z_draws)
     if model.supports_blocks:
         try:
-            return _estimate_block(model, state, z_draws)
-        except (ad.NonFiniteValueError, np.linalg.LinAlgError):
+            G, L = _estimate_block(model, state, z_draws[None])
+            return G[0], L[0]
+        except REJECTED:
             pass
     return _estimate_rows(model, state, z_draws, rng)
 
 
 def _estimate_block(model, state, z_draws):
+    """(G (K, 2D), L (K,)) from one tape pass over a (K, S, D) block."""
     theta = families.sample(state, z_draws)
     vals, g_theta = ad.grad(_objective(model, state), theta)
     d_mu, d_raw = families.reparam_jacobian(state, z_draws, theta)
-    S = len(z_draws)
-    G = np.concatenate([(g_theta * d_mu).sum(axis=0), (g_theta * d_raw).sum(axis=0)])
-    return G / S, vals.sum() / S
+    S = z_draws.shape[1]
+    G = np.concatenate([(g_theta * d_mu).sum(axis=1), (g_theta * d_raw).sum(axis=1)], axis=-1)
+    return G / S, vals.sum(axis=-1) / S
 
 
 def _estimate_rows(model, state, z_draws, rng):
@@ -136,7 +149,7 @@ def _estimate_rows(model, state, z_draws, rng):
             try:
                 val, g_theta = ad.grad(objective, theta)
                 break
-            except (ad.NonFiniteValueError, np.linalg.LinAlgError):
+            except REJECTED:
                 rejects += 1
                 if rejects > max_rejects or rng is None:
                     raise IterationError(
@@ -190,38 +203,85 @@ def init_state(config, models):
     )
 
 
-def _step_model(model, state, opt, weight, S, rng):
-    z = rng.standard_normal((S, state.dim))
-    G, L = estimate_grad_and_elbo(model, state, z, rng=rng)
+def _step(state, opt, weight, G):
     lam = np.concatenate([state.mu, state.raw_scale])
     # Weight multiplies the raw gradient before the adaptive step, following
     # the plain-SGA update lambda <- lambda + rho q(M) G literally.
     new = opt.step(lam, weight * G)
     d = state.dim
-    return families.VariationalState(new[:d], new[d:], state.tags, state.names), L
+    return families.VariationalState(new[:d], new[d:], state.tags, state.names)
+
+
+def _stacks(models):
+    """(member indices, Stack) for each group of two or more block-capable
+    models of one class that the class can stack."""
+    groups = {}
+    for i, m in enumerate(models):
+        if m.supports_blocks:
+            groups.setdefault(type(m), []).append(i)
+    out = []
+    for cls, members in groups.items():
+        stack = cls.stack([models[i] for i in members]) if len(members) > 1 else None
+        if stack is not None:
+            out.append((members, stack))
+    return out
+
+
+def _estimate_stack(stack, states, z_draws):
+    """Per-member (G, L) from one pass over the stack, or None if it failed."""
+    D = stack.model.layout.dim
+    z = np.zeros((len(states), z_draws[0].shape[0], D))
+    for zk, z_member, pos in zip(z, z_draws, stack.positions):
+        zk[:, pos] = z_member
+    stacked = families.StackedState.pad(states, stack.positions, D)
+    try:
+        G, L = estimate_grad_and_elbo(stack.model, stacked, z)
+    except REJECTED:
+        return None
+    return [(np.concatenate([Gk[pos], Gk[D + pos]]), Lk)
+            for Gk, Lk, pos in zip(G, L, stack.positions)]
 
 
 def run(config: VbmaConfig, models, progress=None):
     """Execute pre-training then joint updates; returns the final state.
 
     ``progress`` (optional) is called as progress(state) after each iteration.
+
+    Models that stack (see ``models.Model.stack``) are evaluated together in
+    one tape pass per iteration; every model keeps its own variational state,
+    optimizer and RNG stream.  A stack whose pass fails leaves each member to
+    its own estimate, on the same draws.
     """
     if not models:
         raise ValueError("need at least one model")
     state = init_state(config, models)
     k = state.k
     log_prior = np.log(np.array([m.prior_weight for m in models], dtype=float))
+    stacks = _stacks(models)
 
     def one_iteration(t, weights):
+        rngs = [_model_rng(config.seed, t, i) for i in range(k)]
+        z_draws = [rng.standard_normal((config.n_samples, vs.dim))
+                   for rng, vs in zip(rngs, state.variational)]
+        estimates = {}
+        for members, stack in stacks:
+            results = _estimate_stack(stack, [state.variational[i] for i in members],
+                                      [z_draws[i] for i in members])
+            estimates.update(zip(members, results or ()))
         elbos = np.empty(k)
+        # models step in index order, so a failure leaves the state as the
+        # model-by-model loop would
         for i in range(k):
-            try:
-                vs, L = _step_model(models[i], state.variational[i], state.opts[i], weights[i],
-                                    config.n_samples, _model_rng(config.seed, t, i))
-            except IterationError as err:
-                err.state = state
-                raise
-            state.variational[i] = vs
+            vs = state.variational[i]
+            if i in estimates:
+                G, L = estimates[i]
+            else:
+                try:
+                    G, L = estimate_grad_and_elbo(models[i], vs, z_draws[i], rng=rngs[i])
+                except IterationError as err:
+                    err.state = state
+                    raise
+            state.variational[i] = _step(vs, state.opts[i], weights[i], G)
             state.elbo_trace[i].append(L)
             elbos[i] = L
         return elbos

@@ -73,11 +73,18 @@ def zellner_log_evidence(model: LinRegModel) -> EvidenceEstimate:
     return EvidenceEstimate(float(log_ev), EvidenceMethod.CLOSED_FORM_ZELLNER)
 
 
+# rows per likelihood block: a logistic block holds a few (rows, n) temporaries,
+# so memory stays bounded however many samples are asked for
+MC_BATCH = 4096
+
+
 def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
     """Monte Carlo integration of the likelihood over the prior.
 
     Everything stays in the log domain (log-sum-exp minus log N); the
-    standard error of the log evidence comes from the delta method.
+    standard error of the log evidence comes from the delta method.  Prior
+    draws are evaluated ``batch`` rows at a time (default ``MC_BATCH``);
+    the estimate does not depend on it.
     """
     if not model.has_proper_prior():
         raise ConfigurationError(
@@ -85,7 +92,7 @@ def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
         )
     rng = np.random.default_rng(seed)
     if batch is None:
-        batch = min(n_samples, 100_000)
+        batch = MC_BATCH
     log_liks = np.empty(n_samples)
     done = 0
     while done < n_samples:

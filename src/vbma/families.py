@@ -40,6 +40,9 @@ def encode_scale(scale):
 class VariationalState:
     """Per-model variational parameters: one (mu, raw_scale) per coordinate."""
 
+    # every coordinate is the model's own (see StackedState)
+    mask = None
+
     mu: np.ndarray
     raw_scale: np.ndarray
     tags: tuple[FamilyTag, ...]
@@ -96,6 +99,43 @@ class VariationalState:
         return VariationalState(np.array(mus), np.array(raws), tuple(tags), tuple(names))
 
 
+@dataclass
+class StackedState:
+    """The states of K models padded to one layout of D coordinates.
+
+    Every array is ``(K, 1, D)``, so it broadcasts against a ``(K, S, D)``
+    block of draws.  ``mask`` is 1 on each member's own coordinates and 0 on
+    the padding, which ``log_q`` leaves out; padded coordinates have ``mu``
+    0 and, drawn at ``z`` 0, are sampled as exact zeros (normal) or ones
+    (log-normal).
+    """
+
+    mu: np.ndarray
+    raw_scale: np.ndarray
+    lognormal_mask: np.ndarray
+    mask: np.ndarray
+
+    @property
+    def dim(self):
+        return self.mu.shape[-1]
+
+    @staticmethod
+    def pad(states, positions, dim):
+        """Place state ``k`` at ``positions[k]`` among ``dim`` coordinates."""
+        rows = np.repeat(np.arange(len(states)), [len(p) for p in positions])
+        cols = np.concatenate(positions)
+
+        def spread(values):
+            out = np.zeros((len(states), 1, dim))
+            out[rows, 0, cols] = np.concatenate(values)
+            return out
+
+        return StackedState(spread([s.mu for s in states]),
+                            spread([s.raw_scale for s in states]),
+                            spread([s.lognormal_mask for s in states]),
+                            spread([np.ones(s.dim) for s in states]))
+
+
 def reparam_sample(mu, raw_scale, lognormal_mask, z):
     """Differentiable transform t(z, (mu, raw_scale)) -> theta.
 
@@ -103,7 +143,7 @@ def reparam_sample(mu, raw_scale, lognormal_mask, z):
     ``mu``/``raw_scale`` may be tape nodes, making the transform differentiable
     in the variational parameters.
     """
-    if np.shape(z)[-1] != len(lognormal_mask):
+    if np.shape(z)[-1] != np.shape(lognormal_mask)[-1]:
         raise ValueError("z has wrong length for this state")
     sd = ad.sqrt(ad.softplus(raw_scale))
     u = mu + z * sd
@@ -117,7 +157,8 @@ def reparam_sample(mu, raw_scale, lognormal_mask, z):
 def sample(state: VariationalState, z):
     """Plain-array draw from q at auxiliary standard normals ``z``.
 
-    ``z`` is one vector ``(dim,)`` or a block ``(c, dim)`` giving ``c`` draws.
+    ``z`` is one vector ``(dim,)`` or a block ``(..., dim)`` of draws, such
+    as ``(c, dim)``, or ``(K, S, D)`` for a ``StackedState``.
     """
     theta = reparam_sample(state.mu, state.raw_scale, state.lognormal_mask, np.asarray(z, dtype=float))
     return theta.value if isinstance(theta, ad.Node) else theta
@@ -126,9 +167,10 @@ def sample(state: VariationalState, z):
 def log_q(state: VariationalState, theta):
     """Log-density of the mean-field family at ``theta`` (may be a tape node).
 
-    ``theta`` is one vector ``(dim,)`` or a block ``(S, dim)``, giving a scalar
-    or ``(S,)`` values.  Variational parameters enter as constants;
-    differentiate through ``theta``.
+    ``theta`` is one vector ``(dim,)`` or a block ``(..., dim)`` such as
+    ``(S, dim)``, or ``(K, S, D)`` for a ``StackedState``, giving one value
+    per row.  Variational parameters enter as constants; differentiate
+    through ``theta``.
     """
     theta_vals = theta.value if isinstance(theta, ad.Node) else np.asarray(theta, dtype=float)
     if np.shape(theta_vals)[-1] != state.dim:
@@ -141,14 +183,17 @@ def log_q(state: VariationalState, theta):
     x = theta * (1.0 - m) + m * ad.log(theta * m + (1.0 - m))
     quad = (x - state.mu) ** 2 / var
     jac = ad.vsum(ad.log(theta * m + (1.0 - m)) * m, axis=-1)  # -log(theta) terms
-    return -0.5 * ad.vsum(np.log(2.0 * np.pi) + np.log(var) + quad, axis=-1) - jac
+    terms = np.log(2.0 * np.pi) + np.log(var) + quad
+    if state.mask is not None:
+        terms = terms * state.mask
+    return -0.5 * ad.vsum(terms, axis=-1) - jac
 
 
 def reparam_jacobian(state: VariationalState, z, theta):
     """Analytic d theta / d (mu, raw_scale) of the transform, per coordinate.
 
     Returns ``(d_mu, d_raw)`` arrays shaped like ``theta``: ``(dim,)`` or a
-    block ``(S, dim)``.  Used to chain the parameter-space gradient through
+    block ``(..., dim)``.  Used to chain the parameter-space gradient through
     the transform without taping it.
     """
     z = np.asarray(z, dtype=float)

@@ -7,10 +7,12 @@ Every model exposes the same surface: a parameter layout (named blocks with
 family tags), ``log_lik``/``log_prior``/``log_joint`` that accept either a
 plain array or an autodiff node, a vectorized predictive simulator, and a
 prior model weight.  A model whose class sets ``supports_blocks`` evaluates
-its log densities over the last axis, so one call takes a single ``(d,)``
-parameter vector or an ``(S, d)`` block of S draws and returns a scalar or
-``(S,)`` values.  Instances are immutable after construction and safe to
-evaluate concurrently.
+its log densities over the last axis and broadcasts over any leading axes, so
+one call takes a single ``(d,)`` parameter vector, an ``(S, d)`` block of S
+draws or a ``(K, S, d)`` block and returns one value per row.  Its class may
+also ``stack`` several instances into one model on a shared, padded layout
+(a subset ensemble is one design matrix with K inclusion masks).  Instances
+are immutable after construction and safe to evaluate concurrently.
 
 The improper blocks of the g-prior models (``phi ~ 1/phi``, flat intercept)
 are implemented as log-prior terms ``-log phi`` and ``0``.  Cross-model
@@ -21,8 +23,10 @@ evidence ratios.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -80,15 +84,31 @@ class ParamLayout:
         return tuple(out)
 
 
+class Stack(NamedTuple):
+    """K models evaluated as one: ``model.log_joint`` takes a ``(K, S, D)``
+    block to ``(K, S)`` values, and member ``k``'s coordinates sit at
+    ``positions[k]`` among the D.  The padding a member leaves out is zero."""
+
+    model: "Model"
+    positions: tuple
+
+
 class Model:
     """Base class; subclasses bind their data at construction."""
 
     name: str
     layout: ParamLayout
     prior_weight: float = 1.0
-    # True when log_lik/log_prior work over the last axis, taking an (S, d)
-    # block to (S,) values; otherwise they take one (d,) vector at a time
+    # True when log_lik/log_prior work over the last axis and broadcast over
+    # leading ones, taking an (..., d) block to (...) values; otherwise they
+    # take one (d,) vector at a time
     supports_blocks: bool = False
+
+    @classmethod
+    def stack(cls, models):
+        """A ``Stack`` of ``models`` (instances of this class), or None when
+        they cannot share one evaluation; they then run one at a time."""
+        return None
 
     def log_lik(self, theta):
         raise NotImplementedError
@@ -169,6 +189,42 @@ class GaussianMeanModel(Model):
         return mean + rng.normal(0.0, self.obs_sd, mean.shape) if noise else mean
 
 
+def _subset_stack(cls, models, same, tail=()):
+    """A ``Stack`` of subset models of ``cls`` on the layout ``[beta0,
+    beta (P), *tail]`` over the union of their P predictors, or None unless
+    they share the response and the attribute ``same`` and give each
+    predictor name the same column.  The stacked copy's ``p`` is a (K, 1)
+    column, so it broadcasts against (K, S) rows."""
+    first = models[0]
+    if not all(type(m) is cls and getattr(m, same) == getattr(first, same)
+               and np.array_equal(m.y, first.y) for m in models):
+        return None
+    names, columns = [], []
+    for m in models:
+        for name, col in zip(m.predictors, m.X.T):
+            if name not in names:
+                names.append(name)
+                columns.append(col)
+            elif not np.array_equal(columns[names.index(name)], col):
+                return None
+    P = len(names)
+    blocks = [ParamBlock("beta0", 1, FamilyTag.NORMAL)]
+    if P:
+        blocks.append(ParamBlock("beta", P, FamilyTag.NORMAL))
+    stacked = copy.copy(first)
+    stacked.name = f"stack of {len(models)}"
+    stacked.predictors = tuple(names)
+    stacked.X = np.column_stack(columns) if columns else np.zeros((len(first.y), 0))
+    stacked.p = np.array([[m.p] for m in models], dtype=float)
+    stacked.layout = ParamLayout(blocks + list(tail))
+    positions = tuple(
+        np.array([0] + [1 + names.index(n) for n in m.predictors]
+                 + list(range(1 + P, 1 + P + len(tail))))
+        for m in models
+    )
+    return Stack(stacked, positions)
+
+
 def _linear_predictor(thetas, X, columns):
     """(T, m) values of beta0 + x'beta, with beta = thetas[:, 1:1+p] and x the
     ``columns`` of each row of ``X``."""
@@ -216,6 +272,21 @@ class LinRegModel(Model):
             self.xtx = np.zeros((0, 0))
             self.logdet_xtx = 0.0
 
+    @classmethod
+    def stack(cls, models):
+        """Models with equal ``y`` and ``g`` on agreeing columns stack on the
+        layout ``[beta0, beta (P), phi]`` over the union of their predictors;
+        ``p``, ``logdet_xtx`` and the zero-padded ``xtx`` get a leading K axis."""
+        stack = _subset_stack(cls, models, "g", [ParamBlock("phi", 1, FamilyTag.LOGNORMAL)])
+        if stack is not None:
+            P = stack.model.X.shape[1]
+            stack.model.xtx = np.zeros((len(models), P, P))
+            for xtx, m, pos in zip(stack.model.xtx, models, stack.positions):
+                cols = pos[1:-1] - 1
+                xtx[np.ix_(cols, cols)] = m.xtx
+            stack.model.logdet_xtx = np.array([[m.logdet_xtx] for m in models])
+        return stack
+
     def has_proper_prior(self):
         return False
 
@@ -226,7 +297,7 @@ class LinRegModel(Model):
         """beta0 (..., 1), beta (..., p) or None, and phi (...) from theta (..., d)."""
         beta0 = theta[..., self.layout.slice("beta0")]
         phi = theta[..., self.layout.slice("phi").start]
-        beta = theta[..., self.layout.slice("beta")] if self.p else None
+        beta = theta[..., self.layout.slice("beta")] if self.X.shape[1] else None
         return beta0, beta, phi
 
     def log_lik(self, theta):
@@ -284,12 +355,19 @@ class LogisticModel(Model):
         self.layout = ParamLayout(blocks)
         self._sign = 1.0 - 2.0 * self.y  # -1 where y=1, +1 where y=0
 
+    @classmethod
+    def stack(cls, models):
+        """Models with equal ``y`` and ``prior_sd`` on agreeing columns stack
+        on the layout ``[beta0, beta (P)]`` over the union of their
+        predictors; ``p`` gets a leading K axis."""
+        return _subset_stack(cls, models, "prior_sd")
+
     def coefficient_names(self):
         return self.predictors
 
     def _logits(self, theta):
         beta0 = theta[..., 0:1]
-        if not self.p:
+        if not self.X.shape[1]:
             return beta0 * np.ones(len(self.y))
         return beta0 + ad.dot(theta[..., 1:], self.X.T)
 
@@ -299,7 +377,7 @@ class LogisticModel(Model):
         return -ad.vsum(ad.softplus(self._sign * a), axis=-1)
 
     def log_prior(self, theta):
-        d = self.layout.dim
+        d = 1 + self.p  # padding a stacked model leaves out is zero
         ssq = ad.vsum(theta**2, axis=-1)
         return -0.5 * (d * (LOG2PI + 2.0 * np.log(self.prior_sd)) + ssq / self.prior_sd**2)
 

@@ -110,6 +110,64 @@ def test_dot_matrix_vector_matches_fd():
     assert ad.finite_diff_check(f, np.array([0.3, -1.0, 2.0]), h=1e-6) < 1e-5
 
 
+def row_fd(f, X, h=1e-6):
+    """Central differences of every value of row objective ``f`` (plain
+    arrays in, plain arrays out) with respect to its own row."""
+    fd = np.zeros_like(X)
+    for idx in np.ndindex(X.shape):
+        e = np.zeros_like(X)
+        e[idx] = h
+        fd[idx] = (f(X + e)[idx[:-1]] - f(X - e)[idx[:-1]]) / (2.0 * h)
+    return fd
+
+
+def test_stacked_row_objective_matches_fd():
+    # a (K, S, d) block of rows with a constant (K, d, d) operand per leading
+    # index, as in a stack of K models with masked quadratic forms
+    r = np.random.default_rng(3)
+    K, S, d, n = 3, 4, 3, 5
+    A = r.standard_normal((K, d, d))
+    B = r.standard_normal((d, n))
+    w = r.standard_normal(n)
+
+    def f(v):
+        quad = ad.vsum(v * ad.dot(v, A), axis=-1)
+        return quad + ad.dot(ad.sigmoid(ad.dot(v, B)), w) + ad.vsum(ad.exp(v[..., :1]), axis=-1)
+
+    X = r.standard_normal((K, S, d))
+    vals, grads = ad.grad(f, X)
+    assert vals.shape == (K, S) and grads.shape == X.shape
+    np.testing.assert_allclose(vals, f(X), rtol=1e-14)
+    np.testing.assert_allclose(grads, row_fd(f, X), rtol=1e-6, atol=1e-8)
+    for k in range(K):  # each stack member as a block of its own
+        _, g_k = ad.grad(lambda v, k=k: ad.vsum(v * ad.dot(v, A[k]), axis=-1)
+                         + ad.dot(ad.sigmoid(ad.dot(v, B)), w)
+                         + ad.vsum(ad.exp(v[..., :1]), axis=-1), X[k])
+        np.testing.assert_allclose(grads[k], g_k, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("sa, sb", [((3,), (3,)), ((3,), (3, 2)), ((2, 3), (3,)),
+                                    ((4, 2, 3), (3, 2)), ((2, 3), (4, 3, 2)),
+                                    ((4, 2, 3), (4, 3, 2)), ((3,), (4, 3, 2)),
+                                    ((4, 2, 3), (3,))])
+def test_dot_gradients_for_every_operand_shape(sa, sb):
+    # both operands on the tape; leading axes broadcast as in numpy's matmul
+    r = np.random.default_rng(4)
+    av, bv = r.standard_normal(sa), r.standard_normal(sb)
+    w = r.standard_normal(np.shape(av @ bv))
+    a, b = ad.Node(av), ad.Node(bv)
+    ad.backward(ad.vsum(ad.dot(a, b) * w))
+    for node, value, other in ((a, av, lambda x: np.sum((x @ bv) * w)),
+                               (b, bv, lambda x: np.sum((av @ x) * w))):
+        fd = np.zeros_like(value)
+        for idx in np.ndindex(value.shape):
+            e = np.zeros_like(value)
+            e[idx] = 1e-6
+            fd[idx] = (other(value + e) - other(value - e)) / 2e-6
+        assert node._grad.shape == value.shape
+        np.testing.assert_allclose(node._grad, fd, rtol=1e-6, atol=1e-8)
+
+
 def test_concat_routes_gradients():
     def f(v):
         joined = ad.concat([v[:2] * 2.0, v[2:] * 3.0])

@@ -2,16 +2,19 @@
 independent closed form: gradient unbiasedness, posterior recovery, weight
 updates, determinism, and failure handling."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vbma import autodiff as ad
-from vbma import core, families
+from vbma import core, families, optimizers, studies
+from vbma import data as data_io
 from vbma.core import IterationError, VbmaConfig, estimate_grad_and_elbo, update_weights
 from vbma.families import FamilyTag, VariationalState
-from vbma.models import (GaussianMeanModel, LinRegModel, LogisticModel, Model, ParamBlock,
-                         ParamLayout)
+from vbma.models import (GaussianMeanModel, GPModel, LinRegModel, LogisticModel, Model,
+                         ParamBlock, ParamLayout, Stack, logistic_subset_ensemble)
 
 
 def conjugate_model(seed=0, n=25):
@@ -155,6 +158,168 @@ def test_failed_block_pass_falls_back_to_row_loop():
     G_rows, L_rows = core._estimate_rows(FragileModel(), state, z_ok, None)
     np.testing.assert_allclose(G, G_rows, rtol=1e-12, atol=1e-12)
     assert L == pytest.approx(L_rows, rel=1e-12, abs=1e-12)
+
+
+# -- stacked evaluation -------------------------------------------------------
+
+
+def perturbed_states(models, seed):
+    rng = np.random.default_rng(seed)
+    states = []
+    for m in models:
+        state = VariationalState.initial(m.layout.tags(), init_var=0.05)
+        state.mu += 0.3 * rng.standard_normal(state.dim)
+        states.append(state)
+    return states
+
+
+def heart_like_ensemble():
+    r = np.random.default_rng(21)
+    n = 40
+    cols = {name: r.normal(size=n) for name in ("a", "b", "c")}
+    cols["y"] = (r.random(n) < 1 / (1 + np.exp(-cols["a"]))).astype(float)
+    ds = data_io.prepare(cols, "y", center_columns=("a", "b", "c"))
+    return logistic_subset_ensemble(ds, ("a", "b", "c"), prior_sd=5.0)
+
+
+@pytest.mark.parametrize("kind", ["crime", "logistic"])
+def test_stacked_estimate_matches_per_model(kind):
+    # one pass over the (K, S, D) block gives every member the (G, L) of its
+    # own estimate, the intercept-only member included
+    models = studies.crime_study()[1] if kind == "crime" else heart_like_ensemble()
+    (members, stack), = core._stacks(models)
+    assert members == list(range(len(models)))
+    states = perturbed_states(models, seed=4)
+    rng = np.random.default_rng(8)
+    z = [rng.standard_normal((10, s.dim)) for s in states]
+    stacked = core._estimate_stack(stack, states, z)
+    for m, state, zk, (G, L) in zip(models, states, z, stacked):
+        G_own, L_own = estimate_grad_and_elbo(m, state, zk)
+        assert G.shape == G_own.shape
+        np.testing.assert_allclose(G, G_own, rtol=1e-12, atol=1e-12)
+        assert L == pytest.approx(L_own, rel=1e-12, abs=1e-12)
+
+
+class ShiftedLogModel(Model):
+    """log(theta + shift) under a NORMAL family: a draw below -shift is
+    rejected.  Block-capable but not stackable."""
+
+    supports_blocks = True
+
+    def __init__(self, shift, name):
+        self.shift = shift
+        self.name = name
+        self.layout = ParamLayout([ParamBlock("t", 1, FamilyTag.NORMAL)])
+
+    def log_lik(self, theta):
+        return ad.log(theta[..., 0] + self.shift)
+
+    def log_prior(self, theta):
+        return -0.5 * theta[..., 0] ** 2
+
+
+class StackedShiftedLogModel(ShiftedLogModel):
+    """The same model; its instances stack, the shift becoming a (K, 1) column."""
+
+    @classmethod
+    def stack(cls, models):
+        stacked = copy.copy(models[0])
+        stacked.shift = np.array([[m.shift] for m in models])
+        return Stack(stacked, tuple(np.array([0]) for _ in models))
+
+
+def shifted_run(cls, shifts, cfg):
+    models = [cls(shift, f"shift{shift}") for shift in shifts]
+    try:
+        return core.run(cfg, models), None
+    except IterationError as err:
+        return None, err
+
+
+def test_failed_stack_pass_redoes_each_member_on_its_own(monkeypatch):
+    # wide draws near a pole: many stacked passes fail and their members are
+    # redone one by one, with redraws from each member's own stream
+    cfg = VbmaConfig(n_samples=6, pretrain_iters=6, joint_iters=4, window=2, seed=3,
+                     init_var=1.0)
+    models = [StackedShiftedLogModel(s, "m") for s in (3.0, 1.0, 2.0)]
+    (_, stack), = core._stacks(models)
+    z = [np.full((6, 1), v) for v in (0.1, -1.5, 0.2)]
+    states = [VariationalState.initial((FamilyTag.NORMAL,), init_var=1.0) for _ in models]
+    assert core._estimate_stack(stack, states, z) is None
+    z[1] = -z[1]
+    assert core._estimate_stack(stack, states, z) is not None
+    passes = []
+    estimate_stack = core._estimate_stack
+
+    def recorded(*args):
+        passes.append(estimate_stack(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(core, "_estimate_stack", recorded)
+    shifts = (3.0, 1.0, 2.0)
+    stacked, _ = shifted_run(StackedShiftedLogModel, shifts, cfg)
+    assert len(passes) == 10 and 0 < passes.count(None) < 10
+    alone, _ = shifted_run(ShiftedLogModel, shifts, cfg)
+    assert stacked.to_text() == alone.to_text()
+    assert repr(stacked.elbo_trace) == repr(alone.elbo_trace)
+    assert np.array_equal(stacked.q, alone.q)
+    # a member that exhausts its redraws aborts with the message and the
+    # partly stepped state of the model-by-model loop
+    shifts = (3.0, -4.0, 2.0)
+    _, err_stacked = shifted_run(StackedShiftedLogModel, shifts, cfg)
+    _, err_alone = shifted_run(ShiftedLogModel, shifts, cfg)
+    assert err_stacked is not None and str(err_stacked) == str(err_alone)
+    assert err_stacked.state.to_text() == err_alone.state.to_text()
+    assert err_stacked.state.elbo_trace == err_alone.state.elbo_trace
+
+
+def tiny_gp(seed):
+    r = np.random.default_rng(seed)
+    coords = r.random((8, 2))
+    return GPModel(coords, np.sin(3 * coords[:, 0]) + 0.1 * r.standard_normal(8), name="gp")
+
+
+def test_mixed_ensemble_gives_each_model_its_own_result():
+    # stackable linear models among a normal-mean model, a GP (row loop), a
+    # lone logistic model and a linear model on another response
+    r = np.random.default_rng(6)
+    X = r.standard_normal((20, 2))
+    X -= X.mean(axis=0)
+    y = 0.3 + X @ np.array([0.8, -0.5]) + r.normal(0, 0.4, 20)
+    models = [
+        LinRegModel(X, y, predictors=("a", "b")),
+        GaussianMeanModel(y, name="mean"),
+        tiny_gp(1),
+        LinRegModel(X[:, :1], y, predictors=("a",)),
+        LogisticModel(X, (y > 0).astype(float), predictors=("a", "b")),
+        LinRegModel(X[:, :0], y),
+        LinRegModel(X[:, 1:], -y, predictors=("b",)),
+    ]
+    # -y disagrees, so the linear models run one at a time
+    assert core._stacks(models) == []
+    models[6] = LinRegModel(X[:, 1:], y, predictors=("b",))
+    ((members, _),) = core._stacks(models)
+    assert members == [0, 3, 5, 6]
+    cfg = VbmaConfig(n_samples=5, pretrain_iters=8, joint_iters=0, window=0, seed=2)
+    state = core.run(cfg, models)
+    assert state.iteration == 8
+    for i, m in enumerate(models):
+        # the model-by-model loop, written out for model i alone
+        vs = VariationalState.initial(m.layout.tags(), m.layout.names(), init_var=cfg.init_var)
+        opt = optimizers.make_optimizer(cfg.optimizer)
+        trace = []
+        for t in range(cfg.pretrain_iters):
+            rng = core._model_rng(cfg.seed, t, i)
+            G, L = estimate_grad_and_elbo(m, vs, rng.standard_normal((5, vs.dim)), rng=rng)
+            lam = opt.step(np.concatenate([vs.mu, vs.raw_scale]), G / len(models))
+            vs = VariationalState(lam[:vs.dim], lam[vs.dim:], vs.tags, vs.names)
+            trace.append(L)
+        np.testing.assert_allclose(state.variational[i].mu, vs.mu, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(state.variational[i].raw_scale, vs.raw_scale,
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(state.elbo_trace[i], trace, rtol=1e-12)
+    again = core.run(cfg, models)
+    assert again.to_text() == state.to_text() and again.elbo_trace == state.elbo_trace
 
 
 # -- weight update ------------------------------------------------------------

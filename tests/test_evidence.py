@@ -100,6 +100,27 @@ def test_mc_uses_vectorized_likelihood_when_available():
     assert a.log_evidence == pytest.approx(b.log_evidence, abs=1e-10)
 
 
+class BlockSizeRecorder(LogisticModel):
+    """A logistic model that records the rows of every log_lik block."""
+
+    def log_lik(self, theta):
+        self.blocks.append(np.shape(theta)[0])
+        return super().log_lik(theta)
+
+
+def test_mc_default_batch_bounds_block_size():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((25, 1))
+    y = (rng.random(25) < 0.5).astype(float)
+    m = BlockSizeRecorder(X, y, predictors=("x",), prior_sd=2.0)
+    m.blocks = []
+    est = mc_log_evidence(m, 10_000, seed=0)
+    assert m.blocks == [4096, 4096, 1808]
+    whole = LogisticModel(X, y, predictors=("x",), prior_sd=2.0)
+    unbatched = mc_log_evidence(whole, 10_000, seed=0, batch=10_000)
+    assert est.log_evidence == pytest.approx(unbatched.log_evidence, rel=1e-12)
+
+
 def test_mc_refuses_improper_priors():
     with pytest.raises(ConfigurationError, match="improper"):
         mc_log_evidence(small_lin_model(), 100)
