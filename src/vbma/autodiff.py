@@ -228,31 +228,27 @@ def tanh(x):
     return Node(val, ((x, lambda g: g * (1.0 - val**2)),))
 
 
-def _softplus_np(x):
-    # stable: softplus(x) = max(x, 0) + log1p(exp(-|x|))
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def _sigmoid_np(x):
-    # stable: exp only of -|x|; 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
+def _sigmoid_np(x, e):
+    # stable, with e = exp(-|x|): 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(x):
+    v = _value_of(x)
+    e = np.exp(-np.abs(v))  # shared by the value and the vjp's sigmoid
+    val = np.maximum(v, 0.0) + np.log1p(e)  # stable: max(v, 0) + log1p(exp(-|v|))
     if _is_const(x):
-        return _softplus_np(np.asarray(x, dtype=float))
-    val = _check_finite(_softplus_np(x.value), "softplus")
-    sig = _sigmoid_np(x.value)
-    return Node(val, ((x, lambda g: g * sig),))
+        return val
+    sig = _sigmoid_np(v, e)
+    return Node(_check_finite(val, "softplus"), ((x, lambda g: g * sig),))
 
 
 def sigmoid(x):
+    v = _value_of(x)
+    val = _sigmoid_np(v, np.exp(-np.abs(v)))
     if _is_const(x):
-        return _sigmoid_np(x)
-    val = _check_finite(_sigmoid_np(x.value), "sigmoid")
-    return Node(val, ((x, lambda g: g * val * (1.0 - val)),))
+        return val
+    return Node(_check_finite(val, "sigmoid"), ((x, lambda g: g * val * (1.0 - val)),))
 
 
 def vsum(x, axis=None):
@@ -298,16 +294,6 @@ def dot(a, b):
         return _unbroadcast(gb[..., 0] if bv.ndim == 1 else gb, bv.shape)
 
     return Node(val, _links((a, vjp_a), (b, vjp_b)))
-
-
-def concat(parts):
-    vals = [_value_of(p) for p in parts]
-    offsets = np.cumsum([0] + [v.size for v in vals])
-    val = np.concatenate([np.atleast_1d(v) for v in vals])
-    return Node(val, _links(*(
-        (p, lambda g, lo=lo, hi=hi, shape=v.shape: g[lo:hi].reshape(shape))
-        for p, v, lo, hi in zip(parts, vals, offsets[:-1], offsets[1:])
-    )))
 
 
 def gaussian_spd_logpdf(resid, cov):

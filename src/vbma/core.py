@@ -10,6 +10,10 @@ ELBO estimates plus log prior weights.
 A pre-training phase holds the weights at 1/K so early, noisy ELBOs cannot
 starve slowly-converging models of gradient signal; the reported weights are
 a trailing-window average for stability.
+
+The loop runs over groups of models, each estimated in one pass and stepped
+by one optimizer: a subset ensemble is one group, any other model a group of
+its own (see ``run``).
 """
 
 from __future__ import annotations
@@ -50,17 +54,93 @@ class VbmaConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.pretrain_iters < 0 or self.joint_iters < 0:
+            raise ValueError("pretrain_iters and joint_iters must be >= 0")
+        if self.window < 0 or (self.window == 0 and self.joint_iters):
+            raise ValueError("window must be >= 1, or 0 when joint_iters is 0")
         if self.window > max(self.joint_iters, 1):
             raise ValueError("window cannot exceed joint_iters")
+        if self.step_size is not None and not self.step_size > 0:
+            raise ValueError("step_size must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+class _Group:
+    """Models stepped together by one optimizer over the ``(K, 2D)`` array of
+    their variational parameters: the members of a subset ensemble, which its
+    stacked model evaluates in one pass, or one model on its own.
+
+    Member k's ``mu``/``raw_scale`` sit at ``positions[k]`` of row k of the
+    ``(K, 1, D)`` arrays of ``state``; the rest of the row stays zero.
+    """
+
+    def __init__(self, models, members, positions, stacked, config):
+        self.members = list(members)
+        self.stacked = stacked
+        self.positions = positions
+        self.layouts = [(models[i].layout.tags(), models[i].layout.names()) for i in members]
+        K, D = len(self.members), (stacked or models[self.members[0]]).layout.dim
+        self.rows = np.repeat(np.arange(K), [len(pos) for pos in positions])
+        self.cols = np.concatenate(positions)
+        self.own = np.zeros((K, 2 * D), dtype=bool)
+        self.own[self.rows, self.cols] = self.own[self.rows, D + self.cols] = True
+        self.lam = np.zeros((K, 2 * D))
+        self.lam[self.rows, D + self.cols] = families.encode_scale(config.init_var)
+        lognormal = [t is families.FamilyTag.LOGNORMAL for tags, _ in self.layouts for t in tags]
+        self.state = families.StackedState(self.lam[:, None, :D], self.lam[:, None, D:],
+                                           np.zeros((K, 1, D)), self.own[:, None, :D] * 1.0)
+        self.state.lognormal_mask[self.rows, 0, self.cols] = lognormal
+        self.opt = optimizers.make_optimizer(config.optimizer, step_size=config.step_size)
+
+    def member(self, k):
+        """Member k's VariationalState (a copy)."""
+        pos, D = self.positions[k], self.state.dim
+        return families.VariationalState(self.lam[k, pos], self.lam[k, D + pos], *self.layouts[k])
+
+    def estimate(self, models, z, rngs):
+        """(G (K, 2D), the K ELBO estimates) from model i's draws ``z[i]``.
+
+        A failed stacked pass redoes each member on its own, on the same draws.
+        """
+        K, D = self.lam.shape[0], self.state.dim
+        if self.stacked is not None:
+            block = np.zeros((K, len(z[self.members[0]]), D))
+            block[self.rows, :, self.cols] = np.concatenate([z[i] for i in self.members], axis=1).T
+            try:
+                G, L = estimate_grad_and_elbo(self.stacked, self.state, block)
+                return np.where(self.own, G, 0.0), list(L)
+            except REJECTED:
+                pass
+        G, L = np.zeros((K, 2 * D)), []
+        for k, (i, pos) in enumerate(zip(self.members, self.positions)):
+            G[k, np.r_[pos, D + pos]], L_k = estimate_grad_and_elbo(
+                models[i], self.member(k), z[i], rng=rngs[i])
+            L.append(L_k)
+        return G, L
+
+    def step(self, weights, G):
+        # Weight multiplies the raw gradient before the adaptive step, following
+        # the plain-SGA update lambda <- lambda + rho q(M) G literally.
+        self.lam = self.opt.step(self.lam, weights[self.members, None] * G)
+        D = self.state.dim
+        self.state.mu, self.state.raw_scale = self.lam[:, None, :D], self.lam[:, None, D:]
+
+
+def _groups(models, config):
+    """One group for a subset ensemble as its builder returned it (see
+    ``models.SubsetEnsemble``); otherwise one group per model."""
+    if getattr(models, "members", None) == tuple(models):
+        return [_Group(models, range(len(models)), models.positions, models.stacked, config)]
+    return [_Group(models, [i], (np.arange(m.layout.dim),), None, config)
+            for i, m in enumerate(models)]
 
 
 @dataclass
 class EnsembleState:
     models: list
-    variational: list            # VariationalState per model
-    opts: list                   # optimizer instance per model
+    groups: list                 # _Group per subset ensemble or lone model
     q: np.ndarray
-    log_weights: np.ndarray      # latest unnormalized log weights
     elbo_trace: list             # per model: list of ELBO estimates
     weight_trace: list = field(default_factory=list)
     iteration: int = 0
@@ -70,6 +150,11 @@ class EnsembleState:
     @property
     def k(self):
         return len(self.models)
+
+    @property
+    def variational(self):
+        """Per-model VariationalState, copied out of the groups."""
+        return [g.member(k) for g in self.groups for k in range(len(g.members))]
 
     def final_weights(self, window):
         """Trailing-window mean of the weight trace (the reported q)."""
@@ -105,10 +190,10 @@ def estimate_grad_and_elbo(model, state, z_draws, rng=None):
     estimate is made again draw by draw from the same ``z_draws`` and
     ``rng``, so rejections and redraws are exactly those of the row loop.
 
-    For a ``models.Stack``'s model with a ``families.StackedState``,
-    ``z_draws`` is the ``(K, S, D)`` block and the result is G ``(K, 2D)``
-    and L ``(K,)`` from one tape pass; a failed draw raises, and the caller
-    redoes each member on its own.
+    For a ``models.SubsetEnsemble``'s stacked model with a
+    ``families.StackedState``, ``z_draws`` is the ``(K, S, D)`` block and the
+    result is G ``(K, 2D)`` and L ``(K,)`` from one tape pass; a failed draw
+    raises, and the caller redoes each member on its own.
     """
     z_draws = np.atleast_2d(np.asarray(z_draws, dtype=float))
     if z_draws.shape[-1] != state.dim:
@@ -182,64 +267,13 @@ def _model_rng(seed, iteration, k):
 
 
 def init_state(config, models):
-    variational = [
-        families.VariationalState.initial(
-            m.layout.tags(), m.layout.names(), init_var=config.init_var
-        )
-        for m in models
-    ]
-    opts = [
-        optimizers.make_optimizer(config.optimizer, step_size=config.step_size)
-        for _ in models
-    ]
     k = len(models)
     return EnsembleState(
         models=list(models),
-        variational=variational,
-        opts=opts,
+        groups=_groups(models, config),
         q=np.full(k, 1.0 / k),
-        log_weights=np.zeros(k),
         elbo_trace=[[] for _ in models],
     )
-
-
-def _step(state, opt, weight, G):
-    lam = np.concatenate([state.mu, state.raw_scale])
-    # Weight multiplies the raw gradient before the adaptive step, following
-    # the plain-SGA update lambda <- lambda + rho q(M) G literally.
-    new = opt.step(lam, weight * G)
-    d = state.dim
-    return families.VariationalState(new[:d], new[d:], state.tags, state.names)
-
-
-def _stacks(models):
-    """(member indices, Stack) for each group of two or more block-capable
-    models of one class that the class can stack."""
-    groups = {}
-    for i, m in enumerate(models):
-        if m.supports_blocks:
-            groups.setdefault(type(m), []).append(i)
-    out = []
-    for cls, members in groups.items():
-        stack = cls.stack([models[i] for i in members]) if len(members) > 1 else None
-        if stack is not None:
-            out.append((members, stack))
-    return out
-
-
-def _estimate_stack(stack, states, z_draws):
-    """Per-member (G, L) from one pass over the stack, or None if it failed."""
-    D = stack.model.layout.dim
-    z = np.zeros((len(states), z_draws[0].shape[0], D))
-    for zk, z_member, pos in zip(z, z_draws, stack.positions):
-        zk[:, pos] = z_member
-    stacked = families.StackedState.pad(states, stack.positions, D)
-    try:
-        G, L = estimate_grad_and_elbo(stack.model, stacked, z)
-    except REJECTED:
-        return None
-    return [(np.concatenate([Gk[pos], Gk[D + pos]]), Lk)
-            for Gk, Lk, pos in zip(G, L, stack.positions)]
 
 
 def run(config: VbmaConfig, models, progress=None):
@@ -247,43 +281,37 @@ def run(config: VbmaConfig, models, progress=None):
 
     ``progress`` (optional) is called as progress(state) after each iteration.
 
-    Models that stack (see ``models.Model.stack``) are evaluated together in
-    one tape pass per iteration; every model keeps its own variational state,
-    optimizer and RNG stream.  A stack whose pass fails leaves each member to
-    its own estimate, on the same draws.
+    A subset ensemble as its builder returned it (see
+    ``models.SubsetEnsemble``) is one group: its members are evaluated in one
+    tape pass per iteration and stepped by one optimizer over their
+    ``(K, 2D)`` parameters.  Any other model is a group of its own.  Every
+    model keeps its own RNG stream; a stacked pass that fails leaves each
+    member to its own estimate, on the same draws.
+
+    An ``IterationError`` carries in ``state`` the ensemble as it was before
+    the failing iteration: every estimate is made before any model steps.
     """
     if not models:
         raise ValueError("need at least one model")
     state = init_state(config, models)
     k = state.k
     log_prior = np.log(np.array([m.prior_weight for m in models], dtype=float))
-    stacks = _stacks(models)
 
     def one_iteration(t, weights):
         rngs = [_model_rng(config.seed, t, i) for i in range(k)]
-        z_draws = [rng.standard_normal((config.n_samples, vs.dim))
-                   for rng, vs in zip(rngs, state.variational)]
-        estimates = {}
-        for members, stack in stacks:
-            results = _estimate_stack(stack, [state.variational[i] for i in members],
-                                      [z_draws[i] for i in members])
-            estimates.update(zip(members, results or ()))
+        z = [rng.standard_normal((config.n_samples, m.layout.dim))
+             for rng, m in zip(rngs, models)]
+        try:
+            estimates = [g.estimate(models, z, rngs) for g in state.groups]
+        except IterationError as err:
+            err.state = state  # as before this iteration: no model stepped
+            raise
         elbos = np.empty(k)
-        # models step in index order, so a failure leaves the state as the
-        # model-by-model loop would
-        for i in range(k):
-            vs = state.variational[i]
-            if i in estimates:
-                G, L = estimates[i]
-            else:
-                try:
-                    G, L = estimate_grad_and_elbo(models[i], vs, z_draws[i], rng=rngs[i])
-                except IterationError as err:
-                    err.state = state
-                    raise
-            state.variational[i] = _step(vs, state.opts[i], weights[i], G)
-            state.elbo_trace[i].append(L)
-            elbos[i] = L
+        for g, (G, L) in zip(state.groups, estimates):
+            g.step(weights, G)
+            for i, L_i in zip(g.members, L):
+                state.elbo_trace[i].append(L_i)
+                elbos[i] = L_i
         return elbos
 
     for t in range(config.pretrain_iters):
@@ -296,7 +324,6 @@ def run(config: VbmaConfig, models, progress=None):
     ens_elbo = []
     for t in range(config.pretrain_iters, config.pretrain_iters + config.joint_iters):
         elbos = one_iteration(t, state.q)
-        state.log_weights = elbos + log_prior
         state.q = update_weights(elbos, log_prior)
         state.weight_trace.append(state.q.copy())
         state.iteration += 1

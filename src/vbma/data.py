@@ -99,7 +99,10 @@ def load_csv(path, columns=None):
             if not row or all(not cell.strip() for cell in row):
                 continue
             for c in wanted:
-                cell = row[idx[c]].strip()
+                try:
+                    cell = row[idx[c]].strip()
+                except IndexError:  # a row shorter than the header
+                    cell = ""
                 if cell == "":
                     raise IngestionError(f"{path}: missing value at row {rownum}, column '{c}'")
                 try:

@@ -68,9 +68,6 @@ class VariationalState:
         """Decoded per-coordinate standard deviations."""
         return np.sqrt(ad.softplus(self.raw_scale))
 
-    def copy(self):
-        return VariationalState(self.mu.copy(), self.raw_scale.copy(), self.tags, self.names)
-
     @staticmethod
     def initial(tags, names=(), init_var=0.01):
         """Zero locations; raw scales chosen so the initial variance is small,
@@ -101,13 +98,12 @@ class VariationalState:
 
 @dataclass
 class StackedState:
-    """The states of K models padded to one layout of D coordinates.
+    """The states of K models on one layout of D coordinates.
 
     Every array is ``(K, 1, D)``, so it broadcasts against a ``(K, S, D)``
     block of draws.  ``mask`` is 1 on each member's own coordinates and 0 on
-    the padding, which ``log_q`` leaves out; padded coordinates have ``mu``
-    0 and, drawn at ``z`` 0, are sampled as exact zeros (normal) or ones
-    (log-normal).
+    the padding, which ``log_q`` leaves out.  Padded coordinates are normal,
+    with ``mu`` 0, and drawn at ``z`` 0 they are sampled as exact zeros.
     """
 
     mu: np.ndarray
@@ -118,22 +114,6 @@ class StackedState:
     @property
     def dim(self):
         return self.mu.shape[-1]
-
-    @staticmethod
-    def pad(states, positions, dim):
-        """Place state ``k`` at ``positions[k]`` among ``dim`` coordinates."""
-        rows = np.repeat(np.arange(len(states)), [len(p) for p in positions])
-        cols = np.concatenate(positions)
-
-        def spread(values):
-            out = np.zeros((len(states), 1, dim))
-            out[rows, 0, cols] = np.concatenate(values)
-            return out
-
-        return StackedState(spread([s.mu for s in states]),
-                            spread([s.raw_scale for s in states]),
-                            spread([s.lognormal_mask for s in states]),
-                            spread([np.ones(s.dim) for s in states]))
 
 
 def reparam_sample(mu, raw_scale, lognormal_mask, z):

@@ -9,10 +9,11 @@ plain array or an autodiff node, a vectorized predictive simulator, and a
 prior model weight.  A model whose class sets ``supports_blocks`` evaluates
 its log densities over the last axis and broadcasts over any leading axes, so
 one call takes a single ``(d,)`` parameter vector, an ``(S, d)`` block of S
-draws or a ``(K, S, d)`` block and returns one value per row.  Its class may
-also ``stack`` several instances into one model on a shared, padded layout
-(a subset ensemble is one design matrix with K inclusion masks).  Instances
-are immutable after construction and safe to evaluate concurrently.
+draws or a ``(K, S, d)`` block and returns one value per row.  The subset
+builders return a ``SubsetEnsemble``: the K members as a list, plus one
+stacked model on the members' shared, padded layout that evaluates all of
+them at once (one design matrix with K inclusion masks).  Instances are
+immutable after construction and safe to evaluate concurrently.
 
 The improper blocks of the g-prior models (``phi ~ 1/phi``, flat intercept)
 are implemented as log-prior terms ``-log phi`` and ``0``.  Cross-model
@@ -24,9 +25,9 @@ evidence ratios.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -84,15 +85,6 @@ class ParamLayout:
         return tuple(out)
 
 
-class Stack(NamedTuple):
-    """K models evaluated as one: ``model.log_joint`` takes a ``(K, S, D)``
-    block to ``(K, S)`` values, and member ``k``'s coordinates sit at
-    ``positions[k]`` among the D.  The padding a member leaves out is zero."""
-
-    model: "Model"
-    positions: tuple
-
-
 class Model:
     """Base class; subclasses bind their data at construction."""
 
@@ -103,12 +95,6 @@ class Model:
     # leading ones, taking an (..., d) block to (...) values; otherwise they
     # take one (d,) vector at a time
     supports_blocks: bool = False
-
-    @classmethod
-    def stack(cls, models):
-        """A ``Stack`` of ``models`` (instances of this class), or None when
-        they cannot share one evaluation; they then run one at a time."""
-        return None
 
     def log_lik(self, theta):
         raise NotImplementedError
@@ -189,42 +175,6 @@ class GaussianMeanModel(Model):
         return mean + rng.normal(0.0, self.obs_sd, mean.shape) if noise else mean
 
 
-def _subset_stack(cls, models, same, tail=()):
-    """A ``Stack`` of subset models of ``cls`` on the layout ``[beta0,
-    beta (P), *tail]`` over the union of their P predictors, or None unless
-    they share the response and the attribute ``same`` and give each
-    predictor name the same column.  The stacked copy's ``p`` is a (K, 1)
-    column, so it broadcasts against (K, S) rows."""
-    first = models[0]
-    if not all(type(m) is cls and getattr(m, same) == getattr(first, same)
-               and np.array_equal(m.y, first.y) for m in models):
-        return None
-    names, columns = [], []
-    for m in models:
-        for name, col in zip(m.predictors, m.X.T):
-            if name not in names:
-                names.append(name)
-                columns.append(col)
-            elif not np.array_equal(columns[names.index(name)], col):
-                return None
-    P = len(names)
-    blocks = [ParamBlock("beta0", 1, FamilyTag.NORMAL)]
-    if P:
-        blocks.append(ParamBlock("beta", P, FamilyTag.NORMAL))
-    stacked = copy.copy(first)
-    stacked.name = f"stack of {len(models)}"
-    stacked.predictors = tuple(names)
-    stacked.X = np.column_stack(columns) if columns else np.zeros((len(first.y), 0))
-    stacked.p = np.array([[m.p] for m in models], dtype=float)
-    stacked.layout = ParamLayout(blocks + list(tail))
-    positions = tuple(
-        np.array([0] + [1 + names.index(n) for n in m.predictors]
-                 + list(range(1 + P, 1 + P + len(tail))))
-        for m in models
-    )
-    return Stack(stacked, positions)
-
-
 def _linear_predictor(thetas, X, columns):
     """(T, m) values of beta0 + x'beta, with beta = thetas[:, 1:1+p] and x the
     ``columns`` of each row of ``X``."""
@@ -271,21 +221,6 @@ class LinRegModel(Model):
         else:
             self.xtx = np.zeros((0, 0))
             self.logdet_xtx = 0.0
-
-    @classmethod
-    def stack(cls, models):
-        """Models with equal ``y`` and ``g`` on agreeing columns stack on the
-        layout ``[beta0, beta (P), phi]`` over the union of their predictors;
-        ``p``, ``logdet_xtx`` and the zero-padded ``xtx`` get a leading K axis."""
-        stack = _subset_stack(cls, models, "g", [ParamBlock("phi", 1, FamilyTag.LOGNORMAL)])
-        if stack is not None:
-            P = stack.model.X.shape[1]
-            stack.model.xtx = np.zeros((len(models), P, P))
-            for xtx, m, pos in zip(stack.model.xtx, models, stack.positions):
-                cols = pos[1:-1] - 1
-                xtx[np.ix_(cols, cols)] = m.xtx
-            stack.model.logdet_xtx = np.array([[m.logdet_xtx] for m in models])
-        return stack
 
     def has_proper_prior(self):
         return False
@@ -354,13 +289,6 @@ class LogisticModel(Model):
             blocks.append(ParamBlock("beta", self.p, FamilyTag.NORMAL))
         self.layout = ParamLayout(blocks)
         self._sign = 1.0 - 2.0 * self.y  # -1 where y=1, +1 where y=0
-
-    @classmethod
-    def stack(cls, models):
-        """Models with equal ``y`` and ``prior_sd`` on agreeing columns stack
-        on the layout ``[beta0, beta (P)]`` over the union of their
-        predictors; ``p`` gets a leading K axis."""
-        return _subset_stack(cls, models, "prior_sd")
 
     def coefficient_names(self):
         return self.predictors
@@ -515,30 +443,66 @@ class GPModel(Model):
         return out
 
 
-def _normalize_prior_weights(models):
+class SubsetEnsemble(list):
+    """The models over every subset of one predictor set, as a list, and the
+    one model that evaluates them together.
+
+    ``stacked`` is a copy of the last member, the model on all P predictors,
+    whose per-member constants get a leading K axis (``p``; for linear models
+    also ``logdet_xtx`` and each member's own ``xtx``, zero-padded): its
+    inherited ``log_joint`` takes a ``(K, S, D)`` block to ``(K, S)`` values
+    on the layout ``[beta0, beta (P), *tail]``.  Member k's coordinates sit
+    at ``positions[k]`` among the D; the padding it leaves out is zero.  Both
+    are built on first use.  ``core.run`` evaluates the list as built in one
+    pass per iteration; a changed list or a copy of it runs model by model.
+    """
+
+    def __init__(self, models):
+        super().__init__(models)
+        self.members = tuple(models)
+
+    @functools.cached_property
+    def positions(self):
+        full = self.members[-1]
+        column = {name: 1 + j for j, name in enumerate(full.predictors)}
+        tail = list(range(1 + full.p, full.layout.dim))
+        return tuple(np.array([0] + [column[n] for n in m.predictors] + tail)
+                     for m in self.members)
+
+    @functools.cached_property
+    def stacked(self):
+        full = self.members[-1]
+        stacked = copy.copy(full)
+        stacked.name = f"stack of {len(self.members)}"
+        stacked.p = np.array([[m.p] for m in self.members], dtype=float)
+        if isinstance(full, LinRegModel):
+            stacked.xtx = np.zeros((len(self.members), full.p, full.p))
+            for xtx, m, pos in zip(stacked.xtx, self.members, self.positions):
+                cols = pos[1:-1] - 1
+                xtx[cols[:, None], cols] = m.xtx
+            stacked.logdet_xtx = np.array([[m.logdet_xtx] for m in self.members])
+        return stacked
+
+
+def _subset_ensemble(cls, dataset, predictors, **kw):
+    y = dataset.y("train")
+    models = [cls(dataset.design(subset, "train"), y, predictors=subset,
+                  inputs=dataset.inputs, **kw)
+              for r in range(len(predictors) + 1)
+              for subset in itertools.combinations(predictors, r)]
     total = sum(m.prior_weight for m in models)
     for m in models:
         m.prior_weight = m.prior_weight / total
-    return models
+    return SubsetEnsemble(models)
 
 
 def linreg_subset_ensemble(dataset, predictors, g=None):
-    """All 2^k g-prior linear models over subsets of ``predictors``."""
-    y = dataset.y("train")
-    models = []
-    for r in range(len(predictors) + 1):
-        for subset in itertools.combinations(predictors, r):
-            models.append(LinRegModel(dataset.design(subset, "train"), y, predictors=subset,
-                                      g=g, inputs=dataset.inputs))
-    return _normalize_prior_weights(models)
+    """All 2^k g-prior linear models over subsets of ``predictors``, as a
+    ``SubsetEnsemble``."""
+    return _subset_ensemble(LinRegModel, dataset, predictors, g=g)
 
 
 def logistic_subset_ensemble(dataset, predictors, prior_sd=10.0):
-    """All 2^k logistic models over subsets of ``predictors``."""
-    y = dataset.y("train")
-    models = []
-    for r in range(len(predictors) + 1):
-        for subset in itertools.combinations(predictors, r):
-            models.append(LogisticModel(dataset.design(subset, "train"), y, predictors=subset,
-                                        prior_sd=prior_sd, inputs=dataset.inputs))
-    return _normalize_prior_weights(models)
+    """All 2^k logistic models over subsets of ``predictors``, as a
+    ``SubsetEnsemble``."""
+    return _subset_ensemble(LogisticModel, dataset, predictors, prior_sd=prior_sd)

@@ -168,15 +168,6 @@ def test_dot_gradients_for_every_operand_shape(sa, sb):
         np.testing.assert_allclose(node._grad, fd, rtol=1e-6, atol=1e-8)
 
 
-def test_concat_routes_gradients():
-    def f(v):
-        joined = ad.concat([v[:2] * 2.0, v[2:] * 3.0])
-        return ad.vsum(joined)
-
-    _, g = ad.grad(f, np.array([1.0, 1.0, 1.0, 1.0]))
-    assert np.allclose(g, [2.0, 2.0, 3.0, 3.0])
-
-
 def test_gaussian_spd_logpdf_value_matches_scipy():
     rng = np.random.default_rng(0)
     n = 5

@@ -261,6 +261,26 @@ def test_unknown_run_key_is_usage_error(tmp_path, crime_cfg, capsys, line):
     assert not (out / "weights.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--window", "-3"], ["--window", "0"],
+                                   ["--pretrain-iters", "-5", "--joint-iters", "-1"],
+                                   ["--step-size", "-0.05"], ["--seed", "-1"]])
+def test_out_of_range_run_settings_are_usage_errors(tmp_path, crime_cfg, capsys, flags):
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--config", str(crime_cfg), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "weights.csv").exists()
+
+
+def test_short_csv_row_is_usage_error(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    csv.write_text("y,a\n1.0,2.0\n3.0\n")
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(f"[data]\ncsv = {csv}\nresponse = y\n\n[ensemble]\nkind = linear\n"
+                   "predictors = a\n")
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "row 3, column 'a'" in capsys.readouterr().err
+
+
 def test_numerical_failures_exit_two(tmp_path, crime_cfg, monkeypatch):
     def boom(cfg, models, progress=None):
         raise core.IterationError("synthetic blow-up")

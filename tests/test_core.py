@@ -14,7 +14,8 @@ from vbma import data as data_io
 from vbma.core import IterationError, VbmaConfig, estimate_grad_and_elbo, update_weights
 from vbma.families import FamilyTag, VariationalState
 from vbma.models import (GaussianMeanModel, GPModel, LinRegModel, LogisticModel, Model,
-                         ParamBlock, ParamLayout, Stack, logistic_subset_ensemble)
+                         ParamBlock, ParamLayout, linreg_subset_ensemble,
+                         logistic_subset_ensemble)
 
 
 def conjugate_model(seed=0, n=25):
@@ -163,16 +164,6 @@ def test_failed_block_pass_falls_back_to_row_loop():
 # -- stacked evaluation -------------------------------------------------------
 
 
-def perturbed_states(models, seed):
-    rng = np.random.default_rng(seed)
-    states = []
-    for m in models:
-        state = VariationalState.initial(m.layout.tags(), init_var=0.05)
-        state.mu += 0.3 * rng.standard_normal(state.dim)
-        states.append(state)
-    return states
-
-
 def heart_like_ensemble():
     r = np.random.default_rng(21)
     n = 40
@@ -182,95 +173,94 @@ def heart_like_ensemble():
     return logistic_subset_ensemble(ds, ("a", "b", "c"), prior_sd=5.0)
 
 
+def recording_estimates(monkeypatch):
+    """(ndim of the draws, raised) of every ``estimate_grad_and_elbo`` call."""
+    calls = []
+    estimate = core.estimate_grad_and_elbo
+
+    def recorded(model, state, z_draws, rng=None):
+        calls.append([np.ndim(z_draws), True])
+        out = estimate(model, state, z_draws, rng=rng)
+        calls[-1][1] = False
+        return out
+
+    monkeypatch.setattr(core, "estimate_grad_and_elbo", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["crime", "logistic"])
-def test_stacked_estimate_matches_per_model(kind):
+def test_stacked_estimate_matches_per_model(kind, monkeypatch):
     # one pass over the (K, S, D) block gives every member the (G, L) of its
-    # own estimate, the intercept-only member included
+    # own estimate, the intercept-only member included, and nothing on the
+    # padding
     models = studies.crime_study()[1] if kind == "crime" else heart_like_ensemble()
-    (members, stack), = core._stacks(models)
-    assert members == list(range(len(models)))
-    states = perturbed_states(models, seed=4)
+    (group,) = core.init_state(VbmaConfig(init_var=0.05), models).groups
+    assert group.members == list(range(len(models))) and group.stacked is models.stacked
     rng = np.random.default_rng(8)
-    z = [rng.standard_normal((10, s.dim)) for s in states]
-    stacked = core._estimate_stack(stack, states, z)
-    for m, state, zk, (G, L) in zip(models, states, z, stacked):
+    D = group.state.dim
+    group.lam[:, :D][group.own[:, :D]] += 0.3 * rng.standard_normal(group.own[:, :D].sum())
+    z = [rng.standard_normal((10, m.layout.dim)) for m in models]
+    calls = recording_estimates(monkeypatch)
+    G, L = group.estimate(models, z, [None] * len(models))
+    assert calls == [[3, False]]
+    assert G.shape == (len(models), 2 * D) and not G[~group.own].any()
+    for k, (m, zk, pos) in enumerate(zip(models, z, group.positions)):
+        state = group.member(k)
         G_own, L_own = estimate_grad_and_elbo(m, state, zk)
-        assert G.shape == G_own.shape
-        np.testing.assert_allclose(G, G_own, rtol=1e-12, atol=1e-12)
-        assert L == pytest.approx(L_own, rel=1e-12, abs=1e-12)
+        assert np.array_equal(state.mu, group.state.mu[k, 0, pos])
+        np.testing.assert_allclose(G[k, np.r_[pos, D + pos]], G_own, rtol=1e-12, atol=1e-12)
+        assert L[k] == pytest.approx(L_own, rel=1e-12, abs=1e-12)
 
 
-class ShiftedLogModel(Model):
-    """log(theta + shift) under a NORMAL family: a draw below -shift is
-    rejected.  Block-capable but not stackable."""
-
-    supports_blocks = True
-
-    def __init__(self, shift, name):
-        self.shift = shift
-        self.name = name
-        self.layout = ParamLayout([ParamBlock("t", 1, FamilyTag.NORMAL)])
-
-    def log_lik(self, theta):
-        return ad.log(theta[..., 0] + self.shift)
-
-    def log_prior(self, theta):
-        return -0.5 * theta[..., 0] ** 2
+def test_only_a_subset_ensemble_as_built_is_one_group():
+    models = heart_like_ensemble()
+    cfg = VbmaConfig()
+    assert len(core.init_state(cfg, models).groups) == 1
+    # a copy, a slice or a changed list runs model by model
+    changed = heart_like_ensemble()
+    changed[1] = copy.copy(changed[1])
+    for other in (list(models), models[:-1], changed):
+        groups = core.init_state(cfg, other).groups
+        assert [g.members for g in groups] == [[i] for i in range(len(other))]
+        assert all(g.stacked is None for g in groups)
 
 
-class StackedShiftedLogModel(ShiftedLogModel):
-    """The same model; its instances stack, the shift becoming a (K, 1) column."""
-
-    @classmethod
-    def stack(cls, models):
-        stacked = copy.copy(models[0])
-        stacked.shift = np.array([[m.shift] for m in models])
-        return Stack(stacked, tuple(np.array([0]) for _ in models))
-
-
-def shifted_run(cls, shifts, cfg):
-    models = [cls(shift, f"shift{shift}") for shift in shifts]
-    try:
-        return core.run(cfg, models), None
-    except IterationError as err:
-        return None, err
+def tiny_linear_ensemble():
+    # phi draws of a wide log-normal family overflow exp or underflow to 0,
+    # so some stacked passes fail
+    r = np.random.default_rng(13)
+    cols = {name: r.normal(size=12) for name in ("y", "a", "b")}
+    ds = data_io.prepare(cols, "y", center_columns=("y", "a", "b"))
+    return linreg_subset_ensemble(ds, ("a", "b"))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_failed_stack_pass_redoes_each_member_on_its_own(monkeypatch):
-    # wide draws near a pole: many stacked passes fail and their members are
-    # redone one by one, with redraws from each member's own stream
+    # a failed stacked pass redoes each member on its own, with redraws from
+    # each member's own stream: the run is that of the model-by-model loop
     cfg = VbmaConfig(n_samples=6, pretrain_iters=6, joint_iters=4, window=2, seed=3,
-                     init_var=1.0)
-    models = [StackedShiftedLogModel(s, "m") for s in (3.0, 1.0, 2.0)]
-    (_, stack), = core._stacks(models)
-    z = [np.full((6, 1), v) for v in (0.1, -1.5, 0.2)]
-    states = [VariationalState.initial((FamilyTag.NORMAL,), init_var=1.0) for _ in models]
-    assert core._estimate_stack(stack, states, z) is None
-    z[1] = -z[1]
-    assert core._estimate_stack(stack, states, z) is not None
-    passes = []
-    estimate_stack = core._estimate_stack
-
-    def recorded(*args):
-        passes.append(estimate_stack(*args))
-        return passes[-1]
-
-    monkeypatch.setattr(core, "_estimate_stack", recorded)
-    shifts = (3.0, 1.0, 2.0)
-    stacked, _ = shifted_run(StackedShiftedLogModel, shifts, cfg)
-    assert len(passes) == 10 and 0 < passes.count(None) < 10
-    alone, _ = shifted_run(ShiftedLogModel, shifts, cfg)
+                     init_var=1e5)
+    calls = recording_estimates(monkeypatch)
+    stacked = core.run(cfg, tiny_linear_ensemble())
+    passes = [raised for ndim, raised in calls if ndim == 3]
+    assert len(passes) == 10 and 0 < sum(passes) < 10
+    alone = core.run(cfg, list(tiny_linear_ensemble()))
     assert stacked.to_text() == alone.to_text()
     assert repr(stacked.elbo_trace) == repr(alone.elbo_trace)
     assert np.array_equal(stacked.q, alone.q)
-    # a member that exhausts its redraws aborts with the message and the
-    # partly stepped state of the model-by-model loop
-    shifts = (3.0, -4.0, 2.0)
-    _, err_stacked = shifted_run(StackedShiftedLogModel, shifts, cfg)
-    _, err_alone = shifted_run(ShiftedLogModel, shifts, cfg)
-    assert err_stacked is not None and str(err_stacked) == str(err_alone)
-    assert err_stacked.state.to_text() == err_alone.state.to_text()
-    assert err_stacked.state.elbo_trace == err_alone.state.elbo_trace
+    # a member that exhausts its redraws aborts with the message of the
+    # model-by-model loop, and the state from before the failing iteration
+    cfg.init_var = 1e7
+    errors = []
+    for models in (tiny_linear_ensemble(), list(tiny_linear_ensemble())):
+        with pytest.raises(IterationError) as err:
+            core.run(cfg, models)
+        errors.append(err.value)
+    assert str(errors[0]) == str(errors[1])
+    assert errors[0].state.to_text() == errors[1].state.to_text()
+    assert errors[0].state.elbo_trace == errors[1].state.elbo_trace
+    for err in errors:
+        assert all(len(trace) == err.state.iteration for trace in err.state.elbo_trace)
 
 
 def tiny_gp(seed):
@@ -280,8 +270,8 @@ def tiny_gp(seed):
 
 
 def test_mixed_ensemble_gives_each_model_its_own_result():
-    # stackable linear models among a normal-mean model, a GP (row loop), a
-    # lone logistic model and a linear model on another response
+    # linear models among a normal-mean model, a GP (row loop) and a lone
+    # logistic model
     r = np.random.default_rng(6)
     X = r.standard_normal((20, 2))
     X -= X.mean(axis=0)
@@ -293,14 +283,11 @@ def test_mixed_ensemble_gives_each_model_its_own_result():
         LinRegModel(X[:, :1], y, predictors=("a",)),
         LogisticModel(X, (y > 0).astype(float), predictors=("a", "b")),
         LinRegModel(X[:, :0], y),
-        LinRegModel(X[:, 1:], -y, predictors=("b",)),
+        LinRegModel(X[:, 1:], y, predictors=("b",)),
     ]
-    # -y disagrees, so the linear models run one at a time
-    assert core._stacks(models) == []
-    models[6] = LinRegModel(X[:, 1:], y, predictors=("b",))
-    ((members, _),) = core._stacks(models)
-    assert members == [0, 3, 5, 6]
     cfg = VbmaConfig(n_samples=5, pretrain_iters=8, joint_iters=0, window=0, seed=2)
+    # a hand-built list runs model by model
+    assert [g.members for g in core.init_state(cfg, models).groups] == [[i] for i in range(7)]
     state = core.run(cfg, models)
     assert state.iteration == 8
     for i, m in enumerate(models):
@@ -460,6 +447,15 @@ def test_config_validation():
         VbmaConfig(joint_iters=10, window=50)
     with pytest.raises(ValueError):
         core.run(VbmaConfig(), [])
+    for bad, message in ((dict(window=-3), "window"), (dict(window=0), "window"),
+                         (dict(pretrain_iters=-5), "pretrain_iters"),
+                         (dict(joint_iters=-1, window=0), "joint_iters"),
+                         (dict(step_size=-0.05), "step_size"), (dict(step_size=0.0), "step_size"),
+                         (dict(seed=-1), "seed")):
+        with pytest.raises(ValueError, match=message):
+            VbmaConfig(**bad)
+    # no joint iterations need no averaging window
+    VbmaConfig(joint_iters=0, window=0)
 
 
 def test_run_convergence_flag_on_flat_problem():

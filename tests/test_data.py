@@ -42,6 +42,13 @@ def test_load_csv_locates_missing_value(tmp_path):
         data_io.load_csv(p)
 
 
+def test_load_csv_locates_short_row(tmp_path):
+    p = write(tmp_path, "a,b,c\n1,2,3\n4,5\n")
+    with pytest.raises(IngestionError, match="row 3, column 'c'"):
+        data_io.load_csv(p)
+    assert list(data_io.load_csv(p, columns=("a", "b"))["b"]) == [2.0, 5.0]
+
+
 def test_load_csv_empty_inputs(tmp_path):
     with pytest.raises(IngestionError, match="empty"):
         data_io.load_csv(write(tmp_path, ""))

@@ -314,42 +314,36 @@ def test_stack_log_joint_matches_each_member(kind):
     # members padded into one (K, S, D) block give each member's own values
     # and gradients, the intercept-only member included
     models = subset_ensembles()[kind]
-    stack = type(models[0]).stack(models)
-    assert type(stack.model) is type(models[0])
-    stacked_tags = np.array(stack.model.layout.tags())
-    D, S = stack.model.layout.dim, 6
+    stacked = models.stacked
+    assert type(stacked) is type(models[0])
+    stacked_tags = np.array(stacked.layout.tags())
+    D, S = stacked.layout.dim, 6
     r = rng()
     block = np.zeros((len(models), S, D))
     own = []
-    for k, (m, pos) in enumerate(zip(models, stack.positions)):
+    for k, (m, pos) in enumerate(zip(models, models.positions)):
         assert stacked_tags[pos].tolist() == list(m.layout.tags())
         theta = r.standard_normal((S, m.layout.dim))
         positive = [t is FamilyTag.LOGNORMAL for t in m.layout.tags()]
         theta[:, positive] = np.exp(theta[:, positive])
         block[k][:, pos] = theta
         own.append(theta)
-    vals, grads = ad.grad(stack.model.log_joint, block)
-    plain = stack.model.log_joint(block)
+    vals, grads = ad.grad(stacked.log_joint, block)
+    plain = stacked.log_joint(block)
     assert vals.shape == (len(models), S)
-    for k, (m, pos, theta) in enumerate(zip(models, stack.positions, own)):
+    for k, (m, pos, theta) in enumerate(zip(models, models.positions, own)):
         v_k, g_k = ad.grad(m.log_joint, theta)
         np.testing.assert_allclose(vals[k], v_k, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(plain[k], v_k, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads[k][:, pos], g_k, rtol=1e-12, atol=1e-12)
 
 
-def test_stack_refuses_models_that_do_not_share_data():
-    lin = subset_ensembles()["linear"]
-    X, y = lin[-1].X, lin[-1].y
-    other_y = LinRegModel(X, y + 1.0, predictors=lin[-1].predictors)
-    other_g = LinRegModel(X, y, predictors=lin[-1].predictors, g=5.0)
-    # the name "u" on a different column
-    clash = LinRegModel(X[:, 1:2], y, predictors=("u",))
-    for odd in (other_y, other_g, clash):
-        assert LinRegModel.stack(lin + [odd]) is None
-    assert LinRegModel.stack(lin) is not None
-    logit = subset_ensembles()["logistic"]
-    wide = LogisticModel(logit[-1].X, logit[-1].y, predictors=logit[-1].predictors, prior_sd=9.0)
-    assert LogisticModel.stack(logit + [wide]) is None
-    y1 = rng().normal(size=5)
-    assert GaussianMeanModel.stack([GaussianMeanModel(y1), GaussianMeanModel(y1)]) is None
+def test_stacked_linear_model_keeps_each_members_constants():
+    # each member's own X'X and log-determinant, not ones cut from the full X'X
+    models = subset_ensembles()["linear"]
+    for xtx, logdet, m, pos in zip(models.stacked.xtx, models.stacked.logdet_xtx,
+                                   models, models.positions):
+        block = np.ix_(pos[1:-1] - 1, pos[1:-1] - 1)
+        assert np.array_equal(xtx[block], m.xtx) and logdet[0] == m.logdet_xtx
+        xtx[block] = 0.0
+        assert not xtx.any()
