@@ -476,6 +476,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise CliError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        args = super().parse_args(args, namespace)
+        # numpy takes only non-negative seeds
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise CliError(f"--seed must be >= 0, got {args.seed}")
+        return args
+
 
 def _add_common(sub):
     sub.add_argument("--config", help="INI configuration file")

@@ -30,10 +30,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from . import autodiff as ad
-from .data import sq_exp_kernel
 from .families import FamilyTag
 
 LOG2PI = np.log(2.0 * np.pi)
@@ -361,32 +360,51 @@ class GPModel(Model):
             vals["beta"] = self.mean_offset
         return vals
 
-    def _cov(self, eta, nu1, nu2, sigma, jitter_scale=1.0):
-        base = ad.exp(
-            self._d1sq * (-0.5 / nu1**2) + self._d2sq * (-0.5 / nu2**2)
-        )
-        eye = np.eye(self.n)
+    def _kernel(self, eta, nu1, nu2, sigma, jitter_scale=1.0):
+        """Training covariance K = eta^2 (base + jitter I) + sigma^2 I, with
+        base = exp(-d1^2 / 2 nu1^2 - d2^2 / 2 nu2^2) and the jitter relative
+        to eta^2.
+
+        The hyperparameters are floats or tape nodes.  With nodes, K is one
+        tape node linked to each of them: its vjp maps G = df/dK to
+        tr(G dK/dtheta) in closed form (Rasmussen & Williams 2006, sec. 5.4.1),
+        so no n x n operation is recorded.  Without nodes, K is an array.
+        """
+        e, a, b, s = (np.float64(x.value if isinstance(x, ad.Node) else x)
+                      for x in (eta, nu1, nu2, sigma))
         jitter = self.BASE_JITTER * jitter_scale
-        return eta**2 * base + (sigma**2 + jitter * eta**2) * eye
+        with np.errstate(all="ignore"):  # one finiteness check on K below
+            base = np.exp(self._d1sq * (-0.5 / a**2) + self._d2sq * (-0.5 / b**2))
+            K = e**2 * base
+            K.flat[:: self.n + 1] += s**2 + jitter * e**2
+        if not np.isfinite(K).all():
+            raise ad.NonFiniteValueError("gp_kernel")
+        # <A, B> by einsum, not np.vdot: numpy's BLAS threads its ddot at n^2
+        # elements and then contends with the threads of scipy's LAPACK
+        inner = functools.partial(np.einsum, "ij,ij->")
+        links = tuple(pair for pair in (
+            (eta, lambda G: 2.0 * e * (inner(G, base) + jitter * np.trace(G))),
+            (nu1, lambda G: e**2 / a**3 * inner(G * base, self._d1sq)),
+            (nu2, lambda G: e**2 / b**3 * inner(G * base, self._d2sq)),
+            (sigma, lambda G: 2.0 * s * np.trace(G)),
+        ) if isinstance(pair[0], ad.Node))
+        return ad.Node(K, links) if links else K
 
     def log_lik(self, theta):
         v = self._unpack(theta)
+        hyper = tuple(v[k] for k in ("eta", "nu1", "nu2", "sigma"))
         resid = -(v["beta"] - self.y)  # y - beta, keeping node broadcasting simple
         scale = 1.0
         for _ in range(4):  # base jitter, then up to 3 decades of escalation
             try:
-                return ad.gaussian_spd_logpdf(resid, self._cov(
-                    v["eta"], v["nu1"], v["nu2"], v["sigma"], jitter_scale=scale))
+                return ad.gaussian_spd_logpdf(resid, self._kernel(*hyper, jitter_scale=scale))
             except np.linalg.LinAlgError:
                 scale *= 10.0
-        eta = float(v["eta"].value if isinstance(v["eta"], ad.Node) else v["eta"])
-        K = self._cov(*(float(x.value if isinstance(x, ad.Node) else x)
-                        for x in (v["eta"], v["nu1"], v["nu2"], v["sigma"])))
-        K = K.value if isinstance(K, ad.Node) else K
-        min_eig = float(np.linalg.eigvalsh(K).min())
+        values = [float(x.value if isinstance(x, ad.Node) else x) for x in hyper]
+        min_eig = float(np.linalg.eigvalsh(self._kernel(*values)).min())
         raise ConditioningError(
             f"kernel matrix not positive definite after jitter escalation "
-            f"(min eigenvalue ~ {min_eig:.3e}, eta={eta:.3g})"
+            f"(min eigenvalue ~ {min_eig:.3e}, eta={values[0]:.3g})"
         )
 
     def log_prior(self, theta):
@@ -418,17 +436,15 @@ class GPModel(Model):
         theta = np.asarray(theta, dtype=float)
         v = self._unpack(theta)
         beta, eta, nu1, nu2, sigma = (float(v[k]) for k in ("beta", "eta", "nu1", "nu2", "sigma"))
-        K = sq_exp_kernel(self.coords, eta, nu1, nu2) + (
-            sigma**2 + self.BASE_JITTER * eta**2
-        ) * np.eye(self.n)
+        L = cholesky(self._kernel(eta, nu1, nu2, sigma), lower=True, overwrite_a=True,
+                     check_finite=False)
         coords_new = np.atleast_2d(np.asarray(coords_new, dtype=float))
         d1 = self.coords[:, 0][:, None] - coords_new[:, 0][None, :]
         d2 = self.coords[:, 1][:, None] - coords_new[:, 1][None, :]
         ks = eta**2 * np.exp(-(d1**2) / (2 * nu1**2) - (d2**2) / (2 * nu2**2))
-        L = np.linalg.cholesky(K)
-        alpha = cho_solve((L, True), self.y - beta)
+        alpha = cho_solve((L, True), self.y - beta, check_finite=False)
         mean = beta + ks.T @ alpha
-        w = solve_triangular(L, ks, lower=True)
+        w = solve_triangular(L, ks, lower=True, check_finite=False)
         var = np.maximum(eta**2 - np.sum(w**2, axis=0), 0.0)
         return mean, var, sigma**2
 

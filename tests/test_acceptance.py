@@ -382,12 +382,13 @@ def test_criterion_8f_reparametrized_samples_pass_ks():
 def test_criterion_8g_finite_difference_every_model(crime_fit, heart_fit):
     _, crime_models, *_ = crime_fit
     _, heart_models, _ = heart_fit
-    gp = studies.gp_study(grid_size=5, n_test=5)[1][0]
+    gp, gp_offset = studies.gp_study(grid_size=5, n_test=5)[1]
     conj = GaussianMeanModel(np.random.default_rng(0).normal(size=8))
     checks = {
         "linear": (crime_models[-1], np.array([0.1, 0.5, -0.3, 0.8, 2.0])),
         "logistic": (heart_models[-1], np.array([0.2, 0.5, -0.4, 0.3, 0.1, -0.6])),
         "gp": (gp, np.array([0.1, 0.9, 2.0, 3.0, 0.6])),
+        "gp:offset-mean": (gp_offset, np.array([0.9, 2.0, 3.0, 0.6])),
         "conjugate": (conj, np.array([0.4])),
     }
     worst = {}

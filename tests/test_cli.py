@@ -179,6 +179,22 @@ def test_bad_predictive_inputs_are_usage_errors(crime_fit_dir, capsys, argv, con
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--config", "{cfg}", "--out", "{root}"],
+    ["coverage", "--config", "{cfg}", "--out", "{root}"],
+    ["bf", "lin:M", "lin:Prob", "--config", "{cfg}", "--out", "{root}"],
+    ["evidence", "--mc-samples", "10", "--config", "{cfg}", "--out", "{root}"],
+    ["synth", "--kind", "gp", "--file", "{root}/gp.csv"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_usage_error(crime_fit_dir, capsys, argv):
+    root, cfg, _ = crime_fit_dir
+    before = sorted(root.iterdir())
+    argv = [a.format(root=root, cfg=cfg) for a in argv]
+    assert run_cli(argv + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: --seed must be >= 0, got -1")
+    assert sorted(root.iterdir()) == before
+
+
 def _table(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return np.array([[float(v) for v in l.split(",")] for l in lines[1:]])

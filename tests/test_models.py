@@ -10,6 +10,7 @@ from vbma import autodiff as ad
 from vbma import data as data_io
 from vbma.families import FamilyTag
 from vbma.models import (
+    ConditioningError,
     DecompositionError,
     GPModel,
     GaussianMeanModel,
@@ -245,6 +246,74 @@ def test_gp_log_prior_matches_scipy(gp_model):
 def test_gp_gradient_matches_fd(gp_model):
     theta0 = np.array([0.1, 0.9, 2.0, 3.0, 0.6])
     assert ad.finite_diff_check(gp_model.log_joint, theta0, h=1e-5) < 1e-4
+
+
+def tape_kernel_log_joint(m, theta):
+    """``m.log_joint`` with K built from recorded elementwise tape operations,
+    as GPModel did before its kernel became one tape node: the oracle for the
+    kernel's closed-form vjp.  Same jitter ladder as ``GPModel.log_lik``."""
+    v = m._unpack(theta)
+    resid = -(v["beta"] - m.y)
+    for scale in (1.0, 10.0, 100.0, 1000.0):
+        base = ad.exp(m._d1sq * (-0.5 / v["nu1"] ** 2) + m._d2sq * (-0.5 / v["nu2"] ** 2))
+        jitter = m.BASE_JITTER * scale
+        K = v["eta"] ** 2 * base + (v["sigma"] ** 2 + jitter * v["eta"] ** 2) * np.eye(m.n)
+        try:
+            return ad.gaussian_spd_logpdf(resid, K) + m.log_prior(theta)
+        except np.linalg.LinAlgError:
+            pass
+    raise ConditioningError("oracle: kernel not positive definite")
+
+
+@pytest.fixture(scope="module")
+def gp_pair(gp_model):
+    fixed = GPModel(gp_model.coords, gp_model.y, free_mean=False, mean_offset=1.5)
+    return gp_model, fixed
+
+
+def assert_matches_tape_kernel(m, theta):
+    val, g = ad.grad(m.log_joint, theta)
+    want_val, want_g = ad.grad(lambda th: tape_kernel_log_joint(m, th), theta)
+    assert val == pytest.approx(want_val, rel=1e-10, abs=0)
+    np.testing.assert_allclose(g, want_g, rtol=1e-10, atol=1e-10 * np.abs(want_g).max())
+
+
+def test_gp_closed_form_kernel_matches_tape_on_prior_draws(gp_pair):
+    r = rng()
+    for m in gp_pair:
+        for _ in range(10):
+            assert_matches_tape_kernel(m, m.sample_prior(r))
+
+
+def test_gp_closed_form_kernel_matches_tape_after_jitter_escalation(gp_pair, monkeypatch):
+    # K's rounding error, ~n * eps * eta^2, is far below the base jitter of
+    # 1e-6 * eta^2, so no draw with a finite value fails there: the
+    # base-jitter factorization is made to fail instead.  The escalated
+    # kernel carries 10x the jitter in its eta gradient.
+    real = ad.gaussian_spd_logpdf
+    attempts = []
+
+    def base_jitter_fails(resid, cov):
+        # odd calls are each evaluation's first factorization
+        attempts.append(None)
+        if len(attempts) % 2:
+            raise np.linalg.LinAlgError("not positive definite")
+        return real(resid, cov)
+
+    monkeypatch.setattr(ad, "gaussian_spd_logpdf", base_jitter_fails)
+    r = rng()
+    for m in gp_pair:
+        attempts.clear()
+        assert_matches_tape_kernel(m, m.sample_prior(r))
+        assert len(attempts) == 4
+
+
+def test_gp_hopeless_draw_raises_conditioning_error(gp_model):
+    # eta^2 underflows, so K is not positive definite at any jitter
+    theta = np.array([0.1, 1e-161, 3.0, 3.0, 1e-170])
+    with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite after "
+                       r"jitter escalation \(min eigenvalue ~ .*, eta=1e-161\)"):
+        ad.grad(gp_model.log_joint, theta)
 
 
 def test_gp_fixed_mean_variant_has_no_mean_coordinate(gp_model):
