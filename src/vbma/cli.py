@@ -136,11 +136,14 @@ def build_ensemble(settings):
     name = study.get("name")
     if name:
         if name == "crime":
-            return studies.crime_study(
-                train_fraction=_get(study, "train_fraction", 1.0, float),
-                split_seed=_get(study, "split_seed", 0, int),
-                g=_get(study, "g", None, float),
-            )
+            try:
+                return studies.crime_study(
+                    train_fraction=_get(study, "train_fraction", 1.0, float),
+                    split_seed=_get(study, "split_seed", 0, int),
+                    g=_get(study, "g", None, float),
+                )
+            except ValueError as err:
+                raise CliError(str(err))
         if name == "heart":
             return studies.heart_study(prior_sd=_get(study, "prior_sd", 10.0, float))
         if name == "gp":

@@ -1,7 +1,7 @@
 """The joint variational update loop over a finite model space.
 
-Each iteration draws S shared auxiliary standard-normal vectors per model,
-forms the Monte Carlo estimates of the per-model ELBO gradient (chained
+Each iteration draws S auxiliary standard-normal vectors per model, forms
+the Monte Carlo estimates of the per-model ELBO gradient (chained
 through the reparametrization transform) and of the ELBO value, takes an
 ascent step on the variational parameters, and refreshes the categorical
 model weights in closed form via a max-subtracted softmax of the per-model
@@ -11,9 +11,9 @@ A pre-training phase holds the weights at 1/K so early, noisy ELBOs cannot
 starve slowly-converging models of gradient signal; the reported weights are
 a trailing-window average for stability.
 
-The loop runs over groups of models, each estimated in one pass and stepped
-by one optimizer: a subset ensemble is one group, any other model a group of
-its own (see ``run``).
+The loop runs over groups of models, each drawn from one random stream,
+estimated in one pass and stepped by one optimizer: a subset ensemble is one
+group, any other model a group of its own (see ``run``).
 """
 
 from __future__ import annotations
@@ -68,54 +68,51 @@ class VbmaConfig:
 
 class _Group:
     """Models stepped together by one optimizer over the ``(K, 2D)`` array of
-    their variational parameters: the members of a subset ensemble, which its
-    stacked model evaluates in one pass, or one model on its own.
-
-    Member k's ``mu``/``raw_scale`` sit at ``positions[k]`` of row k of the
-    ``(K, 1, D)`` arrays of ``state``; the rest of the row stays zero.
+    their variational parameters: the members of a subset ensemble, or one
+    model on its own.  Row k of the ``(K, D)`` ``mask`` is True where member
+    k's coordinates sit in the ``(K, 1, D)`` arrays of ``state``.
+    ``stacked`` evaluates all members in one pass (a lone block-capable model
+    is its own stack of one), or is None.
     """
 
-    def __init__(self, models, members, positions, stacked, config):
+    def __init__(self, models, members, mask, stacked, config):
         self.members = list(members)
+        self.mask = mask
         self.stacked = stacked
-        self.positions = positions
-        self.layouts = [(models[i].layout.tags(), models[i].layout.names()) for i in members]
-        K, D = len(self.members), (stacked or models[self.members[0]]).layout.dim
-        self.rows = np.repeat(np.arange(K), [len(pos) for pos in positions])
-        self.cols = np.concatenate(positions)
-        self.own = np.zeros((K, 2 * D), dtype=bool)
-        self.own[self.rows, self.cols] = self.own[self.rows, D + self.cols] = True
+        self.layouts = [(models[i].layout.tags(), models[i].layout.names()) for i in self.members]
+        K, D = mask.shape
+        self.own = np.concatenate([mask, mask], axis=1)
         self.lam = np.zeros((K, 2 * D))
-        self.lam[self.rows, D + self.cols] = families.encode_scale(config.init_var)
-        lognormal = [t is families.FamilyTag.LOGNORMAL for tags, _ in self.layouts for t in tags]
+        self.lam[:, D:][mask] = families.encode_scale(config.init_var)
+        lognormal = np.zeros((K, D))
+        lognormal[mask] = [t is families.FamilyTag.LOGNORMAL for tags, _ in self.layouts for t in tags]
         self.state = families.StackedState(self.lam[:, None, :D], self.lam[:, None, D:],
-                                           np.zeros((K, 1, D)), self.own[:, None, :D] * 1.0)
-        self.state.lognormal_mask[self.rows, 0, self.cols] = lognormal
+                                           lognormal[:, None], mask[:, None] * 1.0)
         self.opt = optimizers.make_optimizer(config.optimizer, step_size=config.step_size)
 
     def member(self, k):
         """Member k's VariationalState (a copy)."""
-        pos, D = self.positions[k], self.state.dim
-        return families.VariationalState(self.lam[k, pos], self.lam[k, D + pos], *self.layouts[k])
+        D = self.state.dim
+        return families.VariationalState(self.lam[k, :D][self.mask[k]],
+                                         self.lam[k, D:][self.mask[k]], *self.layouts[k])
 
-    def estimate(self, models, z, rngs):
-        """(G (K, 2D), the K ELBO estimates) from model i's draws ``z[i]``.
-
-        A failed stacked pass redoes each member on its own, on the same draws.
+    def estimate(self, models, rng, n_samples):
+        """(G (K, 2D), the K ELBO estimates) from one ``(K, S, D)`` block of
+        standard normals drawn from ``rng``, zero off the mask.  A failed
+        stacked pass is redone member by member by the row loop on each
+        member's slice of the same block, with redraws from ``rng``.
         """
-        K, D = self.lam.shape[0], self.state.dim
+        z = rng.standard_normal((len(self.members), n_samples, self.state.dim)) * self.state.mask
         if self.stacked is not None:
-            block = np.zeros((K, len(z[self.members[0]]), D))
-            block[self.rows, :, self.cols] = np.concatenate([z[i] for i in self.members], axis=1).T
             try:
-                G, L = estimate_grad_and_elbo(self.stacked, self.state, block)
+                G, L = estimate_grad_and_elbo(self.stacked, self.state, z)
                 return np.where(self.own, G, 0.0), list(L)
             except REJECTED:
                 pass
-        G, L = np.zeros((K, 2 * D)), []
-        for k, (i, pos) in enumerate(zip(self.members, self.positions)):
-            G[k, np.r_[pos, D + pos]], L_k = estimate_grad_and_elbo(
-                models[i], self.member(k), z[i], rng=rngs[i])
+        G, L = np.zeros(self.lam.shape), []
+        for k, i in enumerate(self.members):
+            G[k, self.own[k]], L_k = estimate_grad_and_elbo(
+                models[i], self.member(k), z[k][:, self.mask[k]], rng=rng)
             L.append(L_k)
         return G, L
 
@@ -131,8 +128,9 @@ def _groups(models, config):
     """One group for a subset ensemble as its builder returned it (see
     ``models.SubsetEnsemble``); otherwise one group per model."""
     if getattr(models, "members", None) == tuple(models):
-        return [_Group(models, range(len(models)), models.positions, models.stacked, config)]
-    return [_Group(models, [i], (np.arange(m.layout.dim),), None, config)
+        return [_Group(models, range(len(models)), models.mask, models.stacked, config)]
+    return [_Group(models, [i], np.ones((1, m.layout.dim), dtype=bool),
+                   m if m.supports_blocks else None, config)
             for i, m in enumerate(models)]
 
 
@@ -182,30 +180,17 @@ def estimate_grad_and_elbo(model, state, z_draws, rng=None):
     auxiliary draws.
 
     G stacks the gradient with respect to (mu, raw_scale); L is the mean
-    sampled ELBO.  A draw whose log-joint is non-finite is rejected and
-    resampled from ``rng``; more than 50% rejections aborts the iteration.
-
-    A model whose class sets ``supports_blocks`` is evaluated on all S draws
-    in one tape pass, as a stack of one.  If any draw fails there, the
-    estimate is made again draw by draw from the same ``z_draws`` and
-    ``rng``, so rejections and redraws are exactly those of the row loop.
-
-    For a ``models.SubsetEnsemble``'s stacked model with a
-    ``families.StackedState``, ``z_draws`` is the ``(K, S, D)`` block and the
-    result is G ``(K, 2D)`` and L ``(K,)`` from one tape pass; a failed draw
-    raises, and the caller redoes each member on its own.
+    sampled ELBO.  Draws ``(S, d)`` take the row loop, one tape pass per
+    draw: a draw whose log-joint is non-finite is rejected and resampled
+    from ``rng``; more than 50% rejections aborts the iteration.  A block
+    ``(K, S, D)`` with a ``families.StackedState`` takes one tape pass and
+    gives G ``(K, 2D)`` and L ``(K,)``; a failed draw raises.
     """
     z_draws = np.atleast_2d(np.asarray(z_draws, dtype=float))
     if z_draws.shape[-1] != state.dim:
         raise ValueError("auxiliary draws have wrong dimension")
     if z_draws.ndim == 3:
         return _estimate_block(model, state, z_draws)
-    if model.supports_blocks:
-        try:
-            G, L = _estimate_block(model, state, z_draws[None])
-            return G[0], L[0]
-        except REJECTED:
-            pass
     return _estimate_rows(model, state, z_draws, rng)
 
 
@@ -260,10 +245,10 @@ def update_weights(elbos, log_prior_weights):
     return w / w.sum()
 
 
-def _model_rng(seed, iteration, k):
-    # independent, reproducible substream per (iteration, model), so a
-    # model's draws do not depend on the other models in the ensemble
-    return np.random.default_rng(np.random.SeedSequence((seed, iteration, k)))
+def _model_rng(seed, iteration, j):
+    # independent, reproducible substream per (iteration, group j); a lone
+    # model's group index is its model index
+    return np.random.default_rng(np.random.SeedSequence((seed, iteration, j)))
 
 
 def init_state(config, models):
@@ -284,9 +269,10 @@ def run(config: VbmaConfig, models, progress=None):
     A subset ensemble as its builder returned it (see
     ``models.SubsetEnsemble``) is one group: its members are evaluated in one
     tape pass per iteration and stepped by one optimizer over their
-    ``(K, 2D)`` parameters.  Any other model is a group of its own.  Every
-    model keeps its own RNG stream; a stacked pass that fails leaves each
-    member to its own estimate, on the same draws.
+    ``(K, 2D)`` parameters.  Any other model is a group of its own.  Each
+    group draws its ``(K, S, D)`` block of standard normals from its own
+    stream per iteration; a stacked pass that fails is redone member by
+    member on the same block, with redraws from the same stream.
 
     An ``IterationError`` carries in ``state`` the ensemble as it was before
     the failing iteration: every estimate is made before any model steps.
@@ -298,11 +284,9 @@ def run(config: VbmaConfig, models, progress=None):
     log_prior = np.log(np.array([m.prior_weight for m in models], dtype=float))
 
     def one_iteration(t, weights):
-        rngs = [_model_rng(config.seed, t, i) for i in range(k)]
-        z = [rng.standard_normal((config.n_samples, m.layout.dim))
-             for rng, m in zip(rngs, models)]
         try:
-            estimates = [g.estimate(models, z, rngs) for g in state.groups]
+            estimates = [g.estimate(models, _model_rng(config.seed, t, j), config.n_samples)
+                         for j, g in enumerate(state.groups)]
         except IterationError as err:
             err.state = state  # as before this iteration: no model stepped
             raise

@@ -157,10 +157,10 @@ def prepare(columns, response, log_columns=(), center_columns=(), train_mask=Non
 
 def split_mask(n, fraction, seed):
     """Reproducible boolean training mask with round(fraction * n) True rows."""
-    if not 0 < fraction < 1:
-        if fraction >= 1:
-            return np.ones(n, dtype=bool)
-        raise ValueError("fraction must be in (0, 1]")
+    if not 0 < fraction <= 1:
+        raise ValueError(f"train_fraction must be in (0, 1], got {fraction}")
+    if fraction == 1:
+        return np.ones(n, dtype=bool)
     rng = np.random.default_rng(seed)
     n_train = int(round(fraction * n))
     mask = np.zeros(n, dtype=bool)

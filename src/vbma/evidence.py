@@ -90,6 +90,9 @@ def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
         raise ConfigurationError(
             f"model '{model.name}' has an improper prior; MC integration undefined"
         )
+    if n_samples < 2:
+        raise ConfigurationError(
+            f"MC evidence needs at least 2 samples for its standard error, got {n_samples}")
     rng = np.random.default_rng(seed)
     if batch is None:
         batch = MC_BATCH

@@ -12,8 +12,9 @@ one call takes a single ``(d,)`` parameter vector, an ``(S, d)`` block of S
 draws or a ``(K, S, d)`` block and returns one value per row.  The subset
 builders return a ``SubsetEnsemble``: the K members as a list, plus one
 stacked model on the members' shared, padded layout that evaluates all of
-them at once (one design matrix with K inclusion masks).  Instances are
-immutable after construction and safe to evaluate concurrently.
+them at once, and the ``(K, D)`` mask of each member's coordinates in that
+layout.  Instances are immutable after construction and safe to evaluate
+concurrently.
 
 The improper blocks of the g-prior models (``phi ~ 1/phi``, flat intercept)
 are implemented as log-prior terms ``-log phi`` and ``0``.  Cross-model
@@ -467,10 +468,11 @@ class SubsetEnsemble(list):
     whose per-member constants get a leading K axis (``p``; for linear models
     also ``logdet_xtx`` and each member's own ``xtx``, zero-padded): its
     inherited ``log_joint`` takes a ``(K, S, D)`` block to ``(K, S)`` values
-    on the layout ``[beta0, beta (P), *tail]``.  Member k's coordinates sit
-    at ``positions[k]`` among the D; the padding it leaves out is zero.  Both
-    are built on first use.  ``core.run`` evaluates the list as built in one
-    pass per iteration; a changed list or a copy of it runs model by model.
+    on the layout ``[beta0, beta (P), *tail]``.  ``mask`` is the ``(K, D)``
+    membership array: row k is True on member k's coordinates, in layout
+    order, and the padding it leaves out is zero.  Both are built on first
+    use.  ``core.run`` evaluates the list as built in one pass per
+    iteration; a changed list or a copy of it runs model by model.
     """
 
     def __init__(self, models):
@@ -478,12 +480,12 @@ class SubsetEnsemble(list):
         self.members = tuple(models)
 
     @functools.cached_property
-    def positions(self):
+    def mask(self):
         full = self.members[-1]
-        column = {name: 1 + j for j, name in enumerate(full.predictors)}
-        tail = list(range(1 + full.p, full.layout.dim))
-        return tuple(np.array([0] + [column[n] for n in m.predictors] + tail)
-                     for m in self.members)
+        mask = np.ones((len(self.members), full.layout.dim), dtype=bool)
+        mask[:, 1:1 + full.p] = [[n in m.predictors for n in full.predictors]
+                                 for m in self.members]
+        return mask
 
     @functools.cached_property
     def stacked(self):
@@ -493,8 +495,8 @@ class SubsetEnsemble(list):
         stacked.p = np.array([[m.p] for m in self.members], dtype=float)
         if isinstance(full, LinRegModel):
             stacked.xtx = np.zeros((len(self.members), full.p, full.p))
-            for xtx, m, pos in zip(stacked.xtx, self.members, self.positions):
-                cols = pos[1:-1] - 1
+            for xtx, m, own in zip(stacked.xtx, self.members, self.mask):
+                cols = np.flatnonzero(own[1:1 + full.p])
                 xtx[cols[:, None], cols] = m.xtx
             stacked.logdet_xtx = np.array([[m.logdet_xtx] for m in self.members])
         return stacked

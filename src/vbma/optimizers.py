@@ -2,7 +2,8 @@
 
 All steppers move in the +gradient direction; the caller supplies the raw
 (possibly weight-scaled) gradient estimate.  A step with a non-finite
-gradient is rejected before any state is touched.
+gradient, or one whose square overflows and would freeze its coordinate, is
+rejected before any state is touched.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ class NonFiniteGradientError(ValueError):
     pass
 
 
-def _require_finite(g):
+def _checked(g):
+    """(g, g**2) as float arrays; raises unless g**2 is finite."""
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        bad = np.flatnonzero(~np.isfinite(g))
-        raise NonFiniteGradientError(f"non-finite gradient at coordinates {bad.tolist()}")
-    return g
+    with np.errstate(over="ignore"):
+        g2 = g**2
+    if not np.all(np.isfinite(g2)):
+        bad = np.flatnonzero(~np.isfinite(g2)).tolist()
+        raise NonFiniteGradientError(f"non-finite gradient or its square at coordinates {bad}")
+    return g, g2
 
 
 class Adam:
@@ -35,7 +39,7 @@ class Adam:
         self.t = 0
 
     def step(self, lam, g):
-        g = _require_finite(g)
+        g, g2 = _checked(g)
         lam = np.asarray(lam, dtype=float)
         if g.shape != lam.shape:
             raise ValueError("gradient and parameter shapes differ")
@@ -44,7 +48,7 @@ class Adam:
             self.v = np.zeros_like(lam)
         self.t += 1
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g**2
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g2
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
         return lam + self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -61,14 +65,14 @@ class RMSprop:
         self.t = 0
 
     def step(self, lam, g):
-        g = _require_finite(g)
+        g, g2 = _checked(g)
         lam = np.asarray(lam, dtype=float)
         if g.shape != lam.shape:
             raise ValueError("gradient and parameter shapes differ")
         if self.sq is None:
             self.sq = np.zeros_like(lam)
         self.t += 1
-        self.sq = self.decay * self.sq + (1.0 - self.decay) * g**2
+        self.sq = self.decay * self.sq + (1.0 - self.decay) * g2
         return lam + self.step_size * g / (np.sqrt(self.sq) + self.eps)
 
 

@@ -287,6 +287,53 @@ def test_out_of_range_run_settings_are_usage_errors(tmp_path, crime_cfg, capsys,
     assert not (out / "weights.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def logistic_fit_dir(tmp_path_factory):
+    # two logistic models, whose proper priors admit an MC evidence
+    root = tmp_path_factory.mktemp("logistic")
+    r = np.random.default_rng(1)
+    data_io.write_csv(root / "d.csv", {"y": (r.random(30) < 0.5).astype(float),
+                                       "a": r.normal(size=30)})
+    cfg = root / "logistic.ini"
+    cfg.write_text(f"[data]\ncsv = {root / 'd.csv'}\nresponse = y\ncenter = a\n\n"
+                   "[ensemble]\nkind = logistic\npredictors = a\n\n"
+                   "[run]\nsamples = 4\npretrain_iters = 5\njoint_iters = 5\nwindow = 5\n")
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(root)]) == 0
+    return root, cfg
+
+
+@pytest.mark.parametrize("argv", [
+    ["evidence", "--mc-samples", "0"],
+    ["evidence", "--mc-samples", "-5"],
+    ["evidence", "--mc-samples", "1"],
+    ["bf", "logit:intercept", "logit:a", "--mc-samples", "-1"],
+], ids=["evidence-0", "evidence-negative", "evidence-1", "bf-negative"])
+def test_bad_mc_sample_counts_are_usage_errors(logistic_fit_dir, capsys, argv):
+    root, cfg = logistic_fit_dir
+    assert run_cli(argv + ["--config", str(cfg), "--out", str(root)]) == 1
+    assert capsys.readouterr().err.startswith("error: MC evidence needs at least 2 samples")
+    if argv[0] == "bf":  # 0 still means "no oracle"
+        assert run_cli(argv[:-1] + ["0", "--config", str(cfg), "--out", str(root)]) == 0
+        assert "oracle" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section", ["study", "data"])
+@pytest.mark.parametrize("fraction", ["0", "1.5"])
+def test_out_of_range_train_fraction_is_usage_error(tmp_path, capsys, section, fraction):
+    cfg = tmp_path / "split.ini"
+    if section == "study":
+        cfg.write_text(f"[study]\nname = crime\ntrain_fraction = {fraction}\n")
+    else:
+        cfg.write_text(f"[data]\ncsv = bundled:crime.csv\nresponse = y\n"
+                       f"train_fraction = {fraction}\n\n[ensemble]\nkind = linear\n"
+                       "predictors = M\n")
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: train_fraction must be in (0, 1], got {float(fraction)}")
+    assert not (out / "weights.csv").exists()
+
+
 def test_short_csv_row_is_usage_error(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     csv.write_text("y,a\n1.0,2.0\n3.0\n")

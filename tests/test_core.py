@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from vbma import autodiff as ad
 from vbma import core, families, optimizers, studies
+from vbma import models as models_mod
 from vbma import data as data_io
 from vbma.core import IterationError, VbmaConfig, estimate_grad_and_elbo, update_weights
 from vbma.families import FamilyTag, VariationalState
 from vbma.models import (GaussianMeanModel, GPModel, LinRegModel, LogisticModel, Model,
-                         ParamBlock, ParamLayout, linreg_subset_ensemble,
-                         logistic_subset_ensemble)
+                         ParamBlock, ParamLayout, SubsetEnsemble, logistic_subset_ensemble)
 
 
 def conjugate_model(seed=0, n=25):
@@ -69,11 +69,13 @@ def test_gradient_estimator_is_unbiased():
 
 
 def test_elbo_estimate_is_unbiased():
+    # the block pass that core.run makes for a block-capable model
     model = conjugate_model()
-    state = make_state(0.5, 0.09)
-    truth = analytic_elbo(model, np.concatenate([state.mu, state.raw_scale]))
+    group = lone_group(model, init_var=0.09)
+    group.lam[0, 0] = 0.5
+    truth = analytic_elbo(model, group.lam[0])
     rng = np.random.default_rng(1)
-    vals = [estimate_grad_and_elbo(model, state, rng.standard_normal((10, 1)))[1]
+    vals = [estimate_grad_and_elbo(model, group.state, rng.standard_normal((1, 10, 1)))[1][0]
             for _ in range(400)]
     assert np.mean(vals) == pytest.approx(truth, abs=4 * np.std(vals) / np.sqrt(len(vals)))
 
@@ -118,7 +120,29 @@ class FragileBlockModel(FragileModel):
         return ad.log(theta[..., 0])
 
 
+def lone_group(model, init_var=0.01):
+    (group,) = core.init_state(VbmaConfig(init_var=init_var), [model]).groups
+    return group
+
+
+class FirstDraw:
+    """Stands in for a generator: its first standard-normal block is ``z``,
+    later draws come from ``rng``."""
+
+    def __init__(self, z, rng=None):
+        self.z, self.rng = z, rng
+
+    def standard_normal(self, shape):
+        z, self.z = self.z, None
+        if z is None:
+            return self.rng.standard_normal(shape)
+        assert z.shape == shape
+        return z
+
+
 def test_block_estimate_matches_row_loop():
+    # a lone block-capable model is a stack of one: its group's pass agrees
+    # with the group of the same model taking the row loop, on one stream
     y = np.random.default_rng(3).normal(size=20)
     X = np.random.default_rng(4).standard_normal((20, 2))
     X -= X.mean(axis=0)
@@ -127,38 +151,43 @@ def test_block_estimate_matches_row_loop():
               LinRegModel(X[:, :0], y), LogisticModel(X, yb, predictors=("a", "b"))]
     rng = np.random.default_rng(9)
     for model in models:
-        state = VariationalState.initial(model.layout.tags(), init_var=0.1)
-        state.mu += 0.3 * rng.standard_normal(state.dim)
-        z = rng.standard_normal((10, state.dim))
-        G, L = estimate_grad_and_elbo(model, state, z)
-        G_rows, L_rows = core._estimate_rows(model, state, z, None)
+        rows = copy.copy(model)
+        rows.supports_blocks = False
+        block, by_rows = lone_group(model, init_var=0.1), lone_group(rows, init_var=0.1)
+        assert block.stacked is model and by_rows.stacked is None
+        shift = 0.3 * rng.standard_normal(model.layout.dim)
+        for g in (block, by_rows):
+            g.lam[0, :len(shift)] += shift
+        seed = int(rng.integers(2**32))
+        G, L = block.estimate([model], np.random.default_rng(seed), 10)
+        G_rows, L_rows = by_rows.estimate([rows], np.random.default_rng(seed), 10)
         np.testing.assert_allclose(G, G_rows, rtol=1e-12, atol=1e-12)
-        assert L == pytest.approx(L_rows, rel=1e-12, abs=1e-12)
+        assert L[0] == pytest.approx(L_rows[0], rel=1e-12, abs=1e-12)
 
 
 def test_failed_block_pass_falls_back_to_row_loop():
-    state = make_state(0.0, 1.0)
+    block, by_rows = lone_group(FragileBlockModel(), 1.0), lone_group(FragileModel(), 1.0)
+    assert block.stacked is not None and by_rows.stacked is None
     # a draw below zero fails the block pass; the row loop redraws it
-    z = np.array([[1.0], [-0.5], [2.0], [-1.0], [0.3], [0.7], [1.1], [0.2], [0.9], [1.4]])
+    z = np.array([[1.0], [-0.5], [2.0], [-1.0], [0.3], [0.7], [1.1], [0.2], [0.9], [1.4]])[None]
     rng_block, rng_rows = np.random.default_rng(2), np.random.default_rng(2)
-    G, L = estimate_grad_and_elbo(FragileBlockModel(), state, z, rng=rng_block)
-    G_rows, L_rows = estimate_grad_and_elbo(FragileModel(), state, z, rng=rng_rows)
+    G, L = block.estimate([FragileBlockModel()], FirstDraw(z, rng_block), 10)
+    G_rows, L_rows = by_rows.estimate([FragileModel()], FirstDraw(z, rng_rows), 10)
     assert np.array_equal(G, G_rows) and L == L_rows
     assert rng_block.bit_generator.state == rng_rows.bit_generator.state
     # the same abort, with the same message, as the row loop
-    z_many = np.random.default_rng(5).standard_normal((40, 1))
     errors = []
-    for model in (FragileBlockModel(), FragileModel()):
+    for group, model in ((block, FragileBlockModel()), (by_rows, FragileModel())):
         with pytest.raises(IterationError) as err:
-            estimate_grad_and_elbo(model, state, z_many, rng=np.random.default_rng(0))
+            group.estimate([model], np.random.default_rng(5), 40)
         errors.append(str(err.value))
     assert errors[0] == errors[1]
     # draws that all succeed take the block pass and agree with the rows
     z_ok = np.abs(z)
-    G, L = estimate_grad_and_elbo(FragileBlockModel(), state, z_ok)
-    G_rows, L_rows = core._estimate_rows(FragileModel(), state, z_ok, None)
-    np.testing.assert_allclose(G, G_rows, rtol=1e-12, atol=1e-12)
-    assert L == pytest.approx(L_rows, rel=1e-12, abs=1e-12)
+    G, L = block.estimate([FragileBlockModel()], FirstDraw(z_ok), 10)
+    G_rows, L_rows = core._estimate_rows(FragileModel(), block.member(0), z_ok[0], None)
+    np.testing.assert_allclose(G[0], G_rows, rtol=1e-12, atol=1e-12)
+    assert L[0] == pytest.approx(L_rows, rel=1e-12, abs=1e-12)
 
 
 # -- stacked evaluation -------------------------------------------------------
@@ -190,25 +219,27 @@ def recording_estimates(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["crime", "logistic"])
 def test_stacked_estimate_matches_per_model(kind, monkeypatch):
-    # one pass over the (K, S, D) block gives every member the (G, L) of its
-    # own estimate, the intercept-only member included, and nothing on the
-    # padding
+    # one pass over the (K, S, D) block gives every member the (G, L) of the
+    # row loop on its own slice, the intercept-only member included, and
+    # nothing on the padding
     models = studies.crime_study()[1] if kind == "crime" else heart_like_ensemble()
     (group,) = core.init_state(VbmaConfig(init_var=0.05), models).groups
     assert group.members == list(range(len(models))) and group.stacked is models.stacked
+    assert group.mask is models.mask
     rng = np.random.default_rng(8)
-    D = group.state.dim
-    group.lam[:, :D][group.own[:, :D]] += 0.3 * rng.standard_normal(group.own[:, :D].sum())
-    z = [rng.standard_normal((10, m.layout.dim)) for m in models]
+    K, D = group.mask.shape
+    group.lam[:, :D][group.mask] += 0.3 * rng.standard_normal(group.mask.sum())
+    # the group draws its block in one call
+    z = np.random.default_rng(9).standard_normal((K, 10, D))
     calls = recording_estimates(monkeypatch)
-    G, L = group.estimate(models, z, [None] * len(models))
+    G, L = group.estimate(models, np.random.default_rng(9), 10)
     assert calls == [[3, False]]
-    assert G.shape == (len(models), 2 * D) and not G[~group.own].any()
-    for k, (m, zk, pos) in enumerate(zip(models, z, group.positions)):
+    assert G.shape == (K, 2 * D) and not G[~group.own].any()
+    for k, (m, own) in enumerate(zip(models, group.mask)):
         state = group.member(k)
-        G_own, L_own = estimate_grad_and_elbo(m, state, zk)
-        assert np.array_equal(state.mu, group.state.mu[k, 0, pos])
-        np.testing.assert_allclose(G[k, np.r_[pos, D + pos]], G_own, rtol=1e-12, atol=1e-12)
+        G_own, L_own = core._estimate_rows(m, state, z[k][:, own], None)
+        assert np.array_equal(state.mu, group.state.mu[k, 0, own])
+        np.testing.assert_allclose(G[k, group.own[k]], G_own, rtol=1e-12, atol=1e-12)
         assert L[k] == pytest.approx(L_own, rel=1e-12, abs=1e-12)
 
 
@@ -216,51 +247,134 @@ def test_only_a_subset_ensemble_as_built_is_one_group():
     models = heart_like_ensemble()
     cfg = VbmaConfig()
     assert len(core.init_state(cfg, models).groups) == 1
-    # a copy, a slice or a changed list runs model by model
+    # a copy, a slice or a changed list runs model by model, each
+    # block-capable model as its own stack of one
     changed = heart_like_ensemble()
     changed[1] = copy.copy(changed[1])
     for other in (list(models), models[:-1], changed):
         groups = core.init_state(cfg, other).groups
         assert [g.members for g in groups] == [[i] for i in range(len(other))]
-        assert all(g.stacked is None for g in groups)
+        assert all(g.stacked is m for g, m in zip(groups, other))
+        assert all(g.mask.shape == (1, m.layout.dim) and g.mask.all()
+                   for g, m in zip(groups, other))
 
 
-def tiny_linear_ensemble():
-    # phi draws of a wide log-normal family overflow exp or underflow to 0,
-    # so some stacked passes fail
-    r = np.random.default_rng(13)
-    cols = {name: r.normal(size=12) for name in ("y", "a", "b")}
-    ds = data_io.prepare(cols, "y", center_columns=("y", "a", "b"))
-    return linreg_subset_ensemble(ds, ("a", "b"))
+class ShiftedLogModel(Model):
+    """log(theta + shift) with a standard normal prior, under a NORMAL
+    family: a draw below -shift is rejected."""
+
+    supports_blocks = True
+
+    def __init__(self, shift):
+        self.shift = shift
+        self.name = f"shift{shift}"
+        self.layout = ParamLayout([ParamBlock("t", 1, FamilyTag.NORMAL)])
+
+    def log_lik(self, theta):
+        return ad.log(theta[..., 0] + self.shift)
+
+    def log_prior(self, theta):
+        return -0.5 * theta[..., 0] ** 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def shifted_ensemble(shifts):
+    """The models as a subset ensemble: its stacked model holds the shifts
+    as a (K, 1) column, and every member owns the one coordinate."""
+    models = SubsetEnsemble([ShiftedLogModel(s) for s in shifts])
+    models.stacked = copy.copy(models[0])
+    models.stacked.shift = np.array([[s] for s in shifts])
+    models.mask = np.ones((len(shifts), 1), dtype=bool)
+    return models
+
+
 def test_failed_stack_pass_redoes_each_member_on_its_own(monkeypatch):
-    # a failed stacked pass redoes each member on its own, with redraws from
-    # each member's own stream: the run is that of the model-by-model loop
     cfg = VbmaConfig(n_samples=6, pretrain_iters=6, joint_iters=4, window=2, seed=3,
-                     init_var=1e5)
+                     init_var=1.0)
+    models = shifted_ensemble((3.0, 1.0, 2.0))
+    (group,) = core.init_state(cfg, models).groups
+    # one draw of member 1 below its pole fails the stacked pass; each
+    # member is then redone in member order by the row loop on its slice of
+    # the same block, redrawing from the group's stream
+    z = np.full((3, 6, 1), 0.1)
+    z[1, 2] = -1.5
+    with pytest.raises(ad.NonFiniteValueError):
+        estimate_grad_and_elbo(models.stacked, group.state, z)
+    rng, by_hand = np.random.default_rng(4), np.random.default_rng(4)
+    G, L = group.estimate(models, FirstDraw(z, rng), 6)
+    for k, m in enumerate(models):
+        G_k, L_k = core._estimate_rows(m, group.member(k), z[k], by_hand)
+        assert np.array_equal(G[k], G_k) and L[k] == L_k
+    assert rng.bit_generator.state == by_hand.bit_generator.state
+    # in a run, the passes that fail are redone member by member, and the
+    # run agrees with one that takes the row loop for every member
     calls = recording_estimates(monkeypatch)
-    stacked = core.run(cfg, tiny_linear_ensemble())
+    state = core.run(cfg, models)
     passes = [raised for ndim, raised in calls if ndim == 3]
     assert len(passes) == 10 and 0 < sum(passes) < 10
-    alone = core.run(cfg, list(tiny_linear_ensemble()))
-    assert stacked.to_text() == alone.to_text()
-    assert repr(stacked.elbo_trace) == repr(alone.elbo_trace)
-    assert np.array_equal(stacked.q, alone.q)
-    # a member that exhausts its redraws aborts with the message of the
-    # model-by-model loop, and the state from before the failing iteration
-    cfg.init_var = 1e7
-    errors = []
-    for models in (tiny_linear_ensemble(), list(tiny_linear_ensemble())):
-        with pytest.raises(IterationError) as err:
-            core.run(cfg, models)
-        errors.append(err.value)
-    assert str(errors[0]) == str(errors[1])
-    assert errors[0].state.to_text() == errors[1].state.to_text()
-    assert errors[0].state.elbo_trace == errors[1].state.elbo_trace
-    for err in errors:
-        assert all(len(trace) == err.state.iteration for trace in err.state.elbo_trace)
+    assert len(calls) == len(passes) + 3 * sum(passes)
+    by_rows = shifted_ensemble((3.0, 1.0, 2.0))
+    by_rows.stacked = None
+    rows_state = core.run(cfg, by_rows)
+    for vs, vs_rows in zip(state.variational, rows_state.variational):
+        np.testing.assert_allclose(vs.mu, vs_rows.mu, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(vs.raw_scale, vs_rows.raw_scale, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(state.elbo_trace, rows_state.elbo_trace, rtol=1e-12)
+    # a member that exhausts its redraws aborts the iteration with its own
+    # name, and the state from before the failing iteration
+    with pytest.raises(IterationError) as err:
+        core.run(cfg, shifted_ensemble((3.0, -4.0, 2.0)))
+    assert str(err.value) == "model 'shift-4.0': 4 rejected draws in one iteration"
+    assert all(len(trace) == err.value.state.iteration for trace in err.value.state.elbo_trace)
+
+
+class _Pole:
+    """Adds log(beta0 + 30) to the log likelihood: a draw whose intercept
+    falls below -30 is rejected."""
+
+    def log_lik(self, theta):
+        return super().log_lik(theta) + ad.log(theta[..., 0] + 30.0)
+
+
+class PoleLinRegModel(_Pole, LinRegModel):
+    pass
+
+
+class PoleLogisticModel(_Pole, LogisticModel):
+    pass
+
+
+@given(cls=st.sampled_from([PoleLinRegModel, PoleLogisticModel]), p=st.integers(1, 4),
+       n=st.integers(8, 30), S=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_stacked_pass_and_fallback_match_member_loop(cls, p, n, S, seed):
+    # differential check over random subset ensembles: the stacked pass
+    # against each member's row loop on its masked slice, and the fallback
+    # after one row raises against a hand-written member loop
+    r = np.random.default_rng(seed)
+    names = tuple("abcd"[:p])
+    cols = {c: r.uniform(0.5, 2.0) * r.standard_normal(n) for c in names}
+    cols["y"] = (r.random(n) < 0.5) * 1.0 if cls is PoleLogisticModel else r.standard_normal(n)
+    ds = data_io.prepare(cols, "y", center_columns=names)
+    models = models_mod._subset_ensemble(cls, ds, names)
+    (group,) = core.init_state(VbmaConfig(init_var=0.05), models).groups
+    K, D = group.mask.shape
+    group.lam[:, :D][group.mask] += 0.3 * r.standard_normal(group.mask.sum())
+    seed = int(r.integers(2**32))
+    G, L = group.estimate(models, np.random.default_rng(seed), S)
+    z = np.random.default_rng(seed).standard_normal((K, S, D))
+    assert not G[~group.own].any()
+    for k, (m, own) in enumerate(zip(models, group.mask)):
+        G_k, L_k = core._estimate_rows(m, group.member(k), z[k][:, own], None)
+        np.testing.assert_allclose(G[k, group.own[k]], G_k, rtol=1e-12, atol=1e-12)
+        assert L[k] == pytest.approx(L_k, rel=1e-12, abs=1e-12)
+    z[r.integers(K), r.integers(S), 0] = -1e4  # an intercept far below the pole
+    rng, by_hand = np.random.default_rng(seed), np.random.default_rng(seed)
+    G, L = group.estimate(models, FirstDraw(z, rng), S)
+    for k, (m, own) in enumerate(zip(models, group.mask)):
+        G_k, L_k = core._estimate_rows(m, group.member(k), z[k][:, own], by_hand)
+        assert np.array_equal(G[k, group.own[k]], G_k) and L[k] == L_k
+        assert not G[k, ~group.own[k]].any()
+    assert rng.bit_generator.state == by_hand.bit_generator.state
 
 
 def tiny_gp(seed):

@@ -125,8 +125,9 @@ def test_split_mask_size_and_reproducibility():
 
 def test_split_mask_edge_fractions():
     assert data_io.split_mask(10, 1.0, 0).all()
-    with pytest.raises(ValueError):
-        data_io.split_mask(10, 0.0, 0)
+    for fraction in (0.0, 1.5):
+        with pytest.raises(ValueError, match="train_fraction"):
+            data_io.split_mask(10, fraction, 0)
 
 
 # -- synthetic lattice surface ------------------------------------------------

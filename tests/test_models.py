@@ -390,7 +390,7 @@ def test_stack_log_joint_matches_each_member(kind):
     r = rng()
     block = np.zeros((len(models), S, D))
     own = []
-    for k, (m, pos) in enumerate(zip(models, models.positions)):
+    for k, (m, pos) in enumerate(zip(models, models.mask)):
         assert stacked_tags[pos].tolist() == list(m.layout.tags())
         theta = r.standard_normal((S, m.layout.dim))
         positive = [t is FamilyTag.LOGNORMAL for t in m.layout.tags()]
@@ -400,7 +400,7 @@ def test_stack_log_joint_matches_each_member(kind):
     vals, grads = ad.grad(stacked.log_joint, block)
     plain = stacked.log_joint(block)
     assert vals.shape == (len(models), S)
-    for k, (m, pos, theta) in enumerate(zip(models, models.positions, own)):
+    for k, (m, pos, theta) in enumerate(zip(models, models.mask, own)):
         v_k, g_k = ad.grad(m.log_joint, theta)
         np.testing.assert_allclose(vals[k], v_k, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(plain[k], v_k, rtol=1e-12, atol=1e-12)
@@ -410,9 +410,10 @@ def test_stack_log_joint_matches_each_member(kind):
 def test_stacked_linear_model_keeps_each_members_constants():
     # each member's own X'X and log-determinant, not ones cut from the full X'X
     models = subset_ensembles()["linear"]
-    for xtx, logdet, m, pos in zip(models.stacked.xtx, models.stacked.logdet_xtx,
-                                   models, models.positions):
-        block = np.ix_(pos[1:-1] - 1, pos[1:-1] - 1)
+    for xtx, logdet, m, own in zip(models.stacked.xtx, models.stacked.logdet_xtx,
+                                   models, models.mask):
+        assert own[0] and own[-1]  # beta0 and phi
+        block = np.ix_(own[1:-1], own[1:-1])
         assert np.array_equal(xtx[block], m.xtx) and logdet[0] == m.logdet_xtx
         xtx[block] = 0.0
         assert not xtx.any()

@@ -52,6 +52,19 @@ def test_nonfinite_gradient_rejected_before_state_change():
     assert opt.t == t_before
 
 
+@pytest.mark.parametrize("cls", [Adam, RMSprop])
+def test_overflowing_squared_gradient_rejected_before_state_change(cls):
+    # g**2 overflows at 1e200: an infinite second moment would freeze the
+    # coordinate (every later step 0) without any error
+    opt = cls(step_size=0.1)
+    lam = opt.step(np.zeros(2), np.ones(2))
+    before = {k: np.copy(v) for k, v in vars(opt).items()}
+    with pytest.raises(optimizers.NonFiniteGradientError, match=r"\[0\]"):
+        opt.step(lam, np.array([1e200, 1.0]))
+    assert all(np.array_equal(v, before[k]) for k, v in vars(opt).items())
+    assert np.all(opt.step(lam, np.ones(2)) > lam)  # both coordinates still move
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         Adam().step(np.zeros(2), np.zeros(3))
