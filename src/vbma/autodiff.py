@@ -53,7 +53,8 @@ def _unbroadcast(g, shape):
 
 
 class Node:
-    """One value on the tape.  Supports +, -, *, /, ** and numpy-style ops."""
+    """One value on the tape.  Supports +, -, *, /, ** (constant exponent) and
+    numpy-style ops."""
 
     __slots__ = ("value", "parents", "_grad")
 
@@ -103,9 +104,6 @@ class Node:
 
     def __pow__(self, other):
         return power(self, other)
-
-    def __rpow__(self, other):
-        return power(other, self)
 
     def __getitem__(self, idx):
         def vjp(g, idx=idx, shape=self.value.shape):
@@ -188,13 +186,13 @@ def div(a, b):
 
 
 def power(a, b):
-    av, bv = _value_of(a), _value_of(b)
+    """``a ** b`` for a node ``a`` and a constant exponent ``b``."""
+    if isinstance(b, Node):
+        raise UnsupportedOperationError("a tape node as exponent is not supported")
+    av, bv = a.value, np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         val = _check_finite(av**bv, "pow")
-    return Node(val, _links(
-        (a, lambda g: _unbroadcast(g * bv * av ** (bv - 1), av.shape)),
-        (b, lambda g: _unbroadcast(g * val * np.log(av), bv.shape)),
-    ))
+    return Node(val, ((a, lambda g: _unbroadcast(g * bv * av ** (bv - 1), av.shape)),))
 
 
 def exp(x):
@@ -219,13 +217,6 @@ def sqrt(x):
     with np.errstate(invalid="ignore"):
         val = _check_finite(np.sqrt(x.value), "sqrt")
     return Node(val, ((x, lambda g: g * 0.5 / val),))
-
-
-def tanh(x):
-    if _is_const(x):
-        return np.tanh(x)
-    val = _check_finite(np.tanh(x.value), "tanh")
-    return Node(val, ((x, lambda g: g * (1.0 - val**2)),))
 
 
 def _sigmoid_np(x, e):

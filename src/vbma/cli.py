@@ -135,24 +135,24 @@ def build_ensemble(settings):
     study = settings["study"]
     name = study.get("name")
     if name:
-        if name == "crime":
-            try:
+        try:
+            if name == "crime":
                 return studies.crime_study(
                     train_fraction=_get(study, "train_fraction", 1.0, float),
                     split_seed=_get(study, "split_seed", 0, int),
                     g=_get(study, "g", None, float),
                 )
-            except ValueError as err:
-                raise CliError(str(err))
-        if name == "heart":
-            return studies.heart_study(prior_sd=_get(study, "prior_sd", 10.0, float))
-        if name == "gp":
-            return studies.gp_study(
-                grid_size=_get(study, "grid_size", 20, int),
-                n_test=_get(study, "n_test", 100, int),
-                seed=_get(study, "data_seed", 0, int),
-                offset_sds=_get(study, "offset_sds", 2.0, float),
-            )
+            if name == "heart":
+                return studies.heart_study(prior_sd=_get(study, "prior_sd", 10.0, float))
+            if name == "gp":
+                return studies.gp_study(
+                    grid_size=_get(study, "grid_size", 20, int),
+                    n_test=_get(study, "n_test", 100, int),
+                    seed=_get(study, "data_seed", 0, int),
+                    offset_sds=_get(study, "offset_sds", 2.0, float),
+                )
+        except ValueError as err:  # a study setting out of range
+            raise CliError(str(err))
         raise CliError(f"unknown study '{name}' (expected crime, heart, or gp)")
 
     data = settings["data"]

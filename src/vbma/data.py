@@ -161,18 +161,22 @@ def split_mask(n, fraction, seed):
         raise ValueError(f"train_fraction must be in (0, 1], got {fraction}")
     if fraction == 1:
         return np.ones(n, dtype=bool)
-    rng = np.random.default_rng(seed)
     n_train = int(round(fraction * n))
+    if not n_train:
+        raise ValueError(f"train_fraction {fraction} leaves no training rows out of {n}")
+    rng = np.random.default_rng(seed)
     mask = np.zeros(n, dtype=bool)
     mask[rng.permutation(n)[:n_train]] = True
     return mask
 
 
-def sq_exp_kernel(coords, eta, nu1, nu2):
-    """Squared-exponential kernel on 2-d inputs with per-axis ranges."""
+def sq_exp_kernel(coords, eta, nu1, nu2, other=None):
+    """Squared-exponential kernel on 2-d inputs with per-axis ranges, between
+    the rows of ``coords`` and those of ``other`` (default: ``coords``)."""
     coords = np.asarray(coords, dtype=float)
-    d1 = coords[:, 0][:, None] - coords[:, 0][None, :]
-    d2 = coords[:, 1][:, None] - coords[:, 1][None, :]
+    other = coords if other is None else np.asarray(other, dtype=float)
+    d1 = coords[:, 0][:, None] - other[:, 0][None, :]
+    d2 = coords[:, 1][:, None] - other[:, 1][None, :]
     return eta**2 * np.exp(-(d1**2) / (2.0 * nu1**2) - (d2**2) / (2.0 * nu2**2))
 
 

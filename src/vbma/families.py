@@ -159,10 +159,11 @@ def log_q(state: VariationalState, theta):
     if np.any((m > 0) & (theta_vals <= 0)):
         raise ValueError("log-normal coordinate requires strictly positive theta")
     var = ad.softplus(state.raw_scale)
-    # on log scale for log-normal coordinates; identity for normal ones
-    x = theta * (1.0 - m) + m * ad.log(theta * m + (1.0 - m))
+    # log theta on log-normal coordinates, exactly 0 on normal ones
+    log_theta = ad.log(theta * m + (1.0 - m))
+    x = theta * (1.0 - m) + log_theta  # the coordinates on their normal scale
     quad = (x - state.mu) ** 2 / var
-    jac = ad.vsum(ad.log(theta * m + (1.0 - m)) * m, axis=-1)  # -log(theta) terms
+    jac = ad.vsum(log_theta, axis=-1)  # -log(theta) terms
     terms = np.log(2.0 * np.pi) + np.log(var) + quad
     if state.mask is not None:
         terms = terms * state.mask

@@ -34,6 +34,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from . import autodiff as ad
+from .data import sq_exp_kernel
 from .families import FamilyTag
 
 LOG2PI = np.log(2.0 * np.pi)
@@ -322,11 +323,13 @@ class GPModel(Model):
     inputs; the latent surface is marginalized analytically.
 
     ``free_mean=True`` adds a mean coefficient with a normal prior; otherwise
-    the mean is fixed at ``mean_offset``.  Positive parameters (scale, the two
-    correlation ranges, noise sd) carry log-normal priors.
+    the mean is fixed at ``mean_offset``.  The positive hyperparameters
+    h = (eta, nu1, nu2, sigma) (scale, the two correlation ranges, noise sd)
+    are the last four coordinates and carry log-normal priors.
     """
 
     BASE_JITTER = 1e-6  # relative to eta^2
+    HYPER = ("eta", "nu1", "nu2", "sigma")
 
     def __init__(self, coords, y, free_mean=True, mean_offset=0.0,
                  mean_prior=(0.0, 1.0), lognormal_priors=None,
@@ -337,42 +340,35 @@ class GPModel(Model):
         self.free_mean = bool(free_mean)
         self.mean_offset = float(mean_offset)
         self.mean_prior = mean_prior
-        # (location, sd) of log-normal priors on (eta, nu1, nu2, sigma)
+        # (location, sd) of log-normal priors on h, by name and as two arrays
         defaults = {"eta": (0.0, 1.0), "nu1": (1.0, 1.0), "nu2": (1.0, 1.0), "sigma": (0.0, 1.0)}
         self.lognormal_priors = {**defaults, **(lognormal_priors or {})}
+        self._loc, self._sd = np.array([self.lognormal_priors[k] for k in self.HYPER]).T
         self.name = name
         self.prior_weight = prior_weight
-        blocks = []
-        if self.free_mean:
-            blocks.append(ParamBlock("beta", 1, FamilyTag.NORMAL))
-        for pname in ("eta", "nu1", "nu2", "sigma"):
-            blocks.append(ParamBlock(pname, 1, FamilyTag.LOGNORMAL))
+        blocks = [ParamBlock("beta", 1, FamilyTag.NORMAL)] if self.free_mean else []
+        blocks += [ParamBlock(k, 1, FamilyTag.LOGNORMAL) for k in self.HYPER]
         self.layout = ParamLayout(blocks)
         d1 = self.coords[:, 0][:, None] - self.coords[:, 0][None, :]
         d2 = self.coords[:, 1][:, None] - self.coords[:, 1][None, :]
         self._d1sq = d1**2
         self._d2sq = d2**2
 
-    def _unpack(self, theta):
-        vals = {}
-        for b in self.layout.blocks:
-            vals[b.name] = theta[self.layout.slice(b.name)][0]
-        if not self.free_mean:
-            vals["beta"] = self.mean_offset
-        return vals
+    def _split(self, theta):
+        """The mean (``theta[0]`` or the fixed offset) and h = ``theta[-4:]``."""
+        return (theta[0] if self.free_mean else self.mean_offset), theta[-4:]
 
-    def _kernel(self, eta, nu1, nu2, sigma, jitter_scale=1.0):
+    def _kernel(self, h, jitter_scale=1.0):
         """Training covariance K = eta^2 (base + jitter I) + sigma^2 I, with
         base = exp(-d1^2 / 2 nu1^2 - d2^2 / 2 nu2^2) and the jitter relative
         to eta^2.
 
-        The hyperparameters are floats or tape nodes.  With nodes, K is one
-        tape node linked to each of them: its vjp maps G = df/dK to
-        tr(G dK/dtheta) in closed form (Rasmussen & Williams 2006, sec. 5.4.1),
-        so no n x n operation is recorded.  Without nodes, K is an array.
+        ``h`` is an array or a tape node.  For a node, K is one tape node
+        linked to h: its vjp maps G = df/dK to the 4-vector tr(G dK/dh) in
+        closed form (Rasmussen & Williams 2006, sec. 5.4.1), so no n x n
+        operation is recorded.  For an array, K is an array.
         """
-        e, a, b, s = (np.float64(x.value if isinstance(x, ad.Node) else x)
-                      for x in (eta, nu1, nu2, sigma))
+        e, a, b, s = h.value if isinstance(h, ad.Node) else h
         jitter = self.BASE_JITTER * jitter_scale
         with np.errstate(all="ignore"):  # one finiteness check on K below
             base = np.exp(self._d1sq * (-0.5 / a**2) + self._d2sq * (-0.5 / b**2))
@@ -380,69 +376,59 @@ class GPModel(Model):
             K.flat[:: self.n + 1] += s**2 + jitter * e**2
         if not np.isfinite(K).all():
             raise ad.NonFiniteValueError("gp_kernel")
-        # <A, B> by einsum, not np.vdot: numpy's BLAS threads its ddot at n^2
-        # elements and then contends with the threads of scipy's LAPACK
-        inner = functools.partial(np.einsum, "ij,ij->")
-        links = tuple(pair for pair in (
-            (eta, lambda G: 2.0 * e * (inner(G, base) + jitter * np.trace(G))),
-            (nu1, lambda G: e**2 / a**3 * inner(G * base, self._d1sq)),
-            (nu2, lambda G: e**2 / b**3 * inner(G * base, self._d2sq)),
-            (sigma, lambda G: 2.0 * s * np.trace(G)),
-        ) if isinstance(pair[0], ad.Node))
-        return ad.Node(K, links) if links else K
+        if not isinstance(h, ad.Node):
+            return K
+
+        def vjp(G):
+            # <A, B> by einsum, not np.vdot: numpy's BLAS threads its ddot at
+            # n^2 elements and then contends with the threads of scipy's LAPACK
+            Gb, tr = G * base, np.trace(G)
+            return np.array([
+                2.0 * e * (Gb.sum() + jitter * tr),
+                e**2 / a**3 * np.einsum("ij,ij->", Gb, self._d1sq),
+                e**2 / b**3 * np.einsum("ij,ij->", Gb, self._d2sq),
+                2.0 * s * tr,
+            ])
+
+        return ad.Node(K, ((h, vjp),))
 
     def log_lik(self, theta):
-        v = self._unpack(theta)
-        hyper = tuple(v[k] for k in ("eta", "nu1", "nu2", "sigma"))
-        resid = -(v["beta"] - self.y)  # y - beta, keeping node broadcasting simple
+        beta, h = self._split(theta)
+        resid = -(beta - self.y)  # y - beta, keeping node broadcasting simple
         scale = 1.0
         for _ in range(4):  # base jitter, then up to 3 decades of escalation
             try:
-                return ad.gaussian_spd_logpdf(resid, self._kernel(*hyper, jitter_scale=scale))
+                return ad.gaussian_spd_logpdf(resid, self._kernel(h, jitter_scale=scale))
             except np.linalg.LinAlgError:
                 scale *= 10.0
-        values = [float(x.value if isinstance(x, ad.Node) else x) for x in hyper]
-        min_eig = float(np.linalg.eigvalsh(self._kernel(*values)).min())
+        h = h.value if isinstance(h, ad.Node) else h
+        min_eig = float(np.linalg.eigvalsh(self._kernel(h)).min())
         raise ConditioningError(
             f"kernel matrix not positive definite after jitter escalation "
-            f"(min eigenvalue ~ {min_eig:.3e}, eta={values[0]:.3g})"
+            f"(min eigenvalue ~ {min_eig:.3e}, eta={h[0]:.3g})"
         )
 
     def log_prior(self, theta):
-        v = self._unpack(theta)
-        out = 0.0
+        beta, h = self._split(theta)
+        log_h = ad.log(h)  # log-normal density: normal in log h, minus log h
+        out = -ad.vsum(log_h + 0.5 * (LOG2PI + 2.0 * np.log(self._sd)
+                                      + (log_h - self._loc) ** 2 / self._sd**2))
         if self.free_mean:
             m0, s0 = self.mean_prior
-            out = out - 0.5 * (LOG2PI + 2.0 * np.log(s0) + (v["beta"] - m0) ** 2 / s0**2)
-        for pname in ("eta", "nu1", "nu2", "sigma"):
-            loc, sd = self.lognormal_priors[pname]
-            x = v[pname]
-            out = out - ad.log(x) - 0.5 * (
-                LOG2PI + 2.0 * np.log(sd) + (ad.log(x) - loc) ** 2 / sd**2
-            )
+            out = out - 0.5 * (LOG2PI + 2.0 * np.log(s0) + (beta - m0) ** 2 / s0**2)
         return out
 
     def sample_prior(self, rng):
-        theta = []
-        if self.free_mean:
-            m0, s0 = self.mean_prior
-            theta.append(rng.normal(m0, s0))
-        for pname in ("eta", "nu1", "nu2", "sigma"):
-            loc, sd = self.lognormal_priors[pname]
-            theta.append(np.exp(rng.normal(loc, sd)))
-        return np.array(theta)
+        mean = [rng.normal(*self.mean_prior)] if self.free_mean else []
+        return np.concatenate([mean, np.exp(rng.normal(self._loc, self._sd))])
 
     def predict_dist(self, theta, coords_new):
         """Conditional mean and (diagonal) variance at new inputs."""
-        theta = np.asarray(theta, dtype=float)
-        v = self._unpack(theta)
-        beta, eta, nu1, nu2, sigma = (float(v[k]) for k in ("beta", "eta", "nu1", "nu2", "sigma"))
-        L = cholesky(self._kernel(eta, nu1, nu2, sigma), lower=True, overwrite_a=True,
-                     check_finite=False)
-        coords_new = np.atleast_2d(np.asarray(coords_new, dtype=float))
-        d1 = self.coords[:, 0][:, None] - coords_new[:, 0][None, :]
-        d2 = self.coords[:, 1][:, None] - coords_new[:, 1][None, :]
-        ks = eta**2 * np.exp(-(d1**2) / (2 * nu1**2) - (d2**2) / (2 * nu2**2))
+        beta, h = self._split(np.asarray(theta, dtype=float))
+        eta, nu1, nu2, sigma = h
+        L = cholesky(self._kernel(h), lower=True, overwrite_a=True, check_finite=False)
+        ks = sq_exp_kernel(self.coords, eta, nu1, nu2,
+                           other=np.atleast_2d(np.asarray(coords_new, dtype=float)))
         alpha = cho_solve((L, True), self.y - beta, check_finite=False)
         mean = beta + ks.T @ alpha
         w = solve_triangular(L, ks, lower=True, check_finite=False)

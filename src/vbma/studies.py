@@ -66,8 +66,12 @@ def gp_study(grid_size=20, n_test=100, seed=0, offset_sds=2.0, **truth):
 
     The first candidate estimates its constant mean (matching how the data
     were generated); the second fixes the mean at an offset of ``offset_sds``
-    sample standard deviations, a deliberately misspecified variant.
+    sample standard deviations, a deliberately misspecified variant.  The
+    offset needs the sample sd of at least two training rows.
     """
+    if not 0 <= n_test <= max(grid_size, 0) ** 2 - 2:
+        raise ValueError(f"gp study needs 0 <= n_test <= grid_size**2 - 2 (two training "
+                         f"rows), got n_test={n_test}, grid_size={grid_size}")
     ds = data_io.synth_gp_dataset(grid_size=grid_size, n_test=n_test,
                                   seed=seed, **truth)
     coords = np.column_stack([ds.column("x1", "train"), ds.column("x2", "train")])

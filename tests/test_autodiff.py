@@ -25,7 +25,7 @@ def test_grad_of_quadratic_matches_closed_form():
 @settings(max_examples=40, deadline=None)
 def test_elementary_chain_matches_finite_differences(x):
     def f(v):
-        return ad.vsum(ad.exp(-(v**2) / 4.0) + ad.tanh(v) * 0.3 + ad.softplus(v))
+        return ad.vsum(ad.exp(-(v**2) / 4.0) + ad.sigmoid(v) * 0.3 + ad.softplus(v))
 
     assert ad.finite_diff_check(f, x, h=1e-5) < 1e-4
 
@@ -216,6 +216,10 @@ def test_unsupported_operations_raise():
         x // 2
     with pytest.raises(ad.UnsupportedOperationError):
         x % 2
+    with pytest.raises(ad.UnsupportedOperationError):
+        x ** x  # only constant exponents are differentiated
+    with pytest.raises(TypeError):
+        2.0 ** x
     with pytest.raises(TypeError):
         np.sin(x)  # numpy ufuncs are rejected, not silently wrapped
 

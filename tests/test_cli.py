@@ -318,7 +318,7 @@ def test_bad_mc_sample_counts_are_usage_errors(logistic_fit_dir, capsys, argv):
 
 
 @pytest.mark.parametrize("section", ["study", "data"])
-@pytest.mark.parametrize("fraction", ["0", "1.5"])
+@pytest.mark.parametrize("fraction", ["0", "1.5", "0.01"])
 def test_out_of_range_train_fraction_is_usage_error(tmp_path, capsys, section, fraction):
     cfg = tmp_path / "split.ini"
     if section == "study":
@@ -329,8 +329,22 @@ def test_out_of_range_train_fraction_is_usage_error(tmp_path, capsys, section, f
                        "predictors = M\n")
     out = tmp_path / "out"
     assert run_cli(["fit", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: train_fraction must be in (0, 1], got {float(fraction)}")
+    want = ("train_fraction 0.01 leaves no training rows out of 47" if fraction == "0.01"
+            else f"train_fraction must be in (0, 1], got {float(fraction)}")
+    assert capsys.readouterr().err.startswith(f"error: {want}")
+    assert not (out / "weights.csv").exists()
+
+
+@pytest.mark.parametrize("keys", [
+    "grid_size = 5\nn_test = 25", "grid_size = 5\nn_test = 100", "grid_size = 5\nn_test = 24",
+    "grid_size = 0", "grid_size = 5\nn_test = -3",
+], ids=["none-left", "more-than-grid", "one-left", "empty-grid", "negative"])
+def test_gp_study_needs_two_training_rows(tmp_path, capsys, keys):
+    cfg = tmp_path / "gp.ini"
+    cfg.write_text(f"[study]\nname = gp\n{keys}\n")
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: gp study needs 0 <= n_test <= ")
     assert not (out / "weights.csv").exists()
 
 

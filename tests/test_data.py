@@ -128,6 +128,9 @@ def test_split_mask_edge_fractions():
     for fraction in (0.0, 1.5):
         with pytest.raises(ValueError, match="train_fraction"):
             data_io.split_mask(10, fraction, 0)
+    assert data_io.split_mask(10, 0.06, 0).sum() == 1  # round(0.6) rows
+    with pytest.raises(ValueError, match=r"train_fraction 0.04 leaves no training rows out of 10"):
+        data_io.split_mask(10, 0.04, 0)
 
 
 # -- synthetic lattice surface ------------------------------------------------

@@ -226,6 +226,23 @@ def gp_model():
     return GPModel(coords, ds.y(), free_mean=True)
 
 
+@pytest.fixture(scope="module")
+def gp_pair(gp_model):
+    fixed = GPModel(gp_model.coords, gp_model.y, free_mean=False, mean_offset=1.5)
+    return gp_model, fixed
+
+
+@pytest.fixture(scope="module")
+def gp_custom_prior(gp_model):
+    return GPModel(gp_model.coords, gp_model.y, mean_prior=(0.5, 2.0),
+                   lognormal_priors={"nu1": (2.0, 0.5), "sigma": (-1.0, 0.3)})
+
+
+def gp_theta(m, theta):
+    """``theta`` = (beta, eta, nu1, nu2, sigma) on ``m``'s layout."""
+    return theta if m.free_mean else theta[1:]
+
+
 def test_gp_log_lik_matches_scipy(gp_model):
     m = gp_model
     theta = np.array([0.3, 1.1, 2.5, 2.0, 0.5])  # beta, eta, nu1, nu2, sigma
@@ -235,40 +252,66 @@ def test_gp_log_lik_matches_scipy(gp_model):
     assert as_float(m.log_lik(theta)) == pytest.approx(ref, abs=1e-8)
 
 
-def test_gp_log_prior_matches_scipy(gp_model):
-    theta = np.array([0.3, 1.1, 2.5, 2.0, 0.5])
-    ref = stats.norm(0, 1).logpdf(0.3)
-    for val, (loc, sd) in zip(theta[1:], [(0, 1), (1, 1), (1, 1), (0, 1)]):
-        ref += stats.lognorm(s=sd, scale=np.exp(loc)).logpdf(val)
-    assert as_float(gp_model.log_prior(theta)) == pytest.approx(ref, abs=1e-9)
+def test_gp_log_prior_matches_scipy(gp_pair, gp_custom_prior):
+    priors = [(0, 1), (1, 1), (1, 1), (0, 1)]
+    for m, mean_prior, hyper_priors in [
+        (gp_pair[0], (0, 1), priors),
+        (gp_pair[1], None, priors),
+        (gp_custom_prior, (0.5, 2.0), [(0, 1), (2.0, 0.5), (1, 1), (-1.0, 0.3)]),
+    ]:
+        theta = gp_theta(m, np.array([0.3, 1.1, 2.5, 2.0, 0.5]))
+        ref = stats.norm(*mean_prior).logpdf(0.3) if mean_prior else 0.0
+        for val, (loc, sd) in zip(theta[-4:], hyper_priors):
+            ref += stats.lognorm(s=sd, scale=np.exp(loc)).logpdf(val)
+        assert as_float(m.log_prior(theta)) == pytest.approx(ref, abs=1e-9)
 
 
-def test_gp_gradient_matches_fd(gp_model):
-    theta0 = np.array([0.1, 0.9, 2.0, 3.0, 0.6])
-    assert ad.finite_diff_check(gp_model.log_joint, theta0, h=1e-5) < 1e-4
+def test_gp_gradient_matches_fd(gp_pair):
+    for m in gp_pair:
+        theta0 = gp_theta(m, np.array([0.1, 0.9, 2.0, 3.0, 0.6]))
+        assert ad.finite_diff_check(m.log_joint, theta0, h=1e-5) < 1e-4
+
+
+def test_gp_sample_prior_draws_as_a_per_parameter_loop(gp_pair, gp_custom_prior):
+    # MC evidence relies on this order of draws: the mean, then eta, nu1,
+    # nu2 and sigma, one normal each
+    for m in (*gp_pair, gp_custom_prior):
+        r, r_loop = rng(), rng()
+        for _ in range(5):
+            want = [r_loop.normal(*m.mean_prior)] if m.free_mean else []
+            for name in ("eta", "nu1", "nu2", "sigma"):
+                loc, sd = m.lognormal_priors[name]
+                want.append(np.exp(r_loop.normal(loc, sd)))
+            assert np.array_equal(m.sample_prior(r), np.array(want))
 
 
 def tape_kernel_log_joint(m, theta):
-    """``m.log_joint`` with K built from recorded elementwise tape operations,
-    as GPModel did before its kernel became one tape node: the oracle for the
-    kernel's closed-form vjp.  Same jitter ladder as ``GPModel.log_lik``."""
-    v = m._unpack(theta)
-    resid = -(v["beta"] - m.y)
+    """``m.log_joint`` as recorded elementwise tape operations, one
+    hyperparameter at a time, as GPModel computed it before its kernel became
+    one tape node: the oracle for the kernel's closed-form vjp and for the
+    vectorized prior.  It indexes ``theta`` itself; same jitter ladder as
+    ``GPModel.log_lik``."""
+    beta = theta[0] if m.free_mean else m.mean_offset
+    hyper = {name: theta[i] for i, name in zip(range(-4, 0), ("eta", "nu1", "nu2", "sigma"))}
+    prior = 0.0
+    if m.free_mean:
+        m0, s0 = m.mean_prior
+        prior = prior - 0.5 * (np.log(2 * np.pi) + 2.0 * np.log(s0) + (beta - m0) ** 2 / s0**2)
+    for name, x in hyper.items():
+        loc, sd = m.lognormal_priors[name]
+        prior = prior - ad.log(x) - 0.5 * (
+            np.log(2 * np.pi) + 2.0 * np.log(sd) + (ad.log(x) - loc) ** 2 / sd**2)
+    eta, nu1, nu2, sigma = hyper.values()
+    resid = -(beta - m.y)
     for scale in (1.0, 10.0, 100.0, 1000.0):
-        base = ad.exp(m._d1sq * (-0.5 / v["nu1"] ** 2) + m._d2sq * (-0.5 / v["nu2"] ** 2))
+        base = ad.exp(m._d1sq * (-0.5 / nu1**2) + m._d2sq * (-0.5 / nu2**2))
         jitter = m.BASE_JITTER * scale
-        K = v["eta"] ** 2 * base + (v["sigma"] ** 2 + jitter * v["eta"] ** 2) * np.eye(m.n)
+        K = eta**2 * base + (sigma**2 + jitter * eta**2) * np.eye(m.n)
         try:
-            return ad.gaussian_spd_logpdf(resid, K) + m.log_prior(theta)
+            return ad.gaussian_spd_logpdf(resid, K) + prior
         except np.linalg.LinAlgError:
             pass
     raise ConditioningError("oracle: kernel not positive definite")
-
-
-@pytest.fixture(scope="module")
-def gp_pair(gp_model):
-    fixed = GPModel(gp_model.coords, gp_model.y, free_mean=False, mean_offset=1.5)
-    return gp_model, fixed
 
 
 def assert_matches_tape_kernel(m, theta):
