@@ -10,7 +10,8 @@ recorded, so the sweep computes no gradient that nothing reads.  The
 supported operation set is deliberately small: the elementwise arithmetic and
 link functions needed by log-density models, plus the reductions (sum, dot)
 and one multivariate-normal primitive needed to express Gaussian-process
-marginals efficiently.
+marginals efficiently.  A model that knows its gradients in closed form
+enters the tape as one node through :func:`closed_form`.
 
 Tapes are single-use and confined to the thread that built them; there is no
 shared mutable state between evaluations.
@@ -314,6 +315,20 @@ def gaussian_spd_logpdf(resid, cov):
         return g * 0.5 * (np.outer(alpha, alpha) - Kinv)
 
     return Node(val, _links((resid, vjp_r), (cov, vjp_K)))
+
+
+def closed_form(x, values, grads, op):
+    """A row objective whose values and gradients were computed off the
+    tape, as one node linked to ``x``.
+
+    ``values`` has shape ``x.shape[:-1]`` and ``grads`` the shape of ``x``:
+    row r of ``grads`` is the gradient of ``values[r]`` with respect to row
+    r of ``x``.  The values and the gradients are each checked once for
+    finiteness, and a non-finite entry raises ``NonFiniteValueError(op)``.
+    """
+    _check_finite(values, op)
+    _check_finite(grads, op)
+    return Node(values, ((x, lambda g: g[..., None] * grads),))
 
 
 # -- reverse sweep ----------------------------------------------------------

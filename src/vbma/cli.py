@@ -419,7 +419,8 @@ def cmd_coverage(args):
 
 def cmd_synth(args):
     if args.kind == "gp":
-        ds = data_io.synth_gp_dataset(grid_size=args.grid_size, seed=args.seed or 0)
+        # every row is written, so none is held out
+        ds = data_io.synth_gp_dataset(grid_size=args.grid_size, seed=args.seed or 0, n_test=0)
         cols = {name: ds.columns[name] for name in ("x1", "x2", "y")}
         comment = (f"synthetic lattice surface: grid={args.grid_size} "
                    f"seed={args.seed or 0}")

@@ -184,8 +184,10 @@ def synth_gp_dataset(grid_size=20, beta=0.0, eta=1.0, nu1=3.0, nu2=3.0, sigma=0.
                      seed=0, n_test=100, jitter=1e-8):
     """Draw a surface from a constant-mean GP on an integer lattice.
 
-    The test set is a contiguous frontier region (the trailing rows of the
-    lattice), mimicking extrapolation beyond the training domain.
+    The test set is a contiguous frontier region (the trailing ``n_test``
+    rows of the lattice, 0 <= n_test <= grid_size**2), mimicking
+    extrapolation beyond the training domain.  The surface is drawn before
+    the split, so ``n_test`` does not change ``y``.
     """
     for name, v in (("eta", eta), ("nu1", nu1), ("nu2", nu2)):
         if v <= 0:
@@ -193,6 +195,8 @@ def synth_gp_dataset(grid_size=20, beta=0.0, eta=1.0, nu1=3.0, nu2=3.0, sigma=0.
     g1, g2 = np.meshgrid(np.arange(grid_size), np.arange(grid_size), indexing="ij")
     coords = np.column_stack([g1.ravel(), g2.ravel()]).astype(float)
     n = coords.shape[0]
+    if not 0 <= n_test <= n:
+        raise ValueError(f"n_test must be in 0 ... {n} (grid_size**2), got {n_test}")
     K = sq_exp_kernel(coords, eta, nu1, nu2) + (sigma**2 + jitter) * np.eye(n)
     rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(K)

@@ -150,24 +150,35 @@ def log_q(state: VariationalState, theta):
     ``theta`` is one vector ``(dim,)`` or a block ``(..., dim)`` such as
     ``(S, dim)``, or ``(K, S, D)`` for a ``StackedState``, giving one value
     per row.  Variational parameters enter as constants; differentiate
-    through ``theta``.
+    through ``theta``.  The values and their gradients in ``theta`` are
+    computed in closed form: a node ``theta`` gives one node
+    (``ad.closed_form``), an array gives an array.
     """
-    theta_vals = theta.value if isinstance(theta, ad.Node) else np.asarray(theta, dtype=float)
-    if np.shape(theta_vals)[-1] != state.dim:
+    t = theta.value if isinstance(theta, ad.Node) else np.asarray(theta, dtype=float)
+    if np.shape(t)[-1] != state.dim:
         raise ValueError("theta has wrong length for this state")
     m = state.lognormal_mask
-    if np.any((m > 0) & (theta_vals <= 0)):
+    if ((m > 0) & (t <= 0)).any():
         raise ValueError("log-normal coordinate requires strictly positive theta")
     var = ad.softplus(state.raw_scale)
-    # log theta on log-normal coordinates, exactly 0 on normal ones
-    log_theta = ad.log(theta * m + (1.0 - m))
-    x = theta * (1.0 - m) + log_theta  # the coordinates on their normal scale
-    quad = (x - state.mu) ** 2 / var
-    jac = ad.vsum(log_theta, axis=-1)  # -log(theta) terms
-    terms = np.log(2.0 * np.pi) + np.log(var) + quad
-    if state.mask is not None:
-        terms = terms * state.mask
-    return -0.5 * ad.vsum(terms, axis=-1) - jac
+    with np.errstate(all="ignore"):  # checked once, in ad.closed_form
+        # log theta on log-normal coordinates, exactly 0 on normal ones
+        scale = t * m + (1.0 - m)
+        log_theta = np.log(scale)
+        x = t * (1.0 - m) + log_theta  # the coordinates on their normal scale
+        quad = (x - state.mu) ** 2 / var
+        terms = np.log(2.0 * np.pi) + np.log(var) + quad
+        d_x = (state.mu - x) / var  # d(-quad / 2) / dx
+        if state.mask is not None:
+            terms = terms * state.mask
+            d_x = d_x * state.mask
+        val = -0.5 * terms.sum(axis=-1) - log_theta.sum(axis=-1)  # -log(theta) terms
+        if not isinstance(theta, ad.Node):
+            return val
+        # dx/dtheta is 1/theta on log-normal coordinates, where the Jacobian
+        # term adds -1/theta; 1 and 0 on normal ones
+        grads = (d_x - m) / scale
+    return ad.closed_form(theta, val, grads, "log_q")
 
 
 def reparam_jacobian(state: VariationalState, z, theta):

@@ -9,7 +9,12 @@ plain array or an autodiff node, a vectorized predictive simulator, and a
 prior model weight.  A model whose class sets ``supports_blocks`` evaluates
 its log densities over the last axis and broadcasts over any leading axes, so
 one call takes a single ``(d,)`` parameter vector, an ``(S, d)`` block of S
-draws or a ``(K, S, d)`` block and returns one value per row.  The subset
+draws or a ``(K, S, d)`` block and returns one value per row.  The linear
+and logistic models compute ``log_lik`` and ``log_prior`` and their
+gradients in closed form, in numpy: a tape node gives one node
+(``ad.closed_form``), an array gives an array.  The normal-mean and GP
+models record their densities on the tape (the GP's kernel matrix as one
+node with closed-form vjps), as user models do.  The subset
 builders return a ``SubsetEnsemble``: the K members as a list, plus one
 stacked model on the members' shared, padded layout that evaluates all of
 them at once, and the ``(K, D)`` mask of each member's coordinates in that
@@ -176,6 +181,11 @@ class GaussianMeanModel(Model):
         return mean + rng.normal(0.0, self.obs_sd, mean.shape) if noise else mean
 
 
+def _values(theta):
+    """The array under ``theta``, a tape node or an array."""
+    return theta.value if isinstance(theta, ad.Node) else np.asarray(theta, dtype=float)
+
+
 def _linear_predictor(thetas, X, columns):
     """(T, m) values of beta0 + x'beta, with beta = thetas[:, 1:1+p] and x the
     ``columns`` of each row of ``X``."""
@@ -189,6 +199,7 @@ class LinRegModel(Model):
 
     Priors: phi ~ 1/phi, flat intercept, slopes ~ N(0, g (X'X)^-1 / phi).
     The design matrix must be centered (intercept handled separately).
+    ``log_lik`` and ``log_prior`` are closed forms, each one tape node.
     ``inputs`` names the columns of the rows given to ``draw_predictive``
     (default: ``predictors``); the model picks its predictors from them.
     """
@@ -229,33 +240,48 @@ class LinRegModel(Model):
     def coefficient_names(self):
         return self.predictors
 
-    def _unpack(self, theta):
-        """beta0 (..., 1), beta (..., p) or None, and phi (...) from theta (..., d)."""
-        beta0 = theta[..., self.layout.slice("beta0")]
-        phi = theta[..., self.layout.slice("phi").start]
-        beta = theta[..., self.layout.slice("beta")] if self.X.shape[1] else None
+    def _unpack(self, t):
+        """beta0 (..., 1), beta (..., p) or None, and phi (...) from an array (..., d)."""
+        beta0 = t[..., self.layout.slice("beta0")]
+        phi = t[..., self.layout.slice("phi").start]
+        beta = t[..., self.layout.slice("beta")] if self.X.shape[1] else None
         return beta0, beta, phi
 
     def log_lik(self, theta):
-        beta0, beta, phi = self._unpack(theta)
-        mean = beta0 if beta is None else beta0 + ad.dot(beta, self.X.T)
-        resid = self.y - mean
-        ssq = ad.vsum(resid**2, axis=-1)
-        return 0.5 * self.n * (ad.log(phi) - LOG2PI) - 0.5 * phi * ssq
+        beta0, beta, phi = self._unpack(_values(theta))
+        with np.errstate(all="ignore"):  # checked once, in ad.closed_form
+            resid = self.y - (beta0 if beta is None else beta0 + beta @ self.X.T)
+            ssq = (resid**2).sum(axis=-1)
+            val = 0.5 * self.n * (np.log(phi) - LOG2PI) - 0.5 * phi * ssq
+            if not isinstance(theta, ad.Node):
+                return val
+            d_mean = phi[..., None] * resid  # d val / d (beta0 + x'beta)
+            grads = np.concatenate([d_mean.sum(axis=-1, keepdims=True), d_mean @ self.X,
+                                    (0.5 * self.n / phi - 0.5 * ssq)[..., None]], axis=-1)
+        return ad.closed_form(theta, val, grads, "linreg_log_lik")
 
     def log_prior(self, theta):
-        beta0, beta, phi = self._unpack(theta)
-        out = -ad.log(phi)  # phi ~ 1/phi; flat intercept contributes 0
-        if beta is not None:
-            quad = ad.vsum(beta * ad.dot(beta, self.xtx), axis=-1)
-            out = out + (
-                -0.5 * self.p * LOG2PI
-                + 0.5 * self.p * ad.log(phi)
-                - 0.5 * self.p * np.log(self.g)
-                + 0.5 * self.logdet_xtx
-                - 0.5 * phi / self.g * quad
-            )
-        return out
+        t = _values(theta)
+        _, beta, phi = self._unpack(t)
+        with np.errstate(all="ignore"):  # checked once, in ad.closed_form
+            val = -np.log(phi)  # phi ~ 1/phi; flat intercept contributes 0
+            grads = np.zeros(t.shape)  # on the layout [beta0, beta, phi]
+            grads[..., -1] = -1.0 / phi
+            if beta is not None:
+                b_xtx = beta @ self.xtx  # X'X is symmetric
+                quad = (beta * b_xtx).sum(axis=-1)
+                val = val + (
+                    -0.5 * self.p * LOG2PI
+                    + 0.5 * self.p * np.log(phi)
+                    - 0.5 * self.p * np.log(self.g)
+                    + 0.5 * self.logdet_xtx
+                    - 0.5 * phi / self.g * quad
+                )
+                grads[..., 1:-1] = (-phi / self.g)[..., None] * b_xtx
+                grads[..., -1] += 0.5 * self.p / phi - 0.5 / self.g * quad
+        if not isinstance(theta, ad.Node):
+            return val
+        return ad.closed_form(theta, val, grads, "linreg_log_prior")
 
     def draw_predictive(self, thetas, X, rng, noise=True):
         mean = _linear_predictor(thetas, X, self._columns)
@@ -268,6 +294,7 @@ class LinRegModel(Model):
 class LogisticModel(Model):
     """Bernoulli regression with logit link and independent normal priors.
 
+    ``log_lik`` and ``log_prior`` are closed forms, each one tape node.
     ``inputs`` is as for ``LinRegModel``.
     """
 
@@ -294,21 +321,31 @@ class LogisticModel(Model):
     def coefficient_names(self):
         return self.predictors
 
-    def _logits(self, theta):
-        beta0 = theta[..., 0:1]
-        if not self.X.shape[1]:
-            return beta0 * np.ones(len(self.y))
-        return beta0 + ad.dot(theta[..., 1:], self.X.T)
-
     def log_lik(self, theta):
-        a = self._logits(theta)
-        # log p(y|a) = -softplus((1-2y) a), the stable log-sigmoid form
-        return -ad.vsum(ad.softplus(self._sign * a), axis=-1)
+        t = _values(theta)
+        with np.errstate(all="ignore"):  # checked once, in ad.closed_form
+            # log p(y|a) = -softplus((1-2y) a), the stable log-sigmoid form,
+            # with one exp(-|.|) shared by softplus and its derivative sigmoid
+            s = self._sign * (t[..., 0:1] + t[..., 1:] @ self.X.T)
+            e = np.exp(-np.abs(s))
+            val = -(np.maximum(s, 0.0) + np.log1p(e)).sum(axis=-1)
+            if not isinstance(theta, ad.Node):
+                return val
+            d_logit = -self._sign * np.where(s >= 0, 1.0, e) / (1.0 + e)
+            grads = np.concatenate([d_logit.sum(axis=-1, keepdims=True), d_logit @ self.X],
+                                   axis=-1)
+        return ad.closed_form(theta, val, grads, "logistic_log_lik")
 
     def log_prior(self, theta):
+        t = _values(theta)
         d = 1 + self.p  # padding a stacked model leaves out is zero
-        ssq = ad.vsum(theta**2, axis=-1)
-        return -0.5 * (d * (LOG2PI + 2.0 * np.log(self.prior_sd)) + ssq / self.prior_sd**2)
+        with np.errstate(all="ignore"):  # checked once, in ad.closed_form
+            ssq = (t**2).sum(axis=-1)
+            val = -0.5 * (d * (LOG2PI + 2.0 * np.log(self.prior_sd)) + ssq / self.prior_sd**2)
+            if not isinstance(theta, ad.Node):
+                return val
+            grads = -t / self.prior_sd**2
+        return ad.closed_form(theta, val, grads, "logistic_log_prior")
 
     def sample_prior(self, rng):
         return rng.normal(0.0, self.prior_sd, size=self.layout.dim)

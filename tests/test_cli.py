@@ -258,6 +258,17 @@ def test_synth_generates_loadable_datasets(tmp_path):
     assert set(heart) == {"age", "sex", "trestbps", "chol", "thalach", "y"}
 
 
+def test_synth_gp_writes_every_lattice_row(tmp_path):
+    # a lattice smaller than the library's default held-out block: every
+    # row is written, as the surface drawn before any split
+    gp_csv, want_csv = tmp_path / "gp.csv", tmp_path / "want.csv"
+    assert run_cli(["synth", "--kind", "gp", "--file", str(gp_csv), "--grid-size", "5"]) == 0
+    ds = data_io.synth_gp_dataset(grid_size=5, seed=0, n_test=25)
+    data_io.write_csv(want_csv, {c: ds.columns[c] for c in ("x1", "x2", "y")})
+    rows = [line for line in gp_csv.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 26 and rows == want_csv.read_text().splitlines()
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["fit", "--config", str(tmp_path / "nope.ini")]) == 1
     bad = tmp_path / "bad.ini"

@@ -343,7 +343,7 @@ class PoleLogisticModel(_Pole, LogisticModel):
     pass
 
 
-@given(cls=st.sampled_from([PoleLinRegModel, PoleLogisticModel]), p=st.integers(1, 4),
+@given(cls=st.sampled_from([PoleLinRegModel, PoleLogisticModel]), p=st.integers(1, 6),
        n=st.integers(8, 30), S=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_stacked_pass_and_fallback_match_member_loop(cls, p, n, S, seed):
@@ -351,7 +351,7 @@ def test_stacked_pass_and_fallback_match_member_loop(cls, p, n, S, seed):
     # against each member's row loop on its masked slice, and the fallback
     # after one row raises against a hand-written member loop
     r = np.random.default_rng(seed)
-    names = tuple("abcd"[:p])
+    names = tuple("abcdef"[:p])
     cols = {c: r.uniform(0.5, 2.0) * r.standard_normal(n) for c in names}
     cols["y"] = (r.random(n) < 0.5) * 1.0 if cls is PoleLogisticModel else r.standard_normal(n)
     ds = data_io.prepare(cols, "y", center_columns=names)
@@ -375,6 +375,27 @@ def test_stacked_pass_and_fallback_match_member_loop(cls, p, n, S, seed):
         assert np.array_equal(G[k, group.own[k]], G_k) and L[k] == L_k
         assert not G[k, ~group.own[k]].any()
     assert rng.bit_generator.state == by_hand.bit_generator.state
+
+
+def test_underflowed_phi_fails_the_stacked_pass_and_each_member_is_redone():
+    # phi = exp(mu + z sd) underflows to 0 in one row: the stacked linear pass
+    # raises NonFiniteValueError (no RuntimeWarning), and the group redoes
+    # each member by the row loop on its slice of the same block
+    models = studies.crime_study()[1]
+    (group,) = core.init_state(VbmaConfig(init_var=0.05), models).groups
+    K, D = group.mask.shape
+    z = np.random.default_rng(3).standard_normal((K, 10, D)) * group.state.mask
+    z[2, 4, -1] = -1e4
+    assert families.sample(group.state, z)[2, 4, -1] == 0.0
+    with pytest.raises(ad.NonFiniteValueError):
+        estimate_grad_and_elbo(models.stacked, group.state, z)
+    rng, by_hand = np.random.default_rng(4), np.random.default_rng(4)
+    G, L = group.estimate(models, FirstDraw(z, rng), 10)
+    for k, (m, own) in enumerate(zip(models, group.mask)):
+        G_k, L_k = core._estimate_rows(m, group.member(k), z[k][:, own], by_hand)
+        assert np.array_equal(G[k, group.own[k]], G_k) and L[k] == L_k
+    assert rng.bit_generator.state == by_hand.bit_generator.state
+    assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
 
 
 def tiny_gp(seed):

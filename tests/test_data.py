@@ -176,6 +176,14 @@ def test_synth_gp_rejects_bad_hyperparameters():
         data_io.synth_gp_dataset(eta=-1.0)
 
 
+@pytest.mark.parametrize("n_test", [30, -3])
+def test_synth_gp_rejects_n_test_outside_the_lattice(n_test):
+    # a held-out block larger than the 25-row lattice wrapped, a negative
+    # one held out nothing
+    with pytest.raises(ValueError, match=rf"n_test must be in 0 \.\.\. 25 .*got {n_test}"):
+        data_io.synth_gp_dataset(grid_size=5, n_test=n_test)
+
+
 # -- bundled tables -----------------------------------------------------------
 
 

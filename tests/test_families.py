@@ -106,6 +106,41 @@ def test_log_q_gradient_in_theta_matches_fd():
     assert ad.finite_diff_check(lambda th: families.log_q(state, th), theta0, h=1e-6) < 1e-5
 
 
+def tape_log_q(state, theta):
+    """``families.log_q`` as recorded elementwise tape operations, as it was
+    computed before its closed form: the oracle for its values and
+    gradients."""
+    m = state.lognormal_mask
+    var = ad.softplus(state.raw_scale)
+    log_theta = ad.log(theta * m + (1.0 - m))
+    quad = (theta * (1.0 - m) + log_theta - state.mu) ** 2 / var
+    terms = np.log(2.0 * np.pi) + np.log(var) + quad
+    if state.mask is not None:
+        terms = terms * state.mask
+    return -0.5 * ad.vsum(terms, axis=-1) - ad.vsum(log_theta, axis=-1)
+
+
+def test_log_q_closed_form_matches_tape_on_rows_and_stacks():
+    # one row and an (S, d) block of a VariationalState, and a zero-padded
+    # (K, S, D) block of a StackedState whose mask leaves the padding out
+    tags = [FamilyTag.NORMAL, FamilyTag.LOGNORMAL, FamilyTag.NORMAL]
+    state = make_state([0.2, -0.1, 1.5], [0.5, 0.3, 2.0], tags)
+    r = np.random.default_rng(3)
+    mask = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 1]], dtype=float)[:, None]
+    lognormal = state.lognormal_mask * np.ones((3, 1, 1))
+    stacked = families.StackedState(r.standard_normal((3, 1, 3)) * mask,
+                                     r.standard_normal((3, 1, 3)), lognormal, mask)
+    for st_, z in ((state, r.standard_normal(3)), (state, r.standard_normal((6, 3))),
+                   (stacked, r.standard_normal((3, 6, 3)) * mask)):
+        theta = families.sample(st_, z)
+        val, g = ad.grad(lambda th: families.log_q(st_, th), theta)
+        want_val, want_g = ad.grad(lambda th: tape_log_q(st_, th), theta)
+        np.testing.assert_allclose(val, want_val, rtol=1e-12)
+        np.testing.assert_allclose(families.log_q(st_, theta), want_val, rtol=1e-12)
+        np.testing.assert_allclose(g, want_g, rtol=1e-12, atol=1e-12 * np.abs(want_g).max())
+    assert not g[np.broadcast_to(mask == 0, g.shape)].any()  # nothing on the padding
+
+
 @given(
     st.floats(min_value=-2, max_value=2),
     st.floats(min_value=0.05, max_value=3.0),

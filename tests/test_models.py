@@ -10,6 +10,7 @@ from vbma import autodiff as ad
 from vbma import data as data_io
 from vbma.families import FamilyTag
 from vbma.models import (
+    LOG2PI,
     ConditioningError,
     DecompositionError,
     GPModel,
@@ -154,6 +155,81 @@ def test_block_log_joint_and_grad_match_rows(kind):
         np.testing.assert_allclose(vals[s], val, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(plain[s], val, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads[s], g, rtol=1e-12, atol=1e-12)
+
+
+# -- closed forms against the tape ---------------------------------------------
+
+
+def tape_log_lik(m, theta):
+    """``m.log_lik`` of a linear or logistic model, or of its stack, as
+    recorded elementwise tape operations, as the models computed it before
+    their closed forms: the oracle for their values and gradients."""
+    P = m.X.shape[1]
+    beta0, beta = theta[..., 0:1], theta[..., 1:1 + P]
+    if isinstance(m, LinRegModel):
+        phi = theta[..., -1]
+        mean = beta0 + ad.dot(beta, m.X.T) if P else beta0
+        ssq = ad.vsum((m.y - mean) ** 2, axis=-1)
+        return 0.5 * m.n * (ad.log(phi) - LOG2PI) - 0.5 * phi * ssq
+    a = beta0 + ad.dot(beta, m.X.T) if P else beta0 * np.ones(len(m.y))
+    return -ad.vsum(ad.softplus(m._sign * a), axis=-1)
+
+
+def tape_log_prior(m, theta):
+    """``m.log_prior`` as recorded tape operations; see ``tape_log_lik``."""
+    P = m.X.shape[1]
+    if isinstance(m, LinRegModel):
+        beta, phi = theta[..., 1:1 + P], theta[..., -1]
+        out = -ad.log(phi)
+        if P:
+            quad = ad.vsum(beta * ad.dot(beta, m.xtx), axis=-1)
+            out = out + (-0.5 * m.p * LOG2PI + 0.5 * m.p * ad.log(phi)
+                         - 0.5 * m.p * np.log(m.g) + 0.5 * m.logdet_xtx
+                         - 0.5 * phi / m.g * quad)
+        return out
+    ssq = ad.vsum(theta**2, axis=-1)
+    return -0.5 * ((1 + m.p) * (LOG2PI + 2.0 * np.log(m.prior_sd)) + ssq / m.prior_sd**2)
+
+
+def assert_closed_forms_match_tape(m, theta):
+    """log_lik and log_prior of ``m`` at ``theta`` (one row or a block) match
+    the tape oracles to 1e-12 relative, in values and gradients, on a node
+    and on a plain array."""
+    for closed, tape in ((m.log_lik, tape_log_lik), (m.log_prior, tape_log_prior)):
+        val, g = ad.grad(closed, theta)
+        want_val, want_g = ad.grad(lambda th: tape(m, th), theta)
+        scale = np.abs(want_val).max()
+        np.testing.assert_allclose(val, want_val, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(closed(theta), want_val, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(g, want_g, rtol=1e-12, atol=1e-12 * np.abs(want_g).max())
+
+
+def member_draws(m, r, shape, spread=1.0):
+    """Draws of ``m``'s parameters, ``shape + (d,)``, positive where the
+    layout is log-normal."""
+    theta = spread * r.standard_normal(shape + (m.layout.dim,))
+    positive = [t is FamilyTag.LOGNORMAL for t in m.layout.tags()]
+    theta[..., positive] = np.exp(theta[..., positive] / spread)
+    return theta
+
+
+@pytest.mark.parametrize("kind, spread", [("linear", 1.0), ("logistic", 1.0), ("logistic", 300.0)])
+def test_closed_forms_match_tape_on_rows_blocks_and_stacks(kind, spread):
+    # each member (the intercept-only one included) on one vector and on an
+    # (S, d) block, checked by finite differences too, and the stacked
+    # model on a zero-padded (K, S, D) block; a spread of 300 puts logits in
+    # the hundreds, where sigmoid saturates at 0 and 1 in the gradient
+    models = subset_ensembles()[kind]
+    assert min(m.p for m in models) == 0
+    r = rng()
+    stack = np.zeros((len(models), 5, models.stacked.layout.dim))
+    for k, (m, own) in enumerate(zip(models, models.mask)):
+        theta = member_draws(m, r, (5,), spread)
+        assert_closed_forms_match_tape(m, theta[0])
+        assert_closed_forms_match_tape(m, theta)
+        assert ad.finite_diff_check(m.log_joint, theta[1], h=1e-6) < 1e-5
+        stack[k][:, own] = theta
+    assert_closed_forms_match_tape(models.stacked, stack)
 
 
 # -- logistic regression ------------------------------------------------------
