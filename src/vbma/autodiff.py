@@ -13,15 +13,21 @@ and one multivariate-normal primitive needed to express Gaussian-process
 marginals efficiently.  A model that knows its gradients in closed form
 enters the tape as one node through :func:`closed_form`.
 
-Tapes are single-use and confined to the thread that built them; there is no
-shared mutable state between evaluations.
+Tapes are single-use and confined to the thread that built them.  The tape
+itself keeps no state between evaluations, but a caller may: given a work
+array, :func:`gaussian_spd_logpdf` overwrites its covariance and writes its
+vjp into that array, so the GP model reuses one set of n x n arrays from draw
+to draw and hands them out again only once the tape that holds them is freed
+(a ``Node`` can be weakly referenced for this).  Evaluations that share such
+arrays must not run concurrently.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotri
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotrf, dpotri
 
 
 class UnsupportedOperationError(TypeError):
@@ -57,7 +63,7 @@ class Node:
     """One value on the tape.  Supports +, -, *, /, ** (constant exponent) and
     numpy-style ops."""
 
-    __slots__ = ("value", "parents", "_grad")
+    __slots__ = ("value", "parents", "_grad", "__weakref__")
 
     # make ndarray <op> Node defer to Node's reflected operators instead of
     # producing an object array; numpy ufuncs applied to a Node then raise,
@@ -87,10 +93,10 @@ class Node:
         return Node(-self.value, ((self, lambda g: -g),))
 
     def __sub__(self, other):
-        return add(self, -other if isinstance(other, Node) else -_value_of(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(other, -self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -164,6 +170,15 @@ def add(a, b):
     return Node(val, _links(
         (a, lambda g: _unbroadcast(g, av.shape)),
         (b, lambda g: _unbroadcast(g, bv.shape)),
+    ))
+
+
+def sub(a, b):
+    av, bv = _value_of(a), _value_of(b)
+    val = _check_finite(av - bv, "sub")
+    return Node(val, _links(
+        (a, lambda g: _unbroadcast(g, av.shape)),
+        (b, lambda g: -_unbroadcast(g, bv.shape)),
     ))
 
 
@@ -288,17 +303,26 @@ def dot(a, b):
     return Node(val, _links((a, vjp_a), (b, vjp_b)))
 
 
-def gaussian_spd_logpdf(resid, cov):
+def gaussian_spd_logpdf(resid, cov, work=None):
     """log N(resid; 0, cov) for symmetric positive-definite ``cov``.
 
     A single tape primitive so that Gaussian-process marginals cost one
     Cholesky factorization instead of O(n^3) scalar records.  Raises
     ``np.linalg.LinAlgError`` if the factorization fails.
+
+    ``work``, an n x n C-ordered float array, makes the call allocate no
+    n x n array: ``cov`` must then be C-ordered and exactly symmetric, its
+    storage is overwritten by its Cholesky factor and later by its inverse,
+    and the vjp writes df/dcov into ``work``.  Without it, ``cov`` is copied.
     """
     r, K = _value_of(resid), _value_of(cov)
     n = r.shape[0]
-    c, low = cho_factor(K, lower=True)
-    alpha = cho_solve((c, low), r)
+    # K is symmetric, so K.T is K in Fortran order: LAPACK factors and then
+    # inverts it in place, in the lower triangle, and zeroes the upper one
+    c, info = dpotrf((K if work is not None else K.copy()).T, lower=1, clean=1, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    alpha = cho_solve((c, True), r, check_finite=False)
     logdet = 2.0 * np.sum(np.log(np.diag(c)))
     val = -0.5 * (n * np.log(2.0 * np.pi) + logdet + r @ alpha)
     _check_finite(val, "gaussian_spd_logpdf")
@@ -306,13 +330,24 @@ def gaussian_spd_logpdf(resid, cov):
     def vjp_r(g):
         return -g * alpha
 
+    inverse = []  # K^-1, made once, by the first vjp: it replaces the factor
+
     def vjp_K(g):
-        # K^-1 from the existing factor; dpotri fills the lower triangle only
-        low_inv, info = dpotri(c, lower=1)
-        if info:
-            raise np.linalg.LinAlgError("covariance inverse failed")
-        Kinv = np.where(np.tri(len(low_inv), dtype=bool), low_inv, low_inv.T)
-        return g * 0.5 * (np.outer(alpha, alpha) - Kinv)
+        # G = g/2 (alpha alpha' - K^-1).  The upper triangle is zero, so
+        # low_inv + low_inv' is K^-1 with its diagonal doubled; then one
+        # rank-1 update by scipy's BLAS
+        if not inverse:
+            low_inv, info = dpotri(c, lower=1, overwrite_c=1)
+            if info:
+                raise np.linalg.LinAlgError("covariance inverse failed")
+            inverse.append(low_inv)
+        low_inv = inverse[0]
+        G = np.add(low_inv, low_inv.T, out=np.empty((n, n)) if work is None else work)
+        G.flat[:: n + 1] = low_inv.diagonal()
+        G *= -0.5 * g
+        # G is symmetric, so its transpose is the Fortran array BLAS updates
+        dger(0.5 * g, alpha, alpha, a=G.T, overwrite_a=1)
+        return G
 
     return Node(val, _links((resid, vjp_r), (cov, vjp_K)))
 

@@ -177,7 +177,15 @@ def sq_exp_kernel(coords, eta, nu1, nu2, other=None):
     other = coords if other is None else np.asarray(other, dtype=float)
     d1 = coords[:, 0][:, None] - other[:, 0][None, :]
     d2 = coords[:, 1][:, None] - other[:, 1][None, :]
-    return eta**2 * np.exp(-(d1**2) / (2.0 * nu1**2) - (d2**2) / (2.0 * nu2**2))
+    # eta^2 exp(-d1^2 / 2 nu1^2 - d2^2 / 2 nu2^2), in d1's and d2's storage
+    np.negative(np.square(d1, out=d1), out=d1)
+    d1 /= 2.0 * nu1**2
+    np.square(d2, out=d2)
+    d2 /= 2.0 * nu2**2
+    d1 -= d2
+    np.exp(d1, out=d1)
+    d1 *= eta**2
+    return d1
 
 
 def synth_gp_dataset(grid_size=20, beta=0.0, eta=1.0, nu1=3.0, nu2=3.0, sigma=0.3,
@@ -197,7 +205,8 @@ def synth_gp_dataset(grid_size=20, beta=0.0, eta=1.0, nu1=3.0, nu2=3.0, sigma=0.
     n = coords.shape[0]
     if not 0 <= n_test <= n:
         raise ValueError(f"n_test must be in 0 ... {n} (grid_size**2), got {n_test}")
-    K = sq_exp_kernel(coords, eta, nu1, nu2) + (sigma**2 + jitter) * np.eye(n)
+    K = sq_exp_kernel(coords, eta, nu1, nu2)
+    K.flat[:: n + 1] += sigma**2 + jitter
     rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(K)
     y = beta + L @ rng.standard_normal(n)

@@ -4,7 +4,9 @@ Each coordinate carries a location ``mu`` and an unconstrained scale
 ``raw_scale``.  The positive quantity recovered by the softplus decode,
 ``var = log(exp(raw_scale) + 1)``, is the family VARIANCE; its square root is
 the standard deviation used by the reparametrization transform.  Optimizing
-``raw_scale`` instead of the variance avoids constrained optimization.
+``raw_scale`` instead of the variance avoids constrained optimization.  A
+state decodes its variances once, when ``raw_scale`` is assigned, and every
+draw, density and Jacobian of that state reads them.
 """
 
 from __future__ import annotations
@@ -36,8 +38,24 @@ def encode_scale(scale):
     return scale + np.log1p(-np.exp(-scale))
 
 
+class _Decoded:
+    """Keeps ``var`` = softplus(raw_scale) and its square root in step with
+    ``raw_scale``, which is assigned whole, never changed in place."""
+
+    def __setattr__(self, name, value):
+        if name == "raw_scale":
+            value = np.asarray(value, dtype=float)
+            super().__setattr__("var", decode_scale(value))
+            super().__setattr__("_sd", np.sqrt(self.var))
+        super().__setattr__(name, value)
+
+    def sd(self):
+        """Decoded per-coordinate standard deviations."""
+        return self._sd
+
+
 @dataclass
-class VariationalState:
+class VariationalState(_Decoded):
     """Per-model variational parameters: one (mu, raw_scale) per coordinate."""
 
     # every coordinate is the model's own (see StackedState)
@@ -50,7 +68,6 @@ class VariationalState:
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
-        self.raw_scale = np.asarray(self.raw_scale, dtype=float)
         if not (len(self.mu) == len(self.raw_scale) == len(self.tags)):
             raise ValueError("mu, raw_scale and tags must have equal length")
         if not self.names:
@@ -63,10 +80,6 @@ class VariationalState:
     @property
     def lognormal_mask(self):
         return np.array([t is FamilyTag.LOGNORMAL for t in self.tags], dtype=float)
-
-    def sd(self):
-        """Decoded per-coordinate standard deviations."""
-        return np.sqrt(ad.softplus(self.raw_scale))
 
     @staticmethod
     def initial(tags, names=(), init_var=0.01):
@@ -97,7 +110,7 @@ class VariationalState:
 
 
 @dataclass
-class StackedState:
+class StackedState(_Decoded):
     """The states of K models on one layout of D coordinates.
 
     Every array is ``(K, 1, D)``, so it broadcasts against a ``(K, S, D)``
@@ -125,11 +138,13 @@ def reparam_sample(mu, raw_scale, lognormal_mask, z):
     """
     if np.shape(z)[-1] != np.shape(lognormal_mask)[-1]:
         raise ValueError("z has wrong length for this state")
-    sd = ad.sqrt(ad.softplus(raw_scale))
+    return _transform(mu, ad.sqrt(decode_scale(raw_scale)), lognormal_mask, z)
+
+
+def _transform(mu, sd, m, z):
     u = mu + z * sd
-    if not np.any(lognormal_mask):
+    if not np.any(m):
         return u
-    m = lognormal_mask
     # exp applied only where needed so normal coordinates cannot overflow it
     return u * (1.0 - m) + m * ad.exp(u * m)
 
@@ -140,8 +155,10 @@ def sample(state: VariationalState, z):
     ``z`` is one vector ``(dim,)`` or a block ``(..., dim)`` of draws, such
     as ``(c, dim)``, or ``(K, S, D)`` for a ``StackedState``.
     """
-    theta = reparam_sample(state.mu, state.raw_scale, state.lognormal_mask, np.asarray(z, dtype=float))
-    return theta.value if isinstance(theta, ad.Node) else theta
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1] != state.dim:
+        raise ValueError("z has wrong length for this state")
+    return _transform(state.mu, state.sd(), state.lognormal_mask, z)
 
 
 def log_q(state: VariationalState, theta):
@@ -160,7 +177,7 @@ def log_q(state: VariationalState, theta):
     m = state.lognormal_mask
     if ((m > 0) & (t <= 0)).any():
         raise ValueError("log-normal coordinate requires strictly positive theta")
-    var = ad.softplus(state.raw_scale)
+    var = state.var
     with np.errstate(all="ignore"):  # checked once, in ad.closed_form
         # log theta on log-normal coordinates, exactly 0 on normal ones
         scale = t * m + (1.0 - m)
@@ -190,9 +207,7 @@ def reparam_jacobian(state: VariationalState, z, theta):
     """
     z = np.asarray(z, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    var = ad.softplus(state.raw_scale)
-    sd = np.sqrt(var)
-    dsd_draw = ad.sigmoid(state.raw_scale) / (2.0 * sd)
+    dsd_draw = ad.sigmoid(state.raw_scale) / (2.0 * state.sd())
     m = state.lognormal_mask
     outer = (1.0 - m) + m * theta  # d theta / d u
     return outer, outer * z * dsd_draw

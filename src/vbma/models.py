@@ -18,8 +18,9 @@ node with closed-form vjps), as user models do.  The subset
 builders return a ``SubsetEnsemble``: the K members as a list, plus one
 stacked model on the members' shared, padded layout that evaluates all of
 them at once, and the ``(K, D)`` mask of each member's coordinates in that
-layout.  Instances are immutable after construction and safe to evaluate
-concurrently.
+layout.  Evaluation leaves a model's data and parameters unchanged, but it
+is not safe to run concurrently for GP models: the GP models of one n write
+each draw's n x n intermediates into one shared set of work arrays.
 
 The improper blocks of the g-prior models (``phi ~ 1/phi``, flat intercept)
 are implemented as log-prior terms ``-log phi`` and ``0``.  Cross-model
@@ -33,6 +34,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,6 +357,45 @@ class LogisticModel(Model):
         return (rng.random(p.shape) < p).astype(float) if noise else p
 
 
+class _Workspace:
+    """The three n x n float arrays of one GP draw: the kernel's ``base``, K
+    (then its Cholesky factor, then K^-1) and df/dK.  The GP models of one n
+    share one workspace, allocated on first use.
+
+    A tape that holds the arrays keeps them: while the node named by
+    ``hold`` lives, ``take`` gives fresh arrays instead, so two GP terms on
+    one tape, or a copy of a model, never overwrite arrays still in use.
+    Sharing makes a GP model unsafe to evaluate from two threads at once.
+    """
+
+    _by_size = weakref.WeakValueDictionary()
+
+    def __init__(self, n):
+        self.n = n
+        self._arrays = None
+        self._holder = None  # weak reference to the node holding _arrays
+
+    @classmethod
+    def for_size(cls, n):
+        work = cls._by_size.get(n)
+        if work is None:
+            work = cls._by_size[n] = cls(n)
+        return work
+
+    def take(self):
+        """A (3, n, n) array: base, K and df/dK."""
+        if self._holder is not None and self._holder() is not None:
+            return np.empty((3, self.n, self.n))
+        if self._arrays is None:
+            self._arrays = np.empty((3, self.n, self.n))
+        return self._arrays
+
+    def hold(self, arrays, node):
+        """Keep ``arrays``, if they are the shared ones, while ``node`` lives."""
+        if arrays is self._arrays:
+            self._holder = weakref.ref(node)
+
+
 class GPModel(Model):
     """Constant-mean GP regression with a squared-exponential kernel on 2-d
     inputs; the latent surface is marginalized analytically.
@@ -363,6 +404,10 @@ class GPModel(Model):
     the mean is fixed at ``mean_offset``.  The positive hyperparameters
     h = (eta, nu1, nu2, sigma) (scale, the two correlation ranges, noise sd)
     are the last four coordinates and carry log-normal priors.
+
+    A draw writes its n x n intermediates into work arrays shared by the GP
+    models of one n (see ``_Workspace``), so after the first draw it
+    allocates no n x n array.
     """
 
     BASE_JITTER = 1e-6  # relative to eta^2
@@ -388,29 +433,31 @@ class GPModel(Model):
         self.layout = ParamLayout(blocks)
         d1 = self.coords[:, 0][:, None] - self.coords[:, 0][None, :]
         d2 = self.coords[:, 1][:, None] - self.coords[:, 1][None, :]
-        self._d1sq = d1**2
-        self._d2sq = d2**2
+        self._d1sq = np.square(d1, out=d1)
+        self._d2sq = np.square(d2, out=d2)
+        self._work = _Workspace.for_size(self.n)
 
     def _split(self, theta):
         """The mean (``theta[0]`` or the fixed offset) and h = ``theta[-4:]``."""
         return (theta[0] if self.free_mean else self.mean_offset), theta[-4:]
 
-    def _kernel(self, h, jitter_scale=1.0):
+    def _kernel(self, h, base, K):
         """Training covariance K = eta^2 (base + jitter I) + sigma^2 I, with
         base = exp(-d1^2 / 2 nu1^2 - d2^2 / 2 nu2^2) and the jitter relative
-        to eta^2.
+        to eta^2, written into the n x n arrays ``base`` and ``K``.
 
         ``h`` is an array or a tape node.  For a node, K is one tape node
         linked to h: its vjp maps G = df/dK to the 4-vector tr(G dK/dh) in
         closed form (Rasmussen & Williams 2006, sec. 5.4.1), so no n x n
-        operation is recorded.  For an array, K is an array.
+        operation is recorded.  For an array, K is the array ``K``.
         """
         e, a, b, s = h.value if isinstance(h, ad.Node) else h
-        jitter = self.BASE_JITTER * jitter_scale
         with np.errstate(all="ignore"):  # one finiteness check on K below
-            base = np.exp(self._d1sq * (-0.5 / a**2) + self._d2sq * (-0.5 / b**2))
-            K = e**2 * base
-            K.flat[:: self.n + 1] += s**2 + jitter * e**2
+            np.multiply(self._d1sq, -0.5 / a**2, out=base)
+            base += np.multiply(self._d2sq, -0.5 / b**2, out=K)
+            np.exp(base, out=base)
+            np.multiply(base, e**2, out=K)
+            K.flat[:: self.n + 1] += s**2 + self.BASE_JITTER * e**2
         if not np.isfinite(K).all():
             raise ad.NonFiniteValueError("gp_kernel")
         if not isinstance(h, ad.Node):
@@ -419,11 +466,11 @@ class GPModel(Model):
         def vjp(G):
             # <A, B> by einsum, not np.vdot: numpy's BLAS threads its ddot at
             # n^2 elements and then contends with the threads of scipy's LAPACK
-            Gb, tr = G * base, np.trace(G)
+            tr = np.trace(G)
             return np.array([
-                2.0 * e * (Gb.sum() + jitter * tr),
-                e**2 / a**3 * np.einsum("ij,ij->", Gb, self._d1sq),
-                e**2 / b**3 * np.einsum("ij,ij->", Gb, self._d2sq),
+                2.0 * e * (np.einsum("ij,ij->", G, base) + self.BASE_JITTER * tr),
+                e**2 / a**3 * np.einsum("ij,ij,ij->", G, base, self._d1sq),
+                e**2 / b**3 * np.einsum("ij,ij,ij->", G, base, self._d2sq),
                 2.0 * s * tr,
             ])
 
@@ -431,17 +478,21 @@ class GPModel(Model):
 
     def log_lik(self, theta):
         beta, h = self._split(theta)
-        resid = -(beta - self.y)  # y - beta, keeping node broadcasting simple
-        scale = 1.0
-        for _ in range(4):  # base jitter, then up to 3 decades of escalation
-            try:
-                return ad.gaussian_spd_logpdf(resid, self._kernel(h, jitter_scale=scale))
-            except np.linalg.LinAlgError:
-                scale *= 10.0
-        h = h.value if isinstance(h, ad.Node) else h
-        min_eig = float(np.linalg.eigvalsh(self._kernel(h)).min())
+        arrays = self._work.take()
+        base, K, G = arrays
+        K = self._kernel(h, base, K)
+        if isinstance(K, ad.Node):
+            self._work.hold(arrays, K)
+        try:
+            return ad.gaussian_spd_logpdf(self.y - beta, K, work=G)
+        except np.linalg.LinAlgError:
+            pass
+        # the jitter is far above K's rounding error (~n eps eta^2), so K
+        # fails only where eta^2 underflows and a larger jitter would not help
+        h = _values(h)
+        min_eig = float(np.linalg.eigvalsh(self._kernel(h, *np.empty((2, self.n, self.n)))).min())
         raise ConditioningError(
-            f"kernel matrix not positive definite after jitter escalation "
+            f"kernel matrix not positive definite at jitter {self.BASE_JITTER:g} eta^2 "
             f"(min eigenvalue ~ {min_eig:.3e}, eta={h[0]:.3g})"
         )
 
@@ -463,7 +514,10 @@ class GPModel(Model):
         """Conditional mean and (diagonal) variance at new inputs."""
         beta, h = self._split(np.asarray(theta, dtype=float))
         eta, nu1, nu2, sigma = h
-        L = cholesky(self._kernel(h), lower=True, overwrite_a=True, check_finite=False)
+        base, K, _ = self._work.take()
+        # K is symmetric, so K.T is K in Fortran order, factored in place
+        L = cholesky(self._kernel(h, base, K).T, lower=True, overwrite_a=True,
+                     check_finite=False)
         ks = sq_exp_kernel(self.coords, eta, nu1, nu2,
                            other=np.atleast_2d(np.asarray(coords_new, dtype=float)))
         alpha = cho_solve((L, True), self.y - beta, check_finite=False)

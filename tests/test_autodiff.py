@@ -168,13 +168,27 @@ def test_dot_gradients_for_every_operand_shape(sa, sb):
         np.testing.assert_allclose(node._grad, fd, rtol=1e-6, atol=1e-8)
 
 
+def test_subtraction_is_one_node_with_the_values_of_adding_the_negation():
+    a = ad.Node(np.array([1.5, -2.0, 0.1]))
+    b = ad.Node(np.array([0.3, 4.0, 0.1]))
+    for out, operands, want in ((a - b, [a, b], a.value + -b.value),
+                                (a - 2.5, [a], a.value + -2.5),
+                                (np.ones(3) - a, [a], np.ones(3) + -a.value)):
+        assert [p for p, _ in out.parents] == operands
+        assert np.array_equal(out.value, want)
+    f = lambda v: ad.vsum((v - v**2) - 1.0 + (3.0 - v) * v - v[0])
+    assert ad.finite_diff_check(f, np.array([0.5, -1.2, 2.0]), h=1e-6) < 1e-6
+
+
 def test_gaussian_spd_logpdf_value_matches_scipy():
     rng = np.random.default_rng(0)
     n = 5
     A = rng.standard_normal((n, n))
     cov = A @ A.T + n * np.eye(n)
     r = rng.standard_normal(n)
+    given = cov.copy()
     out = ad.gaussian_spd_logpdf(r, cov)
+    assert np.array_equal(cov, given)  # without a work array, cov is copied
     assert float(out.value) == pytest.approx(
         multivariate_normal.logpdf(r, mean=np.zeros(n), cov=cov), abs=1e-10
     )

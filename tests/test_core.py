@@ -569,6 +569,16 @@ def test_bitwise_determinism_and_thread_independence():
     assert not np.array_equal(a.q, different.q)
 
 
+def test_a_pass_decodes_the_variances_once(monkeypatch):
+    # the draw, log q and the Jacobian of a pass read one decode of the
+    # state's raw scales, made when the step assigns them
+    real, calls = ad.softplus, []
+    monkeypatch.setattr(ad, "softplus", lambda x: calls.append(None) or real(x))
+    _, models = studies.crime_study()
+    core.run(VbmaConfig(pretrain_iters=3, joint_iters=0, window=0), models)
+    assert len(calls) == 1 + 3  # the initial state, then one per step
+
+
 def test_final_weights_is_trailing_mean():
     state = core.init_state(VbmaConfig(joint_iters=10, window=5), [conjugate_model()])
     state.weight_trace = [np.array([v]) for v in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]

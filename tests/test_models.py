@@ -2,12 +2,16 @@
 hand-written numpy), finite-difference gradient checks for every model, and
 ensemble construction."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from vbma import autodiff as ad
 from vbma import data as data_io
+from vbma.core import VbmaConfig, run
 from vbma.families import FamilyTag
 from vbma.models import (
     LOG2PI,
@@ -364,9 +368,9 @@ def test_gp_sample_prior_draws_as_a_per_parameter_loop(gp_pair, gp_custom_prior)
 def tape_kernel_log_joint(m, theta):
     """``m.log_joint`` as recorded elementwise tape operations, one
     hyperparameter at a time, as GPModel computed it before its kernel became
-    one tape node: the oracle for the kernel's closed-form vjp and for the
-    vectorized prior.  It indexes ``theta`` itself; same jitter ladder as
-    ``GPModel.log_lik``."""
+    one tape node: the oracle for the kernel's closed-form vjp, for the
+    vectorized prior and for the work arrays the GP reuses.  It indexes
+    ``theta`` itself and factors a private copy of K."""
     beta = theta[0] if m.free_mean else m.mean_offset
     hyper = {name: theta[i] for i, name in zip(range(-4, 0), ("eta", "nu1", "nu2", "sigma"))}
     prior = 0.0
@@ -379,15 +383,9 @@ def tape_kernel_log_joint(m, theta):
             np.log(2 * np.pi) + 2.0 * np.log(sd) + (ad.log(x) - loc) ** 2 / sd**2)
     eta, nu1, nu2, sigma = hyper.values()
     resid = -(beta - m.y)
-    for scale in (1.0, 10.0, 100.0, 1000.0):
-        base = ad.exp(m._d1sq * (-0.5 / nu1**2) + m._d2sq * (-0.5 / nu2**2))
-        jitter = m.BASE_JITTER * scale
-        K = eta**2 * base + (sigma**2 + jitter * eta**2) * np.eye(m.n)
-        try:
-            return ad.gaussian_spd_logpdf(resid, K) + prior
-        except np.linalg.LinAlgError:
-            pass
-    raise ConditioningError("oracle: kernel not positive definite")
+    base = ad.exp(m._d1sq * (-0.5 / nu1**2) + m._d2sq * (-0.5 / nu2**2))
+    K = eta**2 * base + (sigma**2 + m.BASE_JITTER * eta**2) * np.eye(m.n)
+    return ad.gaussian_spd_logpdf(resid, K) + prior
 
 
 def assert_matches_tape_kernel(m, theta):
@@ -404,35 +402,91 @@ def test_gp_closed_form_kernel_matches_tape_on_prior_draws(gp_pair):
             assert_matches_tape_kernel(m, m.sample_prior(r))
 
 
-def test_gp_closed_form_kernel_matches_tape_after_jitter_escalation(gp_pair, monkeypatch):
-    # K's rounding error, ~n * eps * eta^2, is far below the base jitter of
-    # 1e-6 * eta^2, so no draw with a finite value fails there: the
-    # base-jitter factorization is made to fail instead.  The escalated
-    # kernel carries 10x the jitter in its eta gradient.
+def test_gp_failed_factorization_raises_conditioning_error_at_once(gp_pair, monkeypatch):
+    # K's rounding error, ~n * eps * eta^2, is far below the jitter of
+    # 1e-6 * eta^2, so no draw with a finite value fails to factor, and a
+    # larger jitter could not rescue one that does: the first failure is
+    # final.  The factorization is made to fail on a well-conditioned draw.
     real = ad.gaussian_spd_logpdf
     attempts = []
 
-    def base_jitter_fails(resid, cov):
-        # odd calls are each evaluation's first factorization
+    def fails(resid, cov, work=None):
         attempts.append(None)
-        if len(attempts) % 2:
-            raise np.linalg.LinAlgError("not positive definite")
-        return real(resid, cov)
+        real(resid, cov, work=work)
+        raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(ad, "gaussian_spd_logpdf", base_jitter_fails)
-    r = rng()
+    monkeypatch.setattr(ad, "gaussian_spd_logpdf", fails)
     for m in gp_pair:
         attempts.clear()
-        assert_matches_tape_kernel(m, m.sample_prior(r))
-        assert len(attempts) == 4
+        theta = gp_theta(m, np.array([0.1, 0.9, 2.0, 3.0, 0.6]))
+        with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite at "
+                           r"jitter 1e-06 eta\^2 \(min eigenvalue ~ .*e-0\d, eta=0\.9\)"):
+            ad.grad(m.log_joint, theta)
+        assert len(attempts) == 1
 
 
 def test_gp_hopeless_draw_raises_conditioning_error(gp_model):
     # eta^2 underflows, so K is not positive definite at any jitter
     theta = np.array([0.1, 1e-161, 3.0, 3.0, 1e-170])
-    with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite after "
-                       r"jitter escalation \(min eigenvalue ~ .*, eta=1e-161\)"):
+    with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite at "
+                       r"jitter .* \(min eigenvalue ~ .*, eta=1e-161\)"):
         ad.grad(gp_model.log_joint, theta)
+
+
+def test_gp_terms_sharing_one_tape_match_finite_differences(gp_pair):
+    # both models (one n, one set of work arrays) and a shallow copy enter one
+    # tape, whose sweep runs only after every factorization: each term must
+    # keep its own K^-1 and base
+    free, fixed = gp_pair
+    clone = copy.copy(free)
+    stretch = np.array([1.0, 1.1, 0.9, 1.2, 1.05])
+
+    def f(th):
+        return free.log_lik(th) + 0.5 * clone.log_lik(th * stretch) + fixed.log_lik(th[1:])
+
+    theta = np.array([0.1, 0.9, 2.0, 3.0, 0.6])
+    assert ad.finite_diff_check(f, theta, h=1e-5) < 1e-4
+    _, g = ad.grad(f, theta)
+    _, g1 = ad.grad(free.log_lik, theta)
+    _, g2 = ad.grad(free.log_lik, theta * stretch)
+    _, g3 = ad.grad(fixed.log_lik, theta[1:])
+    g3 = np.concatenate([[0.0], g3])
+    np.testing.assert_allclose(g, g1 + 0.5 * stretch * g2 + g3, rtol=1e-12, atol=1e-12)
+
+
+def test_gp_draw_allocates_no_n_by_n_array():
+    ds = data_io.synth_gp_dataset(grid_size=12, seed=0, n_test=0, sigma=0.4)
+    coords = np.column_stack([ds.column("x1"), ds.column("x2")])
+    m = GPModel(coords, ds.y(), free_mean=True)
+    theta = np.array([0.1, 0.9, 2.0, 3.0, 0.6])
+    one_array = m.n * m.n * 8
+    for draw in (lambda: ad.grad(m.log_joint, theta),
+                 lambda: m.predict_dist(theta, coords[:5])):
+        draw()  # warm: the work arrays are allocated on first use
+        tracemalloc.start()
+        try:
+            draw()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_array, (peak, one_array)
+
+
+def test_gp_fit_reruns_bitwise_after_the_work_arrays_are_dirtied(gp_pair):
+    free, fixed = gp_pair
+    cfg = VbmaConfig(n_samples=3, pretrain_iters=3, joint_iters=2, window=1, seed=7)
+
+    def fit():
+        state = run(cfg, [free, fixed])
+        return state.to_text() + repr(state.elbo_trace)
+
+    first = fit()
+    # an unrelated draw and a prediction leave other values in the arrays
+    ad.grad(free.log_joint, np.array([-0.4, 2.0, 0.7, 1.5, 0.2]))
+    fixed.predict_dist(np.array([1.0, 3.0, 3.0, 0.01]), free.coords[:4])
+    assert fit() == first
+    free._work.take()[:] = np.nan  # nothing reads what an earlier draw left
+    assert fit() == first
 
 
 def test_gp_fixed_mean_variant_has_no_mean_coordinate(gp_model):
