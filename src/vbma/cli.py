@@ -179,6 +179,10 @@ def build_ensemble(settings):
         raise CliError(str(err))
     kind = _get(ens, "kind", None)
     predictors = split(ens.get("predictors", ""))
+    bad = [p for i, p in enumerate(predictors) if p not in ds.inputs or p in predictors[:i]]
+    if bad:
+        raise CliError(f"[ensemble] predictor {bad[0]!r} is repeated or not an input column "
+                       f"(inputs: {', '.join(ds.inputs)})")
     if kind == "linear":
         return ds, linreg_subset_ensemble(ds, predictors, g=_get(ens, "g", None, float))
     if kind == "logistic":
@@ -244,11 +248,23 @@ def load_fit(out_dir, models):
         raise CliError(
             f"no fit artifacts in {out_dir}; run the fit subcommand first"
         )
-    _, q, states = parse_checkpoint(ckpt.read_text())
+    try:
+        _, q, states = parse_checkpoint(ckpt.read_text())
+    except ValueError as err:
+        raise CliError(f"{ckpt}: a line does not parse ({err})")
     names = [m.name for m in models]
     if list(states) != names:
         raise CliError(f"checkpoint holds models {list(states)}, the config builds {names}; "
                        "config mismatch?")
+    if len(q) != len(models) or not (q >= 0).all() or abs(q.sum() - 1.0) > 1e-8:
+        raise CliError(f"{ckpt}: q is not a distribution over the {len(models)} models")
+    for m in models:
+        vs = states[m.name]
+        if (vs.names, vs.tags) != (m.layout.names(), m.layout.tags()):
+            raise CliError(f"{ckpt}: model {m.name!r} needs the coordinates {m.layout.names()} "
+                           "with its layout's family tags")
+        if not np.isfinite([vs.mu, vs.raw_scale]).all():
+            raise CliError(f"{ckpt}: model {m.name!r} has a non-finite parameter")
     variational = [states[name] for name in names]
     return metrics.BmaPosterior(models, q, variational)
 
@@ -278,11 +294,7 @@ def cmd_fit(args):
     )
 
     names = ["iteration"] + [m.name for m in models]
-    n_iter = len(state.elbo_trace[0])
-    rows = [
-        tuple([t] + [state.elbo_trace[k][t] for k in range(len(models))])
-        for t in range(n_iter)
-    ]
+    rows = zip(range(len(state.elbo_trace[0])), *state.elbo_trace)
     write_table(out / "elbo_trace.csv", header, names, rows)
 
     ckpt_lines = [f"# {line}" for line in header] + [state.to_text()]
@@ -295,19 +307,20 @@ def cmd_fit(args):
     return 0
 
 
+def _log_evidence(model, args):
+    """The closed-form Zellner evidence of an improper-prior (g-prior) model,
+    or a Monte Carlo estimate from ``--mc-samples`` prior draws."""
+    if not model.has_proper_prior():
+        return evidence_mod.zellner_log_evidence(model)
+    return evidence_mod.mc_log_evidence(model, args.mc_samples, seed=args.seed or 0)
+
+
 def cmd_evidence(args):
     settings = resolve_settings(args)
     ds, models = build_ensemble(settings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    estimates = []
-    for m in models:
-        if m.has_proper_prior():
-            estimates.append(
-                evidence_mod.mc_log_evidence(m, args.mc_samples, seed=args.seed or 0)
-            )
-        else:
-            estimates.append(evidence_mod.zellner_log_evidence(m))
+    estimates = [_log_evidence(m, args) for m in models]
     post = evidence_mod.evidence_to_posterior(
         estimates, [m.prior_weight for m in models]
     )
@@ -337,14 +350,8 @@ def cmd_bf(args):
     priors = np.array([m.prior_weight for m in models])
     vbma_bf = metrics.bayes_factor(posterior.weights, priors, i, j)
     oracle_bf = None
-    if not models[i].has_proper_prior():
-        ev = [evidence_mod.zellner_log_evidence(models[k]) for k in (i, j)]
-        oracle_bf = float(np.exp(ev[0].log_evidence - ev[1].log_evidence))
-    elif args.mc_samples:
-        ev = [
-            evidence_mod.mc_log_evidence(models[k], args.mc_samples, seed=args.seed or 0)
-            for k in (i, j)
-        ]
+    if args.mc_samples or not models[i].has_proper_prior():
+        ev = [_log_evidence(models[k], args) for k in (i, j)]
         oracle_bf = float(np.exp(ev[0].log_evidence - ev[1].log_evidence))
     rows = [(args.model_i, args.model_j, float(vbma_bf),
              "" if oracle_bf is None else oracle_bf)]

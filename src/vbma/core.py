@@ -5,7 +5,10 @@ the Monte Carlo estimates of the per-model ELBO gradient (chained
 through the reparametrization transform) and of the ELBO value, takes an
 ascent step on the variational parameters, and refreshes the categorical
 model weights in closed form via a max-subtracted softmax of the per-model
-ELBO estimates plus log prior weights.
+ELBO estimates plus log prior weights.  The gradient is the
+sticking-the-landing estimator (Roeder, Wu & Duvenaud 2017): only the log
+joint is differentiated on the tape; log q, held fixed in the variational
+parameters, and the transform are closed forms.
 
 A pre-training phase holds the weights at 1/K so early, noisy ELBOs cannot
 starve slowly-converging models of gradient signal; the reported weights are
@@ -170,54 +173,50 @@ class EnsembleState:
         return "\n".join(lines) + "\n"
 
 
-def _objective(model, state):
-    # sticking-the-landing form: the variational parameters are constants in log q
-    return lambda th: model.log_joint(th) - families.log_q(state, th)
-
-
 def estimate_grad_and_elbo(model, state, z_draws, rng=None):
     """MC estimates (G, L) for one model, or for a stack of K, from shared
     auxiliary draws.
 
     G stacks the gradient with respect to (mu, raw_scale); L is the mean
-    sampled ELBO.  Draws ``(S, d)`` take the row loop, one tape pass per
-    draw: a draw whose log-joint is non-finite is rejected and resampled
-    from ``rng``; more than 50% rejections aborts the iteration.  A block
-    ``(K, S, D)`` with a ``families.StackedState`` takes one tape pass and
-    gives G ``(K, 2D)`` and L ``(K,)``; a failed draw raises.
+    sampled ELBO.  Draws ``(S, d)`` take the row loop, one pass per draw: a
+    draw whose log-joint is non-finite is rejected and resampled from
+    ``rng``; more than 50% rejections aborts the iteration.  A block
+    ``(K, S, D)`` with a ``families.StackedState`` takes one pass and gives G
+    ``(K, 2D)`` and L ``(K,)``; a failed draw raises.
     """
     z_draws = np.atleast_2d(np.asarray(z_draws, dtype=float))
     if z_draws.shape[-1] != state.dim:
         raise ValueError("auxiliary draws have wrong dimension")
-    if z_draws.ndim == 3:
-        return _estimate_block(model, state, z_draws)
-    return _estimate_rows(model, state, z_draws, rng)
+    if z_draws.ndim == 2:
+        return _estimate_rows(model, state, z_draws, rng)
+    vals, terms = _pass(model, state, z_draws)
+    return terms.mean(axis=1), vals.mean(axis=-1)
 
 
-def _estimate_block(model, state, z_draws):
-    """(G (K, 2D), L (K,)) from one tape pass over a (K, S, D) block."""
-    theta = families.sample(state, z_draws)
-    vals, g_theta = ad.grad(_objective(model, state), theta)
-    d_mu, d_raw = families.reparam_jacobian(state, z_draws, theta)
-    S = z_draws.shape[1]
-    G = np.concatenate([(g_theta * d_mu).sum(axis=1), (g_theta * d_raw).sum(axis=1)], axis=-1)
-    return G / S, vals.sum(axis=-1) / S
+def _pass(model, state, z):
+    """ELBO terms log p - log q at the draws ``z``, ``(d,)`` or ``(..., D)``,
+    and their gradients in (mu, raw_scale), ``(..., 2D)``.  The log joint is
+    evaluated first; a non-finite term or gradient raises."""
+    theta = families.sample(state, z)
+    lj, g_lj = ad.grad(model.log_joint, theta)
+    lq, g_lq = families.log_q(state, theta)
+    vals, g_theta = lj - lq, g_lj - g_lq
+    if not (np.isfinite(vals).all() and np.isfinite(g_theta).all()):
+        raise ad.NonFiniteValueError("log_joint - log_q")
+    d_mu, d_raw = families.reparam_jacobian(state, z, theta)
+    return vals, np.concatenate([g_theta * d_mu, g_theta * d_raw], axis=-1)
 
 
 def _estimate_rows(model, state, z_draws, rng):
     S, d = z_draws.shape
-    objective = _objective(model, state)
-    g_mu = np.zeros(d)
-    g_raw = np.zeros(d)
+    grad = np.zeros(2 * d)
     elbo = 0.0
     max_rejects = max(1, S // 2)
     rejects = 0
-    for s in range(S):
-        z = z_draws[s]
+    for z in z_draws:
         while True:
-            theta = families.sample(state, z)
             try:
-                val, g_theta = ad.grad(objective, theta)
+                val, terms = _pass(model, state, z)
                 break
             except REJECTED:
                 rejects += 1
@@ -226,11 +225,9 @@ def _estimate_rows(model, state, z_draws, rng):
                         f"model '{model.name}': {rejects} rejected draws in one iteration"
                     )
                 z = rng.standard_normal(d)
-        d_mu, d_raw = families.reparam_jacobian(state, z, theta)
-        g_mu += g_theta * d_mu
-        g_raw += g_theta * d_raw
+        grad += terms
         elbo += val
-    return np.concatenate([g_mu, g_raw]) / S, elbo / S
+    return grad / S, elbo / S
 
 
 def update_weights(elbos, log_prior_weights):
@@ -268,7 +265,7 @@ def run(config: VbmaConfig, models, progress=None):
 
     A subset ensemble as its builder returned it (see
     ``models.SubsetEnsemble``) is one group: its members are evaluated in one
-    tape pass per iteration and stepped by one optimizer over their
+    pass per iteration and stepped by one optimizer over their
     ``(K, 2D)`` parameters.  Any other model is a group of its own.  Each
     group draws its ``(K, S, D)`` block of standard normals from its own
     stream per iteration; a stacked pass that fails is redone member by

@@ -126,8 +126,12 @@ def prepare(columns, response, log_columns=(), center_columns=(), train_mask=Non
     """Log-transform then center the named columns.
 
     Centering offsets are computed on training rows only and recorded so the
-    transforms can be inverted.
+    transforms can be inverted.  A ``response``, log or center name that is
+    not a column raises ``IngestionError``.
     """
+    missing = [name for name in (response, *log_columns, *center_columns) if name not in columns]
+    if missing:
+        raise IngestionError(f"no column {missing[0]!r} (columns: {', '.join(columns)})")
     out = {}
     n = len(next(iter(columns.values())))
     mask = np.ones(n, dtype=bool) if train_mask is None else np.asarray(train_mask, dtype=bool)

@@ -7,6 +7,9 @@ the standard deviation used by the reparametrization transform.  Optimizing
 ``raw_scale`` instead of the variance avoids constrained optimization.  A
 state decodes its variances once, when ``raw_scale`` is assigned, and every
 draw, density and Jacobian of that state reads them.
+
+The draw, log q with its gradient and the Jacobian of the draw are closed
+forms in numpy, off the autodiff tape.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ class _Decoded:
         """Decoded per-coordinate standard deviations."""
         return self._sd
 
+    @property
+    def dim(self):
+        """Number of coordinates (of the shared layout, for a stack)."""
+        return self.mu.shape[-1]
+
 
 @dataclass
 class VariationalState(_Decoded):
@@ -72,10 +80,6 @@ class VariationalState(_Decoded):
             raise ValueError("mu, raw_scale and tags must have equal length")
         if not self.names:
             self.names = tuple(f"theta{i}" for i in range(len(self.mu)))
-
-    @property
-    def dim(self):
-        return len(self.mu)
 
     @property
     def lognormal_mask(self):
@@ -124,29 +128,13 @@ class StackedState(_Decoded):
     lognormal_mask: np.ndarray
     mask: np.ndarray
 
-    @property
-    def dim(self):
-        return self.mu.shape[-1]
-
-
-def reparam_sample(mu, raw_scale, lognormal_mask, z):
-    """Differentiable transform t(z, (mu, raw_scale)) -> theta.
-
-    Normal coordinate: theta = z * sd + mu; log-normal: theta = exp(z * sd + mu).
-    ``mu``/``raw_scale`` may be tape nodes, making the transform differentiable
-    in the variational parameters.
-    """
-    if np.shape(z)[-1] != np.shape(lognormal_mask)[-1]:
-        raise ValueError("z has wrong length for this state")
-    return _transform(mu, ad.sqrt(decode_scale(raw_scale)), lognormal_mask, z)
-
 
 def _transform(mu, sd, m, z):
     u = mu + z * sd
     if not np.any(m):
         return u
     # exp applied only where needed so normal coordinates cannot overflow it
-    return u * (1.0 - m) + m * ad.exp(u * m)
+    return u * (1.0 - m) + m * np.exp(u * m)
 
 
 def sample(state: VariationalState, z):
@@ -162,23 +150,22 @@ def sample(state: VariationalState, z):
 
 
 def log_q(state: VariationalState, theta):
-    """Log-density of the mean-field family at ``theta`` (may be a tape node).
+    """Log-density of the mean-field family at ``theta`` and its gradient in
+    ``theta``, the variational parameters held fixed, as ``(values, grads)``.
 
     ``theta`` is one vector ``(dim,)`` or a block ``(..., dim)`` such as
     ``(S, dim)``, or ``(K, S, D)`` for a ``StackedState``, giving one value
-    per row.  Variational parameters enter as constants; differentiate
-    through ``theta``.  The values and their gradients in ``theta`` are
-    computed in closed form: a node ``theta`` gives one node
-    (``ad.closed_form``), an array gives an array.
+    per row.  A non-finite value or gradient raises
+    ``ad.NonFiniteValueError("log_q")``.
     """
-    t = theta.value if isinstance(theta, ad.Node) else np.asarray(theta, dtype=float)
-    if np.shape(t)[-1] != state.dim:
+    t = np.asarray(theta, dtype=float)
+    if t.shape[-1] != state.dim:
         raise ValueError("theta has wrong length for this state")
     m = state.lognormal_mask
     if ((m > 0) & (t <= 0)).any():
         raise ValueError("log-normal coordinate requires strictly positive theta")
     var = state.var
-    with np.errstate(all="ignore"):  # checked once, in ad.closed_form
+    with np.errstate(all="ignore"):  # checked once, below
         # log theta on log-normal coordinates, exactly 0 on normal ones
         scale = t * m + (1.0 - m)
         log_theta = np.log(scale)
@@ -190,12 +177,12 @@ def log_q(state: VariationalState, theta):
             terms = terms * state.mask
             d_x = d_x * state.mask
         val = -0.5 * terms.sum(axis=-1) - log_theta.sum(axis=-1)  # -log(theta) terms
-        if not isinstance(theta, ad.Node):
-            return val
         # dx/dtheta is 1/theta on log-normal coordinates, where the Jacobian
         # term adds -1/theta; 1 and 0 on normal ones
         grads = (d_x - m) / scale
-    return ad.closed_form(theta, val, grads, "log_q")
+    if not (np.isfinite(val).all() and np.isfinite(grads).all()):
+        raise ad.NonFiniteValueError("log_q")
+    return val, grads
 
 
 def reparam_jacobian(state: VariationalState, z, theta):

@@ -369,6 +369,59 @@ def test_short_csv_row_is_usage_error(tmp_path, capsys):
     assert "row 3, column 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, name", [
+    ("response", "yy", "yy"), ("log", "y,Mm", "Mm"), ("center", "y,Mm", "Mm"),
+    ("predictors", "M,Nope", "Nope"), ("predictors", "M,y", "y"), ("predictors", "M,M", "M"),
+], ids=["response", "log", "center", "predictor-unknown", "predictor-response",
+        "predictor-twice"])
+def test_config_column_names_must_be_columns(tmp_path, capsys, key, value, name):
+    settings = {"response": "y", "log": "y,M", "center": "y,M", "predictors": "M", key: value}
+    cfg = tmp_path / "cols.ini"
+    cfg.write_text("[data]\ncsv = bundled:crime.csv\n"
+                   + "".join(f"{k} = {settings[k]}\n" for k in ("response", "log", "center"))
+                   + f"\n[ensemble]\nkind = linear\npredictors = {settings['predictors']}\n\n"
+                   "[run]\nsamples = 2\npretrain_iters = 2\njoint_iters = 0\nwindow = 0\n")
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(name) in err
+    assert not (out / "weights.csv").exists()
+
+
+@pytest.fixture()
+def checkpoint_copy(crime_fit_dir, tmp_path):
+    """The crime fit's checkpoint in a directory of its own, and its config."""
+    root, cfg, _ = crime_fit_dir
+    (tmp_path / "checkpoint.txt").write_text((root / "checkpoint.txt").read_text())
+    return tmp_path, cfg
+
+
+def _edit_line(text, starts, edit):
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(starts))
+    lines[i:i + 1] = edit(lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("starts, edit", [
+    ("phi ", lambda line: [line.rsplit(" ", 1)[0]]),
+    ("q ", lambda line: [line + " 0.5"]),
+    ("q ", lambda line: ["q " + " ".join(["0.5"] * 8)]),
+    ("phi ", lambda line: [line.replace("lognormal", "normal")]),
+    ("beta0 ", lambda line: []),
+    ("beta0 ", lambda line: ["beta0 normal nan " + line.split()[3]]),
+], ids=["truncated-line", "q-extra-entry", "q-not-summing-to-1", "phi-tag-normal",
+        "deleted-coordinate", "nan-location"])
+def test_checkpoint_that_does_not_match_the_models_is_usage_error(checkpoint_copy, capsys,
+                                                                  starts, edit):
+    out, cfg = checkpoint_copy
+    ckpt = out / "checkpoint.txt"
+    ckpt.write_text(_edit_line(ckpt.read_text(), starts, edit))
+    assert run_cli(["predict", "--config", str(cfg), "--out", str(out), "--draws", "20"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: ")
+    assert not (out / "predictions.csv").exists()
+
+
 def test_numerical_failures_exit_two(tmp_path, crime_cfg, monkeypatch):
     def boom(cfg, models, progress=None):
         raise core.IterationError("synthetic blow-up")
@@ -392,5 +445,7 @@ def test_svg_emission(tmp_path, crime_cfg):
     pytest.importorskip("matplotlib")
     out = tmp_path / "out"
     assert run_cli(["fit", "--config", str(crime_cfg), "--out", str(out), "--svg"]) == 0
-    svg = (out / "elbo_trace.svg").read_bytes()
-    assert b"<svg" in svg[:500]
+    assert run_cli(["coverage", "--config", str(crime_cfg), "--out", str(out), "--svg",
+                    "--draws", "50"]) == 0
+    for name in ("elbo_trace.svg", "coverage.svg"):
+        assert b"<svg" in (out / name).read_bytes()[:500]

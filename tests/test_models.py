@@ -62,19 +62,41 @@ def test_gaussian_mean_log_joint_matches_scipy():
     assert as_float(m.log_joint(np.array([mu]))) == pytest.approx(expected, abs=1e-10)
 
 
-def test_gaussian_mean_posterior_and_evidence_against_formulas():
-    y = rng().normal(1.0, 2.0, size=20)
-    m = GaussianMeanModel(y, obs_sd=2.0, prior_mean=0.0, prior_sd=3.0)
+def sequential_log_evidence(model):
+    """log p(y) as the sum of the one-step predictive log densities
+    log N(y_i; posterior mean given y_<i, obs_sd^2 + posterior variance)."""
+    prec = 1.0 / model.prior_sd**2
+    mean = model.prior_mean
+    total = 0.0
+    for yi in model.y:
+        total += stats.norm(mean, np.sqrt(model.obs_sd**2 + 1.0 / prec)).logpdf(yi)
+        prec_next = prec + 1.0 / model.obs_sd**2
+        mean = (prec * mean + yi / model.obs_sd**2) / prec_next
+        prec = prec_next
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 20, 300])
+@pytest.mark.parametrize("prior_sd, obs_sd", [
+    (3.0, 2.0), (1e-3, 1.0), (1.0, 1e3), (1e3, 1.0), (1.0, 1e-3), (1e-3, 1e-3), (1e3, 1e3),
+])
+def test_gaussian_mean_posterior_and_evidence_against_formulas(n, prior_sd, obs_sd):
+    r = rng()
+    y = r.normal(r.normal(0.5, prior_sd), obs_sd, size=n)
+    m = GaussianMeanModel(y, obs_sd=obs_sd, prior_mean=0.5, prior_sd=prior_sd)
     # independent derivation of the conjugate update
-    prec = 1 / 9.0 + len(y) / 4.0
-    mean = (y.sum() / 4.0) / prec
+    prec = 1 / prior_sd**2 + n / obs_sd**2
+    mean = (0.5 / prior_sd**2 + y.sum() / obs_sd**2) / prec
     pm, ps = m.posterior()
-    assert pm == pytest.approx(mean, abs=1e-12)
-    assert ps == pytest.approx(np.sqrt(1 / prec), abs=1e-12)
-    # evidence equals the marginal multivariate normal density
-    cov = 4.0 * np.eye(len(y)) + 9.0 * np.ones((len(y), len(y)))
-    ref = stats.multivariate_normal.logpdf(y, mean=np.zeros(len(y)), cov=cov)
-    assert m.log_evidence() == pytest.approx(ref, abs=1e-8)
+    assert pm == pytest.approx(mean, rel=1e-12, abs=1e-12)
+    assert ps == pytest.approx(np.sqrt(1 / prec), rel=1e-12, abs=1e-12)
+    # evidence equals the marginal multivariate normal density; scipy's
+    # eigendecomposition of the covariance loses about log10(cond) digits
+    cov = obs_sd**2 * np.eye(n) + prior_sd**2 * np.ones((n, n))
+    cond = 1.0 + n * prior_sd**2 / obs_sd**2
+    ref = stats.multivariate_normal.logpdf(y, mean=np.full(n, 0.5), cov=cov)
+    assert m.log_evidence() == pytest.approx(ref, abs=1e-8 * max(1.0, cond / 1e6))
+    assert m.log_evidence() == pytest.approx(sequential_log_evidence(m), rel=1e-12, abs=1e-12)
 
 
 # -- linear regression under the g-prior --------------------------------------
