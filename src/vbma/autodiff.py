@@ -14,12 +14,11 @@ marginals efficiently.  A model that knows its gradients in closed form
 enters the tape as one node through :func:`closed_form`.
 
 Tapes are single-use and confined to the thread that built them.  The tape
-itself keeps no state between evaluations, but a caller may: given a work
-array, :func:`gaussian_spd_logpdf` overwrites its covariance and writes its
-vjp into that array, so the GP model reuses one set of n x n arrays from draw
-to draw and hands them out again only once the tape that holds them is freed
-(a ``Node`` can be weakly referenced for this).  Evaluations that share such
-arrays must not run concurrently.
+keeps no state between evaluations, and no primitive keeps an n x n array for
+the sweep: :func:`gaussian_spd_logpdf` finishes its covariance gradient before
+it returns.  Given a work array, it overwrites its covariance and writes that
+gradient into the array, so the GP model reuses one set of n x n arrays from
+draw to draw.  Evaluations that share such arrays must not run concurrently.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class Node:
     """One value on the tape.  Supports +, -, *, /, ** (constant exponent) and
     numpy-style ops."""
 
-    __slots__ = ("value", "parents", "_grad", "__weakref__")
+    __slots__ = ("value", "parents", "_grad")
 
     # make ndarray <op> Node defer to Node's reflected operators instead of
     # producing an object array; numpy ufuncs applied to a Node then raise,
@@ -310,10 +309,18 @@ def gaussian_spd_logpdf(resid, cov, work=None):
     Cholesky factorization instead of O(n^3) scalar records.  Raises
     ``np.linalg.LinAlgError`` if the factorization fails.
 
+    With constant operands the result is a float.  For a node ``cov`` the
+    call forms G = df/dcov = (alpha alpha' - K^-1) / 2 at once and links the
+    output to ``cov``'s parents through their vjps of G, scaled by the
+    cotangent (exact: the output is a scalar and every vjp is linear in its
+    cotangent), so no n x n array outlives the call.  ``cov`` itself then
+    gets no gradient from this term, unless it is a leaf, linked to G.
+
     ``work``, an n x n C-ordered float array, makes the call allocate no
     n x n array: ``cov`` must then be C-ordered and exactly symmetric, its
-    storage is overwritten by its Cholesky factor and later by its inverse,
-    and the vjp writes df/dcov into ``work``.  Without it, ``cov`` is copied.
+    storage is overwritten by its Cholesky factor and then by its inverse,
+    and G is written into ``work`` (and copied where a link keeps it).
+    Without it, ``cov`` is copied.
     """
     r, K = _value_of(resid), _value_of(cov)
     n = r.shape[0]
@@ -326,30 +333,25 @@ def gaussian_spd_logpdf(resid, cov, work=None):
     logdet = 2.0 * np.sum(np.log(np.diag(c)))
     val = -0.5 * (n * np.log(2.0 * np.pi) + logdet + r @ alpha)
     _check_finite(val, "gaussian_spd_logpdf")
-
-    def vjp_r(g):
-        return -g * alpha
-
-    inverse = []  # K^-1, made once, by the first vjp: it replaces the factor
-
-    def vjp_K(g):
-        # G = g/2 (alpha alpha' - K^-1).  The upper triangle is zero, so
+    links = [(resid, lambda g: -g * alpha)] if isinstance(resid, Node) else []
+    if isinstance(cov, Node):
+        low_inv, info = dpotri(c, lower=1, overwrite_c=1)
+        if info:
+            raise np.linalg.LinAlgError("covariance inverse failed")
+        # G = (alpha alpha' - K^-1) / 2.  The upper triangle is zero, so
         # low_inv + low_inv' is K^-1 with its diagonal doubled; then one
         # rank-1 update by scipy's BLAS
-        if not inverse:
-            low_inv, info = dpotri(c, lower=1, overwrite_c=1)
-            if info:
-                raise np.linalg.LinAlgError("covariance inverse failed")
-            inverse.append(low_inv)
-        low_inv = inverse[0]
         G = np.add(low_inv, low_inv.T, out=np.empty((n, n)) if work is None else work)
         G.flat[:: n + 1] = low_inv.diagonal()
-        G *= -0.5 * g
+        G *= -0.5
         # G is symmetric, so its transpose is the Fortran array BLAS updates
-        dger(0.5 * g, alpha, alpha, a=G.T, overwrite_a=1)
-        return G
-
-    return Node(val, _links((resid, vjp_r), (cov, vjp_K)))
+        dger(0.5, alpha, alpha, a=G.T, overwrite_a=1)
+        for parent, vjp in cov.parents or ((cov, lambda G: G),):
+            grad_G = vjp(G)
+            if work is not None and np.may_share_memory(grad_G, work):
+                grad_G = grad_G.copy()
+            links.append((parent, lambda g, grad_G=grad_G: g * grad_G))
+    return Node(val, tuple(links)) if links else float(val)
 
 
 def closed_form(x, values, grads, op):

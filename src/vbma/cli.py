@@ -307,12 +307,12 @@ def cmd_fit(args):
     return 0
 
 
-def _log_evidence(model, args):
+def _log_evidence(model, mc_samples, seed):
     """The closed-form Zellner evidence of an improper-prior (g-prior) model,
     or a Monte Carlo estimate from ``--mc-samples`` prior draws."""
     if not model.has_proper_prior():
         return evidence_mod.zellner_log_evidence(model)
-    return evidence_mod.mc_log_evidence(model, args.mc_samples, seed=args.seed or 0)
+    return evidence_mod.mc_log_evidence(model, mc_samples, seed=seed)
 
 
 def cmd_evidence(args):
@@ -320,7 +320,8 @@ def cmd_evidence(args):
     ds, models = build_ensemble(settings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    estimates = [_log_evidence(m, args) for m in models]
+    seed = vbma_config(settings).seed
+    estimates = [_log_evidence(m, args.mc_samples, seed) for m in models]
     post = evidence_mod.evidence_to_posterior(
         estimates, [m.prior_weight for m in models]
     )
@@ -349,17 +350,21 @@ def cmd_bf(args):
     posterior = load_fit(args.out, models)
     priors = np.array([m.prior_weight for m in models])
     vbma_bf = metrics.bayes_factor(posterior.weights, priors, i, j)
-    oracle_bf = None
+    oracle = ()
     if args.mc_samples or not models[i].has_proper_prior():
-        ev = [_log_evidence(models[k], args) for k in (i, j)]
-        oracle_bf = float(np.exp(ev[0].log_evidence - ev[1].log_evidence))
-    rows = [(args.model_i, args.model_j, float(vbma_bf),
-             "" if oracle_bf is None else oracle_bf)]
+        seed = vbma_config(settings).seed
+        ev_i, ev_j = (_log_evidence(models[k], args.mc_samples, seed).log_evidence
+                      for k in (i, j))
+        # the log Bayes factor stays exact where the ratio overflows to inf
+        log_bf = ev_i - ev_j
+        with np.errstate(over="ignore"):
+            oracle = (float(np.exp(log_bf)), log_bf)
+    rows = [(args.model_i, args.model_j, float(vbma_bf), *(oracle or ("", "")))]
     write_table(Path(args.out) / "bf.csv", _header(settings),
-                ["model_i", "model_j", "bf_vbma", "bf_oracle"], rows)
+                ["model_i", "model_j", "bf_vbma", "bf_oracle", "log_bf_oracle"], rows)
     line = f"BF({args.model_i} vs {args.model_j}) vbma={vbma_bf:.4g}"
-    if oracle_bf is not None:
-        line += f" oracle={oracle_bf:.4g}"
+    if oracle:
+        line += f" oracle={oracle[0]:.4g} log_oracle={oracle[1]:.4g}"
     print(line)
     return 0
 
@@ -390,7 +395,8 @@ def cmd_predict(args):
     ds, models = build_ensemble(settings)
     posterior = load_fit(args.out, models)
     rows, X = _prediction_inputs(ds)
-    draws = metrics.bma_draw(posterior, X, n_draws, np.random.default_rng(args.seed or 0))
+    rng = np.random.default_rng(vbma_config(settings).seed)
+    draws = metrics.bma_draw(posterior, X, n_draws, rng)
     names = ["row", "mean"]
     columns = [range(len(X)), draws.mean(axis=0)]
     for lev in levels:
@@ -411,7 +417,7 @@ def cmd_coverage(args):
     posterior = load_fit(args.out, models)
     rows, X = _prediction_inputs(ds)
     cov = metrics.coverage_curve(posterior, X, ds.y(rows), levels,
-                                 n_draws=n_draws, seed=args.seed or 0)
+                                 n_draws=n_draws, seed=vbma_config(settings).seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "coverage.csv", _header(settings) + [f"rows={rows}"],

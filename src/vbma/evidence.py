@@ -105,8 +105,7 @@ def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
             log_liks[done:done + m] = model.log_lik(thetas)
         else:
             for j in range(m):
-                out = model.log_lik(thetas[j])
-                log_liks[done + j] = out.value if hasattr(out, "value") else out
+                log_liks[done + j] = model.log_lik(thetas[j])
         done += m
     log_ev = logsumexp(log_liks) - np.log(n_samples)
     # delta method on the log scale: se(log m) ~ sd(w) / (mean(w) sqrt(N)),

@@ -20,7 +20,8 @@ stacked model on the members' shared, padded layout that evaluates all of
 them at once, and the ``(K, D)`` mask of each member's coordinates in that
 layout.  Evaluation leaves a model's data and parameters unchanged, but it
 is not safe to run concurrently for GP models: the GP models of one n write
-each draw's n x n intermediates into one shared set of work arrays.
+each draw's n x n intermediates into one shared work array, and each draw is
+done with it before it returns.
 
 The improper blocks of the g-prior models (``phi ~ 1/phi``, flat intercept)
 are implemented as log-prior terms ``-log phi`` and ``0``.  Cross-model
@@ -361,43 +362,9 @@ class LogisticModel(Model):
         return (rng.random(p.shape) < p).astype(float) if noise else p
 
 
-class _Workspace:
-    """The three n x n float arrays of one GP draw: the kernel's ``base``, K
-    (then its Cholesky factor, then K^-1) and df/dK.  The GP models of one n
-    share one workspace, allocated on first use.
-
-    A tape that holds the arrays keeps them: while the node named by
-    ``hold`` lives, ``take`` gives fresh arrays instead, so two GP terms on
-    one tape, or a copy of a model, never overwrite arrays still in use.
-    Sharing makes a GP model unsafe to evaluate from two threads at once.
-    """
-
-    _by_size = weakref.WeakValueDictionary()
-
-    def __init__(self, n):
-        self.n = n
-        self._arrays = None
-        self._holder = None  # weak reference to the node holding _arrays
-
-    @classmethod
-    def for_size(cls, n):
-        work = cls._by_size.get(n)
-        if work is None:
-            work = cls._by_size[n] = cls(n)
-        return work
-
-    def take(self):
-        """A (3, n, n) array: base, K and df/dK."""
-        if self._holder is not None and self._holder() is not None:
-            return np.empty((3, self.n, self.n))
-        if self._arrays is None:
-            self._arrays = np.empty((3, self.n, self.n))
-        return self._arrays
-
-    def hold(self, arrays, node):
-        """Keep ``arrays``, if they are the shared ones, while ``node`` lives."""
-        if arrays is self._arrays:
-            self._holder = weakref.ref(node)
+# n -> the (3, n, n) work array shared by the GP models of that n: the
+# kernel's ``base``, K (then its Cholesky factor, then K^-1) and df/dK
+_WORK_BY_SIZE = weakref.WeakValueDictionary()
 
 
 class GPModel(Model):
@@ -409,8 +376,8 @@ class GPModel(Model):
     h = (eta, nu1, nu2, sigma) (scale, the two correlation ranges, noise sd)
     are the last four coordinates and carry log-normal priors.
 
-    A draw writes its n x n intermediates into work arrays shared by the GP
-    models of one n (see ``_Workspace``), so after the first draw it
+    A draw writes its n x n intermediates into one work array shared by the
+    GP models of one n and is done with them when it returns, so it
     allocates no n x n array.
     """
 
@@ -439,7 +406,7 @@ class GPModel(Model):
         d2 = self.coords[:, 1][:, None] - self.coords[:, 1][None, :]
         self._d1sq = np.square(d1, out=d1)
         self._d2sq = np.square(d2, out=d2)
-        self._work = _Workspace.for_size(self.n)
+        self._work = _WORK_BY_SIZE.setdefault(self.n, np.empty((3, self.n, self.n)))
 
     def _split(self, theta):
         """The mean (``theta[0]`` or the fixed offset) and h = ``theta[-4:]``."""
@@ -482,19 +449,16 @@ class GPModel(Model):
 
     def log_lik(self, theta):
         beta, h = self._split(theta)
-        arrays = self._work.take()
-        base, K, G = arrays
-        K = self._kernel(h, base, K)
-        if isinstance(K, ad.Node):
-            self._work.hold(arrays, K)
+        base, K, G = self._work
+        cov = self._kernel(h, base, K)
         try:
-            return ad.gaussian_spd_logpdf(self.y - beta, K, work=G)
+            return ad.gaussian_spd_logpdf(self.y - beta, cov, work=G)
         except np.linalg.LinAlgError:
             pass
         # the jitter is far above K's rounding error (~n eps eta^2), so K
         # fails only where eta^2 underflows and a larger jitter would not help
         h = _values(h)
-        min_eig = float(np.linalg.eigvalsh(self._kernel(h, *np.empty((2, self.n, self.n)))).min())
+        min_eig = float(np.linalg.eigvalsh(self._kernel(h, base, K)).min())
         raise ConditioningError(
             f"kernel matrix not positive definite at jitter {self.BASE_JITTER:g} eta^2 "
             f"(min eigenvalue ~ {min_eig:.3e}, eta={h[0]:.3g})"
@@ -518,7 +482,7 @@ class GPModel(Model):
         """Conditional mean and (diagonal) variance at new inputs."""
         beta, h = self._split(np.asarray(theta, dtype=float))
         eta, nu1, nu2, sigma = h
-        base, K, _ = self._work.take()
+        base, K, _ = self._work
         # K is symmetric, so K.T is K in Fortran order, factored in place
         L = cholesky(self._kernel(h, base, K).T, lower=True, overwrite_a=True,
                      check_finite=False)

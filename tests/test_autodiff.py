@@ -189,7 +189,8 @@ def test_gaussian_spd_logpdf_value_matches_scipy():
     given = cov.copy()
     out = ad.gaussian_spd_logpdf(r, cov)
     assert np.array_equal(cov, given)  # without a work array, cov is copied
-    assert float(out.value) == pytest.approx(
+    assert type(out) is float  # constant operands record nothing
+    assert out == pytest.approx(
         multivariate_normal.logpdf(r, mean=np.zeros(n), cov=cov), abs=1e-10
     )
 
@@ -211,6 +212,49 @@ def test_gaussian_spd_logpdf_gradients_match_fd():
         return ad.gaussian_spd_logpdf(r, s[0] * cov)
 
     assert ad.finite_diff_check(f_scale, np.array([1.3]), h=1e-6) < 1e-6
+
+
+def spd_problem(n=4, seed=2):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    return rng, A @ A.T + n * np.eye(n), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("use_work", [False, True], ids=["copy", "work"])
+def test_gaussian_spd_logpdf_leaf_cov_gradient_matches_fd(use_work):
+    # a leaf cov is linked to G = df/dcov itself; directional differences
+    # along symmetric perturbations D give <G, D>
+    rng, cov, r = spd_problem()
+    work = np.empty_like(cov) if use_work else None
+    leaf = ad.Node(cov.copy())
+    out = ad.gaussian_spd_logpdf(r, leaf, work=work)
+    if use_work:
+        work[:] = np.nan  # a later draw's use of the array does not reach the sweep
+    ad.backward(out)
+    G = leaf._grad
+    assert np.isfinite(G).all() and np.array_equal(G, G.T)
+    h = 1e-6
+    for _ in range(5):
+        D = rng.standard_normal(cov.shape)
+        D += D.T
+        fd = (ad.gaussian_spd_logpdf(r, cov + h * D)
+              - ad.gaussian_spd_logpdf(r, cov - h * D)) / (2.0 * h)
+        assert np.sum(G * D) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+
+
+def test_gaussian_spd_logpdf_cov_with_two_consumers_matches_fd():
+    # cov feeds the density, under a cotangent of 0.7, and a second term; the
+    # density links to cov's parents, which must still sum both paths
+    _, cov, r = spd_problem()
+    B = np.diag([1.0, 2.0, 0.5, 1.5])
+    C = np.arange(16.0).reshape(4, 4) / 10.0
+
+    def f(x):
+        K = x[0] * cov + x[1] * B
+        return 0.7 * ad.gaussian_spd_logpdf(x[2:] - r, K) - 1.3 * ad.vsum(K * C)
+
+    x = np.concatenate([[1.2, 0.8], np.zeros(4)])
+    assert ad.finite_diff_check(f, x, h=1e-6) < 1e-6
 
 
 def test_gaussian_spd_logpdf_rejects_indefinite():

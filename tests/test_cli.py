@@ -1,6 +1,8 @@
 """Front-end behavior: artifact layout and headers, reproducibility,
 configuration precedence, and the exit-code contract."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,38 @@ def test_env_override_between_config_and_flag(tmp_path, crime_cfg, monkeypatch):
     assert "seed=9" in (out2 / "weights.csv").read_text().splitlines()[0]
 
 
+@pytest.mark.parametrize("argv, artifact", [
+    (["predict", "--levels", "0.5", "--draws", "30"], "predictions.csv"),
+    (["coverage", "--levels", "0.3,0.6", "--draws", "7"], "coverage.csv"),
+    (["evidence", "--mc-samples", "20"], "evidence.csv"),
+    (["bf", "logit:intercept", "logit:a", "--mc-samples", "20"], "bf.csv"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_config_and_env_seed_draw_as_the_seed_flag(logistic_fit_dir, tmp_path, monkeypatch,
+                                                   argv, artifact):
+    # the resolved seed, not only the flag, drives the draws: a config or
+    # environment seed of 5 writes the bytes of --seed 5, the default other draws
+    root, cfg = logistic_fit_dir
+    seeded = tmp_path / "seeded.ini"
+    seeded.write_text(cfg.read_text() + "seed = 5\n")  # [run] is the last section
+    monkeypatch.delenv("VBMA_SEED", raising=False)
+    outputs = {}
+    for how, config, flags, env in (("flag", cfg, ["--seed", "5"], None),
+                                    ("config", seeded, [], None),
+                                    ("env", cfg, [], "5"),
+                                    ("default", cfg, [], None)):
+        out = tmp_path / how
+        out.mkdir()
+        shutil.copy(root / "checkpoint.txt", out)
+        if env is not None:
+            monkeypatch.setenv("VBMA_SEED", env)
+        assert run_cli(argv + ["--config", str(config), "--out", str(out)] + flags) == 0
+        monkeypatch.delenv("VBMA_SEED", raising=False)
+        outputs[how] = (out / artifact).read_text()
+    assert outputs["config"] == outputs["flag"] == outputs["env"]
+    body = lambda text: [line for line in text.splitlines() if not line.startswith("#")]
+    assert body(outputs["default"]) != body(outputs["flag"])
+
+
 def test_single_model_gets_unit_weight(tmp_path, single_model_cfg):
     out = tmp_path / "out"
     assert run_cli(["fit", "--config", str(single_model_cfg), "--out", str(out)]) == 0
@@ -112,7 +146,31 @@ def test_bf_reports_oracle_for_linear(tmp_path, crime_cfg, capsys):
     run_cli(["bf", "--config", str(crime_cfg), "--out", str(out),
              "lin:Prob", "lin:M+Prob"])
     printed = capsys.readouterr().out
-    assert "oracle=" in printed
+    assert "oracle=" in printed and "log_oracle=" in printed
+    lines = (out / "bf.csv").read_text().splitlines()
+    assert lines[-2] == "model_i,model_j,bf_vbma,bf_oracle,log_bf_oracle"
+    bf, log_bf = map(float, lines[-1].split(",")[3:])
+    assert bf == pytest.approx(np.exp(log_bf), rel=1e-9)
+
+
+def test_bf_oracle_beyond_float_range_keeps_its_log(tmp_path, capsys):
+    # MC log evidences about 1030 nats apart: the ratio overflows to inf
+    # without a warning, and the log Bayes factor is written as it is
+    cfg = tmp_path / "heart.ini"
+    cfg.write_text("[data]\ncsv = bundled:heart.csv\nresponse = y\ncenter = age,chol\n\n"
+                   "[ensemble]\nkind = logistic\npredictors = age,chol\n\n"
+                   "[run]\nsamples = 2\npretrain_iters = 3\njoint_iters = 2\nwindow = 2\n")
+    common = ["--config", str(cfg), "--out", str(tmp_path)]
+    assert run_cli(["fit"] + common) == 0
+    assert run_cli(["bf", "logit:age", "logit:chol", "--mc-samples", "200"] + common) == 0
+    assert "oracle=inf log_oracle=" in capsys.readouterr().out
+    bf, log_bf = (tmp_path / "bf.csv").read_text().splitlines()[-1].split(",")[3:]
+    assert run_cli(["evidence", "--mc-samples", "200"] + common) == 0
+    ev = {l.split(",")[0]: float(l.split(",")[2])
+          for l in (tmp_path / "evidence.csv").read_text().splitlines()[2:]}
+    assert ev["logit:age"] - ev["logit:chol"] > 709
+    assert bf == "inf" and float(log_bf) == pytest.approx(ev["logit:age"] - ev["logit:chol"],
+                                                          rel=1e-8)
 
 
 def test_bf_unknown_model_is_usage_error(tmp_path, crime_cfg):

@@ -8,6 +8,9 @@ checked on the conjugate normal-mean model where the evidence is exact.
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import logsumexp
+
+from vbma import data as data_io
 
 from vbma.evidence import (
     ConfigurationError,
@@ -17,7 +20,7 @@ from vbma.evidence import (
     mc_log_evidence,
     zellner_log_evidence,
 )
-from vbma.models import GaussianMeanModel, LinRegModel, LogisticModel
+from vbma.models import GaussianMeanModel, GPModel, LinRegModel, LogisticModel
 
 
 def small_lin_model():
@@ -111,6 +114,21 @@ def test_mc_uses_vectorized_likelihood_when_available():
     # batching must not change the estimate for a fixed seed
     b = mc_log_evidence(m, 20_000, seed=0, batch=1_000)
     assert a.log_evidence == pytest.approx(b.log_evidence, abs=1e-10)
+
+
+def test_mc_evidence_of_a_row_model_loops_log_lik_over_prior_draws():
+    # a GP model takes one parameter vector at a time; its estimate is the
+    # one a hand loop over the same prior draws gives, whatever the batch
+    ds = data_io.synth_gp_dataset(grid_size=5, seed=0, n_test=0, sigma=0.4)
+    m = GPModel(np.column_stack([ds.column("x1"), ds.column("x2")]), ds.y())
+    assert not m.supports_blocks
+    rng = np.random.default_rng(4)
+    log_liks = np.array([m.log_lik(m.sample_prior(rng)) for _ in range(30)])
+    want = logsumexp(log_liks) - np.log(30)
+    for batch in (None, 7):
+        est = mc_log_evidence(m, 30, seed=4, batch=batch)
+        assert est.log_evidence == want and est.mc_samples == 30
+        assert est.standard_error > 0
 
 
 class BlockSizeRecorder(LogisticModel):
