@@ -13,6 +13,11 @@ and one multivariate-normal primitive needed to express Gaussian-process
 marginals efficiently.  A model that knows its gradients in closed form
 enters the tape as one node through :func:`closed_form`.
 
+The multivariate-normal primitive takes a dense covariance or a
+:class:`KroneckerCov`, scale * kron(a1, a2) + nugget * I, the covariance of
+a separable kernel on a full lattice.  The Kronecker form costs the
+eigendecompositions of its two small factors, and no n x n array.
+
 Tapes are single-use and confined to the thread that built them.  The tape
 keeps no state between evaluations, and no primitive keeps an n x n array for
 the sweep: :func:`gaussian_spd_logpdf` finishes its covariance gradient before
@@ -22,6 +27,8 @@ draw to draw.  Evaluations that share such arrays must not run concurrently.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -302,12 +309,77 @@ def dot(a, b):
     return Node(val, _links((a, vjp_a), (b, vjp_b)))
 
 
+class KroneckerCov(NamedTuple):
+    """The covariance scale * kron(a1, a2) + nugget * I, of size n1 n2, for
+    symmetric n1 x n1 ``a1`` and n2 x n2 ``a2`` and scalar ``scale`` and
+    ``nugget``; each field is an array or a tape node."""
+
+    a1: object
+    a2: object
+    scale: object
+    nugget: object
+
+    def eigen(self):
+        """``(l1, q1, l2, q2, d)``: the eigendecompositions a1 = q1 diag(l1) q1'
+        and a2 = q2 diag(l2) q2', and the covariance's eigenvalues
+        d = scale l1 l2' + nugget as an (n1, n2) array."""
+        l1, q1 = np.linalg.eigh(_value_of(self.a1))
+        l2, q2 = np.linalg.eigh(_value_of(self.a2))
+        d = _value_of(self.scale) * np.outer(l1, l2) + _value_of(self.nugget)
+        return l1, q1, l2, q2, d
+
+
+def _kronecker_logpdf(resid, cov):
+    """``gaussian_spd_logpdf`` for a ``KroneckerCov``.
+
+    With Q = q1 (x) q2, the covariance is Q diag(d) Q', so the density needs
+    only t = Q' resid, formed on the (n1, n2) reshape of ``resid`` as
+    q1' R q2, and alpha = Q (t / d) (Saatci 2011).  Each node field is
+    linked to its gradient, with A the (n1, n2) reshape of alpha:
+    a1: scale/2 (A a2 A' - q1 diag(sum_l l2_l / d_il) q1'), a2 the mirror
+    form; scale: (sum A o (a1 A a2) - sum l1 l2' / d) / 2; nugget:
+    (sum A^2 - sum 1 / d) / 2.
+    """
+    l1, q1, l2, q2, d = cov.eigen()
+    n1, n2 = d.shape
+    r = _value_of(resid)
+    if r.shape != (n1 * n2,):
+        raise ValueError(f"resid has shape {r.shape}, the covariance size {n1 * n2}")
+    if not (d > 0).all():
+        raise np.linalg.LinAlgError(
+            f"covariance not positive definite (min eigenvalue {d.min():.3e})")
+    t = q1.T @ r.reshape(n1, n2) @ q2
+    u = t / d
+    val = -0.5 * (r.size * np.log(2.0 * np.pi) + np.log(d).sum() + (t * u).sum())
+    _check_finite(val, "gaussian_spd_logpdf")
+    a1, a2, scale, nugget = (_value_of(x) for x in cov)
+    A = q1 @ u @ q2.T
+    inv_d = 1.0 / d
+    grads = {
+        "a1": lambda: 0.5 * scale * (A @ a2 @ A.T - (q1 * (inv_d @ l2)) @ q1.T),
+        "a2": lambda: 0.5 * scale * (A.T @ a1 @ A - (q2 * (l1 @ inv_d)) @ q2.T),
+        "scale": lambda: 0.5 * ((A * (a1 @ A @ a2)).sum() - l1 @ inv_d @ l2),
+        "nugget": lambda: 0.5 * ((A * A).sum() - inv_d.sum()),
+    }
+    links = [(resid, lambda g, alpha=A.ravel(): -g * alpha)] if isinstance(resid, Node) else []
+    for name, field in zip(cov._fields, cov):
+        if isinstance(field, Node):
+            grad_f = np.reshape(grads[name](), field.value.shape)
+            links.append((field, lambda g, grad_f=grad_f: g * grad_f))
+    return Node(val, tuple(links)) if links else float(val)
+
+
 def gaussian_spd_logpdf(resid, cov, work=None):
     """log N(resid; 0, cov) for symmetric positive-definite ``cov``.
 
     A single tape primitive so that Gaussian-process marginals cost one
     Cholesky factorization instead of O(n^3) scalar records.  Raises
     ``np.linalg.LinAlgError`` if the factorization fails.
+
+    ``cov`` may also be a ``KroneckerCov``: the call then takes the
+    eigendecompositions of its two factors and forms no n x n array, and
+    raises ``np.linalg.LinAlgError`` if an eigenvalue of the covariance is
+    not positive.  ``work`` applies to a dense ``cov`` only.
 
     With constant operands the result is a float.  For a node ``cov`` the
     call forms G = df/dcov = (alpha alpha' - K^-1) / 2 at once and links the
@@ -322,6 +394,10 @@ def gaussian_spd_logpdf(resid, cov, work=None):
     and G is written into ``work`` (and copied where a link keeps it).
     Without it, ``cov`` is copied.
     """
+    if isinstance(cov, KroneckerCov):
+        if work is not None:
+            raise ValueError("work applies to a dense covariance only")
+        return _kronecker_logpdf(resid, cov)
     r, K = _value_of(resid), _value_of(cov)
     n = r.shape[0]
     # K is symmetric, so K.T is K in Fortran order: LAPACK factors and then

@@ -14,14 +14,16 @@ and logistic models compute ``log_lik`` and ``log_prior`` and their
 gradients in closed form, in numpy: a tape node gives one node
 (``ad.closed_form``), an array gives an array.  The normal-mean and GP
 models record their densities on the tape (the GP's kernel matrix as one
-node with closed-form vjps), as user models do.  The subset
+node with closed-form vjps, or, on a full lattice of training inputs, its
+two small Kronecker factors from ordinary tape operations), as user models
+do.  The subset
 builders return a ``SubsetEnsemble``: the K members as a list, plus one
 stacked model on the members' shared, padded layout that evaluates all of
 them at once, and the ``(K, D)`` mask of each member's coordinates in that
 layout.  Evaluation leaves a model's data and parameters unchanged, but it
-is not safe to run concurrently for GP models: the GP models of one n write
-each draw's n x n intermediates into one shared work array, and each draw is
-done with it before it returns.
+is not safe to run concurrently for GP models: off a lattice, the GP models
+of one n write each draw's n x n intermediates into one shared work array,
+and each draw is done with it before it returns.
 
 The improper blocks of the g-prior models (``phi ~ 1/phi``, flat intercept)
 are implemented as log-prior terms ``-log phi`` and ``0``.  Cross-model
@@ -376,9 +378,16 @@ class GPModel(Model):
     h = (eta, nu1, nu2, sigma) (scale, the two correlation ranges, noise sd)
     are the last four coordinates and carry log-normal priors.
 
-    A draw writes its n x n intermediates into one work array shared by the
-    GP models of one n and is done with them when it returns, so it
-    allocates no n x n array.
+    When the training inputs are a full lattice, exactly the Cartesian
+    product of their distinct x1 and x2 values in x1-major order with at
+    least two values on each axis, K = eta^2 kron(A1, A2) + (sigma^2 +
+    jitter) I with A1 and A2 the kernel's factors on the two axes, and
+    ``log_lik`` evaluates the density from those factors alone
+    (``ad.KroneckerCov``); ``lattice`` is then ``(n1, n2)``, else None.
+    Otherwise a draw writes its n x n intermediates into one work array
+    shared by the GP models of one n and is done with them when it returns,
+    so it allocates no n x n array.  ``predict_dist`` always takes the
+    dense path.
     """
 
     BASE_JITTER = 1e-6  # relative to eta^2
@@ -407,6 +416,10 @@ class GPModel(Model):
         self._d1sq = np.square(d1, out=d1)
         self._d2sq = np.square(d2, out=d2)
         self._work = _WORK_BY_SIZE.setdefault(self.n, np.empty((3, self.n, self.n)))
+        axes = _lattice_axes(self.coords)
+        self.lattice = None if axes is None else tuple(len(a) for a in axes)
+        if axes is not None:
+            self._axis_d1sq, self._axis_d2sq = (np.square(a[:, None] - a[None, :]) for a in axes)
 
     def _split(self, theta):
         """The mean (``theta[0]`` or the fixed offset) and h = ``theta[-4:]``."""
@@ -447,18 +460,32 @@ class GPModel(Model):
 
         return ad.Node(K, ((h, vjp),))
 
+    def _lattice_kernel(self, h):
+        """K on a lattice as an ``ad.KroneckerCov`` of the two axes' factors,
+        from tape operations on ``h`` when it is a node."""
+        e, a, b, s = (h[i] for i in range(4))
+        return ad.KroneckerCov(ad.exp(self._axis_d1sq * (-0.5 / a**2)),
+                               ad.exp(self._axis_d2sq * (-0.5 / b**2)),
+                               e**2, s**2 + self.BASE_JITTER * e**2)
+
     def log_lik(self, theta):
         beta, h = self._split(theta)
-        base, K, G = self._work
-        cov = self._kernel(h, base, K)
+        if self.lattice is None:
+            base, K, G = self._work
+            cov, work = self._kernel(h, base, K), G
+        else:
+            cov, work = self._lattice_kernel(h), None
         try:
-            return ad.gaussian_spd_logpdf(self.y - beta, cov, work=G)
+            return ad.gaussian_spd_logpdf(self.y - beta, cov, work=work)
         except np.linalg.LinAlgError:
             pass
         # the jitter is far above K's rounding error (~n eps eta^2), so K
         # fails only where eta^2 underflows and a larger jitter would not help
         h = _values(h)
-        min_eig = float(np.linalg.eigvalsh(self._kernel(h, base, K)).min())
+        if self.lattice is None:
+            min_eig = float(np.linalg.eigvalsh(self._kernel(h, base, K)).min())
+        else:
+            min_eig = float(cov.eigen()[-1].min())
         raise ConditioningError(
             f"kernel matrix not positive definite at jitter {self.BASE_JITTER:g} eta^2 "
             f"(min eigenvalue ~ {min_eig:.3e}, eta={h[0]:.3g})"
@@ -503,6 +530,24 @@ class GPModel(Model):
             if noise:
                 out[t] += np.sqrt(var + noise_var) * rng.standard_normal(len(X))
         return out
+
+
+def _lattice_axes(coords):
+    """The distinct x1 and x2 values when the rows of ``coords`` are exactly
+    their Cartesian product in x1-major order, with at least two values on
+    each axis, else None; O(n).  On a single row or column one factor would
+    be as large as K, and its eigendecomposition costs more than K's
+    Cholesky factorization and inverse."""
+    x1, x2 = coords[:, 0], coords[:, 1]
+    n = len(x1)
+    n2 = int(np.argmax(x1 != x1[0])) if n else 0  # length of the first x1 run
+    if n2 < 2 or n % n2 or n // n2 < 2:
+        return None
+    x1, x2 = x1.reshape(-1, n2), x2.reshape(-1, n2)
+    if not ((x1 == x1[:, :1]).all() and (x2 == x2[:1]).all()):
+        return None
+    axes = x1[:, 0], x2[0]
+    return axes if all(len(set(a.tolist())) == len(a) for a in axes) else None
 
 
 class SubsetEnsemble(list):

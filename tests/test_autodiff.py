@@ -262,6 +262,64 @@ def test_gaussian_spd_logpdf_rejects_indefinite():
         ad.gaussian_spd_logpdf(np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def kronecker_problem():
+    """Squared-exponential factors on 15 and 6 points; the first, with range
+    3 on a unit spacing, is numerically singular (condition ~ 1e10)."""
+    x1, x2 = np.arange(15.0), 0.7 * np.arange(6.0)
+    a1 = np.exp(-np.subtract.outer(x1, x1) ** 2 / (2 * 3.0**2))
+    a2 = np.exp(-np.subtract.outer(x2, x2) ** 2 / (2 * 1.3**2))
+    r = np.random.default_rng(7).standard_normal(x1.size * x2.size)
+    return r, a1, a2, 1.7, 0.09 + 1e-6 * 1.7
+
+
+def dense_kronecker(a1, a2, scale, nugget):
+    """scale * kron(a1, a2) + nugget * I from tape operations, so a node
+    factor, scale or nugget is carried into the dense covariance."""
+    n1, n2 = len(a1), len(a2)
+    i = np.arange(n1 * n2)
+    rows1, rows2 = i // n2, i % n2
+    kron = a1[rows1[:, None], rows1[None, :]] * a2[rows2[:, None], rows2[None, :]]
+    return scale * kron + nugget * np.eye(n1 * n2)
+
+
+def test_kronecker_cov_matches_the_dense_covariance():
+    # value and the gradients of resid, a1, a2, scale and nugget, each a
+    # leaf, against the dense primitive on the same covariance; n1 != n2, so
+    # a transposed reshape of resid would not agree
+    problem = kronecker_problem()
+    assert np.linalg.cond(problem[1]) > 1e9
+
+    def sweep(density):
+        leaves = [ad.Node(x) for x in problem]
+        out = density(leaves[0], *leaves[1:])
+        ad.backward(out)
+        return float(out.value), [leaf._grad for leaf in leaves]
+
+    val, grads = sweep(lambda r, *cov: ad.gaussian_spd_logpdf(r, ad.KroneckerCov(*cov)))
+    want_val, want_grads = sweep(lambda r, *cov: ad.gaussian_spd_logpdf(r, dense_kronecker(*cov)))
+    assert val == pytest.approx(want_val, rel=1e-10, abs=0)
+    for name, g, want in zip(("resid", *ad.KroneckerCov._fields), grads, want_grads):
+        assert np.shape(g) == np.shape(want), name
+        np.testing.assert_allclose(g, want, rtol=1e-10, atol=1e-10 * np.abs(want).max(),
+                                   err_msg=name)
+    # constant operands record nothing and give the dense value
+    r, *cov = problem
+    out = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(*cov))
+    assert type(out) is float
+    assert out == pytest.approx(ad.gaussian_spd_logpdf(r, dense_kronecker(*cov)),
+                                rel=1e-10, abs=0)
+
+
+def test_kronecker_cov_rejects_a_nonpositive_eigenvalue():
+    r, a1, a2, scale, _ = kronecker_problem()
+    cov = ad.KroneckerCov(a1, a2, scale, -1.0)
+    assert cov.eigen()[-1].min() < 0
+    with pytest.raises(np.linalg.LinAlgError):
+        ad.gaussian_spd_logpdf(r, cov)
+    with pytest.raises(np.linalg.LinAlgError):
+        ad.gaussian_spd_logpdf(ad.Node(r), cov._replace(nugget=ad.Node(-1.0)))
+
+
 def test_constant_objective_returns_zero_gradient():
     val, g = ad.grad(lambda v: 7.5, np.array([1.0, 2.0]))
     assert val == 7.5

@@ -131,6 +131,21 @@ def test_mc_evidence_of_a_row_model_loops_log_lik_over_prior_draws():
         assert est.standard_error > 0
 
 
+def test_mc_evidence_on_a_lattice_matches_the_dense_path():
+    # the same points in a shuffled order leave the lattice; the prior draws
+    # depend only on the seed, so both estimates see the same draws
+    ds = data_io.synth_gp_dataset(grid_size=5, seed=0, n_test=0, sigma=0.4)
+    m = GPModel(np.column_stack([ds.column("x1"), ds.column("x2")]), ds.y())
+    order = np.random.default_rng(2).permutation(m.n)
+    shuffled = GPModel(m.coords[order], m.y[order])
+    assert m.lattice == (5, 5) and shuffled.lattice is None
+    for seed in (0, 4):
+        want = mc_log_evidence(shuffled, 200, seed=seed)
+        got = mc_log_evidence(m, 200, seed=seed)
+        assert got.log_evidence == pytest.approx(want.log_evidence, rel=1e-10, abs=0)
+        assert got.standard_error == pytest.approx(want.standard_error, rel=1e-8)
+
+
 class BlockSizeRecorder(LogisticModel):
     """A logistic model that records the rows of every log_lik block."""
 

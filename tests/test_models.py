@@ -3,6 +3,7 @@ hand-written numpy), finite-difference gradient checks for every model, and
 ensemble construction."""
 
 import copy
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -334,6 +335,21 @@ def gp_pair(gp_model):
     return gp_model, fixed
 
 
+def off_lattice(m):
+    """A copy of ``m`` without its last training point: its inputs are no
+    longer a full lattice, so it takes the dense path."""
+    return GPModel(m.coords[:-1], m.y[:-1], free_mean=m.free_mean,
+                   mean_offset=m.mean_offset, name=m.name)
+
+
+@pytest.fixture(scope="module")
+def gp_pairs(gp_pair):
+    """The lattice pair and its off-lattice copy, one pair per path."""
+    off = tuple(off_lattice(m) for m in gp_pair)
+    assert [m.lattice for m in gp_pair + off] == [(5, 5), (5, 5), None, None]
+    return gp_pair, off
+
+
 @pytest.fixture(scope="module")
 def gp_custom_prior(gp_model):
     return GPModel(gp_model.coords, gp_model.y, mean_prior=(0.5, 2.0),
@@ -343,6 +359,26 @@ def gp_custom_prior(gp_model):
 def gp_theta(m, theta):
     """``theta`` = (beta, eta, nu1, nu2, sigma) on ``m``'s layout."""
     return theta if m.free_mean else theta[1:]
+
+
+def test_gp_lattice_needs_the_full_product_in_x1_major_order():
+    g1, g2 = np.meshgrid(np.arange(4.0), 0.5 * np.arange(5.0), indexing="ij")
+    lattice = np.column_stack([g1.ravel(), g2.ravel()])
+    swapped = lattice.copy()
+    swapped[[5, 6]] = swapped[[6, 5]]  # two x2 values of the second row
+    repeated = np.column_stack([[0.0, 0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 1.0] * 3])
+    cases = {
+        "x1-major": (lattice, (4, 5)),
+        "x2-major": (lattice.reshape(4, 5, 2).transpose(1, 0, 2).reshape(-1, 2), None),
+        "one row swapped": (swapped, None),
+        "a point dropped": (lattice[:-1], None),
+        "a point added": (np.vstack([lattice, [[9.0, 9.0]]]), None),
+        "repeated x1 rows": (repeated, None),
+        "one x1 value": (lattice[:5], None),
+    }
+    for label, (coords, want) in cases.items():
+        m = GPModel(coords, np.zeros(len(coords)))
+        assert m.lattice == want, label
 
 
 def test_gp_log_lik_matches_scipy(gp_model):
@@ -368,8 +404,8 @@ def test_gp_log_prior_matches_scipy(gp_pair, gp_custom_prior):
         assert as_float(m.log_prior(theta)) == pytest.approx(ref, abs=1e-9)
 
 
-def test_gp_gradient_matches_fd(gp_pair):
-    for m in gp_pair:
+def test_gp_gradient_matches_fd(gp_pairs):
+    for m in itertools.chain(*gp_pairs):
         theta0 = gp_theta(m, np.array([0.1, 0.9, 2.0, 3.0, 0.6]))
         assert ad.finite_diff_check(m.log_joint, theta0, h=1e-5) < 1e-4
 
@@ -391,8 +427,9 @@ def tape_kernel_log_joint(m, theta):
     """``m.log_joint`` as recorded elementwise tape operations, one
     hyperparameter at a time, as GPModel computed it before its kernel became
     one tape node: the oracle for the kernel's closed-form vjp, for the
-    vectorized prior and for the work arrays the GP reuses.  It indexes
-    ``theta`` itself and factors a private copy of K."""
+    lattice path, for the vectorized prior and for the work arrays the GP
+    reuses.  It indexes ``theta`` itself and factors a private dense copy of
+    K."""
     beta = theta[0] if m.free_mean else m.mean_offset
     hyper = {name: theta[i] for i, name in zip(range(-4, 0), ("eta", "nu1", "nu2", "sigma"))}
     prior = 0.0
@@ -417,98 +454,120 @@ def assert_matches_tape_kernel(m, theta):
     np.testing.assert_allclose(g, want_g, rtol=1e-10, atol=1e-10 * np.abs(want_g).max())
 
 
-def test_gp_closed_form_kernel_matches_tape_on_prior_draws(gp_pair):
+def test_gp_closed_form_kernel_matches_tape_on_prior_draws(gp_pairs):
     r = rng()
-    for m in gp_pair:
+    for m in itertools.chain(*gp_pairs):
         for _ in range(10):
             assert_matches_tape_kernel(m, m.sample_prior(r))
 
 
-def test_gp_failed_factorization_raises_conditioning_error_at_once(gp_pair, monkeypatch):
+def no_dense_kernel(monkeypatch, m):
+    """On the lattice path, make building a dense K or calling ``eigvalsh``
+    fail the test."""
+    if m.lattice is not None:
+        def dense(*args, **kw):
+            raise AssertionError("dense kernel work on the lattice path")
+
+        monkeypatch.setattr(m, "_kernel", dense)
+        monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+
+
+def test_gp_failed_factorization_raises_conditioning_error_at_once(gp_pairs, monkeypatch):
     # K's rounding error, ~n * eps * eta^2, is far below the jitter of
     # 1e-6 * eta^2, so no draw with a finite value fails to factor, and a
     # larger jitter could not rescue one that does: the first failure is
     # final.  The factorization is made to fail on a well-conditioned draw.
+    # On the lattice the message reports the exact smallest eigenvalue,
+    # taken from the two factors.
     real = ad.gaussian_spd_logpdf
-    attempts = []
+    covs = []
 
     def fails(resid, cov, work=None):
-        attempts.append(None)
+        covs.append(cov)
         real(resid, cov, work=work)
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(ad, "gaussian_spd_logpdf", fails)
-    for m in gp_pair:
-        attempts.clear()
+    for m in itertools.chain(*gp_pairs):
+        covs.clear()
         theta = gp_theta(m, np.array([0.1, 0.9, 2.0, 3.0, 0.6]))
-        with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite at "
-                           r"jitter 1e-06 eta\^2 \(min eigenvalue ~ .*e-0\d, eta=0\.9\)"):
-            ad.grad(m.log_joint, theta)
-        assert len(attempts) == 1
+        with monkeypatch.context() as mp:
+            no_dense_kernel(mp, m)
+            with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite "
+                               r"at jitter 1e-06 eta\^2 \(min eigenvalue ~ .*e-0\d, "
+                               r"eta=0\.9\)") as err:
+                ad.grad(m.log_joint, theta)
+        assert len(covs) == 1
+        if m.lattice is not None:
+            min_d = covs[0].eigen()[-1].min()
+            assert f"min eigenvalue ~ {min_d:.3e}," in str(err.value)
 
 
-def test_gp_hopeless_draw_raises_conditioning_error(gp_model):
+def test_gp_hopeless_draw_raises_conditioning_error(gp_pairs, monkeypatch):
     # eta^2 underflows, so K is not positive definite at any jitter
     theta = np.array([0.1, 1e-161, 3.0, 3.0, 1e-170])
-    with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite at "
-                       r"jitter .* \(min eigenvalue ~ .*, eta=1e-161\)"):
-        ad.grad(gp_model.log_joint, theta)
+    for m in (gp_pairs[0][0], gp_pairs[1][0]):
+        with monkeypatch.context() as mp:
+            no_dense_kernel(mp, m)
+            with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite "
+                               r"at jitter .* \(min eigenvalue ~ .*, eta=1e-161\)"):
+                ad.grad(m.log_joint, theta)
 
 
-def test_gp_terms_sharing_one_tape_match_finite_differences(gp_pair):
+def test_gp_terms_sharing_one_tape_match_finite_differences(gp_pairs):
     # both models (one n, one set of work arrays) and a shallow copy enter one
     # tape, whose sweep runs only after every factorization: each term must
     # keep its own K^-1 and base
-    free, fixed = gp_pair
-    clone = copy.copy(free)
-    stretch = np.array([1.0, 1.1, 0.9, 1.2, 1.05])
+    for free, fixed in gp_pairs:
+        clone = copy.copy(free)
+        stretch = np.array([1.0, 1.1, 0.9, 1.2, 1.05])
 
-    def f(th):
-        return free.log_lik(th) + 0.5 * clone.log_lik(th * stretch) + fixed.log_lik(th[1:])
+        def f(th):
+            return free.log_lik(th) + 0.5 * clone.log_lik(th * stretch) + fixed.log_lik(th[1:])
 
-    theta = np.array([0.1, 0.9, 2.0, 3.0, 0.6])
-    assert ad.finite_diff_check(f, theta, h=1e-5) < 1e-4
-    _, g = ad.grad(f, theta)
-    _, g1 = ad.grad(free.log_lik, theta)
-    _, g2 = ad.grad(free.log_lik, theta * stretch)
-    _, g3 = ad.grad(fixed.log_lik, theta[1:])
-    g3 = np.concatenate([[0.0], g3])
-    np.testing.assert_allclose(g, g1 + 0.5 * stretch * g2 + g3, rtol=1e-12, atol=1e-12)
+        theta = np.array([0.1, 0.9, 2.0, 3.0, 0.6])
+        assert ad.finite_diff_check(f, theta, h=1e-5) < 1e-4
+        _, g = ad.grad(f, theta)
+        _, g1 = ad.grad(free.log_lik, theta)
+        _, g2 = ad.grad(free.log_lik, theta * stretch)
+        _, g3 = ad.grad(fixed.log_lik, theta[1:])
+        g3 = np.concatenate([[0.0], g3])
+        np.testing.assert_allclose(g, g1 + 0.5 * stretch * g2 + g3, rtol=1e-12, atol=1e-12)
 
 
 def test_gp_draw_allocates_no_n_by_n_array():
     ds = data_io.synth_gp_dataset(grid_size=12, seed=0, n_test=0, sigma=0.4)
     coords = np.column_stack([ds.column("x1"), ds.column("x2")])
-    m = GPModel(coords, ds.y(), free_mean=True)
+    lattice = GPModel(coords, ds.y(), free_mean=True)
     theta = np.array([0.1, 0.9, 2.0, 3.0, 0.6])
-    one_array = m.n * m.n * 8
-    for draw in (lambda: ad.grad(m.log_joint, theta),
-                 lambda: m.predict_dist(theta, coords[:5])):
-        draw()  # warm: the work arrays are allocated on first use
-        tracemalloc.start()
-        try:
-            draw()
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < one_array, (peak, one_array)
+    for m in (lattice, off_lattice(lattice)):
+        one_array = m.n * m.n * 8
+        for draw in (lambda: ad.grad(m.log_joint, theta),
+                     lambda: m.predict_dist(theta, coords[:5])):
+            draw()  # warm: the work arrays are allocated on first use
+            tracemalloc.start()
+            try:
+                draw()
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < one_array, (m.lattice, peak, one_array)
 
 
-def test_gp_fit_reruns_bitwise_after_the_work_arrays_are_dirtied(gp_pair):
-    free, fixed = gp_pair
+def test_gp_fit_reruns_bitwise_after_the_work_arrays_are_dirtied(gp_pairs):
     cfg = VbmaConfig(n_samples=3, pretrain_iters=3, joint_iters=2, window=1, seed=7)
+    for free, fixed in gp_pairs:
+        def fit():
+            state = run(cfg, [free, fixed])
+            return state.to_text() + repr(state.elbo_trace)
 
-    def fit():
-        state = run(cfg, [free, fixed])
-        return state.to_text() + repr(state.elbo_trace)
-
-    first = fit()
-    # an unrelated draw and a prediction leave other values in the arrays
-    ad.grad(free.log_joint, np.array([-0.4, 2.0, 0.7, 1.5, 0.2]))
-    fixed.predict_dist(np.array([1.0, 3.0, 3.0, 0.01]), free.coords[:4])
-    assert fit() == first
-    free._work[:] = np.nan  # nothing reads what an earlier draw left
-    assert fit() == first
+        first = fit()
+        # an unrelated draw and a prediction leave other values in the arrays
+        ad.grad(free.log_joint, np.array([-0.4, 2.0, 0.7, 1.5, 0.2]))
+        fixed.predict_dist(np.array([1.0, 3.0, 3.0, 0.01]), free.coords[:4])
+        assert fit() == first
+        free._work[:] = np.nan  # nothing reads what an earlier draw left
+        assert fit() == first
 
 
 def test_gp_fixed_mean_variant_has_no_mean_coordinate(gp_model):

@@ -66,6 +66,19 @@ def test_gp_study_pair():
     assert wrong.mean_offset == pytest.approx(y.mean() + 2.0 * y.std(ddof=1))
 
 
+@pytest.mark.parametrize("grid_size, n_test, lattice", [
+    (20, 100, (15, 20)),  # gp-fit's study: 300 training points, 15 full rows
+    (5, 5, (4, 5)),
+    (18, 24, None),  # gp-predict's: 16 full rows and 12 points of the next
+    (8, 4, None),
+])
+def test_gp_study_takes_the_lattice_path_on_full_rows(grid_size, n_test, lattice):
+    # the held-out frontier is the lattice's trailing rows, so the training
+    # inputs are a full lattice when n_test is a multiple of grid_size
+    _, models = studies.gp_study(grid_size=grid_size, n_test=n_test, seed=0)
+    assert [m.lattice for m in models] == [lattice, lattice]
+
+
 def test_gp_predictive_means_matches_direct_computation():
     from vbma import families, metrics
     from vbma.families import FamilyTag, VariationalState
