@@ -16,7 +16,8 @@ enters the tape as one node through :func:`closed_form`.
 The multivariate-normal primitive takes a dense covariance or a
 :class:`KroneckerCov`, scale * kron(a1, a2) + nugget * I, the covariance of
 a separable kernel on a full lattice.  The Kronecker form costs the
-eigendecompositions of its two small factors, and no n x n array.
+eigendecompositions of its two small factors, and no n x n array; it
+broadcasts over leading axes, so a block of draws is one call.
 
 Tapes are single-use and confined to the thread that built them.  The tape
 keeps no state between evaluations, and no primitive keeps an n x n array for
@@ -312,7 +313,9 @@ def dot(a, b):
 class KroneckerCov(NamedTuple):
     """The covariance scale * kron(a1, a2) + nugget * I, of size n1 n2, for
     symmetric n1 x n1 ``a1`` and n2 x n2 ``a2`` and scalar ``scale`` and
-    ``nugget``; each field is an array or a tape node."""
+    ``nugget``; each field is an array or a tape node.  Leading axes make a
+    stack of covariances: ``a1`` (..., n1, n1), ``a2`` (..., n2, n2), and
+    ``scale`` and ``nugget`` (..., 1, 1), broadcast against each other."""
 
     a1: object
     a2: object
@@ -322,15 +325,21 @@ class KroneckerCov(NamedTuple):
     def eigen(self):
         """``(l1, q1, l2, q2, d)``: the eigendecompositions a1 = q1 diag(l1) q1'
         and a2 = q2 diag(l2) q2', and the covariance's eigenvalues
-        d = scale l1 l2' + nugget as an (n1, n2) array."""
+        d = scale l1 l2' + nugget as an (..., n1, n2) array."""
         l1, q1 = np.linalg.eigh(_value_of(self.a1))
         l2, q2 = np.linalg.eigh(_value_of(self.a2))
-        d = _value_of(self.scale) * np.outer(l1, l2) + _value_of(self.nugget)
+        d = _value_of(self.scale) * (l1[..., :, None] * l2[..., None, :]) + _value_of(self.nugget)
         return l1, q1, l2, q2, d
 
 
+def _mT(x):
+    """``x`` with its last two axes swapped: each matrix of a stack transposed."""
+    return np.swapaxes(x, -1, -2)
+
+
 def _kronecker_logpdf(resid, cov):
-    """``gaussian_spd_logpdf`` for a ``KroneckerCov``.
+    """``gaussian_spd_logpdf`` for a ``KroneckerCov``, over any leading axes
+    of ``resid`` (..., n) and ``cov``.
 
     With Q = q1 (x) q2, the covariance is Q diag(d) Q', so the density needs
     only t = Q' resid, formed on the (n1, n2) reshape of ``resid`` as
@@ -338,35 +347,43 @@ def _kronecker_logpdf(resid, cov):
     linked to its gradient, with A the (n1, n2) reshape of alpha:
     a1: scale/2 (A a2 A' - q1 diag(sum_l l2_l / d_il) q1'), a2 the mirror
     form; scale: (sum A o (a1 A a2) - sum l1 l2' / d) / 2; nugget:
-    (sum A^2 - sum 1 / d) / 2.
+    (sum A^2 - sum 1 / d) / 2.  Row by row, each link scales its gradient
+    by that row's cotangent and sums over the rows that share the field.
     """
     l1, q1, l2, q2, d = cov.eigen()
-    n1, n2 = d.shape
+    n1, n2 = d.shape[-2:]
     r = _value_of(resid)
-    if r.shape != (n1 * n2,):
+    if r.shape[-1:] != (n1 * n2,):
         raise ValueError(f"resid has shape {r.shape}, the covariance size {n1 * n2}")
     if not (d > 0).all():
         raise np.linalg.LinAlgError(
             f"covariance not positive definite (min eigenvalue {d.min():.3e})")
-    t = q1.T @ r.reshape(n1, n2) @ q2
+    t = _mT(q1) @ r.reshape(r.shape[:-1] + (n1, n2)) @ q2
     u = t / d
-    val = -0.5 * (r.size * np.log(2.0 * np.pi) + np.log(d).sum() + (t * u).sum())
+    mats = (-2, -1)
+    val = -0.5 * (n1 * n2 * np.log(2.0 * np.pi) + np.log(d).sum(axis=mats)
+                  + (t * u).sum(axis=mats))
     _check_finite(val, "gaussian_spd_logpdf")
     a1, a2, scale, nugget = (_value_of(x) for x in cov)
-    A = q1 @ u @ q2.T
+    A = q1 @ u @ _mT(q2)
     inv_d = 1.0 / d
     grads = {
-        "a1": lambda: 0.5 * scale * (A @ a2 @ A.T - (q1 * (inv_d @ l2)) @ q1.T),
-        "a2": lambda: 0.5 * scale * (A.T @ a1 @ A - (q2 * (l1 @ inv_d)) @ q2.T),
-        "scale": lambda: 0.5 * ((A * (a1 @ A @ a2)).sum() - l1 @ inv_d @ l2),
-        "nugget": lambda: 0.5 * ((A * A).sum() - inv_d.sum()),
+        "a1": lambda: 0.5 * scale * (A @ a2 @ _mT(A) - (q1 * (l2[..., None, :] @ _mT(inv_d)))
+                                     @ _mT(q1)),
+        "a2": lambda: 0.5 * scale * (_mT(A) @ a1 @ A - (q2 * (l1[..., None, :] @ inv_d))
+                                     @ _mT(q2)),
+        "scale": lambda: 0.5 * ((A * (a1 @ A @ a2)).sum(axis=mats, keepdims=True)
+                                - l1[..., None, :] @ inv_d @ l2[..., :, None]),
+        "nugget": lambda: 0.5 * ((A * A).sum(axis=mats, keepdims=True)
+                                 - inv_d.sum(axis=mats, keepdims=True)),
     }
-    links = [(resid, lambda g, alpha=A.ravel(): -g * alpha)] if isinstance(resid, Node) else []
+    alpha = A.reshape(A.shape[:-2] + (n1 * n2,))
+    links = list(_links((resid, lambda g: _unbroadcast(-g[..., None] * alpha, r.shape))))
     for name, field in zip(cov._fields, cov):
         if isinstance(field, Node):
-            grad_f = np.reshape(grads[name](), field.value.shape)
-            links.append((field, lambda g, grad_f=grad_f: g * grad_f))
-    return Node(val, tuple(links)) if links else float(val)
+            links.append((field, lambda g, grad_f=grads[name](), shape=field.value.shape:
+                          _unbroadcast(g[..., None, None] * grad_f, shape)))
+    return Node(val, tuple(links)) if links else (val if val.ndim else float(val))
 
 
 def gaussian_spd_logpdf(resid, cov, work=None):
@@ -379,11 +396,12 @@ def gaussian_spd_logpdf(resid, cov, work=None):
     ``cov`` may also be a ``KroneckerCov``: the call then takes the
     eigendecompositions of its two factors and forms no n x n array, and
     raises ``np.linalg.LinAlgError`` if an eigenvalue of the covariance is
-    not positive.  ``work`` applies to a dense ``cov`` only.
+    not positive.  ``work`` applies to a dense ``cov`` only.  A stacked
+    ``KroneckerCov`` or ``resid`` (..., n) gives one value per row.
 
-    With constant operands the result is a float.  For a node ``cov`` the
-    call forms G = df/dcov = (alpha alpha' - K^-1) / 2 at once and links the
-    output to ``cov``'s parents through their vjps of G, scaled by the
+    With constant operands the result is a float, or an array for a stack.
+    For a node ``cov`` the call forms G = df/dcov = (alpha alpha' - K^-1) / 2
+    at once and links the output to ``cov``'s parents through their vjps of G, scaled by the
     cotangent (exact: the output is a scalar and every vjp is linear in its
     cotangent), so no n x n array outlives the call.  ``cov`` itself then
     gets no gradient from this term, unless it is a leaf, linked to G.

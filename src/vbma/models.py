@@ -6,21 +6,21 @@ toy used by the test oracles.
 Every model exposes the same surface: a parameter layout (named blocks with
 family tags), ``log_lik``/``log_prior``/``log_joint`` that accept either a
 plain array or an autodiff node, a vectorized predictive simulator, and a
-prior model weight.  A model whose class sets ``supports_blocks`` evaluates
-its log densities over the last axis and broadcasts over any leading axes, so
+prior model weight.  A model that sets ``supports_blocks`` evaluates its
+log densities over the last axis and broadcasts over any leading axes, so
 one call takes a single ``(d,)`` parameter vector, an ``(S, d)`` block of S
-draws or a ``(K, S, d)`` block and returns one value per row.  The linear
-and logistic models compute ``log_lik`` and ``log_prior`` and their
-gradients in closed form, in numpy: a tape node gives one node
-(``ad.closed_form``), an array gives an array.  The normal-mean and GP
-models record their densities on the tape (the GP's kernel matrix as one
-node with closed-form vjps, or, on a full lattice of training inputs, its
-two small Kronecker factors from ordinary tape operations), as user models
-do.  The subset
-builders return a ``SubsetEnsemble``: the K members as a list, plus one
-stacked model on the members' shared, padded layout that evaluates all of
-them at once, and the ``(K, D)`` mask of each member's coordinates in that
-layout.  Evaluation leaves a model's data and parameters unchanged, but it
+draws or a ``(K, S, d)`` block and returns one value per row: the linear,
+logistic and normal-mean models, and a GP model on a full lattice of
+training inputs.  The linear and logistic models compute ``log_lik`` and
+``log_prior`` and their gradients in closed form, in numpy: a tape node
+gives one node (``ad.closed_form``), an array gives an array.  The
+normal-mean and GP models record their densities on the tape (the GP's
+kernel matrix as one node with closed-form vjps, or, on a lattice, its two
+small Kronecker factors from ordinary tape operations), as user models do.
+The subset builders return a ``SubsetEnsemble``: the K members as a list,
+plus one stacked model on the members' shared, padded layout that evaluates
+all of them at once, and the ``(K, D)`` mask of each member's coordinates in
+that layout.  Evaluation leaves a model's data and parameters unchanged, but it
 is not safe to run concurrently for GP models: off a lattice, the GP models
 of one n write each draw's n x n intermediates into one shared work array,
 and each draw is done with it before it returns.
@@ -384,9 +384,11 @@ class GPModel(Model):
     jitter) I with A1 and A2 the kernel's factors on the two axes, and
     ``log_lik`` evaluates the density from those factors alone
     (``ad.KroneckerCov``); ``lattice`` is then ``(n1, n2)``, else None.
-    Otherwise a draw writes its n x n intermediates into one work array
-    shared by the GP models of one n and is done with them when it returns,
-    so it allocates no n x n array.  ``predict_dist`` always takes the
+    There the model sets ``supports_blocks``: a block of draws is one tape
+    pass over a stack of factor pairs, one pair per draw.  Otherwise a draw
+    writes its n x n intermediates into one work array shared by the GP
+    models of one n and is done with them when it returns, so it allocates
+    no n x n array.  ``predict_dist`` always takes the
     dense path.
     """
 
@@ -411,19 +413,25 @@ class GPModel(Model):
         blocks = [ParamBlock("beta", 1, FamilyTag.NORMAL)] if self.free_mean else []
         blocks += [ParamBlock(k, 1, FamilyTag.LOGNORMAL) for k in self.HYPER]
         self.layout = ParamLayout(blocks)
-        d1 = self.coords[:, 0][:, None] - self.coords[:, 0][None, :]
-        d2 = self.coords[:, 1][:, None] - self.coords[:, 1][None, :]
-        self._d1sq = np.square(d1, out=d1)
-        self._d2sq = np.square(d2, out=d2)
-        self._work = _WORK_BY_SIZE.setdefault(self.n, np.empty((3, self.n, self.n)))
         axes = _lattice_axes(self.coords)
         self.lattice = None if axes is None else tuple(len(a) for a in axes)
+        self.supports_blocks = axes is not None
         if axes is not None:
             self._axis_d1sq, self._axis_d2sq = (np.square(a[:, None] - a[None, :]) for a in axes)
 
+    # the dense path's n x n arrays, built on first use (by predict_dist or an
+    # off-lattice log_lik, never by a lattice fit): squared distances along
+    # x1 and x2, squared in place, and the work array
+    _d1sq = functools.cached_property(
+        lambda self: np.square(d := self.coords[:, :1] - self.coords[:, 0], out=d))
+    _d2sq = functools.cached_property(
+        lambda self: np.square(d := self.coords[:, 1:] - self.coords[:, 1], out=d))
+    _work = functools.cached_property(
+        lambda self: _WORK_BY_SIZE.setdefault(self.n, np.empty((3, self.n, self.n))))
+
     def _split(self, theta):
-        """The mean (``theta[0]`` or the fixed offset) and h = ``theta[-4:]``."""
-        return (theta[0] if self.free_mean else self.mean_offset), theta[-4:]
+        """The mean (``theta[..., 0]`` or the fixed offset) and h = ``theta[..., -4:]``."""
+        return (theta[..., 0] if self.free_mean else self.mean_offset), theta[..., -4:]
 
     def _kernel(self, h, base, K):
         """Training covariance K = eta^2 (base + jitter I) + sigma^2 I, with
@@ -462,8 +470,9 @@ class GPModel(Model):
 
     def _lattice_kernel(self, h):
         """K on a lattice as an ``ad.KroneckerCov`` of the two axes' factors,
-        from tape operations on ``h`` when it is a node."""
-        e, a, b, s = (h[i] for i in range(4))
+        from tape operations on ``h`` (..., 4) when it is a node; a block's
+        hyperparameters broadcast over the factors' axes."""
+        e, a, b, s = (h[..., i, None, None] for i in range(4))
         return ad.KroneckerCov(ad.exp(self._axis_d1sq * (-0.5 / a**2)),
                                ad.exp(self._axis_d2sq * (-0.5 / b**2)),
                                e**2, s**2 + self.BASE_JITTER * e**2)
@@ -472,30 +481,33 @@ class GPModel(Model):
         beta, h = self._split(theta)
         if self.lattice is None:
             base, K, G = self._work
-            cov, work = self._kernel(h, base, K), G
+            resid, cov, work = self.y - beta, self._kernel(h, base, K), G
         else:
+            resid = self.y - (beta[..., None] if self.free_mean else beta)
             cov, work = self._lattice_kernel(h), None
         try:
-            return ad.gaussian_spd_logpdf(self.y - beta, cov, work=work)
+            return ad.gaussian_spd_logpdf(resid, cov, work=work)
         except np.linalg.LinAlgError:
             pass
         # the jitter is far above K's rounding error (~n eps eta^2), so K
         # fails only where eta^2 underflows and a larger jitter would not help
         h = _values(h)
         if self.lattice is None:
-            min_eig = float(np.linalg.eigvalsh(self._kernel(h, base, K)).min())
+            min_eig = np.linalg.eigvalsh(self._kernel(h, base, K)).min()
         else:
-            min_eig = float(cov.eigen()[-1].min())
+            min_eig = cov.eigen()[-1].min(axis=(-2, -1))
+        worst = np.argmin(min_eig)  # the worst draw of a block
         raise ConditioningError(
             f"kernel matrix not positive definite at jitter {self.BASE_JITTER:g} eta^2 "
-            f"(min eigenvalue ~ {min_eig:.3e}, eta={h[0]:.3g})"
+            f"(min eigenvalue ~ {np.ravel(min_eig)[worst]:.3e}, "
+            f"eta={np.ravel(h[..., 0])[worst]:.3g})"
         )
 
     def log_prior(self, theta):
         beta, h = self._split(theta)
         log_h = ad.log(h)  # log-normal density: normal in log h, minus log h
         out = -ad.vsum(log_h + 0.5 * (LOG2PI + 2.0 * np.log(self._sd)
-                                      + (log_h - self._loc) ** 2 / self._sd**2))
+                                      + (log_h - self._loc) ** 2 / self._sd**2), axis=-1)
         if self.free_mean:
             m0, s0 = self.mean_prior
             out = out - 0.5 * (LOG2PI + 2.0 * np.log(s0) + (beta - m0) ** 2 / s0**2)

@@ -320,6 +320,51 @@ def test_kronecker_cov_rejects_a_nonpositive_eigenvalue():
         ad.gaussian_spd_logpdf(ad.Node(r), cov._replace(nugget=ad.Node(-1.0)))
 
 
+def kronecker_stack(lead, n1, n2, seed):
+    """``(resid, a1, a2, scale, nugget)`` for a stack of Kronecker
+    covariances of leading shape ``lead``: squared-exponential factors on
+    random points with random ranges, and scale and nugget of shape
+    (*lead, 1, 1)."""
+    r = np.random.default_rng(seed)
+
+    def factor(n):
+        x = r.uniform(0.0, 5.0, lead + (n,))
+        ell = r.uniform(0.5, 2.0, lead + (1, 1))
+        return np.exp(-(x[..., :, None] - x[..., None, :]) ** 2 / (2 * ell**2))
+
+    a1, a2 = factor(n1), factor(n2)
+    scale, nugget = r.uniform(0.5, 2.0, lead + (1, 1)), r.uniform(0.05, 0.5, lead + (1, 1))
+    return r.standard_normal(lead + (n1 * n2,)), a1, a2, scale, nugget
+
+
+@given(n1=st.integers(2, 6), n2=st.integers(2, 6), S=st.integers(1, 4),
+       leading=st.sampled_from(["S", "1S"]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stacked_kronecker_cov_matches_a_loop_of_single_covariances(n1, n2, S, leading, seed):
+    # value and the gradients of resid, a1, a2, scale and nugget, each a
+    # leaf, bitwise against the unbatched primitive (float scale and nugget)
+    # row by row; each row's cotangent is its own weight
+    lead = (S,) if leading == "S" else (1, S)
+    problem = kronecker_stack(lead, n1, n2, seed)
+    weights = np.random.default_rng(seed).uniform(0.5, 2.0, lead)
+    leaves = [ad.Node(x) for x in problem]
+    out = ad.gaussian_spd_logpdf(leaves[0], ad.KroneckerCov(*leaves[1:]))
+    assert out.value.shape == lead
+    ad.backward(ad.vsum(out * weights))
+    consts = ad.gaussian_spd_logpdf(problem[0], ad.KroneckerCov(*problem[1:]))
+    assert type(consts) is np.ndarray and np.array_equal(consts, out.value)
+    for idx in np.ndindex(*lead):
+        r, a1, a2, scale, nugget = (x[idx] for x in problem)
+        row = [ad.Node(x) for x in (r, a1, a2, scale.item(), nugget.item())]
+        want = ad.gaussian_spd_logpdf(row[0], ad.KroneckerCov(*row[1:]))
+        ad.backward(want * weights[idx])
+        assert out.value[idx] == want.value
+        assert ad.gaussian_spd_logpdf(r, ad.KroneckerCov(a1, a2, scale.item(),
+                                                         nugget.item())) == want.value
+        for name, leaf, one in zip(("resid", *ad.KroneckerCov._fields), leaves, row):
+            assert np.array_equal(leaf._grad[idx].ravel(), np.ravel(one._grad)), name
+
+
 def test_constant_objective_returns_zero_gradient():
     val, g = ad.grad(lambda v: 7.5, np.array([1.0, 2.0]))
     assert val == 7.5

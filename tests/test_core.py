@@ -190,6 +190,28 @@ def test_failed_block_pass_falls_back_to_row_loop():
     assert L[0] == pytest.approx(L_rows, rel=1e-12, abs=1e-12)
 
 
+def test_hopeless_gp_draw_fails_the_block_and_the_row_loop_redraws_it():
+    # eta and sigma underflow in one draw of a lattice GP's block: the block
+    # pass raises ConditioningError, and the group redoes the iteration by the
+    # row loop on the same draws, as a copy that never takes blocks does
+    ds = data_io.synth_gp_dataset(grid_size=5, seed=0, n_test=0, sigma=0.4)
+    model = GPModel(np.column_stack([ds.column("x1"), ds.column("x2")]), ds.y())
+    rows = copy.copy(model)
+    rows.supports_blocks = False
+    block, by_rows = lone_group(model), lone_group(rows)
+    assert block.stacked is model and by_rows.stacked is None
+    z = np.random.default_rng(3).standard_normal((1, 10, model.layout.dim))
+    z[0, 4, [-4, -1]] = -3707.0, -3914.0  # sd 0.1: eta ~ 1e-161, sigma ~ 1e-170
+    with pytest.raises(models_mod.ConditioningError):
+        estimate_grad_and_elbo(model, block.state, z)
+    rng_block, rng_rows = np.random.default_rng(4), np.random.default_rng(4)
+    G, L = block.estimate([model], FirstDraw(z, rng_block), 10)
+    G_rows, L_rows = by_rows.estimate([rows], FirstDraw(z, rng_rows), 10)
+    assert np.array_equal(G, G_rows) and L == L_rows
+    assert rng_block.bit_generator.state == rng_rows.bit_generator.state
+    assert rng_block.bit_generator.state != np.random.default_rng(4).bit_generator.state
+
+
 # -- stacked evaluation -------------------------------------------------------
 
 

@@ -116,29 +116,52 @@ def test_mc_uses_vectorized_likelihood_when_available():
     assert a.log_evidence == pytest.approx(b.log_evidence, abs=1e-10)
 
 
-def test_mc_evidence_of_a_row_model_loops_log_lik_over_prior_draws():
-    # a GP model takes one parameter vector at a time; its estimate is the
-    # one a hand loop over the same prior draws gives, whatever the batch
+def gp_5x5_and_shuffled():
+    """A GP model on a 5 x 5 training lattice, and one on the same points in
+    a shuffled order, which leaves the lattice."""
     ds = data_io.synth_gp_dataset(grid_size=5, seed=0, n_test=0, sigma=0.4)
     m = GPModel(np.column_stack([ds.column("x1"), ds.column("x2")]), ds.y())
+    order = np.random.default_rng(2).permutation(m.n)
+    shuffled = GPModel(m.coords[order], m.y[order])
+    assert m.lattice == (5, 5) and shuffled.lattice is None
+    return m, shuffled
+
+
+def hand_loop_log_evidence(m, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    log_liks = np.array([m.log_lik(m.sample_prior(rng)) for _ in range(n_samples)])
+    return logsumexp(log_liks) - np.log(n_samples)
+
+
+def test_mc_evidence_of_a_row_model_loops_log_lik_over_prior_draws():
+    # a GP model off a lattice takes one parameter vector at a time; its
+    # estimate is the one a hand loop over the same prior draws gives,
+    # whatever the batch
+    _, m = gp_5x5_and_shuffled()
     assert not m.supports_blocks
-    rng = np.random.default_rng(4)
-    log_liks = np.array([m.log_lik(m.sample_prior(rng)) for _ in range(30)])
-    want = logsumexp(log_liks) - np.log(30)
+    want = hand_loop_log_evidence(m, 30, seed=4)
     for batch in (None, 7):
         est = mc_log_evidence(m, 30, seed=4, batch=batch)
         assert est.log_evidence == want and est.mc_samples == 30
         assert est.standard_error > 0
 
 
+def test_mc_evidence_of_a_lattice_gp_takes_blocks_of_prior_draws():
+    # on a lattice the GP evaluates a block of prior draws in one call; the
+    # estimate is the hand loop's, whatever the batch
+    m, _ = gp_5x5_and_shuffled()
+    assert m.supports_blocks
+    want = hand_loop_log_evidence(m, 30, seed=4)
+    for batch in (None, 7):
+        est = mc_log_evidence(m, 30, seed=4, batch=batch)
+        assert est.log_evidence == pytest.approx(want, rel=1e-12, abs=0)
+        assert est.mc_samples == 30 and est.standard_error > 0
+
+
 def test_mc_evidence_on_a_lattice_matches_the_dense_path():
-    # the same points in a shuffled order leave the lattice; the prior draws
-    # depend only on the seed, so both estimates see the same draws
-    ds = data_io.synth_gp_dataset(grid_size=5, seed=0, n_test=0, sigma=0.4)
-    m = GPModel(np.column_stack([ds.column("x1"), ds.column("x2")]), ds.y())
-    order = np.random.default_rng(2).permutation(m.n)
-    shuffled = GPModel(m.coords[order], m.y[order])
-    assert m.lattice == (5, 5) and shuffled.lattice is None
+    # the prior draws depend only on the seed, so both estimates see the
+    # same draws
+    m, shuffled = gp_5x5_and_shuffled()
     for seed in (0, 4):
         want = mc_log_evidence(shuffled, 200, seed=seed)
         got = mc_log_evidence(m, 200, seed=seed)

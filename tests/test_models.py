@@ -514,6 +514,35 @@ def test_gp_hopeless_draw_raises_conditioning_error(gp_pairs, monkeypatch):
                 ad.grad(m.log_joint, theta)
 
 
+def test_gp_block_with_a_hopeless_draw_raises_conditioning_error(gp_pairs, monkeypatch):
+    # the message names the worst draw of the block, whatever its position
+    for m in gp_pairs[0]:
+        r = rng()
+        thetas = np.stack([m.sample_prior(r) for _ in range(6)])
+        thetas[3, -4:] = [1e-161, 3.0, 3.0, 1e-170]
+        with monkeypatch.context() as mp:
+            no_dense_kernel(mp, m)
+            with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite "
+                               r"at jitter .* \(min eigenvalue ~ .*, eta=1e-161\)"):
+                ad.grad(m.log_joint, thetas[None])
+
+
+def test_gp_block_log_joint_matches_rows_on_a_lattice(gp_pairs):
+    # a (1, S, d) block takes one tape pass; each row's value and gradient
+    # are bitwise those of the row on its own
+    r = rng()
+    for m in gp_pairs[0]:
+        assert m.supports_blocks
+        thetas = np.stack([m.sample_prior(r) for _ in range(12)])[None]
+        vals, grads = ad.grad(m.log_joint, thetas)
+        assert vals.shape == (1, 12) and grads.shape == thetas.shape
+        for s, theta in enumerate(thetas[0]):
+            val, g = ad.grad(m.log_joint, theta)
+            assert vals[0, s] == val and np.array_equal(grads[0, s], g)
+        assert np.array_equal(m.log_joint(thetas), vals)  # plain arrays in, plain arrays out
+    assert not any(m.supports_blocks for m in gp_pairs[1])
+
+
 def test_gp_terms_sharing_one_tape_match_finite_differences(gp_pairs):
     # both models (one n, one set of work arrays) and a shallow copy enter one
     # tape, whose sweep runs only after every factorization: each term must
