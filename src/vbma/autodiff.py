@@ -8,23 +8,27 @@ or ``(K, S, d)``, to one value per row, each depending only on its own row;
 one sweep then gives every row's gradient.  Constant operands are not
 recorded, so the sweep computes no gradient that nothing reads.  The
 supported operation set is deliberately small: the elementwise arithmetic and
-link functions needed by log-density models, plus the reductions (sum, dot)
-and one multivariate-normal primitive needed to express Gaussian-process
-marginals efficiently.  A model that knows its gradients in closed form
-enters the tape as one node through :func:`closed_form`.
+link functions needed by log-density models, plus the reductions (sum, dot).
+A model that knows its gradients in closed form enters the tape as one node
+through :func:`closed_form`.
 
-The multivariate-normal primitive takes a dense covariance or a
-:class:`KroneckerCov`, scale * kron(a1, a2) + nugget * I, the covariance of
-a separable kernel on a full lattice.  The Kronecker form costs the
+:func:`gaussian_spd_logpdf` is plain numpy, not a tape operation: it returns
+a multivariate-normal log density and a function that computes, on demand,
+its gradients with respect to the residual and the covariance, so a caller
+that needs only the value pays for no gradient.  The covariance is dense or
+a :class:`KroneckerCov`, scale * kron(a1, a2) + nugget * I, the covariance
+of a separable kernel on a full lattice.  The Kronecker form costs the
 eigendecompositions of its two small factors, and no n x n array; it
-broadcasts over leading axes, so a block of draws is one call.
+broadcasts over leading axes, so a block of draws is one call.  The GP model
+chains these gradients to its parameters in closed form; a covariance built
+from tape operations links to them through a one-node adapter (README,
+"Writing a model").
 
-Tapes are single-use and confined to the thread that built them.  The tape
-keeps no state between evaluations, and no primitive keeps an n x n array for
-the sweep: :func:`gaussian_spd_logpdf` finishes its covariance gradient before
-it returns.  Given a work array, it overwrites its covariance and writes that
-gradient into the array, so the GP model reuses one set of n x n arrays from
-draw to draw.  Evaluations that share such arrays must not run concurrently.
+Tapes are single-use, confined to the thread that built them, and keep no
+state between evaluations.  Given a work array, :func:`gaussian_spd_logpdf`
+overwrites its covariance and writes the covariance gradient into the array,
+so the GP model reuses one set of n x n arrays from draw to draw.
+Evaluations that share such arrays must not run concurrently.
 """
 
 from __future__ import annotations
@@ -313,23 +317,22 @@ def dot(a, b):
 class KroneckerCov(NamedTuple):
     """The covariance scale * kron(a1, a2) + nugget * I, of size n1 n2, for
     symmetric n1 x n1 ``a1`` and n2 x n2 ``a2`` and scalar ``scale`` and
-    ``nugget``; each field is an array or a tape node.  Leading axes make a
-    stack of covariances: ``a1`` (..., n1, n1), ``a2`` (..., n2, n2), and
-    ``scale`` and ``nugget`` (..., 1, 1), broadcast against each other."""
+    ``nugget``.  Leading axes make a stack of covariances: ``a1`` (..., n1,
+    n1), ``a2`` (..., n2, n2), and ``scale`` and ``nugget`` (..., 1, 1),
+    broadcast against each other."""
 
-    a1: object
-    a2: object
-    scale: object
-    nugget: object
+    a1: np.ndarray
+    a2: np.ndarray
+    scale: np.ndarray
+    nugget: np.ndarray
 
     def eigen(self):
         """``(l1, q1, l2, q2, d)``: the eigendecompositions a1 = q1 diag(l1) q1'
         and a2 = q2 diag(l2) q2', and the covariance's eigenvalues
         d = scale l1 l2' + nugget as an (..., n1, n2) array."""
-        l1, q1 = np.linalg.eigh(_value_of(self.a1))
-        l2, q2 = np.linalg.eigh(_value_of(self.a2))
-        d = _value_of(self.scale) * (l1[..., :, None] * l2[..., None, :]) + _value_of(self.nugget)
-        return l1, q1, l2, q2, d
+        l1, q1 = np.linalg.eigh(self.a1)
+        l2, q2 = np.linalg.eigh(self.a2)
+        return l1, q1, l2, q2, self.scale * (l1[..., :, None] * l2[..., None, :]) + self.nugget
 
 
 def _mT(x):
@@ -337,22 +340,19 @@ def _mT(x):
     return np.swapaxes(x, -1, -2)
 
 
-def _kronecker_logpdf(resid, cov):
+def _kronecker_logpdf(r, cov):
     """``gaussian_spd_logpdf`` for a ``KroneckerCov``, over any leading axes
-    of ``resid`` (..., n) and ``cov``.
+    of ``r`` (..., n) and ``cov``.
 
     With Q = q1 (x) q2, the covariance is Q diag(d) Q', so the density needs
-    only t = Q' resid, formed on the (n1, n2) reshape of ``resid`` as
-    q1' R q2, and alpha = Q (t / d) (Saatci 2011).  Each node field is
-    linked to its gradient, with A the (n1, n2) reshape of alpha:
-    a1: scale/2 (A a2 A' - q1 diag(sum_l l2_l / d_il) q1'), a2 the mirror
-    form; scale: (sum A o (a1 A a2) - sum l1 l2' / d) / 2; nugget:
-    (sum A^2 - sum 1 / d) / 2.  Row by row, each link scales its gradient
-    by that row's cotangent and sums over the rows that share the field.
+    only t = Q' r, formed on the (n1, n2) reshape of ``r`` as q1' R q2, and
+    alpha = Q (t / d) (Saatci 2011).  With A the (n1, n2) reshape of alpha,
+    the field gradients are a1: scale/2 (A a2 A' - q1 diag(sum_l l2_l / d_il)
+    q1'), a2 the mirror form; scale: (sum A o (a1 A a2) - sum l1 l2' / d) / 2;
+    nugget: (sum A^2 - sum 1 / d) / 2.
     """
     l1, q1, l2, q2, d = cov.eigen()
     n1, n2 = d.shape[-2:]
-    r = _value_of(resid)
     if r.shape[-1:] != (n1 * n2,):
         raise ValueError(f"resid has shape {r.shape}, the covariance size {n1 * n2}")
     if not (d > 0).all():
@@ -364,88 +364,84 @@ def _kronecker_logpdf(resid, cov):
     val = -0.5 * (n1 * n2 * np.log(2.0 * np.pi) + np.log(d).sum(axis=mats)
                   + (t * u).sum(axis=mats))
     _check_finite(val, "gaussian_spd_logpdf")
-    a1, a2, scale, nugget = (_value_of(x) for x in cov)
-    A = q1 @ u @ _mT(q2)
-    inv_d = 1.0 / d
-    grads = {
-        "a1": lambda: 0.5 * scale * (A @ a2 @ _mT(A) - (q1 * (l2[..., None, :] @ _mT(inv_d)))
-                                     @ _mT(q1)),
-        "a2": lambda: 0.5 * scale * (_mT(A) @ a1 @ A - (q2 * (l1[..., None, :] @ inv_d))
-                                     @ _mT(q2)),
-        "scale": lambda: 0.5 * ((A * (a1 @ A @ a2)).sum(axis=mats, keepdims=True)
-                                - l1[..., None, :] @ inv_d @ l2[..., :, None]),
-        "nugget": lambda: 0.5 * ((A * A).sum(axis=mats, keepdims=True)
-                                 - inv_d.sum(axis=mats, keepdims=True)),
-    }
-    alpha = A.reshape(A.shape[:-2] + (n1 * n2,))
-    links = list(_links((resid, lambda g: _unbroadcast(-g[..., None] * alpha, r.shape))))
-    for name, field in zip(cov._fields, cov):
-        if isinstance(field, Node):
-            links.append((field, lambda g, grad_f=grads[name](), shape=field.value.shape:
-                          _unbroadcast(g[..., None, None] * grad_f, shape)))
-    return Node(val, tuple(links)) if links else (val if val.ndim else float(val))
+    a1, a2, scale, _ = cov
+
+    def grads():
+        A = q1 @ u @ _mT(q2)
+        inv_d = 1.0 / d
+        return -A.reshape(A.shape[:-2] + (n1 * n2,)), KroneckerCov(
+            0.5 * scale * (A @ a2 @ _mT(A) - (q1 * (l2[..., None, :] @ _mT(inv_d))) @ _mT(q1)),
+            0.5 * scale * (_mT(A) @ a1 @ A - (q2 * (l1[..., None, :] @ inv_d)) @ _mT(q2)),
+            0.5 * ((A * (a1 @ A @ a2)).sum(axis=mats, keepdims=True)
+                   - l1[..., None, :] @ inv_d @ l2[..., :, None]),
+            0.5 * ((A * A).sum(axis=mats, keepdims=True) - inv_d.sum(axis=mats, keepdims=True)))
+
+    return (val if val.ndim else float(val)), grads
 
 
 def gaussian_spd_logpdf(resid, cov, work=None):
-    """log N(resid; 0, cov) for symmetric positive-definite ``cov``.
+    """log N(resid; 0, cov) for symmetric positive-definite ``cov``, and its
+    gradients on demand.
 
-    A single tape primitive so that Gaussian-process marginals cost one
-    Cholesky factorization instead of O(n^3) scalar records.  Raises
-    ``np.linalg.LinAlgError`` if the factorization fails.
+    Returns ``(value, grads)``: a float, or one value per row for a stack, and
+    a function whose call returns ``(d_resid, d_cov)``, the value's gradients
+    with respect to ``resid`` and ``cov``.  A caller that needs only the value
+    never calls ``grads`` and pays for no gradient.  Raises
+    ``np.linalg.LinAlgError`` if the factorization fails, and
+    ``UnsupportedOperationError`` for a tape-node operand: a model links the
+    gradients to the tape itself.
+
+    For a dense ``cov``, d_resid = -alpha with alpha = cov^-1 resid, and
+    d_cov = G = (alpha alpha' - cov^-1) / 2, which costs cov's inverse from
+    its Cholesky factor.  ``work``, an n x n C-ordered float array, makes the
+    call allocate no n x n array: ``cov`` must then be C-ordered and exactly
+    symmetric, its storage is overwritten by its Cholesky factor and then, by
+    ``grads``, by its inverse, and G is written into ``work``.  Without it,
+    ``cov`` is copied.  Call ``grads`` at most once, before ``cov`` or
+    ``work`` is used again.
 
     ``cov`` may also be a ``KroneckerCov``: the call then takes the
-    eigendecompositions of its two factors and forms no n x n array, and
-    raises ``np.linalg.LinAlgError`` if an eigenvalue of the covariance is
-    not positive.  ``work`` applies to a dense ``cov`` only.  A stacked
-    ``KroneckerCov`` or ``resid`` (..., n) gives one value per row.
-
-    With constant operands the result is a float, or an array for a stack.
-    For a node ``cov`` the call forms G = df/dcov = (alpha alpha' - K^-1) / 2
-    at once and links the output to ``cov``'s parents through their vjps of G, scaled by the
-    cotangent (exact: the output is a scalar and every vjp is linear in its
-    cotangent), so no n x n array outlives the call.  ``cov`` itself then
-    gets no gradient from this term, unless it is a leaf, linked to G.
-
-    ``work``, an n x n C-ordered float array, makes the call allocate no
-    n x n array: ``cov`` must then be C-ordered and exactly symmetric, its
-    storage is overwritten by its Cholesky factor and then by its inverse,
-    and G is written into ``work`` (and copied where a link keeps it).
-    Without it, ``cov`` is copied.
+    eigendecompositions of its two factors and forms no n x n array, raises
+    ``np.linalg.LinAlgError`` if an eigenvalue of the covariance is not
+    positive, and d_cov is a ``KroneckerCov`` of the gradients with respect
+    to its four fields.  A stacked ``KroneckerCov`` or ``resid`` (..., n)
+    gives one value per row, and gradients whose row r is that of value r,
+    over the broadcast leading axes.  ``work`` applies to a dense ``cov``
+    only.
     """
+    if isinstance(resid, Node) or isinstance(cov, Node):
+        raise UnsupportedOperationError("gaussian_spd_logpdf takes arrays, not tape nodes")
+    r = np.asarray(resid, dtype=float)
     if isinstance(cov, KroneckerCov):
         if work is not None:
             raise ValueError("work applies to a dense covariance only")
-        return _kronecker_logpdf(resid, cov)
-    r, K = _value_of(resid), _value_of(cov)
+        return _kronecker_logpdf(r, cov)
     n = r.shape[0]
-    # K is symmetric, so K.T is K in Fortran order: LAPACK factors and then
-    # inverts it in place, in the lower triangle, and zeroes the upper one
-    c, info = dpotrf((K if work is not None else K.copy()).T, lower=1, clean=1, overwrite_a=1)
+    # cov is symmetric, so cov.T is cov in Fortran order: LAPACK factors and
+    # then inverts it in place, in the lower triangle, and zeroes the upper one
+    c, info = dpotrf((cov if work is not None else np.array(cov, dtype=float)).T,
+                     lower=1, clean=1, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     alpha = cho_solve((c, True), r, check_finite=False)
     logdet = 2.0 * np.sum(np.log(np.diag(c)))
-    val = -0.5 * (n * np.log(2.0 * np.pi) + logdet + r @ alpha)
+    val = float(-0.5 * (n * np.log(2.0 * np.pi) + logdet + r @ alpha))
     _check_finite(val, "gaussian_spd_logpdf")
-    links = [(resid, lambda g: -g * alpha)] if isinstance(resid, Node) else []
-    if isinstance(cov, Node):
+
+    def grads():
         low_inv, info = dpotri(c, lower=1, overwrite_c=1)
         if info:
             raise np.linalg.LinAlgError("covariance inverse failed")
-        # G = (alpha alpha' - K^-1) / 2.  The upper triangle is zero, so
-        # low_inv + low_inv' is K^-1 with its diagonal doubled; then one
-        # rank-1 update by scipy's BLAS
+        # the upper triangle is zero, so low_inv + low_inv' is cov^-1 with its
+        # diagonal doubled; then one rank-1 update by scipy's BLAS
         G = np.add(low_inv, low_inv.T, out=np.empty((n, n)) if work is None else work)
         G.flat[:: n + 1] = low_inv.diagonal()
         G *= -0.5
         # G is symmetric, so its transpose is the Fortran array BLAS updates
         dger(0.5, alpha, alpha, a=G.T, overwrite_a=1)
-        for parent, vjp in cov.parents or ((cov, lambda G: G),):
-            grad_G = vjp(G)
-            if work is not None and np.may_share_memory(grad_G, work):
-                grad_G = grad_G.copy()
-            links.append((parent, lambda g, grad_G=grad_G: g * grad_G))
-    return Node(val, tuple(links)) if links else float(val)
+        return -alpha, G
+
+    return val, grads
 
 
 def closed_form(x, values, grads, op):

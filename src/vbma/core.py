@@ -67,6 +67,10 @@ class VbmaConfig:
             raise ValueError("step_size must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.conv_window < 1:
+            raise ValueError("conv_window must be >= 1")
+        if not self.conv_tol >= 0:
+            raise ValueError("conv_tol must be >= 0 (0 runs the full budget)")
 
 
 class _Group:

@@ -65,15 +65,6 @@ class Dataset:
     def y(self, rows="train"):
         return self.column(self.response, rows)
 
-    def invert_response(self, values):
-        """Map model-space response values back to original units."""
-        values = np.asarray(values, dtype=float)
-        if self.response in self.offsets:
-            values = values + self.offsets[self.response]
-        if self.response in self.log_columns:
-            values = np.exp(values)
-        return values
-
 
 def load_csv(path, columns=None):
     """Read a CSV into a Dataset-ready column dict.
@@ -201,6 +192,8 @@ def synth_gp_dataset(grid_size=20, beta=0.0, eta=1.0, nu1=3.0, nu2=3.0, sigma=0.
     extrapolation beyond the training domain.  The surface is drawn before
     the split, so ``n_test`` does not change ``y``.
     """
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     for name, v in (("eta", eta), ("nu1", nu1), ("nu2", nu2)):
         if v <= 0:
             raise ValueError(f"{name} must be positive")

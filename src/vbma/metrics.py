@@ -1,6 +1,5 @@
 """Model-averaged posterior machinery: mixture predictive draws, Bayes
-factors, equal-tail intervals, coverage curves, RMSE, and spike-and-density
-coefficient summaries.
+factors, equal-tail intervals, coverage curves and RMSE.
 """
 
 from __future__ import annotations
@@ -30,30 +29,6 @@ class BmaPosterior:
     @property
     def k(self):
         return len(self.models)
-
-
-@dataclass
-class CoefficientSummary:
-    name: str
-    inclusion_prob: float       # P(beta != 0 | d) = sum of q over including models
-    draws: np.ndarray           # posterior draws pooled over including models
-    def density(self, grid, scaled=False):
-        """Gaussian-kernel density over ``grid``; plug-in bandwidth.
-
-        With ``scaled=True`` the maximum equals the inclusion probability
-        (a display convention; the stored draws are unscaled).
-        """
-        x = self.draws
-        if len(x) == 0:
-            return np.zeros_like(np.asarray(grid, dtype=float))
-        bw = 1.06 * x.std(ddof=1) * len(x) ** (-0.2)
-        bw = max(bw, 1e-12)
-        grid = np.asarray(grid, dtype=float)
-        dens = np.exp(-0.5 * ((grid[:, None] - x[None, :]) / bw) ** 2).sum(axis=1)
-        dens /= len(x) * bw * np.sqrt(2.0 * np.pi)
-        if scaled and dens.max() > 0:
-            dens = dens * (self.inclusion_prob / dens.max())
-        return dens
 
 
 def _model_draws(model, state, count, X, rng, noise):
@@ -131,34 +106,6 @@ def predictive_means(posterior, X, n_theta=50, seed=0):
         if q > 0.0:
             out += q * _model_draws(model, state, n_theta, X, rng, noise=False).mean(axis=0)
     return out
-
-
-def coefficient_summary(posterior, name, n_draws=5000, seed=0):
-    """Inclusion probability and pooled posterior draws for one coefficient.
-
-    Draws come from the variational states of the including models, weighted
-    by q; models without the coefficient contribute the spike at zero (via
-    1 - inclusion probability), not draws.
-    """
-    including = [
-        k for k, m in enumerate(posterior.models) if name in m.coefficient_names()
-    ]
-    if not including:
-        raise KeyError(f"coefficient '{name}' appears in no model")
-    q_inc = posterior.weights[including]
-    inclusion = float(q_inc.sum())
-    rng = np.random.default_rng(seed)
-    draws = [np.empty(0)]
-    if inclusion > 0:
-        counts = rng.multinomial(n_draws, q_inc / inclusion)
-        for k, c in zip(including, counts):
-            model = posterior.models[k]
-            state = posterior.variational[k]
-            pos = model.coefficient_names().index(name)
-            idx = model.layout.slice("beta").start + pos
-            thetas = families.sample(state, rng.standard_normal((c, state.dim)))
-            draws.append(thetas[:, idx])
-    return CoefficientSummary(name, inclusion, np.concatenate(draws))
 
 
 def rmse(predictions, truth):

@@ -11,12 +11,12 @@ log densities over the last axis and broadcasts over any leading axes, so
 one call takes a single ``(d,)`` parameter vector, an ``(S, d)`` block of S
 draws or a ``(K, S, d)`` block and returns one value per row: the linear,
 logistic and normal-mean models, and a GP model on a full lattice of
-training inputs.  The linear and logistic models compute ``log_lik`` and
+training inputs.  The linear, logistic and GP models compute ``log_lik`` and
 ``log_prior`` and their gradients in closed form, in numpy: a tape node
-gives one node (``ad.closed_form``), an array gives an array.  The
-normal-mean and GP models record their densities on the tape (the GP's
-kernel matrix as one node with closed-form vjps, or, on a lattice, its two
-small Kronecker factors from ordinary tape operations), as user models do.
+gives one node (``ad.closed_form``), an array gives an array and computes no
+gradient.  The GP chains the gradients of ``ad.gaussian_spd_logpdf`` with
+respect to its covariance, dense or Kronecker, to its hyperparameters.  The
+normal-mean model records its densities on the tape, as user models do.
 The subset builders return a ``SubsetEnsemble``: the K members as a list,
 plus one stacked model on the members' shared, padded layout that evaluates
 all of them at once, and the ``(K, D)`` mask of each member's coordinates in
@@ -127,10 +127,6 @@ class Model:
 
     def has_proper_prior(self):
         return True
-
-    def coefficient_names(self):
-        """Names of interpretable coefficients (for inclusion summaries)."""
-        return ()
 
 
 class GaussianMeanModel(Model):
@@ -246,9 +242,6 @@ class LinRegModel(Model):
     def has_proper_prior(self):
         return False
 
-    def coefficient_names(self):
-        return self.predictors
-
     def _unpack(self, t):
         """beta0 (..., 1), beta (..., p) or None, and phi (...) from an array (..., d)."""
         beta0 = t[..., self.layout.slice("beta0")]
@@ -327,9 +320,6 @@ class LogisticModel(Model):
         self.layout = ParamLayout(blocks)
         self._sign = 1.0 - 2.0 * self.y  # -1 where y=1, +1 where y=0
 
-    def coefficient_names(self):
-        return self.predictors
-
     def log_lik(self, theta):
         t = _values(theta)
         with np.errstate(all="ignore"):  # checked once, in ad.closed_form
@@ -384,8 +374,8 @@ class GPModel(Model):
     jitter) I with A1 and A2 the kernel's factors on the two axes, and
     ``log_lik`` evaluates the density from those factors alone
     (``ad.KroneckerCov``); ``lattice`` is then ``(n1, n2)``, else None.
-    There the model sets ``supports_blocks``: a block of draws is one tape
-    pass over a stack of factor pairs, one pair per draw.  Otherwise a draw
+    There the model sets ``supports_blocks``: a block of draws is one call
+    over a stack of factor pairs, one pair per draw.  Otherwise a draw
     writes its n x n intermediates into one work array shared by the GP
     models of one n and is done with them when it returns, so it allocates
     no n x n array.  ``predict_dist`` always takes the
@@ -436,14 +426,8 @@ class GPModel(Model):
     def _kernel(self, h, base, K):
         """Training covariance K = eta^2 (base + jitter I) + sigma^2 I, with
         base = exp(-d1^2 / 2 nu1^2 - d2^2 / 2 nu2^2) and the jitter relative
-        to eta^2, written into the n x n arrays ``base`` and ``K``.
-
-        ``h`` is an array or a tape node.  For a node, K is one tape node
-        linked to h: its vjp maps G = df/dK to the 4-vector tr(G dK/dh) in
-        closed form (Rasmussen & Williams 2006, sec. 5.4.1), so no n x n
-        operation is recorded.  For an array, K is the array ``K``.
-        """
-        e, a, b, s = h.value if isinstance(h, ad.Node) else h
+        to eta^2, written into the n x n arrays ``base`` and ``K``; returns K."""
+        e, a, b, s = h
         with np.errstate(all="ignore"):  # one finiteness check on K below
             np.multiply(self._d1sq, -0.5 / a**2, out=base)
             base += np.multiply(self._d2sq, -0.5 / b**2, out=K)
@@ -452,66 +436,77 @@ class GPModel(Model):
             K.flat[:: self.n + 1] += s**2 + self.BASE_JITTER * e**2
         if not np.isfinite(K).all():
             raise ad.NonFiniteValueError("gp_kernel")
-        if not isinstance(h, ad.Node):
-            return K
-
-        def vjp(G):
-            # <A, B> by einsum, not np.vdot: numpy's BLAS threads its ddot at
-            # n^2 elements and then contends with the threads of scipy's LAPACK
-            tr = np.trace(G)
-            return np.array([
-                2.0 * e * (np.einsum("ij,ij->", G, base) + self.BASE_JITTER * tr),
-                e**2 / a**3 * np.einsum("ij,ij,ij->", G, base, self._d1sq),
-                e**2 / b**3 * np.einsum("ij,ij,ij->", G, base, self._d2sq),
-                2.0 * s * tr,
-            ])
-
-        return ad.Node(K, ((h, vjp),))
+        return K
 
     def _lattice_kernel(self, h):
-        """K on a lattice as an ``ad.KroneckerCov`` of the two axes' factors,
-        from tape operations on ``h`` (..., 4) when it is a node; a block's
-        hyperparameters broadcast over the factors' axes."""
+        """K on a lattice as an ``ad.KroneckerCov`` of the two axes' factors;
+        a block's hyperparameters h (..., 4) broadcast over the factors' axes."""
         e, a, b, s = (h[..., i, None, None] for i in range(4))
-        return ad.KroneckerCov(ad.exp(self._axis_d1sq * (-0.5 / a**2)),
-                               ad.exp(self._axis_d2sq * (-0.5 / b**2)),
+        return ad.KroneckerCov(np.exp(self._axis_d1sq * (-0.5 / a**2)),
+                               np.exp(self._axis_d2sq * (-0.5 / b**2)),
                                e**2, s**2 + self.BASE_JITTER * e**2)
 
     def log_lik(self, theta):
-        beta, h = self._split(theta)
+        beta, h = self._split(_values(theta))
         if self.lattice is None:
-            base, K, G = self._work
-            resid, cov, work = self.y - beta, self._kernel(h, base, K), G
+            base, K, work = self._work
+            resid, cov = self.y - beta, self._kernel(h, base, K)
         else:
             resid = self.y - (beta[..., None] if self.free_mean else beta)
             cov, work = self._lattice_kernel(h), None
         try:
-            return ad.gaussian_spd_logpdf(resid, cov, work=work)
+            val, grads = ad.gaussian_spd_logpdf(resid, cov, work=work)
         except np.linalg.LinAlgError:
-            pass
-        # the jitter is far above K's rounding error (~n eps eta^2), so K
-        # fails only where eta^2 underflows and a larger jitter would not help
-        h = _values(h)
+            # the jitter is far above K's rounding error (~n eps eta^2), so K
+            # fails only where eta^2 underflows and a larger jitter would not help
+            if self.lattice is None:
+                min_eig = np.linalg.eigvalsh(self._kernel(h, base, K)).min()
+            else:
+                min_eig = cov.eigen()[-1].min(axis=(-2, -1))
+            worst = np.argmin(min_eig)  # the worst draw of a block
+            raise ConditioningError(
+                f"kernel matrix not positive definite at jitter {self.BASE_JITTER:g} eta^2 "
+                f"(min eigenvalue ~ {np.ravel(min_eig)[worst]:.3e}, "
+                f"eta={np.ravel(h[..., 0])[worst]:.3g})"
+            ) from None
+        if not isinstance(theta, ad.Node):
+            return val
+        d_resid, d_cov = grads()
+        e, a, b, s = np.moveaxis(h, -1, 0)
         if self.lattice is None:
-            min_eig = np.linalg.eigvalsh(self._kernel(h, base, K)).min()
+            # tr(G dK/dh) for G = d_cov (Rasmussen & Williams 2006, sec. 5.4.1);
+            # <A, B> by einsum, not np.vdot: numpy's BLAS threads its ddot at
+            # n^2 elements and then contends with the threads of scipy's LAPACK
+            d_scale, d_nugget = np.einsum("ij,ij->", d_cov, base), np.trace(d_cov)
+            d_nu1 = e**2 * np.einsum("ij,ij,ij->", d_cov, base, self._d1sq)
+            d_nu2 = e**2 * np.einsum("ij,ij,ij->", d_cov, base, self._d2sq)
         else:
-            min_eig = cov.eigen()[-1].min(axis=(-2, -1))
-        worst = np.argmin(min_eig)  # the worst draw of a block
-        raise ConditioningError(
-            f"kernel matrix not positive definite at jitter {self.BASE_JITTER:g} eta^2 "
-            f"(min eigenvalue ~ {np.ravel(min_eig)[worst]:.3e}, "
-            f"eta={np.ravel(h[..., 0])[worst]:.3g})"
-        )
+            # the factors' chain rule: dA1/dnu1 = A1 o d1^2 / nu1^3, and for nu2
+            d_scale, d_nugget = d_cov.scale[..., 0, 0], d_cov.nugget[..., 0, 0]
+            d_nu1 = (d_cov.a1 * cov.a1 * self._axis_d1sq).sum(axis=(-2, -1))
+            d_nu2 = (d_cov.a2 * cov.a2 * self._axis_d2sq).sum(axis=(-2, -1))
+        # a * a * a, not a**3: numpy's vectorized power and its scalar one
+        # round differently, and a block must match its rows bitwise
+        g = np.stack([2.0 * e * (d_scale + self.BASE_JITTER * d_nugget), d_nu1 / (a * a * a),
+                      d_nu2 / (b * b * b), 2.0 * s * d_nugget], axis=-1)
+        if self.free_mean:
+            g = np.concatenate([-d_resid.sum(axis=-1, keepdims=True), g], axis=-1)
+        return ad.closed_form(theta, val, g, "gp_log_lik")
 
     def log_prior(self, theta):
-        beta, h = self._split(theta)
-        log_h = ad.log(h)  # log-normal density: normal in log h, minus log h
-        out = -ad.vsum(log_h + 0.5 * (LOG2PI + 2.0 * np.log(self._sd)
-                                      + (log_h - self._loc) ** 2 / self._sd**2), axis=-1)
-        if self.free_mean:
-            m0, s0 = self.mean_prior
-            out = out - 0.5 * (LOG2PI + 2.0 * np.log(s0) + (beta - m0) ** 2 / s0**2)
-        return out
+        beta, h = self._split(_values(theta))
+        with np.errstate(all="ignore"):  # checked once, in ad.closed_form
+            log_h = np.log(h)  # log-normal density: normal in log h, minus log h
+            val = -(log_h + 0.5 * (LOG2PI + 2.0 * np.log(self._sd)
+                                   + (log_h - self._loc) ** 2 / self._sd**2)).sum(axis=-1)
+            g = -(1.0 + (log_h - self._loc) / self._sd**2) / h
+            if self.free_mean:
+                m0, s0 = self.mean_prior
+                val = val - 0.5 * (LOG2PI + 2.0 * np.log(s0) + (beta - m0) ** 2 / s0**2)
+                g = np.concatenate([(-(beta - m0) / s0**2)[..., None], g], axis=-1)
+        if not isinstance(theta, ad.Node):
+            return val
+        return ad.closed_form(theta, val, g, "gp_log_prior")
 
     def sample_prior(self, rng):
         mean = [rng.normal(*self.mean_prior)] if self.free_mean else []

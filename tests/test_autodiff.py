@@ -187,31 +187,12 @@ def test_gaussian_spd_logpdf_value_matches_scipy():
     cov = A @ A.T + n * np.eye(n)
     r = rng.standard_normal(n)
     given = cov.copy()
-    out = ad.gaussian_spd_logpdf(r, cov)
+    out, _ = ad.gaussian_spd_logpdf(r, cov)
     assert np.array_equal(cov, given)  # without a work array, cov is copied
-    assert type(out) is float  # constant operands record nothing
+    assert type(out) is float
     assert out == pytest.approx(
         multivariate_normal.logpdf(r, mean=np.zeros(n), cov=cov), abs=1e-10
     )
-
-
-def test_gaussian_spd_logpdf_gradients_match_fd():
-    rng = np.random.default_rng(1)
-    n = 4
-    A = rng.standard_normal((n, n))
-    cov = A @ A.T + n * np.eye(n)
-    r = rng.standard_normal(n)
-
-    def f_resid(v):
-        return ad.gaussian_spd_logpdf(v, cov)
-
-    assert ad.finite_diff_check(f_resid, r, h=1e-6) < 1e-6
-
-    # gradient wrt a scalar scaling of the covariance, chained through mul
-    def f_scale(s):
-        return ad.gaussian_spd_logpdf(r, s[0] * cov)
-
-    assert ad.finite_diff_check(f_scale, np.array([1.3]), h=1e-6) < 1e-6
 
 
 def spd_problem(n=4, seed=2):
@@ -220,41 +201,44 @@ def spd_problem(n=4, seed=2):
     return rng, A @ A.T + n * np.eye(n), rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("use_work", [False, True], ids=["copy", "work"])
-def test_gaussian_spd_logpdf_leaf_cov_gradient_matches_fd(use_work):
-    # a leaf cov is linked to G = df/dcov itself; directional differences
-    # along symmetric perturbations D give <G, D>
-    rng, cov, r = spd_problem()
-    work = np.empty_like(cov) if use_work else None
-    leaf = ad.Node(cov.copy())
-    out = ad.gaussian_spd_logpdf(r, leaf, work=work)
-    if use_work:
-        work[:] = np.nan  # a later draw's use of the array does not reach the sweep
-    ad.backward(out)
-    G = leaf._grad
-    assert np.isfinite(G).all() and np.array_equal(G, G.T)
-    h = 1e-6
+def logpdf_value(resid, cov):
+    return ad.gaussian_spd_logpdf(resid, cov)[0]
+
+
+def assert_matches_directional_fd(f, x, grad, rng, h=1e-6, rel=1e-7, symmetric=False):
+    """<grad, D> against central differences of ``f`` along random
+    directions D of ``x``'s shape (symmetric matrices if ``symmetric``)."""
     for _ in range(5):
-        D = rng.standard_normal(cov.shape)
-        D += D.T
-        fd = (ad.gaussian_spd_logpdf(r, cov + h * D)
-              - ad.gaussian_spd_logpdf(r, cov - h * D)) / (2.0 * h)
-        assert np.sum(G * D) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        D = rng.standard_normal(np.shape(x))
+        if symmetric:
+            D = D + np.swapaxes(D, -1, -2)
+        fd = (f(x + h * D) - f(x - h * D)) / (2.0 * h)
+        assert np.sum(grad * D) == pytest.approx(fd, rel=rel, abs=1e-9)
 
 
-def test_gaussian_spd_logpdf_cov_with_two_consumers_matches_fd():
-    # cov feeds the density, under a cotangent of 0.7, and a second term; the
-    # density links to cov's parents, which must still sum both paths
+def test_gaussian_spd_logpdf_gradients_match_fd():
+    # d_resid and d_cov = G of a dense cov against central differences; the
+    # factorization reads one triangle, so cov moves along symmetric D
+    rng, cov, r = spd_problem()
+    _, grads = ad.gaussian_spd_logpdf(r, cov)
+    d_resid, G = grads()
+    assert np.array_equal(G, G.T)
+    assert_matches_directional_fd(lambda x: logpdf_value(x, cov), r, d_resid, rng)
+    assert_matches_directional_fd(lambda x: logpdf_value(r, x), cov, G, rng, symmetric=True)
+
+
+def test_gaussian_spd_logpdf_work_array_takes_the_factor_and_the_gradient():
+    # with a work array, cov is overwritten, G is written into the work array,
+    # and every number is bitwise that of the call that copies cov
     _, cov, r = spd_problem()
-    B = np.diag([1.0, 2.0, 0.5, 1.5])
-    C = np.arange(16.0).reshape(4, 4) / 10.0
-
-    def f(x):
-        K = x[0] * cov + x[1] * B
-        return 0.7 * ad.gaussian_spd_logpdf(x[2:] - r, K) - 1.3 * ad.vsum(K * C)
-
-    x = np.concatenate([[1.2, 0.8], np.zeros(4)])
-    assert ad.finite_diff_check(f, x, h=1e-6) < 1e-6
+    val, grads = ad.gaussian_spd_logpdf(r, cov)
+    d_resid, G = grads()
+    K, work = cov.copy(), np.full_like(cov, np.nan)
+    val_w, grads_w = ad.gaussian_spd_logpdf(r, K, work=work)
+    assert not np.array_equal(K, cov)
+    d_resid_w, G_w = grads_w()
+    assert G_w is work
+    assert val_w == val and np.array_equal(d_resid_w, d_resid) and np.array_equal(G_w, G)
 
 
 def test_gaussian_spd_logpdf_rejects_indefinite():
@@ -273,41 +257,47 @@ def kronecker_problem():
 
 
 def dense_kronecker(a1, a2, scale, nugget):
-    """scale * kron(a1, a2) + nugget * I from tape operations, so a node
-    factor, scale or nugget is carried into the dense covariance."""
-    n1, n2 = len(a1), len(a2)
-    i = np.arange(n1 * n2)
-    rows1, rows2 = i // n2, i % n2
-    kron = a1[rows1[:, None], rows1[None, :]] * a2[rows2[:, None], rows2[None, :]]
-    return scale * kron + nugget * np.eye(n1 * n2)
+    """scale * kron(a1, a2) + nugget * I as a dense array."""
+    return scale * np.kron(a1, a2) + nugget * np.eye(len(a1) * len(a2))
 
 
 def test_kronecker_cov_matches_the_dense_covariance():
-    # value and the gradients of resid, a1, a2, scale and nugget, each a
-    # leaf, against the dense primitive on the same covariance; n1 != n2, so
-    # a transposed reshape of resid would not agree
-    problem = kronecker_problem()
-    assert np.linalg.cond(problem[1]) > 1e9
-
-    def sweep(density):
-        leaves = [ad.Node(x) for x in problem]
-        out = density(leaves[0], *leaves[1:])
-        ad.backward(out)
-        return float(out.value), [leaf._grad for leaf in leaves]
-
-    val, grads = sweep(lambda r, *cov: ad.gaussian_spd_logpdf(r, ad.KroneckerCov(*cov)))
-    want_val, want_grads = sweep(lambda r, *cov: ad.gaussian_spd_logpdf(r, dense_kronecker(*cov)))
+    # the value, d_resid and the field gradients against the dense primitive
+    # on the same covariance, its G contracted with d cov / d field; n1 != n2,
+    # so a transposed reshape of resid would not agree
+    r, a1, a2, scale, nugget = problem = kronecker_problem()
+    assert np.linalg.cond(a1) > 1e9
+    val, grads = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(*problem[1:]))
+    want_val, want_grads = ad.gaussian_spd_logpdf(r, dense_kronecker(*problem[1:]))
+    assert type(val) is float
     assert val == pytest.approx(want_val, rel=1e-10, abs=0)
-    for name, g, want in zip(("resid", *ad.KroneckerCov._fields), grads, want_grads):
-        assert np.shape(g) == np.shape(want), name
-        np.testing.assert_allclose(g, want, rtol=1e-10, atol=1e-10 * np.abs(want).max(),
-                                   err_msg=name)
-    # constant operands record nothing and give the dense value
-    r, *cov = problem
-    out = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(*cov))
-    assert type(out) is float
-    assert out == pytest.approx(ad.gaussian_spd_logpdf(r, dense_kronecker(*cov)),
-                                rel=1e-10, abs=0)
+    d_resid, d_cov = grads()
+    want_d_resid, G = want_grads()
+    G4 = G.reshape(len(a1), len(a2), len(a1), len(a2))  # G[(i, k), (j, l)]
+    for name, g, want in (("resid", d_resid, want_d_resid),
+                          ("a1", d_cov.a1, scale * np.einsum("ikjl,kl->ij", G4, a2)),
+                          ("a2", d_cov.a2, scale * np.einsum("ikjl,ij->kl", G4, a1)),
+                          ("scale", d_cov.scale, np.sum(G * np.kron(a1, a2))),
+                          ("nugget", d_cov.nugget, np.trace(G))):
+        np.testing.assert_allclose(np.squeeze(g), want, rtol=1e-10,
+                                   atol=1e-10 * np.abs(want).max(), err_msg=name)
+
+
+def test_kronecker_cov_gradients_match_fd():
+    # d_resid and each field gradient against central differences, on a
+    # well-conditioned covariance; a1 and a2 move along symmetric directions
+    r, *fields = kronecker_stack((), 3, 4, seed=5)
+    rng = np.random.default_rng(5)
+    _, grads = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(*fields))
+    d_resid, d_cov = grads()
+    assert_matches_directional_fd(lambda x: logpdf_value(x, ad.KroneckerCov(*fields)),
+                                  r, d_resid, rng)
+    for i, (name, g) in enumerate(zip(ad.KroneckerCov._fields, d_cov)):
+        def f(x, i=i):
+            return logpdf_value(r, ad.KroneckerCov(*fields[:i], x, *fields[i + 1:]))
+
+        assert np.shape(g) == np.shape(fields[i]), name
+        assert_matches_directional_fd(f, fields[i], g, rng, symmetric=name in ("a1", "a2"))
 
 
 def test_kronecker_cov_rejects_a_nonpositive_eigenvalue():
@@ -316,8 +306,6 @@ def test_kronecker_cov_rejects_a_nonpositive_eigenvalue():
     assert cov.eigen()[-1].min() < 0
     with pytest.raises(np.linalg.LinAlgError):
         ad.gaussian_spd_logpdf(r, cov)
-    with pytest.raises(np.linalg.LinAlgError):
-        ad.gaussian_spd_logpdf(ad.Node(r), cov._replace(nugget=ad.Node(-1.0)))
 
 
 def kronecker_stack(lead, n1, n2, seed):
@@ -341,28 +329,22 @@ def kronecker_stack(lead, n1, n2, seed):
        leading=st.sampled_from(["S", "1S"]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_stacked_kronecker_cov_matches_a_loop_of_single_covariances(n1, n2, S, leading, seed):
-    # value and the gradients of resid, a1, a2, scale and nugget, each a
-    # leaf, bitwise against the unbatched primitive (float scale and nugget)
-    # row by row; each row's cotangent is its own weight
+    # the values, d_resid and the field gradients, bitwise against the
+    # unbatched primitive (float scale and nugget) row by row
     lead = (S,) if leading == "S" else (1, S)
     problem = kronecker_stack(lead, n1, n2, seed)
-    weights = np.random.default_rng(seed).uniform(0.5, 2.0, lead)
-    leaves = [ad.Node(x) for x in problem]
-    out = ad.gaussian_spd_logpdf(leaves[0], ad.KroneckerCov(*leaves[1:]))
-    assert out.value.shape == lead
-    ad.backward(ad.vsum(out * weights))
-    consts = ad.gaussian_spd_logpdf(problem[0], ad.KroneckerCov(*problem[1:]))
-    assert type(consts) is np.ndarray and np.array_equal(consts, out.value)
+    vals, grads = ad.gaussian_spd_logpdf(problem[0], ad.KroneckerCov(*problem[1:]))
+    assert type(vals) is np.ndarray and vals.shape == lead
+    d_resid, d_cov = grads()
     for idx in np.ndindex(*lead):
         r, a1, a2, scale, nugget = (x[idx] for x in problem)
-        row = [ad.Node(x) for x in (r, a1, a2, scale.item(), nugget.item())]
-        want = ad.gaussian_spd_logpdf(row[0], ad.KroneckerCov(*row[1:]))
-        ad.backward(want * weights[idx])
-        assert out.value[idx] == want.value
-        assert ad.gaussian_spd_logpdf(r, ad.KroneckerCov(a1, a2, scale.item(),
-                                                         nugget.item())) == want.value
-        for name, leaf, one in zip(("resid", *ad.KroneckerCov._fields), leaves, row):
-            assert np.array_equal(leaf._grad[idx].ravel(), np.ravel(one._grad)), name
+        val, row_grads = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(a1, a2, scale.item(),
+                                                                   nugget.item()))
+        assert vals[idx] == val
+        row_d_resid, row_d_cov = row_grads()
+        for name, g, one in zip(("resid", *ad.KroneckerCov._fields),
+                                (d_resid, *d_cov), (row_d_resid, *row_d_cov)):
+            assert np.array_equal(g[idx].ravel(), np.ravel(one)), name
 
 
 def test_constant_objective_returns_zero_gradient():
@@ -383,6 +365,8 @@ def test_unsupported_operations_raise():
         2.0 ** x
     with pytest.raises(TypeError):
         np.sin(x)  # numpy ufuncs are rejected, not silently wrapped
+    with pytest.raises(ad.UnsupportedOperationError):
+        ad.gaussian_spd_logpdf(x, np.eye(1))  # numpy only; see the README's adapter
 
 
 def test_nonfinite_intermediate_names_the_operation():

@@ -327,6 +327,14 @@ def test_synth_gp_writes_every_lattice_row(tmp_path):
     assert len(rows) == 26 and rows == want_csv.read_text().splitlines()
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_synth_gp_rejects_an_empty_lattice(tmp_path, capsys, size):
+    gp_csv = tmp_path / "gp.csv"
+    assert run_cli(["synth", "--kind", "gp", "--file", str(gp_csv), "--grid-size", size]) == 1
+    assert capsys.readouterr().err == f"error: grid_size must be >= 1, got {size}\n"
+    assert not gp_csv.exists()
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["fit", "--config", str(tmp_path / "nope.ini")]) == 1
     bad = tmp_path / "bad.ini"

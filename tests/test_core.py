@@ -618,11 +618,23 @@ def test_config_validation():
                          (dict(pretrain_iters=-5), "pretrain_iters"),
                          (dict(joint_iters=-1, window=0), "joint_iters"),
                          (dict(step_size=-0.05), "step_size"), (dict(step_size=0.0), "step_size"),
-                         (dict(seed=-1), "seed")):
+                         (dict(seed=-1), "seed"), (dict(conv_window=0), "conv_window"),
+                         (dict(conv_window=-2), "conv_window"),
+                         (dict(conv_tol=-1e-4), "conv_tol"),
+                         (dict(conv_tol=float("nan")), "conv_tol")):
         with pytest.raises(ValueError, match=message):
             VbmaConfig(**bad)
     # no joint iterations need no averaging window
     VbmaConfig(joint_iters=0, window=0)
+
+
+def test_zero_conv_tol_runs_the_full_budget():
+    # the run that converges early in the test below, with conv_tol = 0
+    cfg = VbmaConfig(n_samples=10, pretrain_iters=60, joint_iters=150,
+                     window=10, seed=0, conv_tol=0.0, conv_window=1)
+    state = core.run(cfg, [conjugate_model(seed=4, n=5)])
+    assert not state.converged
+    assert state.iteration == cfg.pretrain_iters + cfg.joint_iters
 
 
 def test_run_convergence_flag_on_flat_problem():

@@ -101,12 +101,6 @@ def test_prepare_rejects_nonpositive_under_log():
         data_io.prepare(cols, "y", log_columns=("x",))
 
 
-def test_invert_response_round_trip():
-    y = np.array([10.0, 100.0, 55.0])
-    ds = data_io.prepare({"y": y}, "y", log_columns=("y",), center_columns=("y",))
-    assert np.allclose(ds.invert_response(ds.y()), y, rtol=1e-12)
-
-
 def test_dataset_rejects_ragged_columns():
     with pytest.raises(IngestionError):
         data_io.Dataset({"a": np.zeros(2), "b": np.zeros(3)}, "a")

@@ -1,5 +1,5 @@
 """Model-averaged posterior summaries: Bayes factors, intervals, coverage
-calibration, predictive mixtures, and coefficient summaries."""
+calibration and predictive mixtures."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from vbma.metrics import (
     equal_tail_interval,
     rmse,
 )
-from vbma.models import GaussianMeanModel, LinRegModel
+from vbma.models import GaussianMeanModel
 
 
 def normal_state(mu, var):
@@ -142,55 +142,6 @@ def test_coverage_is_calibrated_when_variational_equals_posterior():
 def test_coverage_rejects_empty_test_set():
     with pytest.raises(ValueError):
         coverage_curve(two_model_posterior(), [], [], (0.5,))
-
-
-# -- coefficient summaries ----------------------------------------------------
-
-
-def linear_pair_posterior():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(20)
-    x -= x.mean()
-    y = 2.0 * x + rng.normal(0, 0.5, 20)
-    with_x = LinRegModel(x[:, None], y, predictors=("x",))
-    without = LinRegModel(np.zeros((20, 0)), y, predictors=())
-    states = [
-        VariationalState(
-            np.array([0.0, 2.0, 0.0]),
-            families.encode_scale(np.array([0.01, 0.04, 0.01])),
-            (FamilyTag.NORMAL, FamilyTag.NORMAL, FamilyTag.LOGNORMAL),
-        ),
-        VariationalState(
-            np.array([0.0, 0.0]),
-            families.encode_scale(np.array([0.01, 0.01])),
-            (FamilyTag.NORMAL, FamilyTag.LOGNORMAL),
-        ),
-    ]
-    return BmaPosterior([with_x, without], np.array([0.6, 0.4]), states)
-
-
-def test_coefficient_summary_inclusion_and_draws():
-    post = linear_pair_posterior()
-    summary = metrics.coefficient_summary(post, "x", n_draws=4000, seed=0)
-    assert summary.inclusion_prob == pytest.approx(0.6)
-    assert summary.draws.mean() == pytest.approx(2.0, abs=0.02)
-    assert len(summary.draws) == 4000
-
-
-def test_coefficient_summary_unknown_name():
-    with pytest.raises(KeyError):
-        metrics.coefficient_summary(linear_pair_posterior(), "nope")
-
-
-def test_density_scaling_convention():
-    post = linear_pair_posterior()
-    summary = metrics.coefficient_summary(post, "x", n_draws=2000, seed=1)
-    grid = np.linspace(1.0, 3.0, 200)
-    scaled = summary.density(grid, scaled=True)
-    assert scaled.max() == pytest.approx(summary.inclusion_prob, rel=1e-9)
-    unscaled = summary.density(grid)
-    # kernel density integrates to ~1 over a wide enough grid
-    assert np.trapezoid(unscaled, grid) == pytest.approx(1.0, abs=0.05)
 
 
 # -- prediction error ---------------------------------------------------------

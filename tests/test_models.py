@@ -12,6 +12,7 @@ from scipy import stats
 
 from vbma import autodiff as ad
 from vbma import data as data_io
+from vbma import studies
 from vbma.core import VbmaConfig, run
 from vbma.families import FamilyTag
 from vbma.models import (
@@ -425,11 +426,11 @@ def test_gp_sample_prior_draws_as_a_per_parameter_loop(gp_pair, gp_custom_prior)
 
 def tape_kernel_log_joint(m, theta):
     """``m.log_joint`` as recorded elementwise tape operations, one
-    hyperparameter at a time, as GPModel computed it before its kernel became
-    one tape node: the oracle for the kernel's closed-form vjp, for the
-    lattice path, for the vectorized prior and for the work arrays the GP
-    reuses.  It indexes ``theta`` itself and factors a private dense copy of
-    K."""
+    hyperparameter at a time, with the Gaussian linked to the tape-built K
+    by ``tape_gaussian``: the oracle for the GP's closed-form gradients on
+    the dense and the lattice path, for its prior and for the work arrays
+    it reuses.  It indexes ``theta`` itself and factors a private dense copy
+    of K."""
     beta = theta[0] if m.free_mean else m.mean_offset
     hyper = {name: theta[i] for i, name in zip(range(-4, 0), ("eta", "nu1", "nu2", "sigma"))}
     prior = 0.0
@@ -444,7 +445,15 @@ def tape_kernel_log_joint(m, theta):
     resid = -(beta - m.y)
     base = ad.exp(m._d1sq * (-0.5 / nu1**2) + m._d2sq * (-0.5 / nu2**2))
     K = eta**2 * base + (sigma**2 + m.BASE_JITTER * eta**2) * np.eye(m.n)
-    return ad.gaussian_spd_logpdf(resid, K) + prior
+    return tape_gaussian(resid, K) + prior
+
+
+def tape_gaussian(resid, K):
+    """The numpy ``ad.gaussian_spd_logpdf`` on the tape: one node linked to
+    ``resid`` and ``K`` through its gradients."""
+    val, grads = ad.gaussian_spd_logpdf(ad._value_of(resid), K.value)
+    d_resid, d_K = grads()
+    return ad.Node(val, ad._links((resid, lambda g: g * d_resid), (K, lambda g: g * d_K)))
 
 
 def assert_matches_tape_kernel(m, theta):
@@ -562,6 +571,43 @@ def test_gp_terms_sharing_one_tape_match_finite_differences(gp_pairs):
         _, g3 = ad.grad(fixed.log_lik, theta[1:])
         g3 = np.concatenate([[0.0], g3])
         np.testing.assert_allclose(g, g1 + 0.5 * stretch * g2 + g3, rtol=1e-12, atol=1e-12)
+
+
+def test_tape_records_a_few_nodes_per_pass(gp_pairs, monkeypatch):
+    # every built-in log density enters the tape as one closed-form node: the
+    # leaf, log_lik, log_prior and their sum, plus the row sum of a block.
+    # The GP's plain-array log_lik asks for no gradient.
+    counts = []
+    backward, real = ad.backward, ad.gaussian_spd_logpdf
+
+    def counting(out):
+        counts.append(len(ad._toposort(out)))
+        backward(out)
+
+    def value_only(resid, cov, work=None):
+        val, _ = real(resid, cov, work=work)
+
+        def grads():
+            raise AssertionError("gradient computed for a plain-array log_lik")
+
+        return val, grads
+
+    monkeypatch.setattr(ad, "backward", counting)
+    r = rng()
+    for build in (studies.crime_study, studies.heart_study):
+        models = build()[1]
+        ad.grad(models.stacked.log_joint, member_draws(models.stacked, r, (len(models), 3)))
+    for m in itertools.chain(*gp_pairs):
+        theta = m.sample_prior(r)
+        ad.grad(m.log_joint, theta[None, None] if m.supports_blocks else theta)
+    assert counts == [5, 5, 5, 5, 4, 4]
+    monkeypatch.setattr(ad, "gaussian_spd_logpdf", value_only)
+    for m in itertools.chain(*gp_pairs):
+        thetas = np.stack([m.sample_prior(r) for _ in range(3)])
+        for theta in (thetas if not m.supports_blocks else [*thetas, thetas]):
+            assert np.all(np.isfinite(m.log_lik(theta)))
+        with pytest.raises(AssertionError, match="gradient computed"):
+            ad.grad(m.log_lik, thetas[0])
 
 
 def test_gp_draw_allocates_no_n_by_n_array():
