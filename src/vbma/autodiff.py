@@ -17,9 +17,10 @@ a multivariate-normal log density and a function that computes, on demand,
 its gradients with respect to the residual and the covariance, so a caller
 that needs only the value pays for no gradient.  The covariance is dense or
 a :class:`KroneckerCov`, scale * kron(a1, a2) + nugget * I, the covariance
-of a separable kernel on a full lattice.  The Kronecker form costs the
-eigendecompositions of its two small factors, and no n x n array; it
-broadcasts over leading axes, so a block of draws is one call.  The GP model
+of a separable kernel on a lattice, full or with holes.  The Kronecker form
+costs the eigendecompositions of its two small factors, an m x m Schur
+complement for m holes, and no n x n array; it broadcasts over leading
+axes, so a block of draws is one call.  The GP model
 chains these gradients to its parameters in closed form; a covariance built
 from tape operations links to them through a one-node adapter (README,
 "Writing a model").
@@ -315,20 +316,23 @@ def dot(a, b):
 
 
 class KroneckerCov(NamedTuple):
-    """The covariance scale * kron(a1, a2) + nugget * I, of size n1 n2, for
-    symmetric n1 x n1 ``a1`` and n2 x n2 ``a2`` and scalar ``scale`` and
-    ``nugget``.  Leading axes make a stack of covariances: ``a1`` (..., n1,
-    n1), ``a2`` (..., n2, n2), and ``scale`` and ``nugget`` (..., 1, 1),
-    broadcast against each other."""
+    """The covariance scale * kron(a1, a2) + nugget * I of the N = n1 n2 points
+    of a lattice, for symmetric n1 x n1 ``a1`` and n2 x n2 ``a2`` and scalar
+    ``scale`` and ``nugget``, restricted to the N - m points not in ``holes``:
+    the sorted flat (x1-major) indices of m missing points, none by default.
+    Leading axes make a stack of covariances: ``a1`` (..., n1, n1), ``a2``
+    (..., n2, n2), and ``scale`` and ``nugget`` (..., 1, 1), broadcast against
+    each other; every covariance of a stack misses the same ``holes``."""
 
     a1: np.ndarray
     a2: np.ndarray
     scale: np.ndarray
     nugget: np.ndarray
+    holes: tuple | np.ndarray = ()
 
     def eigen(self):
         """``(l1, q1, l2, q2, d)``: the eigendecompositions a1 = q1 diag(l1) q1'
-        and a2 = q2 diag(l2) q2', and the covariance's eigenvalues
+        and a2 = q2 diag(l2) q2', and the full lattice's eigenvalues
         d = scale l1 l2' + nugget as an (..., n1, n2) array."""
         l1, q1 = np.linalg.eigh(self.a1)
         l2, q2 = np.linalg.eigh(self.a2)
@@ -340,41 +344,94 @@ def _mT(x):
     return np.swapaxes(x, -1, -2)
 
 
+def _stack_rows(x):
+    """An (..., m, p, q) stack of m matrices as one (..., m p, q) matrix."""
+    return x.reshape(x.shape[:-3] + (-1, x.shape[-1]))
+
+
 def _kronecker_logpdf(r, cov):
     """``gaussian_spd_logpdf`` for a ``KroneckerCov``, over any leading axes
-    of ``r`` (..., n) and ``cov``.
+    of ``r`` (..., N - m) and ``cov``.
 
-    With Q = q1 (x) q2, the covariance is Q diag(d) Q', so the density needs
-    only t = Q' r, formed on the (n1, n2) reshape of ``r`` as q1' R q2, and
-    alpha = Q (t / d) (Saatci 2011).  With A the (n1, n2) reshape of alpha,
-    the field gradients are a1: scale/2 (A a2 A' - q1 diag(sum_l l2_l / d_il)
-    q1'), a2 the mirror form; scale: (sum A o (a1 A a2) - sum l1 l2' / d) / 2;
-    nugget: (sum A^2 - sum 1 / d) / 2.
+    With Q = q1 (x) q2, the full lattice's covariance is K = Q diag(d) Q', so
+    the density needs only t = Q' r, formed on the (n1, n2) reshape of ``r``
+    as q1' R q2, and alpha = Q (t / d) (Saatci 2011).  With A the (n1, n2)
+    reshape of alpha, the field gradients are a1: scale/2 (A a2 A' - q1
+    diag(sum_l l2_l / d_il) q1'), a2 the mirror form; scale: (sum A o (a1 A
+    a2) - sum l1 l2' / d) / 2; nugget: (sum A^2 - sum 1 / d) / 2.
+
+    With holes h, ``r`` is padded with zeros there and, for P = K^-1 =
+    Q diag(1/d) Q' and C = P_hh, the observed block K_oo has log det K_oo =
+    sum log d + log det C and K_oo^-1 = P_oo - P_oh C^-1 P_ho, exactly.
+    P's hole columns are U_k = q1 (W_k / d) q2' with W_k = q1[i_k]' q2[j_k]
+    for hole k at (i_k, j_k), so C_kl = <W_k / d, W_l>, and with C = L L'
+    and y = L^-1 (P r)_h the quadratic form is r' P r - y' y.  The value
+    forms no U.  In the gradients, alpha = P r - U' L^-' y, zero at the
+    holes, enters the full lattice's formulas, and -K_oo^-1 / 2 adds the
+    rank-m term Z' Z / 2 for Z = L^-1 U: a1 gets scale/2 sum_k Z_k a2 Z_k',
+    a2 scale/2 sum_k Z_k' a1 Z_k, scale <sum_k Z_k' a1 Z_k, a2> / 2 and
+    nugget sum Z^2 / 2, each sum over k one matrix product of the stacked
+    Z_k.
     """
     l1, q1, l2, q2, d = cov.eigen()
     n1, n2 = d.shape[-2:]
-    if r.shape[-1:] != (n1 * n2,):
-        raise ValueError(f"resid has shape {r.shape}, the covariance size {n1 * n2}")
+    N, holes = n1 * n2, np.asarray(cov.holes, dtype=np.intp)
+    m = holes.size
+    if r.shape[-1:] != (N - m,):
+        raise ValueError(f"resid has shape {r.shape}, the covariance size {N - m}")
     if not (d > 0).all():
         raise np.linalg.LinAlgError(
             f"covariance not positive definite (min eigenvalue {d.min():.3e})")
+    if m:
+        keep = np.ones(N, dtype=bool)
+        keep[holes] = False
+        r_full = np.zeros(r.shape[:-1] + (N,))
+        r_full[..., keep] = r
+        r = r_full
     t = _mT(q1) @ r.reshape(r.shape[:-1] + (n1, n2)) @ q2
     u = t / d
     mats = (-2, -1)
-    val = -0.5 * (n1 * n2 * np.log(2.0 * np.pi) + np.log(d).sum(axis=mats)
-                  + (t * u).sum(axis=mats))
+    logdet, quad = np.log(d).sum(axis=mats), (t * u).sum(axis=mats)
+    if m:
+        W = q1[..., holes // n2, :, None] * q2[..., holes % n2, None, :]
+        W = W.reshape(W.shape[:-2] + (N,))  # row k: W_k
+        Wd = W / d.reshape(d.shape[:-2] + (1, N))
+        # C = P_hh; a C that does not factor raises LinAlgError
+        L = np.linalg.cholesky(Wd @ _mT(W))
+        L_inv = np.linalg.inv(L)
+        y = L_inv @ (W @ u.reshape(u.shape[:-2] + (N, 1)))
+        logdet = logdet + 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+        quad = quad - (y * y).sum(axis=mats)
+    val = -0.5 * ((N - m) * np.log(2.0 * np.pi) + logdet + quad)
     _check_finite(val, "gaussian_spd_logpdf")
-    a1, a2, scale, _ = cov
+    a1, a2, scale = cov[:3]
 
     def grads():
         A = q1 @ u @ _mT(q2)
+        if m:
+            # Z = L^-1 U, each row Z_k an (n1, n2) matrix
+            Z = (q1[..., None, :, :] @ (L_inv @ Wd).reshape(Wd.shape[:-1] + (n1, n2))
+                 @ _mT(q2)[..., None, :, :])
+            A = A - (_mT(y) @ Z.reshape(Z.shape[:-2] + (N,))).reshape(A.shape)
         inv_d = 1.0 / d
-        return -A.reshape(A.shape[:-2] + (n1 * n2,)), KroneckerCov(
-            0.5 * scale * (A @ a2 @ _mT(A) - (q1 * (l2[..., None, :] @ _mT(inv_d))) @ _mT(q1)),
-            0.5 * scale * (_mT(A) @ a1 @ A - (q2 * (l1[..., None, :] @ inv_d)) @ _mT(q2)),
-            0.5 * ((A * (a1 @ A @ a2)).sum(axis=mats, keepdims=True)
-                   - l1[..., None, :] @ inv_d @ l2[..., :, None]),
-            0.5 * ((A * A).sum(axis=mats, keepdims=True) - inv_d.sum(axis=mats, keepdims=True)))
+        g_a1 = A @ a2 @ _mT(A) - (q1 * (l2[..., None, :] @ _mT(inv_d))) @ _mT(q1)
+        g_a2 = _mT(A) @ a1 @ A - (q2 * (l1[..., None, :] @ inv_d)) @ _mT(q2)
+        g_scale = ((A * (a1 @ A @ a2)).sum(axis=mats, keepdims=True)
+                   - l1[..., None, :] @ inv_d @ l2[..., :, None])
+        g_nugget = (A * A).sum(axis=mats, keepdims=True) - inv_d.sum(axis=mats, keepdims=True)
+        d_resid = -A.reshape(A.shape[:-2] + (N,))
+        if m:
+            Zt = _mT(Z)
+            a2_sum = _mT(_stack_rows(Z)) @ _stack_rows(a1[..., None, :, :] @ Z)
+            g_a1 = g_a1 + _mT(_stack_rows(Zt)) @ _stack_rows(a2[..., None, :, :] @ Zt)
+            g_a2 = g_a2 + a2_sum
+            g_scale = g_scale + (a2_sum * a2).sum(axis=mats, keepdims=True)
+            g_nugget = g_nugget + (Z * Z).sum(axis=(-3, -2, -1))[..., None, None]
+            # compress, not d_resid[..., keep], whose result is not C-ordered:
+            # a row sum over it would round differently in a block
+            d_resid = np.compress(keep, d_resid, axis=-1)
+        return d_resid, KroneckerCov(0.5 * scale * g_a1, 0.5 * scale * g_a2,
+                                     0.5 * g_scale, 0.5 * g_nugget)
 
     return (val if val.ndim else float(val)), grads
 
@@ -402,12 +459,17 @@ def gaussian_spd_logpdf(resid, cov, work=None):
 
     ``cov`` may also be a ``KroneckerCov``: the call then takes the
     eigendecompositions of its two factors and forms no n x n array, raises
-    ``np.linalg.LinAlgError`` if an eigenvalue of the covariance is not
-    positive, and d_cov is a ``KroneckerCov`` of the gradients with respect
-    to its four fields.  A stacked ``KroneckerCov`` or ``resid`` (..., n)
-    gives one value per row, and gradients whose row r is that of value r,
-    over the broadcast leading axes.  ``work`` applies to a dense ``cov``
-    only.
+    ``np.linalg.LinAlgError`` if an eigenvalue of the full lattice's
+    covariance is not positive, and d_cov is a ``KroneckerCov`` whose four
+    fields hold the gradients with respect to ``cov``'s (its ``holes`` are
+    left empty).  With m holes, ``resid`` has the N - m entries of the
+    points that remain, in lattice order, and the value is exact, by an
+    m x m Schur complement whose Cholesky factorization raises
+    ``np.linalg.LinAlgError`` if it fails; the value costs O(m^2 N) on top
+    of the full lattice's, and ``grads`` O(m N (n1 + n2)).  A stacked
+    ``KroneckerCov`` or ``resid`` (..., n) gives one value per row, and
+    gradients whose row r is that of value r, over the broadcast leading
+    axes.  ``work`` applies to a dense ``cov`` only.
     """
     if isinstance(resid, Node) or isinstance(cov, Node):
         raise UnsupportedOperationError("gaussian_spd_logpdf takes arrays, not tape nodes")

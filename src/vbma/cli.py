@@ -3,8 +3,10 @@
 Orchestrates ensemble construction, the variational averaging run, evidence
 baselines, Bayes factors, prediction, coverage evaluation, and synthetic
 dataset generation.  Every artifact is a CSV with a comment header recording
-the package version, the seed, and a hash of the resolved configuration, so
-a rerun with identical settings is byte-identical.
+the package version, the seed, a hash of the resolved configuration, the
+CPU count and any ``OPENBLAS_NUM_THREADS``, so a rerun with identical
+settings on the same machine is byte-identical.  ``weights.csv`` also names
+the density path of each GP model (``GPModel.path``).
 
 Configuration is a flat INI file (``key = value`` under named sections; see
 the README for the grammar).  Values resolve in priority order: command-line
@@ -31,7 +33,7 @@ from . import data as data_io
 from . import evidence as evidence_mod
 from . import metrics
 from .families import VariationalState
-from .models import linreg_subset_ensemble, logistic_subset_ensemble
+from .models import GPModel, linreg_subset_ensemble, logistic_subset_ensemble
 from .optimizers import NonFiniteGradientError
 
 ENV_PREFIX = "VBMA_"
@@ -197,8 +199,11 @@ def build_ensemble(settings):
 
 def _header(settings):
     cfg = vbma_config(settings)
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    blas = "" if threads is None else f" OPENBLAS_NUM_THREADS={threads}"
     return [
-        f"vbma {__version__} seed={cfg.seed} config={config_hash(settings)}",
+        f"vbma {__version__} seed={cfg.seed} config={config_hash(settings)} "
+        f"cpus={os.cpu_count()}{blas}",
     ]
 
 
@@ -286,9 +291,10 @@ def cmd_fit(args):
     trace = np.array(state.weight_trace) if state.weight_trace else q[None, :]
     tail = trace[-cfg.window:]
     se = tail.std(axis=0, ddof=1) / np.sqrt(len(tail)) if len(tail) > 1 else np.zeros_like(q)
+    paths = [f"{m.name} path={m.path}" for m in models if isinstance(m, GPModel)]
     write_table(
         out / "weights.csv",
-        header + [f"status={status}"],
+        header + [f"status={status}"] + paths,
         ["model", "q", "se"],
         [(m.name, float(qi), float(si)) for m, qi, si in zip(models, q, se)],
     )

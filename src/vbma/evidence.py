@@ -73,9 +73,11 @@ def zellner_log_evidence(model: LinRegModel) -> EvidenceEstimate:
     return EvidenceEstimate(float(log_ev), EvidenceMethod.CLOSED_FORM_ZELLNER)
 
 
-# rows per likelihood block: a logistic block holds a few (rows, n) temporaries,
-# so memory stays bounded however many samples are asked for
+# a likelihood block holds at most MC_BATCH rows and, by the model's
+# bytes_per_draw, about MC_BYTES of temporaries, so memory stays bounded
+# however many samples are asked for
 MC_BATCH = 4096
+MC_BYTES = 32 * 2**20
 
 
 def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
@@ -83,8 +85,9 @@ def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
 
     Everything stays in the log domain (log-sum-exp minus log N); the
     standard error of the log evidence comes from the delta method.  Prior
-    draws are evaluated ``batch`` rows at a time (default ``MC_BATCH``);
-    the estimate does not depend on it.
+    draws are evaluated ``batch`` rows at a time; by default as many as
+    hold 32 MiB (``MC_BYTES``) of temporaries by ``model.bytes_per_draw()``,
+    and at most 4096 (``MC_BATCH``).  The estimate does not depend on it.
     """
     if not model.has_proper_prior():
         raise ConfigurationError(
@@ -95,7 +98,7 @@ def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
             f"MC evidence needs at least 2 samples for its standard error, got {n_samples}")
     rng = np.random.default_rng(seed)
     if batch is None:
-        batch = MC_BATCH
+        batch = max(1, min(MC_BATCH, MC_BYTES // model.bytes_per_draw()))
     log_liks = np.empty(n_samples)
     done = 0
     while done < n_samples:

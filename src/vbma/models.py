@@ -10,11 +10,11 @@ prior model weight.  A model that sets ``supports_blocks`` evaluates its
 log densities over the last axis and broadcasts over any leading axes, so
 one call takes a single ``(d,)`` parameter vector, an ``(S, d)`` block of S
 draws or a ``(K, S, d)`` block and returns one value per row: the linear,
-logistic and normal-mean models, and a GP model on a full lattice of
-training inputs.  The linear, logistic and GP models compute ``log_lik`` and
-``log_prior`` and their gradients in closed form, in numpy: a tape node
-gives one node (``ad.closed_form``), an array gives an array and computes no
-gradient.  The GP chains the gradients of ``ad.gaussian_spd_logpdf`` with
+logistic and normal-mean models, and a GP model whose training inputs lie
+on a lattice, full or with holes.  The linear, logistic and GP models
+compute ``log_lik`` and ``log_prior`` and their gradients in closed form,
+in numpy: a tape node gives one node (``ad.closed_form``), an array gives
+an array and computes no gradient.  The GP chains the gradients of ``ad.gaussian_spd_logpdf`` with
 respect to its covariance, dense or Kronecker, to its hyperparameters.  The
 normal-mean model records its densities on the tape, as user models do.
 The subset builders return a ``SubsetEnsemble``: the K members as a list,
@@ -116,6 +116,14 @@ class Model:
     def log_joint(self, theta):
         return self.log_lik(theta) + self.log_prior(theta)
 
+    def bytes_per_draw(self):
+        """An upper estimate of the bytes each row of a plain-array block adds
+        to the peak memory of ``log_lik``, by which
+        ``evidence.mc_log_evidence`` sizes its blocks.  The default counts
+        the draw alone; the built-in models count their temporaries, as
+        measured by ``tracemalloc``."""
+        return 8 * self.layout.dim
+
     def draw_predictive(self, thetas, X, rng, noise=True):
         """Predictive draws for T parameter draws at m input rows.
 
@@ -181,6 +189,9 @@ class GaussianMeanModel(Model):
     def sample_prior(self, rng):
         return np.array([rng.normal(self.prior_mean, self.prior_sd)])
 
+    def bytes_per_draw(self):
+        return 8 * 4 * len(self.y)  # y - mu and its square
+
     def draw_predictive(self, thetas, X, rng, noise=True):
         mean = np.asarray(thetas, dtype=float)[:, :1] + np.zeros(len(X))
         return mean + rng.normal(0.0, self.obs_sd, mean.shape) if noise else mean
@@ -241,6 +252,9 @@ class LinRegModel(Model):
 
     def has_proper_prior(self):
         return False
+
+    def bytes_per_draw(self):
+        return 8 * 4 * self.n  # the mean, the residual and its square
 
     def _unpack(self, t):
         """beta0 (..., 1), beta (..., p) or None, and phi (...) from an array (..., d)."""
@@ -349,6 +363,9 @@ class LogisticModel(Model):
     def sample_prior(self, rng):
         return rng.normal(0.0, self.prior_sd, size=self.layout.dim)
 
+    def bytes_per_draw(self):
+        return 8 * 6 * len(self.y)  # the logit, exp(-|s|) and the softplus terms
+
     def draw_predictive(self, thetas, X, rng, noise=True):
         p = 1.0 / (1.0 + np.exp(-_linear_predictor(thetas, X, self._columns)))
         return (rng.random(p.shape) < p).astype(float) if noise else p
@@ -368,18 +385,24 @@ class GPModel(Model):
     h = (eta, nu1, nu2, sigma) (scale, the two correlation ranges, noise sd)
     are the last four coordinates and carry log-normal priors.
 
-    When the training inputs are a full lattice, exactly the Cartesian
-    product of their distinct x1 and x2 values in x1-major order with at
-    least two values on each axis, K = eta^2 kron(A1, A2) + (sigma^2 +
-    jitter) I with A1 and A2 the kernel's factors on the two axes, and
-    ``log_lik`` evaluates the density from those factors alone
-    (``ad.KroneckerCov``); ``lattice`` is then ``(n1, n2)``, else None.
-    There the model sets ``supports_blocks``: a block of draws is one call
-    over a stack of factor pairs, one pair per draw.  Otherwise a draw
-    writes its n x n intermediates into one work array shared by the GP
-    models of one n and is done with them when it returns, so it allocates
-    no n x n array.  ``predict_dist`` always takes the
-    dense path.
+    The training inputs lie on a lattice when they are points of the
+    Cartesian product of their distinct x1 and x2 values, with at least two
+    values on each axis, in strictly increasing x1-major order (x2 fastest)
+    of the sorted axes.  On the full product of N = n1 n2 points, K =
+    eta^2 kron(A1, A2) + (sigma^2 + jitter) I with A1 and A2 the kernel's
+    factors on the two axes, and ``log_lik`` evaluates the density from those
+    factors alone (``ad.KroneckerCov``).  With m of the N points missing, it
+    is the same density on the remaining n = N - m, exact, from the same
+    factors and an m x m Schur complement; the model takes this path only
+    while it is cheaper than the dense Cholesky, m N (n1 + n2) + m^3 <
+    n^3 / 3.  ``lattice`` is then ``(n1, n2)`` and ``holes`` the sorted flat
+    x1-major indices of the missing points (empty on a full lattice), else
+    both are None; ``path`` names the path taken.  On a lattice the model
+    sets ``supports_blocks``: a block of draws is one call over a stack of
+    factor pairs, one pair per draw.  Otherwise, for shuffled or scattered
+    inputs, a draw writes its n x n intermediates into one work array shared
+    by the GP models of one n and is done with them when it returns, so it
+    allocates no n x n array.  ``predict_dist`` always takes the dense path.
     """
 
     BASE_JITTER = 1e-6  # relative to eta^2
@@ -403,11 +426,22 @@ class GPModel(Model):
         blocks = [ParamBlock("beta", 1, FamilyTag.NORMAL)] if self.free_mean else []
         blocks += [ParamBlock(k, 1, FamilyTag.LOGNORMAL) for k in self.HYPER]
         self.layout = ParamLayout(blocks)
-        axes = _lattice_axes(self.coords)
-        self.lattice = None if axes is None else tuple(len(a) for a in axes)
-        self.supports_blocks = axes is not None
-        if axes is not None:
+        lattice = _lattice(self.coords)
+        self.supports_blocks = lattice is not None
+        self.lattice = self.holes = None
+        if lattice is not None:
+            axes, self.holes = lattice
+            self.lattice = tuple(len(a) for a in axes)
             self._axis_d1sq, self._axis_d2sq = (np.square(a[:, None] - a[None, :]) for a in axes)
+
+    @property
+    def path(self):
+        """The density path ``log_lik`` takes: "dense n", "lattice n1xn2" or
+        "lattice n1xn2 with m holes"."""
+        if self.lattice is None:
+            return f"dense {self.n}"
+        holes = f" with {len(self.holes)} holes" if len(self.holes) else ""
+        return "lattice {}x{}".format(*self.lattice) + holes
 
     # the dense path's n x n arrays, built on first use (by predict_dist or an
     # off-lattice log_lik, never by a lattice fit): squared distances along
@@ -444,7 +478,7 @@ class GPModel(Model):
         e, a, b, s = (h[..., i, None, None] for i in range(4))
         return ad.KroneckerCov(np.exp(self._axis_d1sq * (-0.5 / a**2)),
                                np.exp(self._axis_d2sq * (-0.5 / b**2)),
-                               e**2, s**2 + self.BASE_JITTER * e**2)
+                               e**2, s**2 + self.BASE_JITTER * e**2, self.holes)
 
     def log_lik(self, theta):
         beta, h = self._split(_values(theta))
@@ -461,7 +495,7 @@ class GPModel(Model):
             # fails only where eta^2 underflows and a larger jitter would not help
             if self.lattice is None:
                 min_eig = np.linalg.eigvalsh(self._kernel(h, base, K)).min()
-            else:
+            else:  # the full lattice's, a lower bound when there are holes
                 min_eig = cov.eigen()[-1].min(axis=(-2, -1))
             worst = np.argmin(min_eig)  # the worst draw of a block
             raise ConditioningError(
@@ -512,6 +546,15 @@ class GPModel(Model):
         mean = [rng.normal(*self.mean_prior)] if self.free_mean else []
         return np.concatenate([mean, np.exp(rng.normal(self._loc, self._sd))])
 
+    def bytes_per_draw(self):
+        if self.lattice is None:  # a row at a time, in the shared work array
+            return super().bytes_per_draw()
+        n1, n2 = self.lattice
+        # the factors and their eigenvectors, a few lattice-sized arrays (d,
+        # t, t / d, ...) and, with m holes, the (m, N) arrays W and W / d;
+        # tracemalloc reads 0.75-0.85 of this at 15x20 and 17x18 - 6
+        return 8 * (2 * (n1 * n1 + n2 * n2) + (7 + 3 * len(self.holes)) * n1 * n2)
+
     def predict_dist(self, theta, coords_new):
         """Conditional mean and (diagonal) variance at new inputs."""
         beta, h = self._split(np.asarray(theta, dtype=float))
@@ -539,22 +582,28 @@ class GPModel(Model):
         return out
 
 
-def _lattice_axes(coords):
-    """The distinct x1 and x2 values when the rows of ``coords`` are exactly
-    their Cartesian product in x1-major order, with at least two values on
-    each axis, else None; O(n).  On a single row or column one factor would
-    be as large as K, and its eigendecomposition costs more than K's
-    Cholesky factorization and inverse."""
-    x1, x2 = coords[:, 0], coords[:, 1]
-    n = len(x1)
-    n2 = int(np.argmax(x1 != x1[0])) if n else 0  # length of the first x1 run
-    if n2 < 2 or n % n2 or n // n2 < 2:
+def _lattice(coords):
+    """``(axes, holes)`` when the rows of ``coords`` are points of the lattice
+    of their distinct x1 and x2 values ``axes``, each axis increasing, in
+    strictly increasing x1-major order, with at least two values on each
+    axis, and the Kronecker path with the m missing points ``holes`` (flat
+    x1-major indices, sorted) is cheaper than a dense Cholesky: for N = n1 n2
+    lattice points and n = N - m rows, m N (n1 + n2) + m^3 < n^3 / 3.  Else
+    None.  On a single row or column one factor would be as large as K, and
+    its eigendecomposition costs more than K's Cholesky factorization and
+    inverse."""
+    axes = [np.unique(x) for x in coords.T]
+    n1, n2 = (len(a) for a in axes)
+    if n1 < 2 or n2 < 2:
         return None
-    x1, x2 = x1.reshape(-1, n2), x2.reshape(-1, n2)
-    if not ((x1 == x1[:, :1]).all() and (x2 == x2[:1]).all()):
+    flat = np.searchsorted(axes[0], coords[:, 0]) * n2 + np.searchsorted(axes[1], coords[:, 1])
+    n, N = len(flat), n1 * n2
+    m = N - n
+    if not (np.diff(flat) > 0).all() or m * N * (n1 + n2) + m**3 >= n**3 / 3:
         return None
-    axes = x1[:, 0], x2[0]
-    return axes if all(len(set(a.tolist())) == len(a) for a in axes) else None
+    missing = np.ones(N, dtype=bool)
+    missing[flat] = False
+    return axes, np.flatnonzero(missing)
 
 
 class SubsetEnsemble(list):

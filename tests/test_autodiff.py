@@ -261,19 +261,27 @@ def dense_kronecker(a1, a2, scale, nugget):
     return scale * np.kron(a1, a2) + nugget * np.eye(len(a1) * len(a2))
 
 
-def test_kronecker_cov_matches_the_dense_covariance():
-    # the value, d_resid and the field gradients against the dense primitive
-    # on the same covariance, its G contracted with d cov / d field; n1 != n2,
-    # so a transposed reshape of resid would not agree
-    r, a1, a2, scale, nugget = problem = kronecker_problem()
-    assert np.linalg.cond(a1) > 1e9
-    val, grads = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(*problem[1:]))
-    want_val, want_grads = ad.gaussian_spd_logpdf(r, dense_kronecker(*problem[1:]))
+# the fields of a KroneckerCov that carry a gradient; holes are indices
+FIELDS = ("a1", "a2", "scale", "nugget")
+
+
+def assert_kronecker_matches_dense(r, a1, a2, scale, nugget, holes=()):
+    """The value, d_resid and the field gradients of the Kronecker form
+    against the dense primitive on the same covariance without ``holes``,
+    its G zero-padded at the holes and contracted with d cov / d field."""
+    n1, n2 = len(a1), len(a2)
+    keep = np.ones(n1 * n2, dtype=bool)
+    keep[list(holes)] = False
+    val, grads = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(a1, a2, scale, nugget, holes))
+    K_oo = dense_kronecker(a1, a2, scale, nugget)[np.ix_(keep, keep)]
+    want_val, want_grads = ad.gaussian_spd_logpdf(r, K_oo)
     assert type(val) is float
     assert val == pytest.approx(want_val, rel=1e-10, abs=0)
     d_resid, d_cov = grads()
-    want_d_resid, G = want_grads()
-    G4 = G.reshape(len(a1), len(a2), len(a1), len(a2))  # G[(i, k), (j, l)]
+    want_d_resid, G_oo = want_grads()
+    G = np.zeros((n1 * n2, n1 * n2))
+    G[np.ix_(keep, keep)] = G_oo
+    G4 = G.reshape(n1, n2, n1, n2)  # G[(i, k), (j, l)]
     for name, g, want in (("resid", d_resid, want_d_resid),
                           ("a1", d_cov.a1, scale * np.einsum("ikjl,kl->ij", G4, a2)),
                           ("a2", d_cov.a2, scale * np.einsum("ikjl,ij->kl", G4, a1)),
@@ -283,21 +291,59 @@ def test_kronecker_cov_matches_the_dense_covariance():
                                    atol=1e-10 * np.abs(want).max(), err_msg=name)
 
 
-def test_kronecker_cov_gradients_match_fd():
-    # d_resid and each field gradient against central differences, on a
-    # well-conditioned covariance; a1 and a2 move along symmetric directions
+def test_kronecker_cov_matches_the_dense_covariance():
+    # n1 != n2, so a transposed reshape of resid would not agree
+    problem = kronecker_problem()
+    assert np.linalg.cond(problem[1]) > 1e9
+    assert_kronecker_matches_dense(*problem)
+
+
+def se_factor(n, ell):
+    x = np.arange(float(n))
+    return np.exp(-np.subtract.outer(x, x) ** 2 / (2 * ell**2))
+
+
+@pytest.mark.parametrize("n1, n2, holes", [
+    (17, 18, np.arange(300, 306)),  # gp-predict's training set: 16 rows and 12 points
+    (18, 18, np.sort(np.random.default_rng(3).choice(324, 24, replace=False))),
+    (15, 6, [0, 44, 89]),  # the first, an interior and the last point
+])
+def test_kronecker_cov_with_holes_matches_the_dense_covariance(n1, n2, holes):
+    # the covariance of the lattice points other than the holes, exactly
+    r = np.random.default_rng(11).standard_normal(n1 * n2 - len(holes))
+    assert_kronecker_matches_dense(r, se_factor(n1, 3.0), se_factor(n2, 2.5),
+                                   1.3, 0.09 + 1e-6 * 1.3, holes)
+
+
+def assert_kronecker_matches_fd(holes=(), rel=1e-7):
+    """d_resid and each field gradient against central differences, on a
+    well-conditioned 3 x 4 lattice without ``holes``; a1 and a2 move along
+    symmetric directions."""
     r, *fields = kronecker_stack((), 3, 4, seed=5)
+    r = r[len(holes):]
     rng = np.random.default_rng(5)
-    _, grads = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(*fields))
+    _, grads = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(*fields, holes))
     d_resid, d_cov = grads()
-    assert_matches_directional_fd(lambda x: logpdf_value(x, ad.KroneckerCov(*fields)),
-                                  r, d_resid, rng)
-    for i, (name, g) in enumerate(zip(ad.KroneckerCov._fields, d_cov)):
+    assert_matches_directional_fd(lambda x: logpdf_value(x, ad.KroneckerCov(*fields, holes)),
+                                  r, d_resid, rng, rel=rel)
+    for i, (name, g) in enumerate(zip(FIELDS, d_cov)):
         def f(x, i=i):
-            return logpdf_value(r, ad.KroneckerCov(*fields[:i], x, *fields[i + 1:]))
+            return logpdf_value(r, ad.KroneckerCov(*fields[:i], x, *fields[i + 1:], holes))
 
         assert np.shape(g) == np.shape(fields[i]), name
-        assert_matches_directional_fd(f, fields[i], g, rng, symmetric=name in ("a1", "a2"))
+        assert_matches_directional_fd(f, fields[i], g, rng, rel=rel,
+                                      symmetric=name in ("a1", "a2"))
+
+
+def test_kronecker_cov_gradients_match_fd():
+    assert_kronecker_matches_fd()
+
+
+def test_kronecker_cov_with_holes_gradients_match_fd():
+    # the value's rounding (~12 eps) over the step, ~3e-9, is 1e-6 of one
+    # directional derivative (~4e-3, the nugget's), so rel is 1e-6, not 1e-7;
+    # the exact check against the dense primitive is the one above
+    assert_kronecker_matches_fd(holes=(2, 5, 11), rel=1e-6)
 
 
 def test_kronecker_cov_rejects_a_nonpositive_eigenvalue():
@@ -326,23 +372,27 @@ def kronecker_stack(lead, n1, n2, seed):
 
 
 @given(n1=st.integers(2, 6), n2=st.integers(2, 6), S=st.integers(1, 4),
-       leading=st.sampled_from(["S", "1S"]), seed=st.integers(0, 2**32 - 1))
+       leading=st.sampled_from(["S", "1S"]), m=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_stacked_kronecker_cov_matches_a_loop_of_single_covariances(n1, n2, S, leading, seed):
+def test_stacked_kronecker_cov_matches_a_loop_of_single_covariances(n1, n2, S, leading, m,
+                                                                    seed):
     # the values, d_resid and the field gradients, bitwise against the
-    # unbatched primitive (float scale and nugget) row by row
+    # unbatched primitive (float scale and nugget) row by row, with m holes
     lead = (S,) if leading == "S" else (1, S)
-    problem = kronecker_stack(lead, n1, n2, seed)
-    vals, grads = ad.gaussian_spd_logpdf(problem[0], ad.KroneckerCov(*problem[1:]))
+    r_full, *fields = kronecker_stack(lead, n1, n2, seed)
+    holes = np.sort(np.random.default_rng(seed).choice(n1 * n2, m, replace=False))
+    problem = (r_full[..., m:], *fields)
+    vals, grads = ad.gaussian_spd_logpdf(problem[0], ad.KroneckerCov(*problem[1:], holes))
     assert type(vals) is np.ndarray and vals.shape == lead
     d_resid, d_cov = grads()
     for idx in np.ndindex(*lead):
         r, a1, a2, scale, nugget = (x[idx] for x in problem)
         val, row_grads = ad.gaussian_spd_logpdf(r, ad.KroneckerCov(a1, a2, scale.item(),
-                                                                   nugget.item()))
+                                                                   nugget.item(), holes))
         assert vals[idx] == val
         row_d_resid, row_d_cov = row_grads()
-        for name, g, one in zip(("resid", *ad.KroneckerCov._fields),
+        for name, g, one in zip(("resid", *FIELDS),
                                 (d_resid, *d_cov), (row_d_resid, *row_d_cov)):
             assert np.array_equal(g[idx].ravel(), np.ravel(one)), name
 

@@ -1,6 +1,7 @@
 """Front-end behavior: artifact layout and headers, reproducibility,
 configuration precedence, and the exit-code contract."""
 
+import os
 import shutil
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from vbma import cli
 from vbma import core
 from vbma import data as data_io
+from vbma.models import GPModel
 
 
 def run_cli(argv):
@@ -60,6 +62,7 @@ def test_fit_artifacts_and_headers(tmp_path, crime_cfg):
         assert text.startswith("# vbma ")
         assert "seed=3" in text.splitlines()[0]
         assert "config=" in text.splitlines()[0]
+        assert f" cpus={os.cpu_count()}" in text.splitlines()[0]
     weights, status = read_weights(out)
     assert len(weights) == 8
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-6)
@@ -278,6 +281,63 @@ def test_gp_predict_and_coverage_are_sane_and_rerun_identically(tmp_path):
     assert (lo[:, 1:] <= lo[:, :-1]).all() and (hi[:, 1:] >= hi[:, :-1]).all()
     cov = _table(out / "coverage.csv")[:, 1]
     assert ((0.0 <= cov) & (cov <= 1.0)).all() and (np.diff(cov) >= 0).all()
+
+
+def test_artifact_header_records_the_machine(tmp_path, crime_cfg, monkeypatch):
+    # the CPU count always, the BLAS thread setting when there is one; the
+    # configuration hash does not change with them
+    out = tmp_path / "out"
+    heads = []
+    for threads in (None, "3"):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        if threads is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert run_cli(["evidence", "--config", str(crime_cfg), "--out", str(out)]) == 0
+        heads.append((out / "evidence.csv").read_text().splitlines()[0])
+    machine = f" cpus={os.cpu_count()}"
+    assert heads[0].endswith(machine)
+    assert heads[1] == heads[0] + " OPENBLAS_NUM_THREADS=3"
+
+
+@pytest.mark.parametrize("grid_size, n_test, path", [
+    (6, 6, "lattice 5x6"),
+    (6, 3, "lattice 6x6 with 3 holes"),
+])
+def test_weights_name_each_gp_models_density_path(tmp_path, grid_size, n_test, path):
+    cfg = tmp_path / "gp.ini"
+    cfg.write_text(f"[study]\nname = gp\ngrid_size = {grid_size}\nn_test = {n_test}\n\n"
+                   "[run]\nsamples = 2\npretrain_iters = 2\njoint_iters = 1\nwindow = 1\n")
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "weights.csv").read_text().splitlines()
+    assert [l for l in lines if " path=" in l] == [
+        f"# gp:free-mean path={path}", f"# gp:offset-mean path={path}"]
+    assert [l.split(",")[0] for l in lines if not l.startswith("#")] == [
+        "model", "gp:free-mean", "gp:offset-mean"]
+
+
+def test_hopeless_draw_in_a_block_with_holes_exits_two(tmp_path, monkeypatch, capsys):
+    # the third prior draw of the MC evidence has eta and sigma underflowing:
+    # the block of a GP on a lattice with holes raises ConditioningError, a
+    # numerical failure
+    cfg = tmp_path / "gp.ini"
+    cfg.write_text("[study]\nname = gp\ngrid_size = 6\nn_test = 3\n")
+    sample_prior, draws = GPModel.sample_prior, []
+
+    def one_hopeless(self, rng):
+        theta = sample_prior(self, rng)
+        draws.append(theta)
+        if len(draws) == 3:
+            theta[-4:] = [1e-161, 3.0, 3.0, 1e-170]
+        return theta
+
+    monkeypatch.setattr(GPModel, "sample_prior", one_hopeless)
+    argv = ["evidence", "--config", str(cfg), "--out", str(tmp_path / "o"), "--mc-samples", "8"]
+    assert run_cli(argv) == 2
+    assert len(draws) == 8  # one block
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: kernel matrix not positive definite")
+    assert "eta=1e-161" in err
 
 
 def test_coverage_artifact(tmp_path, single_model_cfg):

@@ -11,6 +11,7 @@ from scipy import integrate, stats
 from scipy.special import logsumexp
 
 from vbma import data as data_io
+from vbma import evidence, studies
 
 from vbma.evidence import (
     ConfigurationError,
@@ -188,6 +189,22 @@ def test_mc_default_batch_bounds_block_size():
     whole = LogisticModel(X, y, predictors=("x",), prior_sd=2.0)
     unbatched = mc_log_evidence(whole, 10_000, seed=0, batch=10_000)
     assert est.log_evidence == pytest.approx(unbatched.log_evidence, rel=1e-12)
+
+
+def test_mc_default_batch_holds_a_fixed_byte_budget(monkeypatch):
+    # a GP block on gp-predict's 17 x 18 lattice with 6 holes holds ~71 KB a
+    # draw, so the default block is MC_BYTES of draws, not MC_BATCH; the
+    # estimate is the one of any other batch
+    m = studies.gp_study(grid_size=18, n_test=24, seed=0)[1][0]
+    assert m.path == "lattice 17x18 with 6 holes"
+    rows = evidence.MC_BYTES // m.bytes_per_draw()
+    assert 100 < rows < evidence.MC_BATCH
+    blocks, log_lik = [], m.log_lik
+    monkeypatch.setattr(m, "log_lik", lambda theta: blocks.append(len(theta)) or log_lik(theta))
+    est = mc_log_evidence(m, 2 * rows + 5, seed=0)
+    assert blocks == [rows, rows, 5]
+    other = mc_log_evidence(m, 2 * rows + 5, seed=0, batch=97)
+    assert est.log_evidence == pytest.approx(other.log_evidence, rel=1e-12, abs=0)
 
 
 def test_mc_refuses_improper_priors():

@@ -185,6 +185,27 @@ def test_block_log_joint_and_grad_match_rows(kind):
         np.testing.assert_allclose(grads[s], g, rtol=1e-12, atol=1e-12)
 
 
+def test_bytes_per_draw_bounds_what_a_block_allocates():
+    # the traced peak of a plain-array log_lik block, per row, against the
+    # model's estimate: the GP on a full lattice and on one with holes, and
+    # every other block model
+    gp = [studies.gp_study(grid_size=g, n_test=t, seed=0)[1][0] for g, t in ((20, 100), (18, 24))]
+    assert [m.path for m in gp] == ["lattice 15x20", "lattice 17x18 with 6 holes"]
+    r = rng()
+    for m in gp + list(block_models().values()):
+        thetas = r.standard_normal((64, m.layout.dim))
+        positive = [t is FamilyTag.LOGNORMAL for t in m.layout.tags()]
+        thetas[:, positive] = np.exp(thetas[:, positive])
+        m.log_lik(thetas[:2])  # warm
+        tracemalloc.start()
+        try:
+            m.log_lik(thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * m.bytes_per_draw() < peak / 64 < m.bytes_per_draw(), m.name
+
+
 # -- closed forms against the tape ---------------------------------------------
 
 
@@ -337,18 +358,34 @@ def gp_pair(gp_model):
 
 
 def off_lattice(m):
-    """A copy of ``m`` without its last training point: its inputs are no
-    longer a full lattice, so it takes the dense path."""
-    return GPModel(m.coords[:-1], m.y[:-1], free_mean=m.free_mean,
+    """A copy of ``m`` whose inputs are scattered off the lattice: each
+    coordinate moves by up to 0.1, so every x1 and x2 value is distinct,
+    the lattice of them would be almost all holes and the model takes the
+    dense path."""
+    shift = np.random.default_rng(3).uniform(-0.1, 0.1, m.coords.shape)
+    return GPModel(m.coords + shift, m.y, free_mean=m.free_mean,
+                   mean_offset=m.mean_offset, name=m.name)
+
+
+def with_holes(m, holes=(7, 18, 24)):
+    """A copy of ``m`` without the training points ``holes``: an interior
+    point, one on the edge and the last."""
+    keep = np.ones(m.n, dtype=bool)
+    keep[list(holes)] = False
+    return GPModel(m.coords[keep], m.y[keep], free_mean=m.free_mean,
                    mean_offset=m.mean_offset, name=m.name)
 
 
 @pytest.fixture(scope="module")
 def gp_pairs(gp_pair):
-    """The lattice pair and its off-lattice copy, one pair per path."""
-    off = tuple(off_lattice(m) for m in gp_pair)
-    assert [m.lattice for m in gp_pair + off] == [(5, 5), (5, 5), None, None]
-    return gp_pair, off
+    """The lattice pair, its off-lattice copy and its copy with holes, one
+    pair per path."""
+    off, holed = (tuple(f(m) for m in gp_pair) for f in (off_lattice, with_holes))
+    assert [m.lattice for m in gp_pair + off + holed] == [(5, 5)] * 2 + [None] * 2 + [(5, 5)] * 2
+    assert all(list(m.holes) == [7, 18, 24] for m in holed)
+    assert [m.path for m in off + holed] == ["dense 25"] * 2 + ["lattice 5x5 with 3 holes"] * 2
+    assert [m.path for m in gp_pair] == ["lattice 5x5"] * 2
+    return gp_pair, off, holed
 
 
 @pytest.fixture(scope="module")
@@ -368,18 +405,29 @@ def test_gp_lattice_needs_the_full_product_in_x1_major_order():
     swapped = lattice.copy()
     swapped[[5, 6]] = swapped[[6, 5]]  # two x2 values of the second row
     repeated = np.column_stack([[0.0, 0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 1.0] * 3])
+    interior = [3, 8, 9, 12]
+    # 20 points of a 10 x 10 integer grid, in x1-major order: a lattice of
+    # 80 holes, far dearer than a dense Cholesky of 20 points
+    flat = np.sort(np.random.default_rng(0).choice(100, 20, replace=False))
+    scatter = np.column_stack([flat // 10, flat % 10]).astype(float)
     cases = {
-        "x1-major": (lattice, (4, 5)),
-        "x2-major": (lattice.reshape(4, 5, 2).transpose(1, 0, 2).reshape(-1, 2), None),
-        "one row swapped": (swapped, None),
-        "a point dropped": (lattice[:-1], None),
-        "a point added": (np.vstack([lattice, [[9.0, 9.0]]]), None),
-        "repeated x1 rows": (repeated, None),
-        "one x1 value": (lattice[:5], None),
+        "x1-major": (lattice, (4, 5), []),
+        "x2-major": (lattice.reshape(4, 5, 2).transpose(1, 0, 2).reshape(-1, 2), None, None),
+        "one row swapped": (swapped, None, None),
+        "a point dropped": (lattice[:-1], (4, 5), [19]),
+        "trailing holes": (lattice[:-3], (4, 5), [17, 18, 19]),
+        "interior holes": (np.delete(lattice, interior, axis=0), (4, 5), interior),
+        "a sparse integer scatter": (scatter, None, None),
+        # (9, 9) makes a 5 x 6 lattice with 9 holes, dearer than dense
+        "a point added": (np.vstack([lattice, [[9.0, 9.0]]]), None, None),
+        "repeated x1 rows": (repeated, None, None),
+        "one x1 value": (lattice[:5], None, None),
     }
-    for label, (coords, want) in cases.items():
+    for label, (coords, want, holes) in cases.items():
         m = GPModel(coords, np.zeros(len(coords)))
         assert m.lattice == want, label
+        assert (None if m.holes is None else m.holes.tolist()) == holes, label
+        assert m.supports_blocks == (want is not None), label
 
 
 def test_gp_log_lik_matches_scipy(gp_model):
@@ -515,7 +563,7 @@ def test_gp_failed_factorization_raises_conditioning_error_at_once(gp_pairs, mon
 def test_gp_hopeless_draw_raises_conditioning_error(gp_pairs, monkeypatch):
     # eta^2 underflows, so K is not positive definite at any jitter
     theta = np.array([0.1, 1e-161, 3.0, 3.0, 1e-170])
-    for m in (gp_pairs[0][0], gp_pairs[1][0]):
+    for m in (pair[0] for pair in gp_pairs):
         with monkeypatch.context() as mp:
             no_dense_kernel(mp, m)
             with pytest.raises(ConditioningError, match=r"kernel matrix not positive definite "
@@ -524,8 +572,9 @@ def test_gp_hopeless_draw_raises_conditioning_error(gp_pairs, monkeypatch):
 
 
 def test_gp_block_with_a_hopeless_draw_raises_conditioning_error(gp_pairs, monkeypatch):
-    # the message names the worst draw of the block, whatever its position
-    for m in gp_pairs[0]:
+    # the message names the worst draw of the block, whatever its position,
+    # with holes too
+    for m in gp_pairs[0] + gp_pairs[2]:
         r = rng()
         thetas = np.stack([m.sample_prior(r) for _ in range(6)])
         thetas[3, -4:] = [1e-161, 3.0, 3.0, 1e-170]
@@ -538,9 +587,9 @@ def test_gp_block_with_a_hopeless_draw_raises_conditioning_error(gp_pairs, monke
 
 def test_gp_block_log_joint_matches_rows_on_a_lattice(gp_pairs):
     # a (1, S, d) block takes one tape pass; each row's value and gradient
-    # are bitwise those of the row on its own
+    # are bitwise those of the row on its own, with holes too
     r = rng()
-    for m in gp_pairs[0]:
+    for m in gp_pairs[0] + gp_pairs[2]:
         assert m.supports_blocks
         thetas = np.stack([m.sample_prior(r) for _ in range(12)])[None]
         vals, grads = ad.grad(m.log_joint, thetas)
@@ -600,7 +649,7 @@ def test_tape_records_a_few_nodes_per_pass(gp_pairs, monkeypatch):
     for m in itertools.chain(*gp_pairs):
         theta = m.sample_prior(r)
         ad.grad(m.log_joint, theta[None, None] if m.supports_blocks else theta)
-    assert counts == [5, 5, 5, 5, 4, 4]
+    assert counts == [5, 5, 5, 5, 4, 4, 5, 5]
     monkeypatch.setattr(ad, "gaussian_spd_logpdf", value_only)
     for m in itertools.chain(*gp_pairs):
         thetas = np.stack([m.sample_prior(r) for _ in range(3)])

@@ -69,14 +69,18 @@ def test_gp_study_pair():
 @pytest.mark.parametrize("grid_size, n_test, lattice", [
     (20, 100, (15, 20)),  # gp-fit's study: 300 training points, 15 full rows
     (5, 5, (4, 5)),
-    (18, 24, None),  # gp-predict's: 16 full rows and 12 points of the next
-    (8, 4, None),
+    (18, 24, (17, 18)),  # gp-predict's: 16 full rows and 12 points of the next
+    (8, 4, (8, 8)),
 ])
 def test_gp_study_takes_the_lattice_path_on_full_rows(grid_size, n_test, lattice):
     # the held-out frontier is the lattice's trailing rows, so the training
-    # inputs are a full lattice when n_test is a multiple of grid_size
+    # inputs are a full lattice when n_test is a multiple of grid_size, and
+    # else one whose last row misses its trailing n_test % grid_size points
     _, models = studies.gp_study(grid_size=grid_size, n_test=n_test, seed=0)
+    N = lattice[0] * lattice[1]
+    holes = list(range(N - n_test % grid_size, N))
     assert [m.lattice for m in models] == [lattice, lattice]
+    assert all(model.holes.tolist() == holes for model in models)
 
 
 def test_gp_predictive_means_matches_direct_computation():
