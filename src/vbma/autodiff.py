@@ -20,7 +20,9 @@ a :class:`KroneckerCov`, scale * kron(a1, a2) + nugget * I, the covariance
 of a separable kernel on a lattice, full or with holes.  The Kronecker form
 costs the eigendecompositions of its two small factors, an m x m Schur
 complement for m holes, and no n x n array; it broadcasts over leading
-axes, so a block of draws is one call.  The GP model
+axes, so a block of draws is one call.  :func:`kronecker_conditional` gives
+the Gaussian conditioning terms of new points against the same covariance,
+from the same factors, for the GP's predictive.  The GP model
 chains these gradients to its parameters in closed form; a covariance built
 from tape operations links to them through a one-node adapter (README,
 "Writing a model").
@@ -349,29 +351,21 @@ def _stack_rows(x):
     return x.reshape(x.shape[:-3] + (-1, x.shape[-1]))
 
 
-def _kronecker_logpdf(r, cov):
-    """``gaussian_spd_logpdf`` for a ``KroneckerCov``, over any leading axes
-    of ``r`` (..., N - m) and ``cov``.
+def _kronecker_factors(r, cov):
+    """The factor algebra of a ``KroneckerCov`` K_oo and a residual ``r``
+    (..., N - m), shared by ``_kronecker_logpdf`` and ``kronecker_conditional``.
 
-    With Q = q1 (x) q2, the full lattice's covariance is K = Q diag(d) Q', so
-    the density needs only t = Q' r, formed on the (n1, n2) reshape of ``r``
-    as q1' R q2, and alpha = Q (t / d) (Saatci 2011).  With A the (n1, n2)
-    reshape of alpha, the field gradients are a1: scale/2 (A a2 A' - q1
-    diag(sum_l l2_l / d_il) q1'), a2 the mirror form; scale: (sum A o (a1 A
-    a2) - sum l1 l2' / d) / 2; nugget: (sum A^2 - sum 1 / d) / 2.
-
-    With holes h, ``r`` is padded with zeros there and, for P = K^-1 =
-    Q diag(1/d) Q' and C = P_hh, the observed block K_oo has log det K_oo =
-    sum log d + log det C and K_oo^-1 = P_oo - P_oh C^-1 P_ho, exactly.
-    P's hole columns are U_k = q1 (W_k / d) q2' with W_k = q1[i_k]' q2[j_k]
-    for hole k at (i_k, j_k), so C_kl = <W_k / d, W_l>, and with C = L L'
-    and y = L^-1 (P r)_h the quadratic form is r' P r - y' y.  The value
-    forms no U.  In the gradients, alpha = P r - U' L^-' y, zero at the
-    holes, enters the full lattice's formulas, and -K_oo^-1 / 2 adds the
-    rank-m term Z' Z / 2 for Z = L^-1 U: a1 gets scale/2 sum_k Z_k a2 Z_k',
-    a2 scale/2 sum_k Z_k' a1 Z_k, scale <sum_k Z_k' a1 Z_k, a2> / 2 and
-    nugget sum Z^2 / 2, each sum over k one matrix product of the stacked
-    Z_k.
+    Returns ``(l1, q1, l2, q2, d, t, u, holes)``: ``cov.eigen()``, t = Q' r
+    on the (n1, n2) lattice, with ``r`` padded with zeros at the holes and
+    Q = q1 (x) q2, and u = t / d, so that Q u = P r for P = K^-1, the full
+    lattice's inverse (Saatci 2011).  ``holes`` is None on a full lattice;
+    with m holes it is ``(keep, Wd, L, L_inv, y)``: the mask of the points
+    that remain, the rows W_k / d, flattened, with W_k = q1[i_k]' q2[j_k] for
+    hole k at (i_k, j_k), the Cholesky factor L of C = P_hh = <W_k / d, W_l>
+    and its inverse, and y = L^-1 (P r)_h.  Then K_oo^-1 = P_oo - P_oh C^-1
+    P_ho exactly, and for any x on the full lattice, x' P r - (L^-1 (P x)_h)'
+    y is x_o' K_oo^-1 r_o: x's entries at the holes cancel.  Raises
+    ``np.linalg.LinAlgError`` if a d is not positive or C does not factor.
     """
     l1, q1, l2, q2, d = cov.eigen()
     n1, n2 = d.shape[-2:]
@@ -390,16 +384,45 @@ def _kronecker_logpdf(r, cov):
         r = r_full
     t = _mT(q1) @ r.reshape(r.shape[:-1] + (n1, n2)) @ q2
     u = t / d
+    if not m:
+        return l1, q1, l2, q2, d, t, u, None
+    W = q1[..., holes // n2, :, None] * q2[..., holes % n2, None, :]
+    W = W.reshape(W.shape[:-2] + (N,))  # row k: W_k
+    Wd = W / d.reshape(d.shape[:-2] + (1, N))
+    # C = P_hh; a C that does not factor raises LinAlgError
+    L = np.linalg.cholesky(Wd @ _mT(W))
+    L_inv = np.linalg.inv(L)
+    y = L_inv @ (W @ u.reshape(u.shape[:-2] + (N, 1)))
+    return l1, q1, l2, q2, d, t, u, (keep, Wd, L, L_inv, y)
+
+
+def _kronecker_logpdf(r, cov):
+    """``gaussian_spd_logpdf`` for a ``KroneckerCov``, over any leading axes
+    of ``r`` (..., N - m) and ``cov``.
+
+    With Q = q1 (x) q2, the full lattice's covariance is K = Q diag(d) Q', so
+    the density needs only t = Q' r, formed on the (n1, n2) reshape of ``r``
+    as q1' R q2, and alpha = Q (t / d) (Saatci 2011).  With A the (n1, n2)
+    reshape of alpha, the field gradients are a1: scale/2 (A a2 A' - q1
+    diag(sum_l l2_l / d_il) q1'), a2 the mirror form; scale: (sum A o (a1 A
+    a2) - sum l1 l2' / d) / 2; nugget: (sum A^2 - sum 1 / d) / 2.
+
+    With holes h, in the terms of ``_kronecker_factors``, log det K_oo =
+    sum log d + log det C and the quadratic form is r' P r - y' y, exactly;
+    the value forms no P's hole columns U_k = q1 (W_k / d) q2'.  In the
+    gradients, alpha = P r - U' L^-' y, zero at the holes, enters the full
+    lattice's formulas, and -K_oo^-1 / 2 adds the rank-m term Z' Z / 2 for
+    Z = L^-1 U: a1 gets scale/2 sum_k Z_k a2 Z_k', a2 scale/2 sum_k Z_k' a1
+    Z_k, scale <sum_k Z_k' a1 Z_k, a2> / 2 and nugget sum Z^2 / 2, each sum
+    over k one matrix product of the stacked Z_k.
+    """
+    l1, q1, l2, q2, d, t, u, holes = _kronecker_factors(r, cov)
+    n1, n2 = d.shape[-2:]
+    N, m = n1 * n2, len(cov.holes)
     mats = (-2, -1)
     logdet, quad = np.log(d).sum(axis=mats), (t * u).sum(axis=mats)
     if m:
-        W = q1[..., holes // n2, :, None] * q2[..., holes % n2, None, :]
-        W = W.reshape(W.shape[:-2] + (N,))  # row k: W_k
-        Wd = W / d.reshape(d.shape[:-2] + (1, N))
-        # C = P_hh; a C that does not factor raises LinAlgError
-        L = np.linalg.cholesky(Wd @ _mT(W))
-        L_inv = np.linalg.inv(L)
-        y = L_inv @ (W @ u.reshape(u.shape[:-2] + (N, 1)))
+        keep, Wd, L, L_inv, y = holes
         logdet = logdet + 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
         quad = quad - (y * y).sum(axis=mats)
     val = -0.5 * ((N - m) * np.log(2.0 * np.pi) + logdet + quad)
@@ -434,6 +457,37 @@ def _kronecker_logpdf(r, cov):
                                      0.5 * g_scale, 0.5 * g_nugget)
 
     return (val if val.ndim else float(val)), grads
+
+
+def kronecker_conditional(resid, cov, k1, k2):
+    """The Gaussian conditioning terms of p points against a ``KroneckerCov``
+    K_oo, full or with holes, from its factors: no n x n array and no n x n
+    factorization.
+
+    Column p of ``k1`` (..., n1, p) and ``k2`` (..., n2, p) gives the
+    lattice vector k_p = kron(k1[:, p], k2[:, p]), such as the factors of a
+    separable kernel between the lattice and a test point; its entries at
+    the holes need not be zero.  Returns k_o' K_oo^-1 resid and k_o' K_oo^-1
+    k_o for each p, with k_o the entries of k_p at the points that remain,
+    as two (..., p) arrays over the leading axes of ``resid`` (..., N - m),
+    ``cov``, ``k1`` and ``k2``.  With B = q1' k1 and C = q2' k2, Q' k_p is
+    the outer product of B[:, p] and C[:, p], so k_p' P r = sum_ij B_ip
+    u_ij C_jp and k_p' P k_p = sum_ij B_ip^2 C_jp^2 / d_ij; with holes, z_p =
+    L^-1 (P k_p)_h, (P k_p)_h,k = sum_ij (W_k / d)_ij B_ip C_jp, subtracts
+    z_p' y and |z_p|^2 (``_kronecker_factors``).  Raises
+    ``np.linalg.LinAlgError`` as ``gaussian_spd_logpdf`` does.
+    """
+    _, q1, _, q2, d, _, u, holes = _kronecker_factors(resid, cov)
+    B, C = _mT(q1) @ k1, _mT(q2) @ k2
+    k_r = (B * (u @ C)).sum(axis=-2)
+    k_k = (B * B * ((1.0 / d) @ (C * C))).sum(axis=-2)
+    if holes is not None:
+        _, Wd, _, L_inv, y = holes
+        Wd = Wd.reshape(Wd.shape[:-1] + d.shape[-2:])  # row k: (W_k / d) as (n1, n2)
+        z = L_inv @ (B[..., None, :, :] * (Wd @ C[..., None, :, :])).sum(axis=-2)
+        k_r = k_r - (z * y).sum(axis=-2)
+        k_k = k_k - (z * z).sum(axis=-2)
+    return k_r, k_k
 
 
 def gaussian_spd_logpdf(resid, cov, work=None):

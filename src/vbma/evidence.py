@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .models import LinRegModel
+from .models import MC_BYTES, LinRegModel
 
 
 class EvidenceMethod(enum.Enum):
@@ -73,11 +73,9 @@ def zellner_log_evidence(model: LinRegModel) -> EvidenceEstimate:
     return EvidenceEstimate(float(log_ev), EvidenceMethod.CLOSED_FORM_ZELLNER)
 
 
-# a likelihood block holds at most MC_BATCH rows and, by the model's
-# bytes_per_draw, about MC_BYTES of temporaries, so memory stays bounded
-# however many samples are asked for
+# a likelihood block holds at most MC_BATCH rows and about MC_BYTES of
+# temporaries (models.MC_BYTES)
 MC_BATCH = 4096
-MC_BYTES = 32 * 2**20
 
 
 def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:

@@ -49,6 +49,11 @@ from .families import FamilyTag
 
 LOG2PI = np.log(2.0 * np.pi)
 
+# a block of draws holds about MC_BYTES of temporaries, by the model's
+# bytes_per_draw, so memory stays bounded however many draws are asked for:
+# the MC evidence's likelihood blocks and the GP's predictive stacks
+MC_BYTES = 32 * 2**20
+
 
 class DecompositionError(np.linalg.LinAlgError):
     pass
@@ -402,7 +407,9 @@ class GPModel(Model):
     factor pairs, one pair per draw.  Otherwise, for shuffled or scattered
     inputs, a draw writes its n x n intermediates into one work array shared
     by the GP models of one n and is done with them when it returns, so it
-    allocates no n x n array.  ``predict_dist`` always takes the dense path.
+    allocates no n x n array.  ``predict_dist`` takes the same path as
+    ``log_lik``: on a lattice, a stack of draws is one call from the factors,
+    and ``draw_predictive`` one such call per block of draws.
     """
 
     BASE_JITTER = 1e-6  # relative to eta^2
@@ -430,9 +437,10 @@ class GPModel(Model):
         self.supports_blocks = lattice is not None
         self.lattice = self.holes = None
         if lattice is not None:
-            axes, self.holes = lattice
-            self.lattice = tuple(len(a) for a in axes)
-            self._axis_d1sq, self._axis_d2sq = (np.square(a[:, None] - a[None, :]) for a in axes)
+            self._axes, self.holes = lattice
+            self.lattice = tuple(len(a) for a in self._axes)
+            self._axis_d1sq, self._axis_d2sq = (np.square(a[:, None] - a[None, :])
+                                                for a in self._axes)
 
     @property
     def path(self):
@@ -555,31 +563,73 @@ class GPModel(Model):
         # tracemalloc reads 0.75-0.85 of this at 15x20 and 17x18 - 6
         return 8 * (2 * (n1 * n1 + n2 * n2) + (7 + 3 * len(self.holes)) * n1 * n2)
 
-    def predict_dist(self, theta, coords_new):
-        """Conditional mean and (diagonal) variance at new inputs."""
-        beta, h = self._split(np.asarray(theta, dtype=float))
-        eta, nu1, nu2, sigma = h
-        base, K, _ = self._work
-        # K is symmetric, so K.T is K in Fortran order, factored in place
-        L = cholesky(self._kernel(h, base, K).T, lower=True, overwrite_a=True,
-                     check_finite=False)
-        ks = sq_exp_kernel(self.coords, eta, nu1, nu2,
-                           other=np.atleast_2d(np.asarray(coords_new, dtype=float)))
-        alpha = cho_solve((L, True), self.y - beta, check_finite=False)
-        mean = beta + ks.T @ alpha
-        w = solve_triangular(L, ks, lower=True, check_finite=False)
-        var = np.maximum(eta**2 - np.sum(w**2, axis=0), 0.0)
-        return mean, var, sigma**2
+    def predict_dist(self, thetas, coords_new):
+        """Conditional mean and variance of the latent surface at p new
+        inputs, and the noise variance sigma^2.
+
+        ``thetas`` is one draw (d,), giving (p,) and (p,) arrays and a float,
+        or a stack (T, d), giving (T, p), (T, p) and (T, 1).  With k the
+        kernel's covariances between the training and the new inputs over
+        eta^2, the mean is beta + eta^2 k' K^-1 (y - beta) and the variance
+        eta^2 - eta^4 diag(k' K^-1 k), clamped at 0.  On a lattice, k factors
+        for any input, on the training axes or off them, into k1 (T, n1, p)
+        and k2 (T, n2, p) on the two axes, and the stack is one call of
+        ``ad.kronecker_conditional``: exact, with the holes, and no n x n
+        array.  Off a lattice each draw factors the dense K; that path is the
+        lattice path's oracle in the tests.
+        """
+        rows = np.atleast_2d(np.asarray(thetas, dtype=float))
+        X = np.atleast_2d(np.asarray(coords_new, dtype=float))
+        beta, h = self._split(rows)
+        if self.lattice is None:
+            base, K, _ = self._work
+            mean, var = np.empty((2, len(rows), len(X)))
+            for t, row in enumerate(rows):
+                b, h_t = self._split(row)
+                eta, nu1, nu2, _ = h_t
+                # K is symmetric, so K.T is K in Fortran order, factored in place
+                L = cholesky(self._kernel(h_t, base, K).T, lower=True, overwrite_a=True,
+                             check_finite=False)
+                ks = sq_exp_kernel(self.coords, eta, nu1, nu2, other=X)
+                mean[t] = b + ks.T @ cho_solve((L, True), self.y - b, check_finite=False)
+                w = solve_triangular(L, ks, lower=True, check_finite=False)
+                var[t] = eta**2 - np.sum(w**2, axis=0)
+        else:
+            beta = beta[:, None] if self.free_mean else beta
+            eta2 = h[:, :1] ** 2
+            k1, k2 = (np.exp(np.square(axis[:, None] - x) * (-0.5 / nu**2)[:, None, None])
+                      for axis, x, nu in zip(self._axes, X.T, h.T[1:3]))
+            k_r, k_k = ad.kronecker_conditional(self.y - beta, self._lattice_kernel(h), k1, k2)
+            mean, var = beta + eta2 * k_r, eta2 - eta2 * eta2 * k_k
+        var = np.maximum(var, 0.0)
+        noise_var = h[:, 3:] ** 2
+        if np.ndim(thetas) == 1:
+            return mean[0], var[0], noise_var[0, 0]
+        return mean, var, noise_var
 
     def draw_predictive(self, thetas, X, rng, noise=True):
-        # one factorization of K per parameter draw, shared by all inputs
+        # one call draws the noise of all T draws, the same stream as T calls
+        # of m; predict_dist takes blocks of about MC_BYTES of temporaries
+        thetas = np.asarray(thetas, dtype=float)
+        z = rng.standard_normal((len(thetas), len(X))) if noise else None
         out = np.empty((len(thetas), len(X)))
-        for t, theta in enumerate(thetas):
-            mean, var, noise_var = self.predict_dist(theta, X)
-            out[t] = mean
-            if noise:
-                out[t] += np.sqrt(var + noise_var) * rng.standard_normal(len(X))
+        block = max(1, MC_BYTES // self._predict_bytes_per_draw(len(X)))
+        for lo in range(0, len(thetas), block):
+            mean, var, noise_var = self.predict_dist(thetas[lo:lo + block], X)
+            out[lo:lo + block] = mean if z is None else (
+                mean + np.sqrt(var + noise_var) * z[lo:lo + block])
         return out
+
+    def _predict_bytes_per_draw(self, p):
+        """An upper estimate of the bytes a draw of a stack adds to the peak
+        memory of ``predict_dist`` at p inputs: on a lattice, ``bytes_per_draw``
+        and the cross factors, B, C and their products, and with m holes the
+        (m, n1, p) array of (P k)_h's terms; tracemalloc reads 0.6-0.86 of
+        this at 15x20, 17x18 - 6 and 11x12 - 8 for p from 1 to 400."""
+        if self.lattice is None:  # a draw at a time; its mean and variance
+            return 8 * 2 * p
+        n1, n2 = self.lattice
+        return self.bytes_per_draw() + 8 * p * (4 * (n1 + n2) + 2 * len(self.holes) * n1)
 
 
 def _lattice(coords):

@@ -10,6 +10,7 @@ import pytest
 from vbma import cli
 from vbma import core
 from vbma import data as data_io
+from vbma import families
 from vbma.models import GPModel
 
 
@@ -338,6 +339,32 @@ def test_hopeless_draw_in_a_block_with_holes_exits_two(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: kernel matrix not positive definite")
     assert "eta=1e-161" in err
+
+
+@pytest.mark.parametrize("n_test, path", [(6, "lattice 5x6"), (3, "lattice 6x6 with 3 holes")])
+def test_hopeless_predictive_draw_exits_two(tmp_path, monkeypatch, capsys, n_test, path):
+    # one parameter draw per model has eta and sigma underflowing, so the
+    # full lattice has eigenvalues d <= 0: the stacked prediction raises
+    # LinAlgError, a numerical failure, as the fit and the dense path do
+    cfg = tmp_path / "gp.ini"
+    cfg.write_text(f"[study]\nname = gp\ngrid_size = 6\nn_test = {n_test}\n\n"
+                   "[run]\nsamples = 2\npretrain_iters = 2\njoint_iters = 1\nwindow = 1\n")
+    out = tmp_path / "out"
+    common = ["--config", str(cfg), "--out", str(out)]
+    assert run_cli(["fit"] + common) == 0
+    assert f"# gp:free-mean path={path}" in (out / "weights.csv").read_text()
+    sample = families.sample
+
+    def one_hopeless(state, eps):
+        thetas = sample(state, eps)
+        thetas[len(thetas) // 2, -4:] = [1e-161, 3.0, 3.0, 1e-170]
+        return thetas
+
+    monkeypatch.setattr(families, "sample", one_hopeless)
+    for cmd in ("predict", "coverage"):
+        capsys.readouterr()
+        assert run_cli([cmd] + common + ["--draws", "20"]) == 2, cmd
+        assert capsys.readouterr().err.startswith("numerical failure: "), cmd
 
 
 def test_coverage_artifact(tmp_path, single_model_cfg):

@@ -17,6 +17,7 @@ from vbma.core import VbmaConfig, run
 from vbma.families import FamilyTag
 from vbma.models import (
     LOG2PI,
+    MC_BYTES,
     ConditioningError,
     DecompositionError,
     GPModel,
@@ -709,6 +710,106 @@ def test_gp_predict_interpolates_training_data(gp_model):
     mean, var, noise_var = m.predict_dist(np.array([1.0, 3.0, 3.0, 0.01]), coords[:3])
     assert np.allclose(mean, ds.y()[:3], atol=0.05)
     assert np.all(var >= 0)
+
+
+def prediction_models():
+    """GP pairs on the default study's full 15 x 20 lattice, on gp-predict's
+    17 x 18 lattice with 6 holes and on a 9 x 10 lattice with 7 random holes
+    and a non-integer x2 spacing."""
+    full, holed = (studies.gp_study(grid_size=g, n_test=t, seed=0)[1] for g, t in ((20, 100), (18, 24)))
+    g1, g2 = np.meshgrid(np.arange(9.0), 0.7 * np.arange(10.0), indexing="ij")
+    holes = np.sort(np.random.default_rng(4).choice(90, 7, replace=False))
+    keep = np.setdiff1d(np.arange(90), holes)
+    coords = np.column_stack([g1.ravel(), g2.ravel()])[keep]
+    y = np.random.default_rng(5).standard_normal(len(keep))
+    scattered = [GPModel(coords, y), GPModel(coords, y, free_mean=False, mean_offset=0.5)]
+    models = [*full, *holed, *scattered]
+    assert [m.path for m in models] == ["lattice 15x20"] * 2 + [
+        "lattice 17x18 with 6 holes"] * 2 + ["lattice 9x10 with 7 holes"] * 2
+    return models
+
+
+def prediction_inputs(m, r):
+    """Inputs at ``m``'s holes, off its training x1 axis (below it, between
+    two values and above it), at non-integer points and at training sites."""
+    a1, a2 = (np.unique(x) for x in m.coords.T)
+    n2 = len(a2)
+    at_holes = np.column_stack([a1[m.holes // n2], a2[m.holes % n2]])
+    off_axis = [[a1[0] - 1.3, a2[0]], [0.5 * (a1[0] + a1[1]), a2[n2 // 2]],
+                [a1[-1] + 2.2, a2[-1] + 0.4]]
+    fractional = r.uniform([a1[0], a2[0]], [a1[-1], a2[-1]], (5, 2))
+    return np.vstack([at_holes, off_axis, fractional, m.coords[::37]])
+
+
+def dense_twin(m):
+    """A copy of ``m`` that takes the dense path, one Cholesky of K per draw."""
+    twin = copy.copy(m)
+    twin.lattice = None
+    return twin
+
+
+def test_gp_lattice_predict_dist_matches_the_dense_path():
+    # prior draws of both members; the mean to 1e-10 of its largest entry,
+    # the variance to 1e-10 eta^2 (it may be near 0 at a small sigma)
+    r = rng()
+    for m in prediction_models():
+        X, dense = prediction_inputs(m, r), dense_twin(m)
+        thetas = np.stack([m.sample_prior(r) for _ in range(20)])
+        mean, var, noise_var = m.predict_dist(thetas, X)
+        assert mean.shape == var.shape == (20, len(X)) and noise_var.shape == (20, 1)
+        for theta, row_mean, row_var, row_noise in zip(thetas, mean, var, noise_var):
+            want_mean, want_var, want_noise = dense.predict_dist(theta, X)
+            np.testing.assert_allclose(row_mean, want_mean, rtol=0,
+                                       atol=1e-10 * np.abs(want_mean).max())
+            np.testing.assert_allclose(row_var, want_var, rtol=0, atol=1e-10 * theta[-4] ** 2)
+            assert row_noise == want_noise == theta[-1] ** 2
+        assert not {"_work", "_d1sq", "_d2sq"} & set(vars(m)), m.path  # no n x n array
+
+
+def test_gp_draw_predictive_block_matches_its_rows():
+    # one predict_dist call for T draws gives, bitwise, the draws of T
+    # single-draw calls, and its noise takes the same stream: T draws of m
+    r = rng()
+    models = prediction_models()
+    for m, lattice in [(m, m) for m in models[::2]] + [(off_lattice(models[0]), models[0])]:
+        X = prediction_inputs(lattice, r)
+        thetas = np.stack([m.sample_prior(r) for _ in range(7)])
+        for noise in (True, False):
+            block_rng, row_rng = np.random.default_rng(9), np.random.default_rng(9)
+            block = m.draw_predictive(thetas, X, block_rng, noise=noise)
+            rows = []
+            for theta in thetas:
+                mean, var, noise_var = m.predict_dist(theta, X)
+                rows.append(mean + np.sqrt(var + noise_var) * row_rng.standard_normal(len(X))
+                            if noise else mean)
+            assert np.array_equal(block, np.array(rows)), (m.path, noise)
+            assert block_rng.bit_generator.state == row_rng.bit_generator.state
+
+
+def test_gp_predictive_stack_holds_a_fixed_byte_budget(monkeypatch):
+    # 1000 draws at the CLI defaults' 100 test points: the stack is cut into
+    # blocks of MC_BYTES of temporaries; in one block it would take ~120 MB
+    ds, models = studies.gp_study(seed=0)
+    m = models[0]
+    X = np.column_stack([ds.column("x1", "test"), ds.column("x2", "test")])
+    r = rng()
+    thetas = np.stack([m.sample_prior(r) for _ in range(1000)])
+    rows = MC_BYTES // m._predict_bytes_per_draw(len(X))
+    assert 100 < rows < 500
+    blocks, predict_dist = [], m.predict_dist
+    monkeypatch.setattr(m, "predict_dist",
+                        lambda th, x: blocks.append(len(th)) or predict_dist(th, x))
+    m.draw_predictive(thetas[:2], X, np.random.default_rng(0))  # warm
+    blocks.clear()
+    tracemalloc.start()
+    try:
+        out = m.draw_predictive(thetas, X, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == [rows] * (1000 // rows) + [1000 % rows]
+    assert peak < MC_BYTES + 2 * out.nbytes  # the blocks, the output and its noise
+    assert not {"_work", "_d1sq", "_d2sq"} & set(vars(m))
 
 
 def test_gp_prior_samples_positive(gp_model):
