@@ -261,8 +261,6 @@ def load_fit(out_dir, models):
     if list(states) != names:
         raise CliError(f"checkpoint holds models {list(states)}, the config builds {names}; "
                        "config mismatch?")
-    if len(q) != len(models) or not (q >= 0).all() or abs(q.sum() - 1.0) > 1e-8:
-        raise CliError(f"{ckpt}: q is not a distribution over the {len(models)} models")
     for m in models:
         vs = states[m.name]
         if (vs.names, vs.tags) != (m.layout.names(), m.layout.tags()):
@@ -270,8 +268,10 @@ def load_fit(out_dir, models):
                            "with its layout's family tags")
         if not np.isfinite([vs.mu, vs.raw_scale]).all():
             raise CliError(f"{ckpt}: model {m.name!r} has a non-finite parameter")
-    variational = [states[name] for name in names]
-    return metrics.BmaPosterior(models, q, variational)
+    try:
+        return metrics.BmaPosterior(models, q, [states[name] for name in names])
+    except ValueError as err:
+        raise CliError(f"{ckpt}: q is not a distribution over the {len(models)} models ({err})")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -510,49 +510,44 @@ class _Parser(argparse.ArgumentParser):
         return args
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="INI configuration file")
-    sub.add_argument("--out", default="vbma-out", help="artifact directory")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--optimizer", default=None, choices=["adam", "rmsprop"])
-    sub.add_argument("--step-size", dest="step_size", type=float, default=None)
-    sub.add_argument("--samples", type=int, default=None, help="MC draws per gradient (S)")
-    sub.add_argument("--pretrain-iters", dest="pretrain_iters", type=int, default=None)
-    sub.add_argument("--joint-iters", dest="joint_iters", type=int, default=None)
-    sub.add_argument("--window", type=int, default=None)
-    sub.add_argument("--svg", action="store_true", help="also emit SVG plots")
-
-
 def build_parser():
     parser = _Parser(prog="vbma", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vbma {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("fit", help="run the variational averaging loop")
-    _add_common(p)
+    # the options of every subcommand but synth
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="INI configuration file")
+    common.add_argument("--out", default="vbma-out", help="artifact directory")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--optimizer", default=None, choices=["adam", "rmsprop"])
+    common.add_argument("--step-size", dest="step_size", type=float, default=None)
+    common.add_argument("--samples", type=int, default=None, help="MC draws per gradient (S)")
+    common.add_argument("--pretrain-iters", dest="pretrain_iters", type=int, default=None)
+    common.add_argument("--joint-iters", dest="joint_iters", type=int, default=None)
+    common.add_argument("--window", type=int, default=None)
+    common.add_argument("--svg", action="store_true", help="also emit SVG plots")
+
+    p = subs.add_parser("fit", parents=[common], help="run the variational averaging loop")
     p.set_defaults(func=cmd_fit)
 
-    p = subs.add_parser("evidence", help="closed-form or MC evidence baseline")
-    _add_common(p)
+    p = subs.add_parser("evidence", parents=[common], help="closed-form or MC evidence baseline")
     p.add_argument("--mc-samples", type=int, default=100_000)
     p.set_defaults(func=cmd_evidence)
 
-    p = subs.add_parser("bf", help="Bayes factor between two fitted models")
-    _add_common(p)
+    p = subs.add_parser("bf", parents=[common], help="Bayes factor between two fitted models")
     p.add_argument("model_i")
     p.add_argument("model_j")
     p.add_argument("--mc-samples", type=int, default=0,
                    help="MC evidence oracle sample count (proper priors)")
     p.set_defaults(func=cmd_bf)
 
-    p = subs.add_parser("predict", help="model-averaged predictions")
-    _add_common(p)
+    p = subs.add_parser("predict", parents=[common], help="model-averaged predictions")
     p.add_argument("--levels", default="", help="comma-separated credibility levels")
     p.add_argument("--draws", type=int, default=1000)
     p.set_defaults(func=cmd_predict)
 
-    p = subs.add_parser("coverage", help="predictive-interval calibration")
-    _add_common(p)
+    p = subs.add_parser("coverage", parents=[common], help="predictive-interval calibration")
     p.add_argument("--levels", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     p.add_argument("--draws", type=int, default=2000)
     p.set_defaults(func=cmd_coverage)

@@ -153,10 +153,6 @@ class EnsembleState:
     converged: bool = False
 
     @property
-    def k(self):
-        return len(self.models)
-
-    @property
     def variational(self):
         """Per-model VariationalState, copied out of the groups."""
         return [g.member(k) for g in self.groups for k in range(len(g.members))]
@@ -281,7 +277,6 @@ def run(config: VbmaConfig, models, progress=None):
     if not models:
         raise ValueError("need at least one model")
     state = init_state(config, models)
-    k = state.k
     log_prior = np.log(np.array([m.prior_weight for m in models], dtype=float))
 
     def one_iteration(t, weights):
@@ -291,7 +286,7 @@ def run(config: VbmaConfig, models, progress=None):
         except IterationError as err:
             err.state = state  # as before this iteration: no model stepped
             raise
-        elbos = np.empty(k)
+        elbos = np.empty(len(models))
         for g, (G, L) in zip(state.groups, estimates):
             g.step(weights, G)
             for i, L_i in zip(g.members, L):

@@ -1,16 +1,16 @@
 """Dataset ingestion: CSV loading, log/center preparation, splits, and the
 synthetic 2-D lattice generator for the Gaussian-process study.
 
-Transform metadata (which columns were log-transformed, centering offsets
-computed on the TRAINING rows) is kept on the dataset so predictions can be
-mapped back to the original units consistently.
+A prepared dataset holds the transformed columns only: models fit, predict
+and report on that scale, and nothing maps a prediction back to the
+original units.
 """
 
 from __future__ import annotations
 
 import csv
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,6 @@ class Dataset:
     columns: dict  # name -> 1-d float array
     response: str
     train_mask: np.ndarray = None  # bool per row; None = all training
-    log_columns: tuple = ()
-    offsets: dict = field(default_factory=dict)  # name -> centering offset
 
     def __post_init__(self):
         lengths = {len(v) for v in self.columns.values()}
@@ -37,10 +35,6 @@ class Dataset:
     @property
     def n(self):
         return len(next(iter(self.columns.values())))
-
-    @property
-    def n_train(self):
-        return int(self.train_mask.sum())
 
     def column(self, name, rows="all"):
         x = self.columns[name]
@@ -116,9 +110,9 @@ def bundled_path(name):
 def prepare(columns, response, log_columns=(), center_columns=(), train_mask=None):
     """Log-transform then center the named columns.
 
-    Centering offsets are computed on training rows only and recorded so the
-    transforms can be inverted.  A ``response``, log or center name that is
-    not a column raises ``IngestionError``.
+    Centering offsets are computed on training rows only, so held-out rows
+    do not leak into the transform.  A ``response``, log or center name that
+    is not a column raises ``IngestionError``.
     """
     missing = [name for name in (response, *log_columns, *center_columns) if name not in columns]
     if missing:
@@ -126,7 +120,6 @@ def prepare(columns, response, log_columns=(), center_columns=(), train_mask=Non
     out = {}
     n = len(next(iter(columns.values())))
     mask = np.ones(n, dtype=bool) if train_mask is None else np.asarray(train_mask, dtype=bool)
-    offsets = {}
     for name, x in columns.items():
         x = np.asarray(x, dtype=float).copy()
         if name in log_columns:
@@ -137,17 +130,9 @@ def prepare(columns, response, log_columns=(), center_columns=(), train_mask=Non
                 )
             x = np.log(x)
         if name in center_columns:
-            off = float(np.mean(x[mask]))
-            offsets[name] = off
-            x = x - off
+            x = x - float(np.mean(x[mask]))
         out[name] = x
-    return Dataset(
-        out,
-        response,
-        train_mask=mask,
-        log_columns=tuple(log_columns),
-        offsets=offsets,
-    )
+    return Dataset(out, response, train_mask=mask)
 
 
 def split_mask(n, fraction, seed):

@@ -78,14 +78,14 @@ def zellner_log_evidence(model: LinRegModel) -> EvidenceEstimate:
 MC_BATCH = 4096
 
 
-def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
+def mc_log_evidence(model, n_samples, seed=0) -> EvidenceEstimate:
     """Monte Carlo integration of the likelihood over the prior.
 
     Everything stays in the log domain (log-sum-exp minus log N); the
     standard error of the log evidence comes from the delta method.  Prior
-    draws are evaluated ``batch`` rows at a time; by default as many as
-    hold 32 MiB (``MC_BYTES``) of temporaries by ``model.bytes_per_draw()``,
-    and at most 4096 (``MC_BATCH``).  The estimate does not depend on it.
+    draws are evaluated in blocks of as many rows as hold 32 MiB
+    (``MC_BYTES``) of temporaries by ``model.bytes_per_draw()``, and at most
+    ``MC_BATCH``.  The estimate does not depend on the block size.
     """
     if not model.has_proper_prior():
         raise ConfigurationError(
@@ -95,8 +95,7 @@ def mc_log_evidence(model, n_samples, seed=0, batch=None) -> EvidenceEstimate:
         raise ConfigurationError(
             f"MC evidence needs at least 2 samples for its standard error, got {n_samples}")
     rng = np.random.default_rng(seed)
-    if batch is None:
-        batch = max(1, min(MC_BATCH, MC_BYTES // model.bytes_per_draw()))
+    batch = max(1, min(MC_BATCH, MC_BYTES // model.bytes_per_draw()))
     log_liks = np.empty(n_samples)
     done = 0
     while done < n_samples:

@@ -85,14 +85,6 @@ class VariationalState(_Decoded):
     def lognormal_mask(self):
         return np.array([t is FamilyTag.LOGNORMAL for t in self.tags], dtype=float)
 
-    @staticmethod
-    def initial(tags, names=(), init_var=0.01):
-        """Zero locations; raw scales chosen so the initial variance is small,
-        which keeps early stochastic gradients tame."""
-        d = len(tags)
-        raw = float(encode_scale(init_var))
-        return VariationalState(np.zeros(d), np.full(d, raw), tuple(tags), tuple(names))
-
     # -- checkpoint serialization ------------------------------------------
 
     def to_text(self):

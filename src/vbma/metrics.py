@@ -23,12 +23,10 @@ class BmaPosterior:
         self.weights = np.asarray(self.weights, dtype=float)
         if not len(self.models) == len(self.weights) == len(self.variational):
             raise ValueError("models, weights and variational states differ in number")
-        if abs(self.weights.sum() - 1.0) > 1e-8:
-            raise ValueError("weights must sum to 1")
-
-    @property
-    def k(self):
-        return len(self.models)
+        # as Multinomial(n, q) draws need: no entry above 1, a sum of 1 to 1e-12
+        w = self.weights
+        if not ((w >= 0) & (w <= 1)).all() or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must lie in [0, 1] and sum to 1 within 1e-12")
 
 
 def _model_draws(model, state, count, X, rng, noise):

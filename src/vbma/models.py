@@ -21,9 +21,9 @@ The subset builders return a ``SubsetEnsemble``: the K members as a list,
 plus one stacked model on the members' shared, padded layout that evaluates
 all of them at once, and the ``(K, D)`` mask of each member's coordinates in
 that layout.  Evaluation leaves a model's data and parameters unchanged, but it
-is not safe to run concurrently for GP models: off a lattice, the GP models
-of one n write each draw's n x n intermediates into one shared work array,
-and each draw is done with it before it returns.
+is not safe to run concurrently for one GP model: off a lattice, each draw
+writes its n x n intermediates into the model's own work array, and is done
+with it before it returns.
 
 The improper blocks of the g-prior models (``phi ~ 1/phi``, flat intercept)
 are implemented as log-prior terms ``-log phi`` and ``0``.  Cross-model
@@ -37,7 +37,6 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -376,11 +375,6 @@ class LogisticModel(Model):
         return (rng.random(p.shape) < p).astype(float) if noise else p
 
 
-# n -> the (3, n, n) work array shared by the GP models of that n: the
-# kernel's ``base``, K (then its Cholesky factor, then K^-1) and df/dK
-_WORK_BY_SIZE = weakref.WeakValueDictionary()
-
-
 class GPModel(Model):
     """Constant-mean GP regression with a squared-exponential kernel on 2-d
     inputs; the latent surface is marginalized analytically.
@@ -405,11 +399,11 @@ class GPModel(Model):
     both are None; ``path`` names the path taken.  On a lattice the model
     sets ``supports_blocks``: a block of draws is one call over a stack of
     factor pairs, one pair per draw.  Otherwise, for shuffled or scattered
-    inputs, a draw writes its n x n intermediates into one work array shared
-    by the GP models of one n and is done with them when it returns, so it
-    allocates no n x n array.  ``predict_dist`` takes the same path as
-    ``log_lik``: on a lattice, a stack of draws is one call from the factors,
-    and ``draw_predictive`` one such call per block of draws.
+    inputs, a draw writes its n x n intermediates into the model's own work
+    array and is done with them when it returns, so it allocates no n x n
+    array.  ``predict_dist`` takes a stack of draws and the same path as
+    ``log_lik``: on a lattice, the stack is one call from the factors, and
+    ``draw_predictive`` makes one such call per block of draws.
     """
 
     BASE_JITTER = 1e-6  # relative to eta^2
@@ -453,13 +447,13 @@ class GPModel(Model):
 
     # the dense path's n x n arrays, built on first use (by predict_dist or an
     # off-lattice log_lik, never by a lattice fit): squared distances along
-    # x1 and x2, squared in place, and the work array
+    # x1 and x2, squared in place, and the (3, n, n) work array: the kernel's
+    # ``base``, K (then its Cholesky factor, then K^-1) and df/dK
     _d1sq = functools.cached_property(
         lambda self: np.square(d := self.coords[:, :1] - self.coords[:, 0], out=d))
     _d2sq = functools.cached_property(
         lambda self: np.square(d := self.coords[:, 1:] - self.coords[:, 1], out=d))
-    _work = functools.cached_property(
-        lambda self: _WORK_BY_SIZE.setdefault(self.n, np.empty((3, self.n, self.n))))
+    _work = functools.cached_property(lambda self: np.empty((3, self.n, self.n)))
 
     def _split(self, theta):
         """The mean (``theta[..., 0]`` or the fixed offset) and h = ``theta[..., -4:]``."""
@@ -555,7 +549,7 @@ class GPModel(Model):
         return np.concatenate([mean, np.exp(rng.normal(self._loc, self._sd))])
 
     def bytes_per_draw(self):
-        if self.lattice is None:  # a row at a time, in the shared work array
+        if self.lattice is None:  # a row at a time, in the model's work array
             return super().bytes_per_draw()
         n1, n2 = self.lattice
         # the factors and their eigenvectors, a few lattice-sized arrays (d,
@@ -565,20 +559,19 @@ class GPModel(Model):
 
     def predict_dist(self, thetas, coords_new):
         """Conditional mean and variance of the latent surface at p new
-        inputs, and the noise variance sigma^2.
+        inputs, and the noise variance sigma^2, for a stack of T draws.
 
-        ``thetas`` is one draw (d,), giving (p,) and (p,) arrays and a float,
-        or a stack (T, d), giving (T, p), (T, p) and (T, 1).  With k the
-        kernel's covariances between the training and the new inputs over
-        eta^2, the mean is beta + eta^2 k' K^-1 (y - beta) and the variance
-        eta^2 - eta^4 diag(k' K^-1 k), clamped at 0.  On a lattice, k factors
-        for any input, on the training axes or off them, into k1 (T, n1, p)
-        and k2 (T, n2, p) on the two axes, and the stack is one call of
-        ``ad.kronecker_conditional``: exact, with the holes, and no n x n
-        array.  Off a lattice each draw factors the dense K; that path is the
-        lattice path's oracle in the tests.
+        ``thetas`` is (T, d); the results are (T, p), (T, p) and (T, 1).
+        With k the kernel's covariances between the training and the new
+        inputs over eta^2, the mean is beta + eta^2 k' K^-1 (y - beta) and
+        the variance eta^2 - eta^4 diag(k' K^-1 k), clamped at 0.  On a
+        lattice, k factors for any input, on the training axes or off them,
+        into k1 (T, n1, p) and k2 (T, n2, p) on the two axes, and the stack
+        is one call of ``ad.kronecker_conditional``: exact, with the holes,
+        and no n x n array.  Off a lattice each draw factors the dense K;
+        that path is the lattice path's oracle in the tests.
         """
-        rows = np.atleast_2d(np.asarray(thetas, dtype=float))
+        rows = np.asarray(thetas, dtype=float)
         X = np.atleast_2d(np.asarray(coords_new, dtype=float))
         beta, h = self._split(rows)
         if self.lattice is None:
@@ -601,11 +594,7 @@ class GPModel(Model):
                       for axis, x, nu in zip(self._axes, X.T, h.T[1:3]))
             k_r, k_k = ad.kronecker_conditional(self.y - beta, self._lattice_kernel(h), k1, k2)
             mean, var = beta + eta2 * k_r, eta2 - eta2 * eta2 * k_k
-        var = np.maximum(var, 0.0)
-        noise_var = h[:, 3:] ** 2
-        if np.ndim(thetas) == 1:
-            return mean[0], var[0], noise_var[0, 0]
-        return mean, var, noise_var
+        return mean, np.maximum(var, 0.0), h[:, 3:] ** 2
 
     def draw_predictive(self, thetas, X, rng, noise=True):
         # one call draws the noise of all T draws, the same stream as T calls

@@ -76,11 +76,11 @@ class RMSprop:
         return lam + self.step_size * g / (np.sqrt(self.sq) + self.eps)
 
 
-def make_optimizer(name, step_size=None, **kw):
+def make_optimizer(name, step_size=None):
     name = name.lower()
     if name == "adam":
-        return Adam(step_size=0.05 if step_size is None else step_size, **kw)
+        return Adam(step_size=0.05 if step_size is None else step_size)
     if name == "rmsprop":
-        return RMSprop(step_size=0.01 if step_size is None else step_size, **kw)
+        return RMSprop(step_size=0.01 if step_size is None else step_size)
     raise ValueError(f"unknown optimizer '{name}'")
 

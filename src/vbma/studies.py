@@ -61,7 +61,7 @@ def heart_study(prior_sd=10.0, path=None):
     return ds, logistic_subset_ensemble(ds, HEART_PREDICTORS, prior_sd=prior_sd)
 
 
-def gp_study(grid_size=20, n_test=100, seed=0, offset_sds=2.0, **truth):
+def gp_study(grid_size=20, n_test=100, seed=0, offset_sds=2.0):
     """Two-model spatial selection problem on a synthetic lattice surface.
 
     The first candidate estimates its constant mean (matching how the data
@@ -72,8 +72,7 @@ def gp_study(grid_size=20, n_test=100, seed=0, offset_sds=2.0, **truth):
     if not 0 <= n_test <= max(grid_size, 0) ** 2 - 2:
         raise ValueError(f"gp study needs 0 <= n_test <= grid_size**2 - 2 (two training "
                          f"rows), got n_test={n_test}, grid_size={grid_size}")
-    ds = data_io.synth_gp_dataset(grid_size=grid_size, n_test=n_test,
-                                  seed=seed, **truth)
+    ds = data_io.synth_gp_dataset(grid_size=grid_size, n_test=n_test, seed=seed)
     coords = np.column_stack([ds.column("x1", "train"), ds.column("x2", "train")])
     y = ds.y("train")
     wrong_mean = float(y.mean() + offset_sds * y.std(ddof=1))

@@ -287,8 +287,8 @@ def test_criterion_7b_gp_rmse_vs_oracle(gp_fit):
     vbma_rmse = metrics.rmse(pred, y_test)
     coords_tr = np.column_stack([ds.column("x1", "train"), ds.column("x2", "train")])
     oracle = GPModel(coords_tr, ds.y("train"), free_mean=False, mean_offset=0.0)
-    om, _, _ = oracle.predict_dist(np.array([1.0, 3.0, 3.0, 0.3]), coords_test)
-    oracle_rmse = metrics.rmse(om, y_test)
+    om, _, _ = oracle.predict_dist(np.array([[1.0, 3.0, 3.0, 0.3]]), coords_test)
+    oracle_rmse = metrics.rmse(om[0], y_test)
     ratio = vbma_rmse / oracle_rmse
     report("7b", ratio <= 1.05,
            f"rmse {vbma_rmse:.4f} vs exact-hyperparameter oracle {oracle_rmse:.4f} "

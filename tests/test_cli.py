@@ -560,11 +560,13 @@ def _edit_line(text, starts, edit):
     ("phi ", lambda line: [line.rsplit(" ", 1)[0]]),
     ("q ", lambda line: [line + " 0.5"]),
     ("q ", lambda line: ["q " + " ".join(["0.5"] * 8)]),
+    # within 1e-8 of a distribution, but Multinomial draws take no weight above 1
+    ("q ", lambda line: ["q 1.000000005" + " 0.0" * 7]),
     ("phi ", lambda line: [line.replace("lognormal", "normal")]),
     ("beta0 ", lambda line: []),
     ("beta0 ", lambda line: ["beta0 normal nan " + line.split()[3]]),
-], ids=["truncated-line", "q-extra-entry", "q-not-summing-to-1", "phi-tag-normal",
-        "deleted-coordinate", "nan-location"])
+], ids=["truncated-line", "q-extra-entry", "q-not-summing-to-1", "q-entry-above-1",
+        "phi-tag-normal", "deleted-coordinate", "nan-location"])
 def test_checkpoint_that_does_not_match_the_models_is_usage_error(checkpoint_copy, capsys,
                                                                   starts, edit):
     out, cfg = checkpoint_copy

@@ -3,6 +3,10 @@ independent closed form: gradient unbiasedness, posterior recovery, weight
 updates, determinism, and failure handling."""
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,7 +453,9 @@ def test_mixed_ensemble_gives_each_model_its_own_result():
     assert state.iteration == 8
     for i, m in enumerate(models):
         # the model-by-model loop, written out for model i alone
-        vs = VariationalState.initial(m.layout.tags(), m.layout.names(), init_var=cfg.init_var)
+        d = m.layout.dim
+        vs = VariationalState(np.zeros(d), np.full(d, families.encode_scale(cfg.init_var)),
+                              m.layout.tags(), m.layout.names())
         opt = optimizers.make_optimizer(cfg.optimizer)
         trace = []
         for t in range(cfg.pretrain_iters):
@@ -589,6 +595,34 @@ def test_bitwise_determinism_and_thread_independence():
     assert a.elbo_trace == b.elbo_trace
     different = run_pair(seed=99)
     assert not np.array_equal(a.q, different.q)
+
+
+# one seeded fit of a bundled study, printed as its checkpoint text and its
+# ELBO traces
+FIT_IN_CHILD = """
+import sys
+from vbma import core, studies
+study, pretrain, joint = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+models = getattr(studies, study + "_study")()[1]
+cfg = core.VbmaConfig(pretrain_iters=pretrain, joint_iters=joint, window=10, seed=3)
+state = core.run(cfg, models)
+print(state.to_text() + repr(state.elbo_trace))
+"""
+
+
+@pytest.mark.parametrize("study, pretrain, joint", [("crime", 100, 50), ("heart", 50, 30)])
+def test_seeded_fit_is_bitwise_across_blas_thread_counts(study, pretrain, joint):
+    # each fit runs in a child process, whose OpenBLAS reads the thread count
+    # when it loads.  The GP study is left out: synth_gp_dataset draws its
+    # surface through a dense n x n Cholesky, whose result, and so the GP's
+    # data, depends on the thread count.
+    src = str(Path(core.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-c", FIT_IN_CHILD, study, str(pretrain), str(joint)],
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+                           capture_output=True, text=True, check=True).stdout
+            for threads in ("1", "2")]
+    assert outs[0].startswith("iteration ") and outs[0] == outs[1]
 
 
 def test_a_pass_decodes_the_variances_once(monkeypatch):

@@ -160,7 +160,7 @@ def test_synth_gp_reproducible_and_frontier_heldout():
     a = data_io.synth_gp_dataset(seed=9)
     b = data_io.synth_gp_dataset(seed=9)
     assert np.array_equal(a.y("all"), b.y("all"))
-    assert a.n_train == 300 and (~a.train_mask).sum() == 100
+    assert a.train_mask.sum() == 300 and (~a.train_mask).sum() == 100
     # test region is the trailing (frontier) block of the lattice
     assert not a.train_mask[-100:].any()
 

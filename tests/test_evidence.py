@@ -106,14 +106,15 @@ def test_mc_standard_error_shrinks_like_sqrt_n():
     assert se_small / se_big == pytest.approx(4.0, rel=0.35)
 
 
-def test_mc_uses_vectorized_likelihood_when_available():
+def test_mc_uses_vectorized_likelihood_when_available(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((25, 1))
     y = (rng.random(25) < 0.5).astype(float)
     m = LogisticModel(X, y, predictors=("x",), prior_sd=2.0)
     a = mc_log_evidence(m, 20_000, seed=0)
     # batching must not change the estimate for a fixed seed
-    b = mc_log_evidence(m, 20_000, seed=0, batch=1_000)
+    monkeypatch.setattr(evidence, "MC_BATCH", 1_000)
+    b = mc_log_evidence(m, 20_000, seed=0)
     assert a.log_evidence == pytest.approx(b.log_evidence, abs=1e-10)
 
 
@@ -134,27 +135,29 @@ def hand_loop_log_evidence(m, n_samples, seed):
     return logsumexp(log_liks) - np.log(n_samples)
 
 
-def test_mc_evidence_of_a_row_model_loops_log_lik_over_prior_draws():
+def test_mc_evidence_of_a_row_model_loops_log_lik_over_prior_draws(monkeypatch):
     # a GP model off a lattice takes one parameter vector at a time; its
     # estimate is the one a hand loop over the same prior draws gives,
     # whatever the batch
     _, m = gp_5x5_and_shuffled()
     assert not m.supports_blocks
     want = hand_loop_log_evidence(m, 30, seed=4)
-    for batch in (None, 7):
-        est = mc_log_evidence(m, 30, seed=4, batch=batch)
+    for batch in (evidence.MC_BATCH, 7):
+        monkeypatch.setattr(evidence, "MC_BATCH", batch)
+        est = mc_log_evidence(m, 30, seed=4)
         assert est.log_evidence == want and est.mc_samples == 30
         assert est.standard_error > 0
 
 
-def test_mc_evidence_of_a_lattice_gp_takes_blocks_of_prior_draws():
+def test_mc_evidence_of_a_lattice_gp_takes_blocks_of_prior_draws(monkeypatch):
     # on a lattice the GP evaluates a block of prior draws in one call; the
     # estimate is the hand loop's, whatever the batch
     m, _ = gp_5x5_and_shuffled()
     assert m.supports_blocks
     want = hand_loop_log_evidence(m, 30, seed=4)
-    for batch in (None, 7):
-        est = mc_log_evidence(m, 30, seed=4, batch=batch)
+    for batch in (evidence.MC_BATCH, 7):
+        monkeypatch.setattr(evidence, "MC_BATCH", batch)
+        est = mc_log_evidence(m, 30, seed=4)
         assert est.log_evidence == pytest.approx(want, rel=1e-12, abs=0)
         assert est.mc_samples == 30 and est.standard_error > 0
 
@@ -178,7 +181,7 @@ class BlockSizeRecorder(LogisticModel):
         return super().log_lik(theta)
 
 
-def test_mc_default_batch_bounds_block_size():
+def test_mc_default_batch_bounds_block_size(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((25, 1))
     y = (rng.random(25) < 0.5).astype(float)
@@ -186,8 +189,10 @@ def test_mc_default_batch_bounds_block_size():
     m.blocks = []
     est = mc_log_evidence(m, 10_000, seed=0)
     assert m.blocks == [4096, 4096, 1808]
-    whole = LogisticModel(X, y, predictors=("x",), prior_sd=2.0)
-    unbatched = mc_log_evidence(whole, 10_000, seed=0, batch=10_000)
+    m.blocks = []
+    monkeypatch.setattr(evidence, "MC_BATCH", 10_000)
+    unbatched = mc_log_evidence(m, 10_000, seed=0)
+    assert m.blocks == [10_000]
     assert est.log_evidence == pytest.approx(unbatched.log_evidence, rel=1e-12)
 
 
@@ -203,7 +208,8 @@ def test_mc_default_batch_holds_a_fixed_byte_budget(monkeypatch):
     monkeypatch.setattr(m, "log_lik", lambda theta: blocks.append(len(theta)) or log_lik(theta))
     est = mc_log_evidence(m, 2 * rows + 5, seed=0)
     assert blocks == [rows, rows, 5]
-    other = mc_log_evidence(m, 2 * rows + 5, seed=0, batch=97)
+    monkeypatch.setattr(evidence, "MC_BATCH", 97)
+    other = mc_log_evidence(m, 2 * rows + 5, seed=0)
     assert est.log_evidence == pytest.approx(other.log_evidence, rel=1e-12, abs=0)
 
 

@@ -11,7 +11,9 @@ from scipy import stats
 
 from vbma import autodiff as ad
 from vbma import families
+from vbma.core import VbmaConfig, init_state
 from vbma.families import FamilyTag, VariationalState
+from vbma.models import LinRegModel
 
 
 def make_state(mu, var, tags):
@@ -41,8 +43,12 @@ def test_decoded_quantity_is_variance():
 
 
 def test_initial_state_matches_documented_defaults():
-    state = VariationalState.initial((FamilyTag.NORMAL, FamilyTag.LOGNORMAL))
+    # a fit starts each model at zero locations and the variance init_var
+    model = LinRegModel(np.zeros((3, 0)), np.arange(3.0))
+    (state,) = init_state(VbmaConfig(), [model]).variational
+    assert state.tags == (FamilyTag.NORMAL, FamilyTag.LOGNORMAL)
     assert np.allclose(state.mu, 0.0)
+    assert VbmaConfig().init_var == 0.01
     assert np.allclose(ad.softplus(state.raw_scale), 0.01)
 
 

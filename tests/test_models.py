@@ -603,10 +603,11 @@ def test_gp_block_log_joint_matches_rows_on_a_lattice(gp_pairs):
 
 
 def test_gp_terms_sharing_one_tape_match_finite_differences(gp_pairs):
-    # both models (one n, one set of work arrays) and a shallow copy enter one
-    # tape, whose sweep runs only after every factorization: each term must
-    # keep its own K^-1 and base
+    # both models and a shallow copy, which shares its original's work array,
+    # enter one tape, whose sweep runs only after every factorization: each
+    # term must keep its own K^-1 and base
     for free, fixed in gp_pairs:
+        free._work  # built before the copy, so the copy shares it
         clone = copy.copy(free)
         stretch = np.array([1.0, 1.1, 0.9, 1.2, 1.05])
 
@@ -668,7 +669,7 @@ def test_gp_draw_allocates_no_n_by_n_array():
     for m in (lattice, off_lattice(lattice)):
         one_array = m.n * m.n * 8
         for draw in (lambda: ad.grad(m.log_joint, theta),
-                     lambda: m.predict_dist(theta, coords[:5])):
+                     lambda: m.predict_dist(theta[None], coords[:5])):
             draw()  # warm: the work arrays are allocated on first use
             tracemalloc.start()
             try:
@@ -689,9 +690,11 @@ def test_gp_fit_reruns_bitwise_after_the_work_arrays_are_dirtied(gp_pairs):
         first = fit()
         # an unrelated draw and a prediction leave other values in the arrays
         ad.grad(free.log_joint, np.array([-0.4, 2.0, 0.7, 1.5, 0.2]))
-        fixed.predict_dist(np.array([1.0, 3.0, 3.0, 0.01]), free.coords[:4])
+        fixed.predict_dist(np.array([[1.0, 3.0, 3.0, 0.01]]), free.coords[:4])
         assert fit() == first
-        free._work[:] = np.nan  # nothing reads what an earlier draw left
+        assert not np.may_share_memory(free._work, fixed._work)  # one array per model
+        for m in (free, fixed):
+            m._work[:] = np.nan  # nothing reads what an earlier draw left
         assert fit() == first
 
 
@@ -707,8 +710,8 @@ def test_gp_predict_interpolates_training_data(gp_model):
     ds = data_io.synth_gp_dataset(grid_size=5, seed=1, n_test=0, sigma=0.01)
     coords = np.column_stack([ds.column("x1"), ds.column("x2")])
     m = GPModel(coords, ds.y(), free_mean=False, mean_offset=0.0)
-    mean, var, noise_var = m.predict_dist(np.array([1.0, 3.0, 3.0, 0.01]), coords[:3])
-    assert np.allclose(mean, ds.y()[:3], atol=0.05)
+    mean, var, noise_var = m.predict_dist(np.array([[1.0, 3.0, 3.0, 0.01]]), coords[:3])
+    assert np.allclose(mean[0], ds.y()[:3], atol=0.05)
     assert np.all(var >= 0)
 
 
@@ -757,18 +760,18 @@ def test_gp_lattice_predict_dist_matches_the_dense_path():
         thetas = np.stack([m.sample_prior(r) for _ in range(20)])
         mean, var, noise_var = m.predict_dist(thetas, X)
         assert mean.shape == var.shape == (20, len(X)) and noise_var.shape == (20, 1)
-        for theta, row_mean, row_var, row_noise in zip(thetas, mean, var, noise_var):
-            want_mean, want_var, want_noise = dense.predict_dist(theta, X)
+        for theta, row_mean, row_var, row_noise, want_mean, want_var, want_noise in zip(
+                thetas, mean, var, noise_var, *dense.predict_dist(thetas, X)):
             np.testing.assert_allclose(row_mean, want_mean, rtol=0,
                                        atol=1e-10 * np.abs(want_mean).max())
             np.testing.assert_allclose(row_var, want_var, rtol=0, atol=1e-10 * theta[-4] ** 2)
-            assert row_noise == want_noise == theta[-1] ** 2
+            assert row_noise[0] == want_noise[0] == theta[-1] ** 2
         assert not {"_work", "_d1sq", "_d2sq"} & set(vars(m)), m.path  # no n x n array
 
 
 def test_gp_draw_predictive_block_matches_its_rows():
-    # one predict_dist call for T draws gives, bitwise, the draws of T
-    # single-draw calls, and its noise takes the same stream: T draws of m
+    # one predict_dist call for T draws gives, bitwise, the draws of T calls
+    # on a stack of one, and its noise takes the same stream: T draws of m
     r = rng()
     models = prediction_models()
     for m, lattice in [(m, m) for m in models[::2]] + [(off_lattice(models[0]), models[0])]:
@@ -779,7 +782,7 @@ def test_gp_draw_predictive_block_matches_its_rows():
             block = m.draw_predictive(thetas, X, block_rng, noise=noise)
             rows = []
             for theta in thetas:
-                mean, var, noise_var = m.predict_dist(theta, X)
+                mean, var, noise_var = (a[0] for a in m.predict_dist(theta[None], X))
                 rows.append(mean + np.sqrt(var + noise_var) * row_rng.standard_normal(len(X))
                             if noise else mean)
             assert np.array_equal(block, np.array(rows)), (m.path, noise)

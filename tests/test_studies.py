@@ -15,13 +15,13 @@ def test_crime_study_shape_and_centering():
     for col in ("y",) + studies.CRIME_PREDICTORS:
         assert abs(ds.column(col, "train").mean()) < 1e-10
     # g defaults to the training size
-    assert all(m.g == ds.n_train for m in models)
+    assert all(m.g == ds.train_mask.sum() == 47 for m in models)
 
 
 def test_crime_study_split():
     ds, models = studies.crime_study(train_fraction=0.5, split_seed=1)
-    assert ds.n_train == round(0.5 * 47)
-    assert all(m.n == ds.n_train for m in models)
+    assert ds.train_mask.sum() == round(0.5 * 47)
+    assert all(m.n == ds.train_mask.sum() for m in models)
 
 
 def test_heart_study_shape():
@@ -99,5 +99,5 @@ def test_gp_predictive_means_matches_direct_computation():
     post = metrics.BmaPosterior([model], np.array([1.0]), [state])
     coords = np.column_stack([ds.column("x1", "test"), ds.column("x2", "test")])
     approx = metrics.predictive_means(post, coords, n_theta=3, seed=0)
-    exact, _, _ = model.predict_dist(theta, coords)
-    assert np.allclose(approx, exact, atol=1e-3)
+    exact, _, _ = model.predict_dist(theta[None], coords)
+    assert np.allclose(approx, exact[0], atol=1e-3)
