@@ -169,8 +169,18 @@ def sq_exp_kernel(coords, eta, nu1, nu2, other=None):
 
 
 def synth_gp_dataset(grid_size=20, beta=0.0, eta=1.0, nu1=3.0, nu2=3.0, sigma=0.3,
-                     seed=0, n_test=100, jitter=1e-8):
-    """Draw a surface from a constant-mean GP on an integer lattice.
+                     seed=0, n_test=100):
+    """Draw a surface from a constant-mean GP on an integer g x g lattice.
+
+    Rows are in x1-major order (x2 varies fastest).  The surface is drawn
+    from the lattice's Kronecker factors, with no n x n array:
+    y = beta + eta * vec(L1 Z L2^T) + sigma * eps, where L1 and L2 are the
+    Cholesky factors of the g x g squared-exponential factors on the x1 axis
+    (range nu1) and the x2 axis (range nu2), each with 1e-8 added to its
+    diagonal, and Z (g x g), then eps (n), come from one
+    ``default_rng(seed)``.  The covariance is
+    eta^2 (A1 + 1e-8 I) kron (A2 + 1e-8 I) + sigma^2 I, the kernel's
+    ``sq_exp_kernel(coords, eta, nu1, nu2) + sigma^2 I`` up to the jitter.
 
     The test set is a contiguous frontier region (the trailing ``n_test``
     rows of the lattice, 0 <= n_test <= grid_size**2), mimicking
@@ -187,11 +197,14 @@ def synth_gp_dataset(grid_size=20, beta=0.0, eta=1.0, nu1=3.0, nu2=3.0, sigma=0.
     n = coords.shape[0]
     if not 0 <= n_test <= n:
         raise ValueError(f"n_test must be in 0 ... {n} (grid_size**2), got {n_test}")
-    K = sq_exp_kernel(coords, eta, nu1, nu2)
-    K.flat[:: n + 1] += sigma**2 + jitter
+    axis = np.arange(grid_size, dtype=float)
+    # a factor's smallest eigenvalue is ~1e-12 at g = 20 and nu = 3, so its
+    # Cholesky needs the jitter
+    L1, L2 = (np.linalg.cholesky(np.exp(-np.subtract.outer(axis, axis) ** 2 / (2.0 * nu**2))
+                                 + 1e-8 * np.eye(grid_size)) for nu in (nu1, nu2))
     rng = np.random.default_rng(seed)
-    L = np.linalg.cholesky(K)
-    y = beta + L @ rng.standard_normal(n)
+    z = rng.standard_normal((grid_size, grid_size))
+    y = beta + eta * (L1 @ z @ L2.T).ravel() + sigma * rng.standard_normal(n)
     mask = np.ones(n, dtype=bool)
     mask[n - n_test:] = False  # frontier rows held out
     return Dataset(

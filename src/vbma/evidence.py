@@ -31,7 +31,6 @@ class ConfigurationError(ValueError):
 class EvidenceEstimate:
     log_evidence: float
     method: EvidenceMethod
-    mc_samples: int = 0
     standard_error: float = 0.0
 
     def __post_init__(self):
@@ -112,7 +111,7 @@ def mc_log_evidence(model, n_samples, seed=0) -> EvidenceEstimate:
     # computed with shifted weights for stability
     w = np.exp(log_liks - log_liks.max())
     se = float(w.std(ddof=1) / (w.mean() * np.sqrt(n_samples)))
-    return EvidenceEstimate(float(log_ev), EvidenceMethod.MONTE_CARLO, n_samples, se)
+    return EvidenceEstimate(float(log_ev), EvidenceMethod.MONTE_CARLO, se)
 
 
 def evidence_to_posterior(estimates, prior_weights):

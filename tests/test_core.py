@@ -610,12 +610,12 @@ print(state.to_text() + repr(state.elbo_trace))
 """
 
 
-@pytest.mark.parametrize("study, pretrain, joint", [("crime", 100, 50), ("heart", 50, 30)])
+@pytest.mark.parametrize("study, pretrain, joint",
+                         [("crime", 100, 50), ("heart", 50, 30), ("gp", 30, 20)])
 def test_seeded_fit_is_bitwise_across_blas_thread_counts(study, pretrain, joint):
     # each fit runs in a child process, whose OpenBLAS reads the thread count
-    # when it loads.  The GP study is left out: synth_gp_dataset draws its
-    # surface through a dense n x n Cholesky, whose result, and so the GP's
-    # data, depends on the thread count.
+    # when it loads.  The GP study's 15 x 20 training lattice takes the
+    # Kronecker path, and its surface is drawn from 20 x 20 factors.
     src = str(Path(core.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [subprocess.run([sys.executable, "-c", FIT_IN_CHILD, study, str(pretrain), str(joint)],

@@ -1,5 +1,7 @@
 """Ingestion, preparation, splits, and the synthetic dataset generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,39 @@ def test_synth_gp_reproducible_and_frontier_heldout():
     assert a.train_mask.sum() == 300 and (~a.train_mask).sum() == 100
     # test region is the trailing (frontier) block of the lattice
     assert not a.train_mask[-100:].any()
+
+
+def test_synth_gp_covariance_is_the_kernel_plus_noise():
+    # 4000 seeded 3 x 3 surfaces with nu1 != nu2: the sample covariance about
+    # the known mean 0 matches sq_exp_kernel + sigma^2 I within 5 standard
+    # errors, sqrt((C_ii C_jj + C_ij^2) / M) for Gaussian rows, in every
+    # entry.  The covariance with the axes swapped, which a swapped range or
+    # an x2-major vec would give, is off by far more.
+    m, nu1, nu2 = 4000, 0.8, 2.5
+    ys = np.array([data_io.synth_gp_dataset(grid_size=3, nu1=nu1, nu2=nu2, sigma=0.3,
+                                            seed=s, n_test=0).y() for s in range(m)])
+    coords = np.column_stack([np.repeat(np.arange(3.0), 3), np.tile(np.arange(3.0), 3)])
+    sample = ys.T @ ys / m
+
+    def worst_z(nu_a, nu_b):
+        c = data_io.sq_exp_kernel(coords, 1.0, nu_a, nu_b) + 0.09 * np.eye(9)
+        se = np.sqrt((np.outer(np.diag(c), np.diag(c)) + c**2) / m)
+        return np.abs((sample - c) / se).max()
+
+    assert worst_z(nu1, nu2) < 5
+    assert worst_z(nu2, nu1) > 20
+
+
+def test_synth_gp_forms_no_n_by_n_array():
+    # n = 10^4: one n x n float array would be 800 MB
+    tracemalloc.start()
+    try:
+        ds = data_io.synth_gp_dataset(grid_size=100, n_test=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 10_000 and np.isfinite(ds.y()).all()
+    assert peak < 8e6
 
 
 def test_synth_gp_rejects_bad_hyperparameters():

@@ -135,6 +135,14 @@ def hand_loop_log_evidence(m, n_samples, seed):
     return logsumexp(log_liks) - np.log(n_samples)
 
 
+def count_likelihood_rows(monkeypatch, m):
+    """Record the number of parameter rows each ``m.log_lik`` call takes."""
+    rows, log_lik = [], m.log_lik
+    monkeypatch.setattr(m, "log_lik", lambda theta: rows.append(len(np.atleast_2d(theta)))
+                        or log_lik(theta))
+    return rows
+
+
 def test_mc_evidence_of_a_row_model_loops_log_lik_over_prior_draws(monkeypatch):
     # a GP model off a lattice takes one parameter vector at a time; its
     # estimate is the one a hand loop over the same prior draws gives,
@@ -142,10 +150,12 @@ def test_mc_evidence_of_a_row_model_loops_log_lik_over_prior_draws(monkeypatch):
     _, m = gp_5x5_and_shuffled()
     assert not m.supports_blocks
     want = hand_loop_log_evidence(m, 30, seed=4)
+    rows = count_likelihood_rows(monkeypatch, m)
     for batch in (evidence.MC_BATCH, 7):
         monkeypatch.setattr(evidence, "MC_BATCH", batch)
+        rows.clear()
         est = mc_log_evidence(m, 30, seed=4)
-        assert est.log_evidence == want and est.mc_samples == 30
+        assert est.log_evidence == want and rows == [1] * 30
         assert est.standard_error > 0
 
 
@@ -155,11 +165,13 @@ def test_mc_evidence_of_a_lattice_gp_takes_blocks_of_prior_draws(monkeypatch):
     m, _ = gp_5x5_and_shuffled()
     assert m.supports_blocks
     want = hand_loop_log_evidence(m, 30, seed=4)
-    for batch in (evidence.MC_BATCH, 7):
+    rows = count_likelihood_rows(monkeypatch, m)
+    for batch, blocks in ((evidence.MC_BATCH, [30]), (7, [7, 7, 7, 7, 2])):
         monkeypatch.setattr(evidence, "MC_BATCH", batch)
+        rows.clear()
         est = mc_log_evidence(m, 30, seed=4)
         assert est.log_evidence == pytest.approx(want, rel=1e-12, abs=0)
-        assert est.mc_samples == 30 and est.standard_error > 0
+        assert rows == blocks and est.standard_error > 0
 
 
 def test_mc_evidence_on_a_lattice_matches_the_dense_path():
@@ -220,11 +232,11 @@ def test_mc_refuses_improper_priors():
 
 def test_evidence_estimate_validates_se():
     with pytest.raises(ValueError):
-        EvidenceEstimate(0.0, EvidenceMethod.MONTE_CARLO, 10, -1.0)
+        EvidenceEstimate(0.0, EvidenceMethod.MONTE_CARLO, -1.0)
 
 
 def test_evidence_to_posterior_is_softmax_with_priors():
-    ests = [EvidenceEstimate(v, EvidenceMethod.MONTE_CARLO, 1) for v in (-10.0, -11.0)]
+    ests = [EvidenceEstimate(v, EvidenceMethod.MONTE_CARLO) for v in (-10.0, -11.0)]
     post = evidence_to_posterior(ests, [0.5, 0.5])
     assert post.sum() == pytest.approx(1.0)
     assert post[0] / post[1] == pytest.approx(np.e, rel=1e-10)
@@ -233,7 +245,7 @@ def test_evidence_to_posterior_is_softmax_with_priors():
 
 
 def test_evidence_to_posterior_handles_large_magnitudes():
-    ests = [EvidenceEstimate(v, EvidenceMethod.MONTE_CARLO, 1) for v in (-1e4, -1e4 + 1)]
+    ests = [EvidenceEstimate(v, EvidenceMethod.MONTE_CARLO) for v in (-1e4, -1e4 + 1)]
     post = evidence_to_posterior(ests, [0.5, 0.5])
     assert np.isfinite(post).all()
     assert post[1] > post[0]
@@ -242,7 +254,7 @@ def test_evidence_to_posterior_handles_large_magnitudes():
 def test_evidence_to_posterior_refuses_mixed_methods():
     mixed = [
         EvidenceEstimate(-5.0, EvidenceMethod.CLOSED_FORM_ZELLNER),
-        EvidenceEstimate(-5.0, EvidenceMethod.MONTE_CARLO, 10),
+        EvidenceEstimate(-5.0, EvidenceMethod.MONTE_CARLO),
     ]
     with pytest.raises(ConfigurationError, match="mix"):
         evidence_to_posterior(mixed, [0.5, 0.5])
