@@ -335,10 +335,46 @@ class KroneckerCov(NamedTuple):
     def eigen(self):
         """``(l1, q1, l2, q2, d)``: the eigendecompositions a1 = q1 diag(l1) q1'
         and a2 = q2 diag(l2) q2', and the full lattice's eigenvalues
-        d = scale l1 l2' + nugget as an (..., n1, n2) array."""
-        l1, q1 = np.linalg.eigh(self.a1)
-        l2, q2 = np.linalg.eigh(self.a2)
+        d = scale l1 l2' + nugget as an (..., n1, n2) array.  A factor stack
+        that is exactly centrosymmetric, as the kernel's factor on an evenly
+        spaced axis is, takes two half-size eigenproblems (``_eigh``); the
+        eigenvalues are then not in ascending order."""
+        l1, q1 = _eigh(self.a1)
+        l2, q2 = _eigh(self.a2)
         return l1, q1, l2, q2, self.scale * (l1[..., :, None] * l2[..., None, :]) + self.nugget
+
+
+def _eigh(a):
+    """``np.linalg.eigh`` of a stack of symmetric (..., n, n) matrices, split
+    in two when every matrix is exactly centrosymmetric, J a J = a for the
+    exchange matrix J (Cantoni & Butler 1976).  With k = n // 2, top-left
+    block B and top-right block C, the vectors [p; -J p] / sqrt(2) are
+    eigenvectors of a for the eigenpairs (l, p) of B - C J, and [p; J p] /
+    sqrt(2) for those of B + C J; for odd n the middle row and column of a,
+    off the diagonal scaled by sqrt(2), border B + C J, and its eigenvector
+    (p, s) gives [p / sqrt(2); s; J p / sqrt(2)].  Returns the k eigenpairs
+    of B - C J, then the n - k of B + C J."""
+    n = a.shape[-1]
+    k = n // 2
+    if n < 2 or not np.array_equal(a, a[..., ::-1, ::-1]):
+        return np.linalg.eigh(a)
+    B, CJ = a[..., :k, :k], a[..., :k, ::-1][..., :k]
+    l_minus, p_minus = np.linalg.eigh(B - CJ)
+    plus = np.empty(a.shape[:-2] + (n - k, n - k))
+    np.add(B, CJ, out=plus[..., :k, :k])
+    if n % 2:
+        plus[..., :k, k] = plus[..., k, :k] = np.sqrt(2.0) * a[..., :k, k]
+        plus[..., k, k] = a[..., k, k]
+    l_plus, p_plus = np.linalg.eigh(plus)
+    q = np.zeros(a.shape)
+    half = np.sqrt(0.5)
+    q[..., :k, :k] = half * p_minus
+    q[..., n - k:, :k] = -q[..., k - 1::-1, :k]
+    q[..., :k, k:] = half * p_plus[..., :k, :]
+    q[..., n - k:, k:] = q[..., k - 1::-1, k:]
+    if n % 2:
+        q[..., k, k:] = p_plus[..., k, :]
+    return np.concatenate([l_minus, l_plus], axis=-1), q
 
 
 def _mT(x):

@@ -15,8 +15,9 @@ starve slowly-converging models of gradient signal; the reported weights are
 a trailing-window average for stability.
 
 The loop runs over groups of models, each drawn from one random stream,
-estimated in one pass and stepped by one optimizer: a subset ensemble is one
-group, any other model a group of its own (see ``run``).
+estimated in one pass and stepped by one optimizer: a subset ensemble (the
+linear or logistic subsets of a predictor set, or the GP pair) is one group,
+any other model a group of its own (see ``run``).
 """
 
 from __future__ import annotations
@@ -132,8 +133,10 @@ class _Group:
 
 
 def _groups(models, config):
-    """One group for a subset ensemble as its builder returned it (see
-    ``models.SubsetEnsemble``); otherwise one group per model."""
+    """One group for a list that carries its own ``members``, ``mask`` and
+    ``stacked``, as a ``models.SubsetEnsemble`` does when its builder
+    returned it (the subset builders and ``studies.gp_study``), while the
+    list still holds exactly its members; otherwise one group per model."""
     if getattr(models, "members", None) == tuple(models):
         return [_Group(models, range(len(models)), models.mask, models.stacked, config)]
     return [_Group(models, [i], np.ones((1, m.layout.dim), dtype=bool),
@@ -264,9 +267,11 @@ def run(config: VbmaConfig, models, progress=None):
     ``progress`` (optional) is called as progress(state) after each iteration.
 
     A subset ensemble as its builder returned it (see
-    ``models.SubsetEnsemble``) is one group: its members are evaluated in one
-    pass per iteration and stepped by one optimizer over their
-    ``(K, 2D)`` parameters.  Any other model is a group of its own.  Each
+    ``models.SubsetEnsemble``: the linear or logistic subsets of a predictor
+    set, or ``studies.gp_study``'s pair) is one group: its members are
+    evaluated in one pass per iteration, when its ``stacked`` model is not
+    None, and stepped by one optimizer over their ``(K, 2D)`` parameters.
+    Any other model is a group of its own.  Each
     group draws its ``(K, S, D)`` block of standard normals from its own
     stream per iteration; a stacked pass that fails is redone member by
     member on the same block, with redraws from the same stream.

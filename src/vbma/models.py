@@ -17,10 +17,11 @@ in numpy: a tape node gives one node (``ad.closed_form``), an array gives
 an array and computes no gradient.  The GP chains the gradients of ``ad.gaussian_spd_logpdf`` with
 respect to its covariance, dense or Kronecker, to its hyperparameters.  The
 normal-mean model records its densities on the tape, as user models do.
-The subset builders return a ``SubsetEnsemble``: the K members as a list,
-plus one stacked model on the members' shared, padded layout that evaluates
-all of them at once, and the ``(K, D)`` mask of each member's coordinates in
-that layout.  Evaluation leaves a model's data and parameters unchanged, but it
+The subset builders, and ``studies.gp_study`` for its pair, return a
+``SubsetEnsemble``: the K members as a list, plus one stacked model on the
+members' shared, padded layout that evaluates all of them at once, and the
+``(K, D)`` mask of each member's coordinates in that layout.  Evaluation
+leaves a model's data and parameters unchanged, but it
 is not safe to run concurrently for one GP model: off a lattice, each draw
 writes its n x n intermediates into the model's own work array, and is done
 with it before it returns.
@@ -379,10 +380,12 @@ class GPModel(Model):
     """Constant-mean GP regression with a squared-exponential kernel on 2-d
     inputs; the latent surface is marginalized analytically.
 
-    ``free_mean=True`` adds a mean coefficient with a normal prior; otherwise
-    the mean is fixed at ``mean_offset``.  The positive hyperparameters
-    h = (eta, nu1, nu2, sigma) (scale, the two correlation ranges, noise sd)
-    are the last four coordinates and carry log-normal priors.
+    The mean is beta + ``mean_offset``: ``free_mean=True`` makes beta the
+    first coordinate, with a normal prior, and otherwise beta is 0, so the
+    mean is fixed at ``mean_offset``.  The positive hyperparameters h = (eta,
+    nu1, nu2, sigma) (scale, the two correlation ranges, noise sd) are the
+    last four coordinates and carry log-normal priors.  The priors are the
+    class constants ``MEAN_PRIOR`` and ``LOGNORMAL_PRIORS``.
 
     The training inputs lie on a lattice when they are points of the
     Cartesian product of their distinct x1 and x2 values, with at least two
@@ -408,20 +411,22 @@ class GPModel(Model):
 
     BASE_JITTER = 1e-6  # relative to eta^2
     HYPER = ("eta", "nu1", "nu2", "sigma")
+    # (mean, sd) of beta's normal prior, and (location, sd) of the log-normal
+    # priors on h, by name and as two arrays in HYPER order
+    MEAN_PRIOR = (0.0, 1.0)
+    LOGNORMAL_PRIORS = {"eta": (0.0, 1.0), "nu1": (1.0, 1.0), "nu2": (1.0, 1.0),
+                        "sigma": (0.0, 1.0)}
+    _LOC, _SD = np.array([*map(LOGNORMAL_PRIORS.get, HYPER)]).T
+    # the weight of beta's prior term: a stack's fixed-mean rows take 0
+    _mean_prior_weight = 1.0
 
-    def __init__(self, coords, y, free_mean=True, mean_offset=0.0,
-                 mean_prior=(0.0, 1.0), lognormal_priors=None,
-                 name="gp", prior_weight=1.0):
+    def __init__(self, coords, y, free_mean=True, mean_offset=0.0, name="gp",
+                 prior_weight=1.0):
         self.coords = np.asarray(coords, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.n = len(self.y)
         self.free_mean = bool(free_mean)
         self.mean_offset = float(mean_offset)
-        self.mean_prior = mean_prior
-        # (location, sd) of log-normal priors on h, by name and as two arrays
-        defaults = {"eta": (0.0, 1.0), "nu1": (1.0, 1.0), "nu2": (1.0, 1.0), "sigma": (0.0, 1.0)}
-        self.lognormal_priors = {**defaults, **(lognormal_priors or {})}
-        self._loc, self._sd = np.array([self.lognormal_priors[k] for k in self.HYPER]).T
         self.name = name
         self.prior_weight = prior_weight
         blocks = [ParamBlock("beta", 1, FamilyTag.NORMAL)] if self.free_mean else []
@@ -456,8 +461,10 @@ class GPModel(Model):
     _work = functools.cached_property(lambda self: np.empty((3, self.n, self.n)))
 
     def _split(self, theta):
-        """The mean (``theta[..., 0]`` or the fixed offset) and h = ``theta[..., -4:]``."""
-        return (theta[..., 0] if self.free_mean else self.mean_offset), theta[..., -4:]
+        """The mean (beta = ``theta[..., 0]`` plus the offset, or the offset
+        alone) and h = ``theta[..., -4:]``."""
+        mean = theta[..., 0] + self.mean_offset if self.free_mean else self.mean_offset
+        return mean, theta[..., -4:]
 
     def _kernel(self, h, base, K):
         """Training covariance K = eta^2 (base + jitter I) + sigma^2 I, with
@@ -530,23 +537,24 @@ class GPModel(Model):
         return ad.closed_form(theta, val, g, "gp_log_lik")
 
     def log_prior(self, theta):
-        beta, h = self._split(_values(theta))
+        t = _values(theta)
+        h = t[..., -4:]
         with np.errstate(all="ignore"):  # checked once, in ad.closed_form
             log_h = np.log(h)  # log-normal density: normal in log h, minus log h
-            val = -(log_h + 0.5 * (LOG2PI + 2.0 * np.log(self._sd)
-                                   + (log_h - self._loc) ** 2 / self._sd**2)).sum(axis=-1)
-            g = -(1.0 + (log_h - self._loc) / self._sd**2) / h
+            val = -(log_h + 0.5 * (LOG2PI + 2.0 * np.log(self._SD)
+                                   + (log_h - self._LOC) ** 2 / self._SD**2)).sum(axis=-1)
+            g = -(1.0 + (log_h - self._LOC) / self._SD**2) / h
             if self.free_mean:
-                m0, s0 = self.mean_prior
-                val = val - 0.5 * (LOG2PI + 2.0 * np.log(s0) + (beta - m0) ** 2 / s0**2)
-                g = np.concatenate([(-(beta - m0) / s0**2)[..., None], g], axis=-1)
+                (m0, s0), w, beta = self.MEAN_PRIOR, self._mean_prior_weight, t[..., 0]
+                val = val - w * (0.5 * (LOG2PI + 2.0 * np.log(s0) + (beta - m0) ** 2 / s0**2))
+                g = np.concatenate([(w * (-(beta - m0) / s0**2))[..., None], g], axis=-1)
         if not isinstance(theta, ad.Node):
             return val
         return ad.closed_form(theta, val, g, "gp_log_prior")
 
     def sample_prior(self, rng):
-        mean = [rng.normal(*self.mean_prior)] if self.free_mean else []
-        return np.concatenate([mean, np.exp(rng.normal(self._loc, self._sd))])
+        mean = [rng.normal(*self.MEAN_PRIOR)] if self.free_mean else []
+        return np.concatenate([mean, np.exp(rng.normal(self._LOC, self._SD))])
 
     def bytes_per_draw(self):
         if self.lattice is None:  # a row at a time, in the model's work array
@@ -646,18 +654,24 @@ def _lattice(coords):
 
 
 class SubsetEnsemble(list):
-    """The models over every subset of one predictor set, as a list, and the
-    one model that evaluates them together.
+    """Models whose layouts are each the largest member's with some
+    coordinates left out, as a list, and the one model that evaluates them
+    together: the models over every subset of one predictor set, or the GP
+    pair, whose fixed-mean member leaves out beta.
 
-    ``stacked`` is a copy of the last member, the model on all P predictors,
-    whose per-member constants get a leading K axis (``p``; for linear models
-    also ``logdet_xtx`` and each member's own ``xtx``, zero-padded): its
-    inherited ``log_joint`` takes a ``(K, S, D)`` block to ``(K, S)`` values
-    on the layout ``[beta0, beta (P), *tail]``.  ``mask`` is the ``(K, D)``
-    membership array: row k is True on member k's coordinates, in layout
-    order, and the padding it leaves out is zero.  Both are built on first
-    use.  ``core.run`` evaluates the list as built in one pass per
-    iteration; a changed list or a copy of it runs model by model.
+    ``stacked`` is a copy of the largest member (the model on all P
+    predictors, or the free-mean GP) whose per-member constants get a leading
+    K axis: for linear and logistic models ``p``, for linear models also
+    ``logdet_xtx`` and each member's own ``xtx``, zero-padded, and for GP
+    models the mean offset and the 0/1 weight of beta's prior.  Its
+    inherited ``log_joint`` takes a ``(K, S, D)`` block to ``(K, S)``
+    values on the largest member's layout, ``[beta0, beta (P), *tail]`` or
+    ``[beta, *h]``; it is None when that member takes no blocks, as a GP off
+    a lattice.  ``mask`` is the ``(K, D)`` membership array: row k is True
+    on member k's coordinates, in layout order, and the padding it leaves
+    out is zero.  Both are built on first use.  ``core.run`` evaluates the
+    list as built in one pass per iteration; a changed list or a copy of it
+    runs model by model.
     """
 
     def __init__(self, models):
@@ -665,18 +679,31 @@ class SubsetEnsemble(list):
         self.members = tuple(models)
 
     @functools.cached_property
+    def _full(self):
+        return max(self.members, key=lambda m: m.layout.dim)
+
+    @functools.cached_property
     def mask(self):
-        full = self.members[-1]
+        full = self._full
         mask = np.ones((len(self.members), full.layout.dim), dtype=bool)
-        mask[:, 1:1 + full.p] = [[n in m.predictors for n in full.predictors]
-                                 for m in self.members]
+        if isinstance(full, GPModel):
+            mask[:, 0] = [m.free_mean for m in self.members]
+        else:
+            mask[:, 1:1 + full.p] = [[n in m.predictors for n in full.predictors]
+                                     for m in self.members]
         return mask
 
     @functools.cached_property
     def stacked(self):
-        full = self.members[-1]
+        full = self._full
+        if not full.supports_blocks:
+            return None
         stacked = copy.copy(full)
         stacked.name = f"stack of {len(self.members)}"
+        if isinstance(full, GPModel):
+            stacked.mean_offset = np.array([[m.mean_offset] for m in self.members])
+            stacked._mean_prior_weight = self.mask[:, :1] * 1.0
+            return stacked
         stacked.p = np.array([[m.p] for m in self.members], dtype=float)
         if isinstance(full, LinRegModel):
             stacked.xtx = np.zeros((len(self.members), full.p, full.p))

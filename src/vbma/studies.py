@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import data as data_io
-from .models import GPModel, linreg_subset_ensemble, logistic_subset_ensemble
+from .models import GPModel, SubsetEnsemble, linreg_subset_ensemble, logistic_subset_ensemble
 
 CRIME_PREDICTORS = ("M", "Prob", "Ed")
 HEART_PREDICTORS = ("chol", "trestbps", "sex", "age", "thalach")
@@ -67,7 +67,9 @@ def gp_study(grid_size=20, n_test=100, seed=0, offset_sds=2.0):
     The first candidate estimates its constant mean (matching how the data
     were generated); the second fixes the mean at an offset of ``offset_sds``
     sample standard deviations, a deliberately misspecified variant.  The
-    offset needs the sample sd of at least two training rows.
+    offset needs the sample sd of at least two training rows.  The pair is
+    a ``SubsetEnsemble``: ``core.run`` evaluates both in one pass per
+    iteration, with the fixed-mean member padded at beta.
     """
     if not 0 <= n_test <= max(grid_size, 0) ** 2 - 2:
         raise ValueError(f"gp study needs 0 <= n_test <= grid_size**2 - 2 (two training "
@@ -77,12 +79,9 @@ def gp_study(grid_size=20, n_test=100, seed=0, offset_sds=2.0):
     y = ds.y("train")
     wrong_mean = float(y.mean() + offset_sds * y.std(ddof=1))
     models = [
-        GPModel(coords, y, free_mean=True, name="gp:free-mean"),
+        GPModel(coords, y, free_mean=True, name="gp:free-mean", prior_weight=0.5),
         GPModel(coords, y, free_mean=False, mean_offset=wrong_mean,
-                name="gp:offset-mean"),
+                name="gp:offset-mean", prior_weight=0.5),
     ]
-    total = sum(m.prior_weight for m in models)
-    for m in models:
-        m.prior_weight /= total
-    return ds, models
+    return ds, SubsetEnsemble(models)
 

@@ -346,6 +346,43 @@ def test_kronecker_cov_with_holes_gradients_match_fd():
     assert_kronecker_matches_fd(holes=(2, 5, 11), rel=1e-6)
 
 
+def eigh_shapes(monkeypatch):
+    """The shapes of the matrices every ``np.linalg.eigh`` call receives."""
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    return shapes
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 15, 20])
+def test_centrosymmetric_factor_takes_two_half_size_eigenproblems(n, monkeypatch):
+    # SE factors on an evenly spaced axis are exactly centrosymmetric: a
+    # stack of them is split, and its eigenpairs reconstruct each factor
+    # and are orthonormal to 1e-14, as eigh's own are
+    x = np.arange(float(n))
+    ell = np.random.default_rng(n).uniform(0.5, 3.0, (4, 1, 1))
+    a = np.exp(-np.subtract.outer(x, x) ** 2 / (2 * ell**2))
+    shapes = eigh_shapes(monkeypatch)
+    l, q = ad.KroneckerCov(a, a[:, :2, :2], 1.0, 0.1).eigen()[:2]
+    assert shapes[:2] == [(4, n // 2, n // 2), (4, n - n // 2, n - n // 2)]
+    assert np.abs((q * l[..., None, :]) @ np.swapaxes(q, -1, -2) - a).max() <= 1e-14
+    assert np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max() <= 1e-14
+    np.testing.assert_allclose(np.sort(l, axis=-1), np.linalg.eigvalsh(a), rtol=0, atol=1e-14)
+
+
+def test_kronecker_cov_on_an_uneven_axis_keeps_eigh(monkeypatch):
+    # an uneven x1 axis gives a factor that is not centrosymmetric: it takes
+    # eigh whole, the even x2 axis is split, and the density still matches
+    # the dense one, on the full lattice and with holes
+    x1, x2 = np.array([0.0, 1.0, 3.0, 4.5]), np.arange(5.0)
+    a1, a2 = (np.exp(-np.subtract.outer(x, x) ** 2 / (2 * 1.5**2)) for x in (x1, x2))
+    shapes = eigh_shapes(monkeypatch)
+    for holes in ((), (0, 7, 19)):
+        r = np.random.default_rng(13).standard_normal(20 - len(holes))
+        shapes.clear()
+        assert_kronecker_matches_dense(r, a1, a2, 1.3, 0.09, holes)
+        assert shapes[:3] == [(4, 4), (2, 2), (3, 3)]
+
+
 def test_kronecker_cov_rejects_a_nonpositive_eigenvalue():
     r, a1, a2, scale, _ = kronecker_problem()
     cov = ad.KroneckerCov(a1, a2, scale, -1.0)
@@ -354,15 +391,16 @@ def test_kronecker_cov_rejects_a_nonpositive_eigenvalue():
         ad.gaussian_spd_logpdf(r, cov)
 
 
-def kronecker_stack(lead, n1, n2, seed):
+def kronecker_stack(lead, n1, n2, seed, even=False):
     """``(resid, a1, a2, scale, nugget)`` for a stack of Kronecker
     covariances of leading shape ``lead``: squared-exponential factors on
-    random points with random ranges, and scale and nugget of shape
+    random points, or with ``even`` on integer points (centrosymmetric
+    factors), with random ranges, and scale and nugget of shape
     (*lead, 1, 1)."""
     r = np.random.default_rng(seed)
 
     def factor(n):
-        x = r.uniform(0.0, 5.0, lead + (n,))
+        x = np.arange(float(n)) if even else r.uniform(0.0, 5.0, lead + (n,))
         ell = r.uniform(0.5, 2.0, lead + (1, 1))
         return np.exp(-(x[..., :, None] - x[..., None, :]) ** 2 / (2 * ell**2))
 
@@ -372,15 +410,16 @@ def kronecker_stack(lead, n1, n2, seed):
 
 
 @given(n1=st.integers(2, 6), n2=st.integers(2, 6), S=st.integers(1, 4),
-       leading=st.sampled_from(["S", "1S"]), m=st.integers(0, 3),
+       leading=st.sampled_from(["S", "1S"]), m=st.integers(0, 3), even=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_stacked_kronecker_cov_matches_a_loop_of_single_covariances(n1, n2, S, leading, m,
-                                                                    seed):
+                                                                    even, seed):
     # the values, d_resid and the field gradients, bitwise against the
-    # unbatched primitive (float scale and nugget) row by row, with m holes
+    # unbatched primitive (float scale and nugget) row by row, with m holes,
+    # on random points and on integer ones, whose factors are split
     lead = (S,) if leading == "S" else (1, S)
-    r_full, *fields = kronecker_stack(lead, n1, n2, seed)
+    r_full, *fields = kronecker_stack(lead, n1, n2, seed, even)
     holes = np.sort(np.random.default_rng(seed).choice(n1 * n2, m, replace=False))
     problem = (r_full[..., m:], *fields)
     vals, grads = ad.gaussian_spd_logpdf(problem[0], ad.KroneckerCov(*problem[1:], holes))

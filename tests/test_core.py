@@ -243,12 +243,18 @@ def recording_estimates(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kind", ["crime", "logistic"])
+def small_gp_pair():
+    """The GP study's pair on a 6 x 6 lattice with 3 holes."""
+    return studies.gp_study(grid_size=6, n_test=3, seed=0)[1]
+
+
+@pytest.mark.parametrize("kind", ["crime", "logistic", "gp"])
 def test_stacked_estimate_matches_per_model(kind, monkeypatch):
     # one pass over the (K, S, D) block gives every member the (G, L) of the
-    # row loop on its own slice, the intercept-only member included, and
-    # nothing on the padding
-    models = studies.crime_study()[1] if kind == "crime" else heart_like_ensemble()
+    # row loop on its own slice, the intercept-only and the fixed-mean
+    # members included, and nothing on the padding
+    models = {"crime": lambda: studies.crime_study()[1], "logistic": heart_like_ensemble,
+              "gp": small_gp_pair}[kind]()
     (group,) = core.init_state(VbmaConfig(init_var=0.05), models).groups
     assert group.members == list(range(len(models))) and group.stacked is models.stacked
     assert group.mask is models.mask
@@ -415,11 +421,47 @@ def test_underflowed_phi_fails_the_stacked_pass_and_each_member_is_redone():
     assert families.sample(group.state, z)[2, 4, -1] == 0.0
     with pytest.raises(ad.NonFiniteValueError):
         estimate_grad_and_elbo(models.stacked, group.state, z)
+    assert_redone_member_by_member(models, group, z)
+
+
+def test_hopeless_draw_fails_the_gp_pair_pass_and_each_member_is_redone():
+    # eta and sigma underflow in one draw of the fixed-mean member: the
+    # pair's stacked pass raises ConditioningError, and the group redoes
+    # each member by the row loop on its slice of the same block
+    models = small_gp_pair()
+    (group,) = core.init_state(VbmaConfig(), models).groups
+    assert group.members == [0, 1] and group.stacked is models.stacked
+    z = np.random.default_rng(3).standard_normal((2, 10, 5)) * group.state.mask
+    z[1, 4, [-4, -1]] = -3707.0, -3914.0  # sd 0.1: eta ~ 1e-161, sigma ~ 1e-170
+    with pytest.raises(models_mod.ConditioningError):
+        estimate_grad_and_elbo(models.stacked, group.state, z)
+    assert_redone_member_by_member(models, group, z)
+
+
+def test_gp_pair_off_a_lattice_is_one_group_run_member_by_member(monkeypatch):
+    # two training points on one x1 value take the dense path, which takes
+    # no blocks: the pair is one group, with no stacked model, and each
+    # member takes the row loop on its slice of the group's block
+    models = studies.gp_study(grid_size=3, n_test=7, seed=0)[1]
+    assert [m.path for m in models] == ["dense 2"] * 2 and models.stacked is None
+    cfg = VbmaConfig(n_samples=4, pretrain_iters=2, joint_iters=2, window=1)
+    (group,) = core.init_state(cfg, models).groups
+    assert group.members == [0, 1] and group.stacked is None
+    calls = recording_estimates(monkeypatch)
+    state = core.run(cfg, models)
+    assert calls == [[2, False]] * 8 and np.isclose(state.q.sum(), 1.0)
+
+
+def assert_redone_member_by_member(models, group, z):
+    """``group.estimate`` on the block ``z`` whose stacked pass fails equals,
+    bitwise, each member's row loop on its slice, in member order, with
+    redraws from the group's stream, and leaves the padding zero."""
     rng, by_hand = np.random.default_rng(4), np.random.default_rng(4)
-    G, L = group.estimate(models, FirstDraw(z, rng), 10)
+    G, L = group.estimate(models, FirstDraw(z, rng), z.shape[1])
     for k, (m, own) in enumerate(zip(models, group.mask)):
         G_k, L_k = core._estimate_rows(m, group.member(k), z[k][:, own], by_hand)
         assert np.array_equal(G[k, group.own[k]], G_k) and L[k] == L_k
+    assert not G[~group.own].any()
     assert rng.bit_generator.state == by_hand.bit_generator.state
     assert rng.bit_generator.state != np.random.default_rng(4).bit_generator.state
 

@@ -389,12 +389,6 @@ def gp_pairs(gp_pair):
     return gp_pair, off, holed
 
 
-@pytest.fixture(scope="module")
-def gp_custom_prior(gp_model):
-    return GPModel(gp_model.coords, gp_model.y, mean_prior=(0.5, 2.0),
-                   lognormal_priors={"nu1": (2.0, 0.5), "sigma": (-1.0, 0.3)})
-
-
 def gp_theta(m, theta):
     """``theta`` = (beta, eta, nu1, nu2, sigma) on ``m``'s layout."""
     return theta if m.free_mean else theta[1:]
@@ -440,13 +434,14 @@ def test_gp_log_lik_matches_scipy(gp_model):
     assert as_float(m.log_lik(theta)) == pytest.approx(ref, abs=1e-8)
 
 
-def test_gp_log_prior_matches_scipy(gp_pair, gp_custom_prior):
-    priors = [(0, 1), (1, 1), (1, 1), (0, 1)]
-    for m, mean_prior, hyper_priors in [
-        (gp_pair[0], (0, 1), priors),
-        (gp_pair[1], None, priors),
-        (gp_custom_prior, (0.5, 2.0), [(0, 1), (2.0, 0.5), (1, 1), (-1.0, 0.3)]),
-    ]:
+def test_gp_log_prior_matches_scipy(gp_pair):
+    # the defaults: beta ~ N(0, 1), eta and sigma LogNormal(0, 1), nu1 and
+    # nu2 LogNormal(1, 1)
+    assert GPModel.MEAN_PRIOR == (0.0, 1.0)
+    assert GPModel.LOGNORMAL_PRIORS == {"eta": (0.0, 1.0), "nu1": (1.0, 1.0),
+                                        "nu2": (1.0, 1.0), "sigma": (0.0, 1.0)}
+    hyper_priors = [(0, 1), (1, 1), (1, 1), (0, 1)]
+    for m, mean_prior in [(gp_pair[0], (0, 1)), (gp_pair[1], None)]:
         theta = gp_theta(m, np.array([0.3, 1.1, 2.5, 2.0, 0.5]))
         ref = stats.norm(*mean_prior).logpdf(0.3) if mean_prior else 0.0
         for val, (loc, sd) in zip(theta[-4:], hyper_priors):
@@ -460,15 +455,15 @@ def test_gp_gradient_matches_fd(gp_pairs):
         assert ad.finite_diff_check(m.log_joint, theta0, h=1e-5) < 1e-4
 
 
-def test_gp_sample_prior_draws_as_a_per_parameter_loop(gp_pair, gp_custom_prior):
+def test_gp_sample_prior_draws_as_a_per_parameter_loop(gp_pair):
     # MC evidence relies on this order of draws: the mean, then eta, nu1,
     # nu2 and sigma, one normal each
-    for m in (*gp_pair, gp_custom_prior):
+    for m in gp_pair:
         r, r_loop = rng(), rng()
         for _ in range(5):
-            want = [r_loop.normal(*m.mean_prior)] if m.free_mean else []
+            want = [r_loop.normal(*m.MEAN_PRIOR)] if m.free_mean else []
             for name in ("eta", "nu1", "nu2", "sigma"):
-                loc, sd = m.lognormal_priors[name]
+                loc, sd = m.LOGNORMAL_PRIORS[name]
                 want.append(np.exp(r_loop.normal(loc, sd)))
             assert np.array_equal(m.sample_prior(r), np.array(want))
 
@@ -480,18 +475,18 @@ def tape_kernel_log_joint(m, theta):
     the dense and the lattice path, for its prior and for the work arrays
     it reuses.  It indexes ``theta`` itself and factors a private dense copy
     of K."""
-    beta = theta[0] if m.free_mean else m.mean_offset
+    beta = theta[0] if m.free_mean else 0.0
     hyper = {name: theta[i] for i, name in zip(range(-4, 0), ("eta", "nu1", "nu2", "sigma"))}
     prior = 0.0
     if m.free_mean:
-        m0, s0 = m.mean_prior
+        m0, s0 = m.MEAN_PRIOR
         prior = prior - 0.5 * (np.log(2 * np.pi) + 2.0 * np.log(s0) + (beta - m0) ** 2 / s0**2)
     for name, x in hyper.items():
-        loc, sd = m.lognormal_priors[name]
+        loc, sd = m.LOGNORMAL_PRIORS[name]
         prior = prior - ad.log(x) - 0.5 * (
             np.log(2 * np.pi) + 2.0 * np.log(sd) + (ad.log(x) - loc) ** 2 / sd**2)
     eta, nu1, nu2, sigma = hyper.values()
-    resid = -(beta - m.y)
+    resid = -(beta + m.mean_offset - m.y)
     base = ad.exp(m._d1sq * (-0.5 / nu1**2) + m._d2sq * (-0.5 / nu2**2))
     K = eta**2 * base + (sigma**2 + m.BASE_JITTER * eta**2) * np.eye(m.n)
     return tape_gaussian(resid, K) + prior
@@ -857,14 +852,19 @@ def subset_ensembles():
     binary = {**cols, "y": (r.random(n) < 0.5).astype(float)}
     dsb = data_io.prepare(binary, "y", center_columns=("u", "v"))
     return {"linear": linreg_subset_ensemble(ds, ("u", "v", "w")),
-            "logistic": logistic_subset_ensemble(dsb, ("u", "v"), prior_sd=3.0)}
+            "logistic": logistic_subset_ensemble(dsb, ("u", "v"), prior_sd=3.0),
+            # gp-fit's full lattice, with one odd axis, and gp-predict's
+            "gp 15x20": studies.gp_study(grid_size=20, n_test=100, seed=0)[1],
+            "gp 17x18 - 6": studies.gp_study(grid_size=18, n_test=24, seed=0)[1]}
 
 
-@pytest.mark.parametrize("kind", ["linear", "logistic"])
+@pytest.mark.parametrize("kind", ["linear", "logistic", "gp 15x20", "gp 17x18 - 6"])
 def test_stack_log_joint_matches_each_member(kind):
     # members padded into one (K, S, D) block give each member's own values
-    # and gradients, the intercept-only member included
+    # and gradients, the intercept-only and the fixed-mean members included;
+    # the GP pair's bitwise
     models = subset_ensembles()[kind]
+    tol = 0.0 if kind.startswith("gp") else 1e-12
     stacked = models.stacked
     assert type(stacked) is type(models[0])
     stacked_tags = np.array(stacked.layout.tags())
@@ -884,9 +884,9 @@ def test_stack_log_joint_matches_each_member(kind):
     assert vals.shape == (len(models), S)
     for k, (m, pos, theta) in enumerate(zip(models, models.mask, own)):
         v_k, g_k = ad.grad(m.log_joint, theta)
-        np.testing.assert_allclose(vals[k], v_k, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(plain[k], v_k, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grads[k][:, pos], g_k, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(vals[k], v_k, rtol=tol, atol=tol)
+        np.testing.assert_allclose(plain[k], v_k, rtol=tol, atol=tol)
+        np.testing.assert_allclose(grads[k][:, pos], g_k, rtol=tol, atol=tol)
 
 
 def test_stacked_linear_model_keeps_each_members_constants():
