@@ -11,7 +11,7 @@ the density path of each GP model (``GPModel.path``).
 Configuration is a flat INI file (``key = value`` under named sections; see
 the README for the grammar).  Values resolve in priority order: command-line
 flag, then ``VBMA_``-prefixed environment variable, then config file, then
-built-in default.
+the default of the library call the key feeds.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
 """
@@ -28,23 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import core, studies
+from . import core, metrics, optimizers, studies
 from . import data as data_io
 from . import evidence as evidence_mod
-from . import metrics
-from .families import VariationalState
 from .models import GPModel, linreg_subset_ensemble, logistic_subset_ensemble
-from .optimizers import NonFiniteGradientError
 
 ENV_PREFIX = "VBMA_"
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
-
-_RUN_KEYS = (
-    "samples", "pretrain_iters", "joint_iters", "window", "seed",
-    "optimizer", "step_size",
-)
 
 
 class CliError(Exception):
@@ -54,67 +46,101 @@ class CliError(Exception):
 # -- configuration resolution -------------------------------------------------
 
 
+def _names(text):
+    """A comma-separated list of column names."""
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+# Each INI section's keys: key -> (parameter of the library call it feeds, cast).
+# Only the keys set to a non-empty value are passed, so every default is the
+# library's own.  [study] and [ensemble] hold one table per study or kind.
+RUN_KEYS = {
+    "samples": ("n_samples", int),
+    "pretrain_iters": ("pretrain_iters", int),
+    "joint_iters": ("joint_iters", int),
+    "window": ("window", int),
+    "seed": ("seed", int),
+    "optimizer": ("optimizer", str),
+    "step_size": ("step_size", float),
+}
+STUDY_KEYS = {  # feeding studies.<name>_study
+    "crime": {"train_fraction": ("train_fraction", float),
+              "split_seed": ("split_seed", int), "g": ("g", float)},
+    "heart": {"prior_sd": ("prior_sd", float)},
+    "gp": {"grid_size": ("grid_size", int), "n_test": ("n_test", int),
+           "data_seed": ("seed", int), "offset_sds": ("offset_sds", float)},
+}
+DATA_KEYS = {  # the first three feed load_csv and split_mask, the rest data.prepare
+    "csv": ("csv", str),
+    "train_fraction": ("train_fraction", float),
+    "split_seed": ("split_seed", int),
+    "response": ("response", str),
+    "log": ("log_columns", _names),
+    "center": ("center_columns", _names),
+}
+ENSEMBLE_KEYS = {
+    "linear": {"g": ("g", float)},
+    "logistic": {"prior_sd": ("prior_sd", float)},
+}
+ENSEMBLES = {"linear": linreg_subset_ensemble, "logistic": logistic_subset_ensemble}
+
+
+def _union(tables, *own):
+    return tuple(dict.fromkeys([*own, *(key for keys in tables.values() for key in keys)]))
+
+
+KNOWN_KEYS = {
+    "study": _union(STUDY_KEYS, "name"),
+    "data": tuple(DATA_KEYS),
+    "ensemble": _union(ENSEMBLE_KEYS, "kind", "predictors"),
+    "run": tuple(RUN_KEYS),
+}
+
+
 def _read_ini(path):
     parser = configparser.ConfigParser()
-    found = parser.read(path)
-    if not found:
-        raise CliError(f"config file not found: {path}")
-    return {s: dict(parser.items(s)) for s in parser.sections()}
-
-
-def _env_overrides():
-    out = {}
-    for key in _RUN_KEYS:
-        val = os.environ.get(ENV_PREFIX + key.upper())
-        if val is not None:
-            out[key] = val
-    return out
+    try:  # a repeated section or key, or a bad % interpolation
+        if not parser.read(path):
+            raise CliError(f"config file not found: {path}")
+        return {s: dict(parser.items(s)) for s in parser.sections()}
+    except configparser.Error as err:
+        raise CliError(str(err))
 
 
 def resolve_settings(args):
     """Merge config file, environment, and flags into one flat dict."""
     sections = _read_ini(args.config) if args.config else {}
-    run = dict(sections.get("run", {}))
-    unknown = [key for key in run if key not in _RUN_KEYS]
-    if unknown:
-        raise CliError(f"unknown key {', '.join(map(repr, unknown))} in [run] "
-                       f"(known: {', '.join(_RUN_KEYS)})")
-    run.update(_env_overrides())
-    for key in _RUN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            run[key] = flag
-    settings = {
-        "study": sections.get("study", {}),
-        "data": sections.get("data", {}),
-        "ensemble": sections.get("ensemble", {}),
-        "run": run,
-    }
+    settings = {}
+    for section, known in KNOWN_KEYS.items():
+        settings[section] = dict(sections.get(section, {}))
+        unknown = [key for key in settings[section] if key not in known]
+        if unknown:
+            raise CliError(f"unknown key {', '.join(map(repr, unknown))} in [{section}] "
+                           f"(known: {', '.join(known)})")
+    for key in RUN_KEYS:
+        for val in (os.environ.get(ENV_PREFIX + key.upper()), getattr(args, key, None)):
+            if val is not None:
+                settings["run"][key] = val
     return settings
 
 
-def _get(section, key, default=None, cast=str):
-    val = section.get(key)
-    if val is None or val == "":
-        return default
-    try:
-        return cast(val)
-    except (TypeError, ValueError):
-        raise CliError(f"bad value for '{key}': {val!r}")
+def _library_args(section, keys):
+    """{parameter: cast value} for the keys set (non-empty) in ``section``."""
+    out = {}
+    for key, (param, cast) in keys.items():
+        val = section.get(key)
+        if val is None or val == "":
+            continue
+        try:
+            out[param] = cast(val)
+        except (TypeError, ValueError):
+            raise CliError(f"bad value for '{key}': {val!r}")
+    return out
 
 
 def vbma_config(settings):
-    run = settings["run"]
     try:
-        return core.VbmaConfig(
-            n_samples=_get(run, "samples", 10, int),
-            pretrain_iters=_get(run, "pretrain_iters", 500, int),
-            joint_iters=_get(run, "joint_iters", 200, int),
-            window=_get(run, "window", 100, int),
-            seed=_get(run, "seed", 0, int),
-            optimizer=_get(run, "optimizer", "adam"),
-            step_size=_get(run, "step_size", None, float),
-        )
+        return core.VbmaConfig(**_library_args(settings["run"], RUN_KEYS))
     except ValueError as err:
         raise CliError(str(err))
 
@@ -137,61 +163,39 @@ def build_ensemble(settings):
     study = settings["study"]
     name = study.get("name")
     if name:
-        try:
-            if name == "crime":
-                return studies.crime_study(
-                    train_fraction=_get(study, "train_fraction", 1.0, float),
-                    split_seed=_get(study, "split_seed", 0, int),
-                    g=_get(study, "g", None, float),
-                )
-            if name == "heart":
-                return studies.heart_study(prior_sd=_get(study, "prior_sd", 10.0, float))
-            if name == "gp":
-                return studies.gp_study(
-                    grid_size=_get(study, "grid_size", 20, int),
-                    n_test=_get(study, "n_test", 100, int),
-                    seed=_get(study, "data_seed", 0, int),
-                    offset_sds=_get(study, "offset_sds", 2.0, float),
-                )
+        if name not in STUDY_KEYS:
+            raise CliError(f"unknown study '{name}' (expected crime, heart, or gp)")
+        kwargs = _library_args(study, STUDY_KEYS[name])
+        try:  # looked up at call time, where a tracer may wrap it
+            return getattr(studies, f"{name}_study")(**kwargs)
         except ValueError as err:  # a study setting out of range
             raise CliError(str(err))
-        raise CliError(f"unknown study '{name}' (expected crime, heart, or gp)")
 
-    data = settings["data"]
-    ens = settings["ensemble"]
-    csv = data.get("csv")
-    if not csv:
+    data = _library_args(settings["data"], DATA_KEYS)
+    if "csv" not in data:
         raise CliError("config needs either [study] name or [data] csv")
+    csv = data.pop("csv")
     path = data_io.bundled_path(csv[8:]) if csv.startswith("bundled:") else csv
-    response = _get(data, "response", None)
-    if response is None:
+    if "response" not in data:
         raise CliError("[data] response is required")
-    split = lambda s: tuple(x.strip() for x in s.split(",") if x.strip())
-    log_cols = split(data.get("log", ""))
-    center_cols = split(data.get("center", ""))
+    # split_mask has no defaults of its own: by default every row trains
+    fraction, seed = data.pop("train_fraction", 1.0), data.pop("split_seed", 0)
     try:
         cols = data_io.load_csv(path)
         n = len(next(iter(cols.values())))
-        mask = data_io.split_mask(
-            n, _get(data, "train_fraction", 1.0, float), _get(data, "split_seed", 0, int)
-        )
-        ds = data_io.prepare(cols, response, log_columns=log_cols,
-                             center_columns=center_cols, train_mask=mask)
+        ds = data_io.prepare(cols, train_mask=data_io.split_mask(n, fraction, seed), **data)
     except (OSError, data_io.IngestionError, ValueError) as err:
         raise CliError(str(err))
-    kind = _get(ens, "kind", None)
-    predictors = split(ens.get("predictors", ""))
+    ens = settings["ensemble"]
+    kind = ens.get("kind") or None
+    predictors = _names(ens.get("predictors", ""))
     bad = [p for i, p in enumerate(predictors) if p not in ds.inputs or p in predictors[:i]]
     if bad:
         raise CliError(f"[ensemble] predictor {bad[0]!r} is repeated or not an input column "
                        f"(inputs: {', '.join(ds.inputs)})")
-    if kind == "linear":
-        return ds, linreg_subset_ensemble(ds, predictors, g=_get(ens, "g", None, float))
-    if kind == "logistic":
-        return ds, logistic_subset_ensemble(
-            ds, predictors, prior_sd=_get(ens, "prior_sd", 10.0, float)
-        )
-    raise CliError(f"unknown ensemble kind '{kind}' (expected linear or logistic)")
+    if kind not in ENSEMBLES:
+        raise CliError(f"unknown ensemble kind '{kind}' (expected linear or logistic)")
+    return ds, ENSEMBLES[kind](ds, predictors, **_library_args(ens, ENSEMBLE_KEYS[kind]))
 
 
 # -- artifact plumbing --------------------------------------------------------
@@ -222,30 +226,6 @@ def write_table(path, header_comments, names, rows):
             fh.write(",".join(_format(v) for v in row) + "\n")
 
 
-def parse_checkpoint(text):
-    """Inverse of EnsembleState.to_text for the fields the front end needs."""
-    lines = text.splitlines()
-    meta = {}
-    states = {}
-    current_name = None
-    block = []
-    for line in lines:
-        if line.startswith("[model "):
-            if current_name is not None:
-                states[current_name] = VariationalState.from_text("\n".join(block))
-            current_name = line[len("[model "):-1]
-            block = []
-        elif current_name is not None:
-            block.append(line)
-        elif line.startswith(("iteration ", "phase ", "q ")):
-            key, _, rest = line.partition(" ")
-            meta[key] = rest
-    if current_name is not None:
-        states[current_name] = VariationalState.from_text("\n".join(block))
-    q = np.array([float(v) for v in meta.get("q", "").split()])
-    return meta, q, states
-
-
 def load_fit(out_dir, models):
     """Reconstruct a BmaPosterior from fit artifacts in ``out_dir``."""
     ckpt = Path(out_dir) / "checkpoint.txt"
@@ -254,7 +234,7 @@ def load_fit(out_dir, models):
             f"no fit artifacts in {out_dir}; run the fit subcommand first"
         )
     try:
-        _, q, states = parse_checkpoint(ckpt.read_text())
+        q, states = core.parse_checkpoint(ckpt.read_text())
     except ValueError as err:
         raise CliError(f"{ckpt}: a line does not parse ({err})")
     names = [m.name for m in models]
@@ -520,7 +500,7 @@ def build_parser():
     common.add_argument("--config", help="INI configuration file")
     common.add_argument("--out", default="vbma-out", help="artifact directory")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--optimizer", default=None, choices=["adam", "rmsprop"])
+    common.add_argument("--optimizer", default=None, choices=list(optimizers.OPTIMIZERS))
     common.add_argument("--step-size", dest="step_size", type=float, default=None)
     common.add_argument("--samples", type=int, default=None, help="MC draws per gradient (S)")
     common.add_argument("--pretrain-iters", dest="pretrain_iters", type=int, default=None)
@@ -569,7 +549,7 @@ def main(argv=None):
     except (CliError, evidence_mod.ConfigurationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (core.IterationError, NonFiniteGradientError, np.linalg.LinAlgError,
+    except (core.IterationError, optimizers.NonFiniteGradientError, np.linalg.LinAlgError,
             FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -64,6 +64,9 @@ class VbmaConfig:
             raise ValueError("window must be >= 1, or 0 when joint_iters is 0")
         if self.window > max(self.joint_iters, 1):
             raise ValueError("window cannot exceed joint_iters")
+        if self.optimizer.lower() not in optimizers.OPTIMIZERS:
+            raise ValueError(f"unknown optimizer '{self.optimizer}' "
+                             f"(expected {' or '.join(optimizers.OPTIMIZERS)})")
         if self.step_size is not None and not self.step_size > 0:
             raise ValueError("step_size must be > 0")
         if self.seed < 0:
@@ -174,6 +177,18 @@ class EnsembleState:
             lines.append(f"[model {model.name}]")
             lines.append(vs.to_text())
         return "\n".join(lines) + "\n"
+
+
+def parse_checkpoint(text):
+    """Inverse of ``EnsembleState.to_text``: (q, {model name: VariationalState}).
+    Any other line before the first model block is skipped."""
+    head, *blocks = ("\n" + text).split("\n[model ")
+    q = [float(v) for line in head.splitlines() if line.startswith("q ") for v in line.split()[1:]]
+    states = {}
+    for block in blocks:
+        name, _, body = block.partition("\n")
+        states[name[:-1]] = families.VariationalState.from_text(body)
+    return np.array(q), states
 
 
 def estimate_grad_and_elbo(model, state, z_draws, rng=None):

@@ -29,11 +29,10 @@ def _checked(g):
 class Adam:
     """Bias-corrected adaptive ascent (constant step size)."""
 
-    def __init__(self, step_size=0.05, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, step_size=0.05):
         self.step_size = step_size
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = None
         self.v = None
         self.t = 0
@@ -47,20 +46,20 @@ class Adam:
             self.m = np.zeros_like(lam)
             self.v = np.zeros_like(lam)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g2
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return lam + self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * g
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * g2
+        m_hat = self.m / (1.0 - self.BETA1**self.t)
+        v_hat = self.v / (1.0 - self.BETA2**self.t)
+        return lam + self.step_size * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 class RMSprop:
     """Mean-square-scaled ascent."""
 
-    def __init__(self, step_size=0.01, decay=0.9, eps=1e-8):
+    DECAY, EPS = 0.9, 1e-8
+
+    def __init__(self, step_size=0.01):
         self.step_size = step_size
-        self.decay = decay
-        self.eps = eps
         self.sq = None
         self.t = 0
 
@@ -72,15 +71,17 @@ class RMSprop:
         if self.sq is None:
             self.sq = np.zeros_like(lam)
         self.t += 1
-        self.sq = self.decay * self.sq + (1.0 - self.decay) * g2
-        return lam + self.step_size * g / (np.sqrt(self.sq) + self.eps)
+        self.sq = self.DECAY * self.sq + (1.0 - self.DECAY) * g2
+        return lam + self.step_size * g / (np.sqrt(self.sq) + self.EPS)
+
+
+OPTIMIZERS = {"adam": Adam, "rmsprop": RMSprop}
 
 
 def make_optimizer(name, step_size=None):
-    name = name.lower()
-    if name == "adam":
-        return Adam(step_size=0.05 if step_size is None else step_size)
-    if name == "rmsprop":
-        return RMSprop(step_size=0.01 if step_size is None else step_size)
-    raise ValueError(f"unknown optimizer '{name}'")
+    """The named stepper, at its own default step size unless one is given."""
+    cls = OPTIMIZERS.get(name.lower())
+    if cls is None:
+        raise ValueError(f"unknown optimizer '{name}'")
+    return cls() if step_size is None else cls(step_size)
 

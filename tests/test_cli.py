@@ -11,6 +11,7 @@ from vbma import cli
 from vbma import core
 from vbma import data as data_io
 from vbma import families
+from vbma import studies
 from vbma.models import GPModel
 
 
@@ -427,18 +428,59 @@ def test_usage_errors_exit_one(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[study]\nname = unknown-study\n")
     assert run_cli(["fit", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    for text in ("[study]\nname = crime\n[study]\ng = 3\n",  # a section twice
+                 "[data]\ncsv = a%b.csv\n",  # not a % interpolation
+                 "[study]\nname = crime\n[run]\noptimizer = sgd\n"):
+        bad.write_text(text)
+        assert run_cli(["fit", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     with pytest.raises(SystemExit):  # argparse --version/-h still exits itself
         run_cli(["--version"])
     assert run_cli(["fit"]) == 1 or run_cli(["fit", "--config", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("line", ["threads = 2", "sampels = 3"])
-def test_unknown_run_key_is_usage_error(tmp_path, crime_cfg, capsys, line):
-    crime_cfg.write_text(crime_cfg.read_text() + line + "\n")
+@pytest.mark.parametrize("section, line, known", [
+    ("run", "threads = 2", "samples"), ("run", "sampels = 3", "samples"),
+    # a typo that would otherwise fit on the default lattice
+    ("study", "grid_sise = 30", "name, train_fraction, split_seed, g, prior_sd, grid_size"),
+    ("data", "trian_fraction = 0.5", "csv, train_fraction"),
+    ("ensemble", "prior = 3", "kind, predictors, g, prior_sd"),
+], ids=["threads = 2", "sampels = 3", "study", "data", "ensemble"])
+def test_unknown_config_key_is_usage_error(tmp_path, crime_cfg, single_model_cfg, capsys,
+                                           section, line, known):
+    cfg = crime_cfg if section in ("run", "study") else single_model_cfg
+    cfg.write_text(cfg.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
     out = tmp_path / "out"
-    assert run_cli(["fit", "--config", str(crime_cfg), "--out", str(out)]) == 1
-    assert f"error: unknown key '{line.split()[0]}'" in capsys.readouterr().err
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: unknown key '{line.split()[0]}' in [{section}] (known: {known}" in err
     assert not (out / "weights.csv").exists()
+
+
+@pytest.mark.parametrize("section, line", [
+    ("run", "step_size = x"), ("study", "g = x"), ("data", "split_seed = 1.5"), ("ensemble", "g = x"),
+], ids=["run", "study", "data", "ensemble"])
+def test_bad_config_value_is_usage_error(tmp_path, crime_cfg, single_model_cfg, capsys,
+                                         section, line):
+    cfg = crime_cfg if section in ("run", "study") else single_model_cfg
+    cfg.write_text(cfg.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    key, _, value = line.partition(" = ")
+    assert capsys.readouterr().err == f"error: bad value for '{key}': '{value}'\n"
+
+
+@pytest.mark.parametrize("run", [{}, dict.fromkeys(cli.RUN_KEYS, "")], ids=["empty", "blank"])
+def test_unset_run_keys_take_the_library_defaults(run):
+    assert cli.vbma_config({"run": run}) == core.VbmaConfig()
+
+
+@pytest.mark.parametrize("name", ["crime", "heart", "gp"])
+def test_study_name_alone_builds_the_library_study(name):
+    ds, models = cli.build_ensemble({"study": {"name": name}, "data": {}, "ensemble": {}})
+    want_ds, want = getattr(studies, f"{name}_study")()
+    assert [m.name for m in models] == [m.name for m in want]
+    assert ds.train_mask.tobytes() == want_ds.train_mask.tobytes()
+    assert list(ds.columns) == list(want_ds.columns)
+    assert all(ds.columns[c].tobytes() == want_ds.columns[c].tobytes() for c in ds.columns)
 
 
 @pytest.mark.parametrize("flags", [["--window", "-3"], ["--window", "0"],
@@ -586,14 +628,21 @@ def test_numerical_failures_exit_two(tmp_path, crime_cfg, monkeypatch):
 
 
 def test_checkpoint_parse_round_trip(tmp_path, crime_cfg):
+    # the written checkpoint, header comments and all, reads back as the
+    # fitted state bit for bit
     out = tmp_path / "out"
-    run_cli(["fit", "--config", str(crime_cfg), "--out", str(out)])
-    meta, q, states = cli.parse_checkpoint((out / "checkpoint.txt").read_text())
-    assert len(q) == 8
-    assert sum(q) == pytest.approx(1.0, abs=1e-9)
-    assert len(states) == 8
-    assert all(s.dim >= 2 for s in states.values())
-    assert meta["phase"] == "joint"
+    assert run_cli(["fit", "--config", str(crime_cfg), "--out", str(out)]) == 0
+    settings = cli.resolve_settings(cli.build_parser().parse_args(
+        ["fit", "--config", str(crime_cfg)]))
+    _, models = cli.build_ensemble(settings)
+    state = core.run(cli.vbma_config(settings), models)
+    q, states = core.parse_checkpoint((out / "checkpoint.txt").read_text())
+    assert q.tobytes() == state.q.tobytes()
+    assert list(states) == [m.name for m in models]
+    for got, want in zip(states.values(), state.variational):
+        assert (got.names, got.tags) == (want.names, want.tags)
+        assert got.mu.tobytes() == want.mu.tobytes()
+        assert got.raw_scale.tobytes() == want.raw_scale.tobytes()
 
 
 def test_svg_emission(tmp_path, crime_cfg):

@@ -697,7 +697,8 @@ def test_config_validation():
                          (dict(seed=-1), "seed"), (dict(conv_window=0), "conv_window"),
                          (dict(conv_window=-2), "conv_window"),
                          (dict(conv_tol=-1e-4), "conv_tol"),
-                         (dict(conv_tol=float("nan")), "conv_tol")):
+                         (dict(conv_tol=float("nan")), "conv_tol"),
+                         (dict(optimizer="sgd"), "optimizer")):
         with pytest.raises(ValueError, match=message):
             VbmaConfig(**bad)
     # no joint iterations need no averaging window

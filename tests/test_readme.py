@@ -6,6 +6,8 @@ import io
 import re
 from pathlib import Path
 
+from vbma import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -16,3 +18,13 @@ def test_library_quick_start_runs_and_matches_the_exact_posterior():
     with contextlib.redirect_stdout(out):
         exec(compile(match.group(1), str(README), "exec"), {})
     assert float(out.getvalue()) < 0.05  # the printed max |q - exact|
+
+
+def test_config_grammar_names_exactly_the_known_keys(tmp_path):
+    match = re.search(r"### Config file grammar\n.*?```ini\n(.*?)```", README.read_text(), re.S)
+    assert match, "README has no config grammar block"
+    cfg = tmp_path / "grammar.ini"
+    cfg.write_text(match.group(1))
+    settings = cli.resolve_settings(cli.build_parser().parse_args(["fit", "--config", str(cfg)]))
+    assert {section: set(keys) for section, keys in settings.items()} == {
+        section: set(keys) for section, keys in cli.KNOWN_KEYS.items()}
