@@ -187,12 +187,14 @@ def build_ensemble(settings):
     except (OSError, data_io.IngestionError, ValueError) as err:
         raise CliError(str(err))
     ens = settings["ensemble"]
-    kind = ens.get("kind") or None
+    kind = ens.get("kind")
     predictors = _names(ens.get("predictors", ""))
     bad = [p for i, p in enumerate(predictors) if p not in ds.inputs or p in predictors[:i]]
     if bad:
         raise CliError(f"[ensemble] predictor {bad[0]!r} is repeated or not an input column "
                        f"(inputs: {', '.join(ds.inputs)})")
+    if not kind:
+        raise CliError("[ensemble] kind is required (linear or logistic)")
     if kind not in ENSEMBLES:
         raise CliError(f"unknown ensemble kind '{kind}' (expected linear or logistic)")
     return ds, ENSEMBLES[kind](ds, predictors, **_library_args(ens, ENSEMBLE_KEYS[kind]))
@@ -267,7 +269,7 @@ def cmd_fit(args):
     header = _header(settings)
     status = "converged" if state.converged else "budget-exhausted"
 
-    q = state.final_weights(cfg.window)
+    q = state.q
     trace = np.array(state.weight_trace) if state.weight_trace else q[None, :]
     tail = trace[-cfg.window:]
     se = tail.std(axis=0, ddof=1) / np.sqrt(len(tail)) if len(tail) > 1 else np.zeros_like(q)
@@ -355,14 +357,10 @@ def cmd_bf(args):
     return 0
 
 
-def _prediction_inputs(ds):
-    """(row set, design over every non-response column): test rows if any."""
-    rows = "test" if (~ds.train_mask).any() else "train"
-    return rows, ds.design(ds.inputs, rows)
-
-
-def _levels_and_draws(args):
-    """Checked ``--levels`` (comma-separated, each in (0, 1)) and ``--draws``."""
+def _predictive_setup(args):
+    """What predict and coverage share: (settings, dataset, fitted posterior,
+    checked ``--levels`` (comma-separated, each in (0, 1)), row set, design
+    over every non-response column), on the test rows if any."""
     try:
         levels = tuple(float(v) for v in args.levels.split(",") if v.strip())
     except ValueError:
@@ -372,40 +370,33 @@ def _levels_and_draws(args):
             raise CliError(f"credibility level {lev} outside (0, 1)")
     if args.draws < 1:
         raise CliError(f"--draws must be >= 1, got {args.draws}")
-    return levels, args.draws
-
-
-def cmd_predict(args):
-    levels, n_draws = _levels_and_draws(args)
     settings = resolve_settings(args)
     ds, models = build_ensemble(settings)
     posterior = load_fit(args.out, models)
-    rows, X = _prediction_inputs(ds)
+    rows = "test" if (~ds.train_mask).any() else "train"
+    return settings, ds, posterior, levels, rows, ds.design(ds.inputs, rows)
+
+
+def cmd_predict(args):
+    settings, ds, posterior, levels, rows, X = _predictive_setup(args)
     rng = np.random.default_rng(vbma_config(settings).seed)
-    draws = metrics.bma_draw(posterior, X, n_draws, rng)
+    draws = metrics.bma_draw(posterior, X, args.draws, rng)
     names = ["row", "mean"]
     columns = [range(len(X)), draws.mean(axis=0)]
     for lev in levels:
         names += [f"lo{lev:g}", f"hi{lev:g}"]
         columns += metrics.equal_tail_interval(draws, 1.0 - lev)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_table(out / "predictions.csv", _header(settings) + [f"rows={rows}"],
+    write_table(Path(args.out) / "predictions.csv", _header(settings) + [f"rows={rows}"],
                 names, zip(*columns))
     print(f"predict: wrote {len(X)} rows ({rows} set)")
     return 0
 
 
 def cmd_coverage(args):
-    levels, n_draws = _levels_and_draws(args)
-    settings = resolve_settings(args)
-    ds, models = build_ensemble(settings)
-    posterior = load_fit(args.out, models)
-    rows, X = _prediction_inputs(ds)
+    settings, ds, posterior, levels, rows, X = _predictive_setup(args)
     cov = metrics.coverage_curve(posterior, X, ds.y(rows), levels,
-                                 n_draws=n_draws, seed=vbma_config(settings).seed)
+                                 n_draws=args.draws, seed=vbma_config(settings).seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_table(out / "coverage.csv", _header(settings) + [f"rows={rows}"],
                 ["level", "coverage"],
                 [(float(l), float(cov[l])) for l in levels])

@@ -44,6 +44,8 @@ class IterationError(RuntimeError):
 
 @dataclass
 class VbmaConfig:
+    """The settings of a fit: one field per ``[run]`` key of the CLI."""
+
     n_samples: int = 10           # S, MC draws per gradient/ELBO estimate
     pretrain_iters: int = 500
     joint_iters: int = 200
@@ -51,9 +53,11 @@ class VbmaConfig:
     seed: int = 0
     optimizer: str = "adam"
     step_size: float = None       # optimizer default when None
-    conv_tol: float = 1e-4        # relative change of windowed mean ELBO
-    conv_window: int = 50
-    init_var: float = 0.01
+
+    # every coordinate's starting variance; the joint phase stops once the
+    # mean ensemble ELBO over the last CONV_WINDOW iterations changes by less
+    # than CONV_TOL, relative to the CONV_WINDOW before
+    INIT_VAR, CONV_TOL, CONV_WINDOW = 0.01, 1e-4, 50
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -71,10 +75,6 @@ class VbmaConfig:
             raise ValueError("step_size must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.conv_window < 1:
-            raise ValueError("conv_window must be >= 1")
-        if not self.conv_tol >= 0:
-            raise ValueError("conv_tol must be >= 0 (0 runs the full budget)")
 
 
 class _Group:
@@ -94,7 +94,7 @@ class _Group:
         K, D = mask.shape
         self.own = np.concatenate([mask, mask], axis=1)
         self.lam = np.zeros((K, 2 * D))
-        self.lam[:, D:][mask] = families.encode_scale(config.init_var)
+        self.lam[:, D:][mask] = families.encode_scale(config.INIT_VAR)
         lognormal = np.zeros((K, D))
         lognormal[mask] = [t is families.FamilyTag.LOGNORMAL for tags, _ in self.layouts for t in tags]
         self.state = families.StackedState(self.lam[:, None, :D], self.lam[:, None, D:],
@@ -162,13 +162,6 @@ class EnsembleState:
     def variational(self):
         """Per-model VariationalState, copied out of the groups."""
         return [g.member(k) for g in self.groups for k in range(len(g.members))]
-
-    def final_weights(self, window):
-        """Trailing-window mean of the weight trace (the reported q)."""
-        if not self.weight_trace:
-            return self.q.copy()
-        tail = self.weight_trace[-window:]
-        return np.mean(tail, axis=0)
 
     def to_text(self):
         lines = [f"iteration {self.iteration}", f"phase {self.phase}",
@@ -330,13 +323,14 @@ def run(config: VbmaConfig, models, progress=None):
         ens_elbo.append(float(state.q @ elbos))
         if progress:
             progress(state)
-        w = config.conv_window
+        w = config.CONV_WINDOW
         if len(ens_elbo) >= 2 * w and len(state.weight_trace) >= config.window:
             recent = np.mean(ens_elbo[-w:])
             previous = np.mean(ens_elbo[-2 * w:-w])
-            if abs(recent - previous) < config.conv_tol * (abs(previous) + 1e-12):
+            if abs(recent - previous) < config.CONV_TOL * (abs(previous) + 1e-12):
                 state.converged = True
                 break
 
-    state.q = state.final_weights(config.window)
+    if state.weight_trace:  # the reported q: the trailing-window mean
+        state.q = np.mean(state.weight_trace[-config.window:], axis=0)
     return state

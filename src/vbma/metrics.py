@@ -29,13 +29,13 @@ class BmaPosterior:
             raise ValueError("weights must lie in [0, 1] and sum to 1 within 1e-12")
 
 
-def _model_draws(model, state, count, X, rng, noise):
+def _model_draws(model, state, count, X, rng, noise=True):
     """(count, m) predictive draws of one model, its thetas drawn as one block."""
     thetas = families.sample(state, rng.standard_normal((count, state.dim)))
     return model.draw_predictive(thetas, X, rng, noise=noise)
 
 
-def bma_draw(posterior: BmaPosterior, X, n_draws, rng, noise=True):
+def bma_draw(posterior: BmaPosterior, X, n_draws, rng):
     """Draws from the variational BMA predictive mixture at the rows of ``X``.
 
     Returns ``(n_draws, m)``.  The draws are split across models by
@@ -46,7 +46,7 @@ def bma_draw(posterior: BmaPosterior, X, n_draws, rng, noise=True):
         raise ValueError("n_draws must be >= 1")
     counts = rng.multinomial(n_draws, posterior.weights)
     return np.concatenate([
-        _model_draws(model, state, c, X, rng, noise)
+        _model_draws(model, state, c, X, rng)
         for model, state, c in zip(posterior.models, posterior.variational, counts) if c
     ])
 
@@ -74,7 +74,7 @@ def equal_tail_interval(draws, alpha):
     return lo, hi
 
 
-def coverage_curve(posterior, X_test, y_test, levels, n_draws=2000, seed=0, noise=True):
+def coverage_curve(posterior, X_test, y_test, levels, n_draws=2000, seed=0):
     """Empirical coverage of equal-tail predictive intervals per level.
 
     ``levels`` are credibility levels (e.g. 0.1 .. 0.9); returns a dict
@@ -84,7 +84,7 @@ def coverage_curve(posterior, X_test, y_test, levels, n_draws=2000, seed=0, nois
     y_test = np.asarray(y_test, dtype=float)
     if len(y_test) == 0:
         raise ValueError("test set must be nonempty")
-    draws = bma_draw(posterior, X_test, n_draws, np.random.default_rng(seed), noise=noise)
+    draws = bma_draw(posterior, X_test, n_draws, np.random.default_rng(seed))
     out = {}
     for lev in levels:
         lo, hi = equal_tail_interval(draws, 1.0 - lev)

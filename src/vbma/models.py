@@ -151,14 +151,12 @@ class GaussianMeanModel(Model):
 
     supports_blocks = True
 
-    def __init__(self, y, obs_sd=1.0, prior_mean=0.0, prior_sd=1.0,
-                 name="normal-mean", prior_weight=1.0):
+    def __init__(self, y, obs_sd=1.0, prior_mean=0.0, prior_sd=1.0, name="normal-mean"):
         self.y = np.asarray(y, dtype=float)
         self.obs_sd = float(obs_sd)
         self.prior_mean = float(prior_mean)
         self.prior_sd = float(prior_sd)
         self.name = name
-        self.prior_weight = prior_weight
         self.layout = ParamLayout([ParamBlock("mu", 1, FamilyTag.NORMAL)])
 
     def log_lik(self, theta):
@@ -215,34 +213,43 @@ def _linear_predictor(thetas, X, columns):
     return thetas[:, :1] + thetas[:, 1:1 + len(columns)] @ X.T
 
 
-class LinRegModel(Model):
-    """Linear regression on a predictor subset with Zellner's g-prior.
-
-    Priors: phi ~ 1/phi, flat intercept, slopes ~ N(0, g (X'X)^-1 / phi).
-    The design matrix must be centered (intercept handled separately).
-    ``log_lik`` and ``log_prior`` are closed forms, each one tape node.
-    ``inputs`` names the columns of the rows given to ``draw_predictive``
-    (default: ``predictors``); the model picks its predictors from them.
+class _Regression(Model):
+    """What linear and logistic regression share: the design ``X`` of the p
+    ``predictors`` (no columns when p = 0), the responses ``y``, the layout
+    [beta0, beta (when p > 0), *``tail``] and the name, ``PREFIX`` and the
+    predictors joined by "+" ("intercept" when p = 0).  ``inputs`` names the
+    columns of the rows given to ``draw_predictive`` (default:
+    ``predictors``); the model picks its predictors from them.
     """
 
     supports_blocks = True
+    PREFIX: str
 
-    def __init__(self, X, y, predictors=(), g=None, name=None, prior_weight=1.0,
-                 inputs=None):
+    def __init__(self, X, y, predictors, inputs, tail=()):
         self.X = np.asarray(X, dtype=float) if len(predictors) else np.zeros((len(y), 0))
         self.y = np.asarray(y, dtype=float)
         self.predictors = tuple(predictors)
         self.p = len(self.predictors)
         self._columns = [tuple(inputs or self.predictors).index(p) for p in self.predictors]
+        self.name = self.PREFIX + ("+".join(self.predictors) or "intercept")
+        beta = [ParamBlock("beta", self.p, FamilyTag.NORMAL)] if self.p else []
+        self.layout = ParamLayout([ParamBlock("beta0", 1, FamilyTag.NORMAL), *beta, *tail])
+
+
+class LinRegModel(_Regression):
+    """Linear regression on a predictor subset with Zellner's g-prior.
+
+    Priors: phi ~ 1/phi, flat intercept, slopes ~ N(0, g (X'X)^-1 / phi).
+    The design matrix must be centered (intercept handled separately).
+    ``log_lik`` and ``log_prior`` are closed forms, each one tape node.
+    """
+
+    PREFIX = "lin:"
+
+    def __init__(self, X, y, predictors=(), g=None, inputs=None):
+        super().__init__(X, y, predictors, inputs, [ParamBlock("phi", 1, FamilyTag.LOGNORMAL)])
         self.n = len(self.y)
         self.g = float(self.n if g is None else g)
-        self.name = name or ("lin:" + ("+".join(self.predictors) or "intercept"))
-        self.prior_weight = prior_weight
-        blocks = [ParamBlock("beta0", 1, FamilyTag.NORMAL)]
-        if self.p:
-            blocks.append(ParamBlock("beta", self.p, FamilyTag.NORMAL))
-        blocks.append(ParamBlock("phi", 1, FamilyTag.LOGNORMAL))
-        self.layout = ParamLayout(blocks)
         if self.p:
             self.xtx = self.X.T @ self.X
             sign, logdet = np.linalg.slogdet(self.xtx)
@@ -312,31 +319,19 @@ class LinRegModel(Model):
         return mean + rng.standard_normal(mean.shape) / np.sqrt(phi)
 
 
-class LogisticModel(Model):
+class LogisticModel(_Regression):
     """Bernoulli regression with logit link and independent normal priors.
 
     ``log_lik`` and ``log_prior`` are closed forms, each one tape node.
-    ``inputs`` is as for ``LinRegModel``.
     """
 
-    supports_blocks = True
+    PREFIX = "logit:"
 
-    def __init__(self, X, y, predictors=(), prior_sd=10.0, name=None, prior_weight=1.0,
-                 inputs=None):
-        self.X = np.asarray(X, dtype=float) if len(predictors) else np.zeros((len(y), 0))
-        self.y = np.asarray(y, dtype=float)
+    def __init__(self, X, y, predictors=(), prior_sd=10.0, inputs=None):
+        super().__init__(X, y, predictors, inputs)
         if not set(np.unique(self.y)) <= {0.0, 1.0}:
             raise ValueError("responses must be binary 0/1")
-        self.predictors = tuple(predictors)
-        self.p = len(self.predictors)
-        self._columns = [tuple(inputs or self.predictors).index(p) for p in self.predictors]
         self.prior_sd = float(prior_sd)
-        self.name = name or ("logit:" + ("+".join(self.predictors) or "intercept"))
-        self.prior_weight = prior_weight
-        blocks = [ParamBlock("beta0", 1, FamilyTag.NORMAL)]
-        if self.p:
-            blocks.append(ParamBlock("beta", self.p, FamilyTag.NORMAL))
-        self.layout = ParamLayout(blocks)
         self._sign = 1.0 - 2.0 * self.y  # -1 where y=1, +1 where y=0
 
     def log_lik(self, theta):
@@ -720,9 +715,8 @@ def _subset_ensemble(cls, dataset, predictors, **kw):
                   inputs=dataset.inputs, **kw)
               for r in range(len(predictors) + 1)
               for subset in itertools.combinations(predictors, r)]
-    total = sum(m.prior_weight for m in models)
     for m in models:
-        m.prior_weight = m.prior_weight / total
+        m.prior_weight = 1.0 / len(models)
     return SubsetEnsemble(models)
 
 

@@ -61,7 +61,6 @@ class RMSprop:
     def __init__(self, step_size=0.01):
         self.step_size = step_size
         self.sq = None
-        self.t = 0
 
     def step(self, lam, g):
         g, g2 = _checked(g)
@@ -70,7 +69,6 @@ class RMSprop:
             raise ValueError("gradient and parameter shapes differ")
         if self.sq is None:
             self.sq = np.zeros_like(lam)
-        self.t += 1
         self.sq = self.DECAY * self.sq + (1.0 - self.DECAY) * g2
         return lam + self.step_size * g / (np.sqrt(self.sq) + self.EPS)
 

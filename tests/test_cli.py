@@ -1,6 +1,7 @@
 """Front-end behavior: artifact layout and headers, reproducibility,
 configuration precedence, and the exit-code contract."""
 
+import dataclasses
 import os
 import shutil
 
@@ -423,7 +424,7 @@ def test_synth_gp_rejects_an_empty_lattice(tmp_path, capsys, size):
     assert not gp_csv.exists()
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["fit", "--config", str(tmp_path / "nope.ini")]) == 1
     bad = tmp_path / "bad.ini"
     bad.write_text("[study]\nname = unknown-study\n")
@@ -433,6 +434,13 @@ def test_usage_errors_exit_one(tmp_path):
                  "[study]\nname = crime\n[run]\noptimizer = sgd\n"):
         bad.write_text(text)
         assert run_cli(["fit", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    # an [ensemble] with no kind, or an empty one
+    capsys.readouterr()
+    for kind in ("", "kind =\n"):
+        bad.write_text("[data]\ncsv = bundled:crime.csv\nresponse = y\n"
+                       f"[ensemble]\npredictors = M\n{kind}")
+        assert run_cli(["fit", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: [ensemble] kind is required (linear or logistic)\n"
     with pytest.raises(SystemExit):  # argparse --version/-h still exits itself
         run_cli(["--version"])
     assert run_cli(["fit"]) == 1 or run_cli(["fit", "--config", str(bad)]) == 1
@@ -466,6 +474,12 @@ def test_bad_config_value_is_usage_error(tmp_path, crime_cfg, single_model_cfg, 
     assert run_cli(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     key, _, value = line.partition(" = ")
     assert capsys.readouterr().err == f"error: bad value for '{key}': '{value}'\n"
+
+
+def test_run_keys_are_the_config_fields():
+    # the README's [run] grammar: one key per field of core.VbmaConfig
+    assert ({f.name for f in dataclasses.fields(core.VbmaConfig)}
+            == {param for param, _ in cli.RUN_KEYS.values()})
 
 
 @pytest.mark.parametrize("run", [{}, dict.fromkeys(cli.RUN_KEYS, "")], ids=["empty", "blank"])

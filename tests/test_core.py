@@ -124,8 +124,16 @@ class FragileBlockModel(FragileModel):
         return ad.log(theta[..., 0])
 
 
-def lone_group(model, init_var=0.01):
-    (group,) = core.init_state(VbmaConfig(init_var=init_var), [model]).groups
+def init_groups(models, init_var):
+    """The groups of ``core.init_state`` with every coordinate's starting
+    variance ``init_var`` in place of ``VbmaConfig.INIT_VAR``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VbmaConfig, "INIT_VAR", init_var)
+        return core.init_state(VbmaConfig(), models).groups
+
+
+def lone_group(model, init_var=VbmaConfig.INIT_VAR):
+    (group,) = init_groups([model], init_var)
     return group
 
 
@@ -255,7 +263,7 @@ def test_stacked_estimate_matches_per_model(kind, monkeypatch):
     # members included, and nothing on the padding
     models = {"crime": lambda: studies.crime_study()[1], "logistic": heart_like_ensemble,
               "gp": small_gp_pair}[kind]()
-    (group,) = core.init_state(VbmaConfig(init_var=0.05), models).groups
+    (group,) = init_groups(models, 0.05)
     assert group.members == list(range(len(models))) and group.stacked is models.stacked
     assert group.mask is models.mask
     rng = np.random.default_rng(8)
@@ -320,8 +328,8 @@ def shifted_ensemble(shifts):
 
 
 def test_failed_stack_pass_redoes_each_member_on_its_own(monkeypatch):
-    cfg = VbmaConfig(n_samples=6, pretrain_iters=6, joint_iters=4, window=2, seed=3,
-                     init_var=1.0)
+    monkeypatch.setattr(VbmaConfig, "INIT_VAR", 1.0)
+    cfg = VbmaConfig(n_samples=6, pretrain_iters=6, joint_iters=4, window=2, seed=3)
     models = shifted_ensemble((3.0, 1.0, 2.0))
     (group,) = core.init_state(cfg, models).groups
     # one draw of member 1 below its pole fails the stacked pass; each
@@ -388,7 +396,7 @@ def test_stacked_pass_and_fallback_match_member_loop(cls, p, n, S, seed):
     cols["y"] = (r.random(n) < 0.5) * 1.0 if cls is PoleLogisticModel else r.standard_normal(n)
     ds = data_io.prepare(cols, "y", center_columns=names)
     models = models_mod._subset_ensemble(cls, ds, names)
-    (group,) = core.init_state(VbmaConfig(init_var=0.05), models).groups
+    (group,) = init_groups(models, 0.05)
     K, D = group.mask.shape
     group.lam[:, :D][group.mask] += 0.3 * r.standard_normal(group.mask.sum())
     seed = int(r.integers(2**32))
@@ -414,7 +422,7 @@ def test_underflowed_phi_fails_the_stacked_pass_and_each_member_is_redone():
     # raises NonFiniteValueError (no RuntimeWarning), and the group redoes
     # each member by the row loop on its slice of the same block
     models = studies.crime_study()[1]
-    (group,) = core.init_state(VbmaConfig(init_var=0.05), models).groups
+    (group,) = init_groups(models, 0.05)
     K, D = group.mask.shape
     z = np.random.default_rng(3).standard_normal((K, 10, D)) * group.state.mask
     z[2, 4, -1] = -1e4
@@ -496,7 +504,7 @@ def test_mixed_ensemble_gives_each_model_its_own_result():
     for i, m in enumerate(models):
         # the model-by-model loop, written out for model i alone
         d = m.layout.dim
-        vs = VariationalState(np.zeros(d), np.full(d, families.encode_scale(cfg.init_var)),
+        vs = VariationalState(np.zeros(d), np.full(d, families.encode_scale(cfg.INIT_VAR)),
                               m.layout.tags(), m.layout.names())
         opt = optimizers.make_optimizer(cfg.optimizer)
         trace = []
@@ -678,9 +686,12 @@ def test_a_pass_decodes_the_variances_once(monkeypatch):
 
 
 def test_final_weights_is_trailing_mean():
-    state = core.init_state(VbmaConfig(joint_iters=10, window=5), [conjugate_model()])
-    state.weight_trace = [np.array([v]) for v in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
-    assert state.final_weights(5)[0] == pytest.approx(np.mean([0.2, 0.4, 0.6, 0.8, 1.0]))
+    # the reported q is the mean of the last ``window`` weight updates
+    models = [conjugate_model(), GaussianMeanModel(np.zeros(3), name="zero")]
+    state = core.run(VbmaConfig(pretrain_iters=2, joint_iters=10, window=5), models)
+    assert len(state.weight_trace) == 10
+    assert np.array_equal(state.q, np.mean(state.weight_trace[5:], axis=0))
+    assert not np.array_equal(state.q, state.weight_trace[-1])
 
 
 def test_config_validation():
@@ -694,31 +705,28 @@ def test_config_validation():
                          (dict(pretrain_iters=-5), "pretrain_iters"),
                          (dict(joint_iters=-1, window=0), "joint_iters"),
                          (dict(step_size=-0.05), "step_size"), (dict(step_size=0.0), "step_size"),
-                         (dict(seed=-1), "seed"), (dict(conv_window=0), "conv_window"),
-                         (dict(conv_window=-2), "conv_window"),
-                         (dict(conv_tol=-1e-4), "conv_tol"),
-                         (dict(conv_tol=float("nan")), "conv_tol"),
-                         (dict(optimizer="sgd"), "optimizer")):
+                         (dict(seed=-1), "seed"), (dict(optimizer="sgd"), "optimizer")):
         with pytest.raises(ValueError, match=message):
             VbmaConfig(**bad)
     # no joint iterations need no averaging window
     VbmaConfig(joint_iters=0, window=0)
 
 
-def test_zero_conv_tol_runs_the_full_budget():
-    # the run that converges early in the test below, with conv_tol = 0
-    cfg = VbmaConfig(n_samples=10, pretrain_iters=60, joint_iters=150,
-                     window=10, seed=0, conv_tol=0.0, conv_window=1)
+def test_zero_conv_tol_runs_the_full_budget(monkeypatch):
+    # the run that converges early in the test below, with CONV_TOL = 0
+    monkeypatch.setattr(VbmaConfig, "CONV_TOL", 0.0)
+    monkeypatch.setattr(VbmaConfig, "CONV_WINDOW", 1)
+    cfg = VbmaConfig(n_samples=10, pretrain_iters=60, joint_iters=150, window=10, seed=0)
     state = core.run(cfg, [conjugate_model(seed=4, n=5)])
     assert not state.converged
     assert state.iteration == cfg.pretrain_iters + cfg.joint_iters
 
 
-def test_run_convergence_flag_on_flat_problem():
+def test_run_convergence_flag_on_flat_problem(monkeypatch):
     # a tiny conjugate problem converges well before the budget
+    monkeypatch.setattr(VbmaConfig, "CONV_TOL", 1e-3)
     model = conjugate_model(seed=4, n=5)
-    cfg = VbmaConfig(n_samples=10, pretrain_iters=600, joint_iters=600,
-                     window=100, seed=0, conv_tol=1e-3, conv_window=50)
+    cfg = VbmaConfig(n_samples=10, pretrain_iters=600, joint_iters=600, window=100, seed=0)
     state = core.run(cfg, [model])
     assert state.converged
     assert state.iteration < cfg.pretrain_iters + cfg.joint_iters

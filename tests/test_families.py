@@ -43,12 +43,12 @@ def test_decoded_quantity_is_variance():
 
 
 def test_initial_state_matches_documented_defaults():
-    # a fit starts each model at zero locations and the variance init_var
+    # a fit starts each model at zero locations and the variance INIT_VAR
     model = LinRegModel(np.zeros((3, 0)), np.arange(3.0))
     (state,) = init_state(VbmaConfig(), [model]).variational
     assert state.tags == (FamilyTag.NORMAL, FamilyTag.LOGNORMAL)
     assert np.allclose(state.mu, 0.0)
-    assert VbmaConfig().init_var == 0.01
+    assert VbmaConfig.INIT_VAR == 0.01
     assert np.allclose(ad.softplus(state.raw_scale), 0.01)
 
 

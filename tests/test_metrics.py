@@ -98,9 +98,9 @@ def test_bma_posterior_validates_weights():
 
 
 def test_bma_draw_noiseless_mixture_moments():
-    post = two_model_posterior(w=0.3, mus=(0.0, 5.0))
+    post = two_model_posterior(w=0.3, mus=(0.0, 5.0), obs_sd=1e-9)
     rng = np.random.default_rng(1)
-    draws = bma_draw(post, np.zeros((1, 0)), 20_000, rng, noise=False)
+    draws = bma_draw(post, np.zeros((1, 0)), 20_000, rng)
     # component selection frequency ~ (0.3, 0.7); means at 0 and 5
     assert draws.mean() == pytest.approx(0.7 * 5.0, abs=0.1)
     near_five = np.mean(np.abs(draws - 5.0) < 1.0)
@@ -110,7 +110,7 @@ def test_bma_draw_noiseless_mixture_moments():
 def test_bma_draw_includes_observation_noise():
     post = two_model_posterior(w=1.0, mus=(0.0, 0.0), obs_sd=2.0)
     rng = np.random.default_rng(2)
-    draws = bma_draw(post, np.zeros((1, 0)), 20_000, rng, noise=True)
+    draws = bma_draw(post, np.zeros((1, 0)), 20_000, rng)
     assert draws.std() == pytest.approx(2.0, rel=0.05)
 
 
