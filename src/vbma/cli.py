@@ -213,21 +213,6 @@ def _header(settings):
     ]
 
 
-def _format(v):
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
-
-
-def write_table(path, header_comments, names, rows):
-    with open(path, "w", newline="") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(_format(v) for v in row) + "\n")
-
-
 def load_fit(out_dir, models):
     """Reconstruct a BmaPosterior from fit artifacts in ``out_dir``."""
     ckpt = Path(out_dir) / "checkpoint.txt"
@@ -244,14 +229,14 @@ def load_fit(out_dir, models):
         raise CliError(f"checkpoint holds models {list(states)}, the config builds {names}; "
                        "config mismatch?")
     for m in models:
-        vs = states[m.name]
-        if (vs.names, vs.tags) != (m.layout.names(), m.layout.tags()):
+        coords, tags, vs = states[m.name]
+        if (coords, tags) != (m.layout.names(), m.layout.tags()):
             raise CliError(f"{ckpt}: model {m.name!r} needs the coordinates {m.layout.names()} "
                            "with its layout's family tags")
         if not np.isfinite([vs.mu, vs.raw_scale]).all():
             raise CliError(f"{ckpt}: model {m.name!r} has a non-finite parameter")
     try:
-        return metrics.BmaPosterior(models, q, [states[name] for name in names])
+        return metrics.BmaPosterior(models, q, [vs for _, _, vs in states.values()])
     except ValueError as err:
         raise CliError(f"{ckpt}: q is not a distribution over the {len(models)} models ({err})")
 
@@ -274,16 +259,16 @@ def cmd_fit(args):
     tail = trace[-cfg.window:]
     se = tail.std(axis=0, ddof=1) / np.sqrt(len(tail)) if len(tail) > 1 else np.zeros_like(q)
     paths = [f"{m.name} path={m.path}" for m in models if isinstance(m, GPModel)]
-    write_table(
+    data_io.write_csv(
         out / "weights.csv",
-        header + [f"status={status}"] + paths,
         ["model", "q", "se"],
         [(m.name, float(qi), float(si)) for m, qi, si in zip(models, q, se)],
+        header + [f"status={status}"] + paths,
     )
 
     names = ["iteration"] + [m.name for m in models]
     rows = zip(range(len(state.elbo_trace[0])), *state.elbo_trace)
-    write_table(out / "elbo_trace.csv", header, names, rows)
+    data_io.write_csv(out / "elbo_trace.csv", names, rows, header)
 
     ckpt_lines = [f"# {line}" for line in header] + [state.to_text()]
     (out / "checkpoint.txt").write_text("\n".join(ckpt_lines))
@@ -313,14 +298,14 @@ def cmd_evidence(args):
     post = evidence_mod.evidence_to_posterior(
         estimates, [m.prior_weight for m in models]
     )
-    write_table(
+    data_io.write_csv(
         out / "evidence.csv",
-        _header(settings),
         ["model", "method", "log_evidence", "se", "posterior_prob"],
         [
             (m.name, e.method.value, e.log_evidence, e.standard_error, float(p))
             for m, e, p in zip(models, estimates, post)
         ],
+        _header(settings),
     )
     for m, p in sorted(zip(models, post), key=lambda t: -t[1])[:5]:
         print(f"{m.name:40s} {p:.4f}")
@@ -348,8 +333,9 @@ def cmd_bf(args):
         with np.errstate(over="ignore"):
             oracle = (float(np.exp(log_bf)), log_bf)
     rows = [(args.model_i, args.model_j, float(vbma_bf), *(oracle or ("", "")))]
-    write_table(Path(args.out) / "bf.csv", _header(settings),
-                ["model_i", "model_j", "bf_vbma", "bf_oracle", "log_bf_oracle"], rows)
+    data_io.write_csv(Path(args.out) / "bf.csv",
+                      ["model_i", "model_j", "bf_vbma", "bf_oracle", "log_bf_oracle"], rows,
+                      _header(settings))
     line = f"BF({args.model_i} vs {args.model_j}) vbma={vbma_bf:.4g}"
     if oracle:
         line += f" oracle={oracle[0]:.4g} log_oracle={oracle[1]:.4g}"
@@ -359,15 +345,19 @@ def cmd_bf(args):
 
 def _predictive_setup(args):
     """What predict and coverage share: (settings, dataset, fitted posterior,
-    checked ``--levels`` (comma-separated, each in (0, 1)), row set, design
-    over every non-response column), on the test rows if any."""
+    checked ``--levels`` (comma-separated, each in (0, 1), no two with one
+    ``{level:g}`` label), row set, design over every non-response column),
+    on the test rows if any."""
     try:
         levels = tuple(float(v) for v in args.levels.split(",") if v.strip())
     except ValueError:
         raise CliError(f"bad --levels {args.levels!r}: expected comma-separated numbers")
-    for lev in levels:
+    for i, lev in enumerate(levels):
         if not 0 < lev < 1:
             raise CliError(f"credibility level {lev} outside (0, 1)")
+        if f"{lev:g}" in [f"{earlier:g}" for earlier in levels[:i]]:
+            raise CliError(f"credibility level {lev} repeats the label "
+                           f"lo{lev:g}/hi{lev:g} of an earlier level")
     if args.draws < 1:
         raise CliError(f"--draws must be >= 1, got {args.draws}")
     settings = resolve_settings(args)
@@ -386,8 +376,8 @@ def cmd_predict(args):
     for lev in levels:
         names += [f"lo{lev:g}", f"hi{lev:g}"]
         columns += metrics.equal_tail_interval(draws, 1.0 - lev)
-    write_table(Path(args.out) / "predictions.csv", _header(settings) + [f"rows={rows}"],
-                names, zip(*columns))
+    data_io.write_csv(Path(args.out) / "predictions.csv", names, zip(*columns),
+                      _header(settings) + [f"rows={rows}"])
     print(f"predict: wrote {len(X)} rows ({rows} set)")
     return 0
 
@@ -397,9 +387,9 @@ def cmd_coverage(args):
     cov = metrics.coverage_curve(posterior, X, ds.y(rows), levels,
                                  n_draws=args.draws, seed=vbma_config(settings).seed)
     out = Path(args.out)
-    write_table(out / "coverage.csv", _header(settings) + [f"rows={rows}"],
-                ["level", "coverage"],
-                [(float(l), float(cov[l])) for l in levels])
+    data_io.write_csv(out / "coverage.csv", ["level", "coverage"],
+                      [(float(l), float(cov[l])) for l in levels],
+                      _header(settings) + [f"rows={rows}"])
     if args.svg:
         _coverage_svg(out / "coverage.svg", cov)
     for l in levels:
@@ -422,7 +412,8 @@ def cmd_synth(args):
         comment = f"synthetic heart-style table: seed={args.seed if args.seed is not None else 1}"
     else:
         raise CliError(f"unknown synthetic kind '{args.kind}'")
-    data_io.write_csv(args.file, cols, header_comments=[f"vbma {__version__}", comment])
+    data_io.write_csv(args.file, list(cols), zip(*cols.values()),
+                      [f"vbma {__version__}", comment])
     print(f"synth: wrote {args.file}")
     return 0
 

@@ -81,7 +81,8 @@ class _Group:
     """Models stepped together by one optimizer over the ``(K, 2D)`` array of
     their variational parameters: the members of a subset ensemble, or one
     model on its own.  Row k of the ``(K, D)`` ``mask`` is True where member
-    k's coordinates sit in the ``(K, 1, D)`` arrays of ``state``.
+    k's coordinates sit in the ``(K, 1, D)`` arrays of ``state``, and row k
+    of ``lognormal`` is 1.0 on its log-normal coordinates.
     ``stacked`` evaluates all members in one pass (a lone block-capable model
     is its own stack of one), or is None.
     """
@@ -90,22 +91,22 @@ class _Group:
         self.members = list(members)
         self.mask = mask
         self.stacked = stacked
-        self.layouts = [(models[i].layout.tags(), models[i].layout.names()) for i in self.members]
         K, D = mask.shape
         self.own = np.concatenate([mask, mask], axis=1)
         self.lam = np.zeros((K, 2 * D))
         self.lam[:, D:][mask] = families.encode_scale(config.INIT_VAR)
-        lognormal = np.zeros((K, D))
-        lognormal[mask] = [t is families.FamilyTag.LOGNORMAL for tags, _ in self.layouts for t in tags]
-        self.state = families.StackedState(self.lam[:, None, :D], self.lam[:, None, D:],
-                                           lognormal[:, None], mask[:, None] * 1.0)
+        self.lognormal = np.zeros((K, D))
+        self.lognormal[mask] = [t is families.FamilyTag.LOGNORMAL
+                                for i in self.members for t in models[i].layout.tags()]
+        self.state = families.VariationalState(self.lam[:, None, :D], self.lam[:, None, D:],
+                                               self.lognormal[:, None], mask[:, None] * 1.0)
         self.opt = optimizers.make_optimizer(config.optimizer, step_size=config.step_size)
 
     def member(self, k):
         """Member k's VariationalState (a copy)."""
-        D = self.state.dim
-        return families.VariationalState(self.lam[k, :D][self.mask[k]],
-                                         self.lam[k, D:][self.mask[k]], *self.layouts[k])
+        own, D = self.mask[k], self.state.dim
+        return families.VariationalState(self.lam[k, :D][own], self.lam[k, D:][own],
+                                         self.lognormal[k][own])
 
     def estimate(self, models, rng, n_samples):
         """(G (K, 2D), the K ELBO estimates) from one ``(K, S, D)`` block of
@@ -164,23 +165,35 @@ class EnsembleState:
         return [g.member(k) for g in self.groups for k in range(len(g.members))]
 
     def to_text(self):
+        """The checkpoint: iteration, phase and q, then per model a
+        ``[model <name>]`` line and one ``name tag mu raw_scale`` line per
+        coordinate of its layout, floats written with ``repr``."""
         lines = [f"iteration {self.iteration}", f"phase {self.phase}",
                  "q " + " ".join(repr(float(v)) for v in self.q)]
         for model, vs in zip(self.models, self.variational):
             lines.append(f"[model {model.name}]")
-            lines.append(vs.to_text())
+            lines += [f"{name} {tag.value} {float(m)!r} {float(r)!r}" for name, tag, m, r
+                      in zip(model.layout.names(), model.layout.tags(), vs.mu, vs.raw_scale)]
         return "\n".join(lines) + "\n"
 
 
 def parse_checkpoint(text):
-    """Inverse of ``EnsembleState.to_text``: (q, {model name: VariationalState}).
-    Any other line before the first model block is skipped."""
+    """Inverse of ``EnsembleState.to_text``: (q, {model name: (coordinate
+    names, family tags, VariationalState)}).  Any other line before the
+    first model block is skipped; a coordinate line without exactly four
+    fields, or with an unknown tag or a value that is not a float, raises
+    ``ValueError``."""
     head, *blocks = ("\n" + text).split("\n[model ")
     q = [float(v) for line in head.splitlines() if line.startswith("q ") for v in line.split()[1:]]
     states = {}
     for block in blocks:
         name, _, body = block.partition("\n")
-        states[name[:-1]] = families.VariationalState.from_text(body)
+        rows = [(n, families.FamilyTag(t), float(m), float(r))
+                for n, t, m, r in map(str.split, body.strip().splitlines())]
+        names, tags, mu, raw = zip(*rows) if rows else [()] * 4
+        lognormal = [t is families.FamilyTag.LOGNORMAL for t in tags]
+        states[name[:-1]] = names, tags, families.VariationalState(np.array(mu), np.array(raw),
+                                                                   lognormal)
     return np.array(q), states
 
 
@@ -192,8 +205,8 @@ def estimate_grad_and_elbo(model, state, z_draws, rng=None):
     sampled ELBO.  Draws ``(S, d)`` take the row loop, one pass per draw: a
     draw whose log-joint is non-finite is rejected and resampled from
     ``rng``; more than 50% rejections aborts the iteration.  A block
-    ``(K, S, D)`` with a ``families.StackedState`` takes one pass and gives G
-    ``(K, 2D)`` and L ``(K,)``; a failed draw raises.
+    ``(K, S, D)`` with a stacked ``families.VariationalState`` takes one pass
+    and gives G ``(K, 2D)`` and L ``(K,)``; a failed draw raises.
     """
     z_draws = np.atleast_2d(np.asarray(z_draws, dtype=float))
     if z_draws.shape[-1] != state.dim:

@@ -74,6 +74,9 @@ def load_csv(path, columns=None):
             raise IngestionError(f"{path}: empty file")
         header = [h.strip() for h in header]
         wanted = list(columns) if columns is not None else header
+        repeated = [c for names in (header, wanted) for i, c in enumerate(names) if c in names[:i]]
+        if repeated:
+            raise IngestionError(f"{path}: column {repeated[0]!r} is named more than once")
         missing = [c for c in wanted if c not in header]
         if missing:
             raise IngestionError(f"{path}: missing columns {missing}")
@@ -261,12 +264,12 @@ def synth_heart_dataset(n=303, seed=1):
     }
 
 
-def write_csv(path, columns, header_comments=()):
-    names = list(columns)
+def write_csv(path, names, rows, header_comments=()):
+    """Write ``# `` comment lines, the header ``names`` and one line per row,
+    every line ending in ``\\n``; floats are written to 10 significant digits."""
     with open(path, "w", newline="") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*[columns[c] for c in names]):
-            writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n")

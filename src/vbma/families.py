@@ -4,9 +4,11 @@ Each coordinate carries a location ``mu`` and an unconstrained scale
 ``raw_scale``.  The positive quantity recovered by the softplus decode,
 ``var = log(exp(raw_scale) + 1)``, is the family VARIANCE; its square root is
 the standard deviation used by the reparametrization transform.  Optimizing
-``raw_scale`` instead of the variance avoids constrained optimization.  A
-state decodes its variances once, when ``raw_scale`` is assigned, and every
-draw, density and Jacobian of that state reads them.
+``raw_scale`` instead of the variance avoids constrained optimization.  One
+type, ``VariationalState``, holds the coordinates of one model or of a stack
+of models on one layout.  A state decodes its variances once, when
+``raw_scale`` is assigned, and every draw, density and Jacobian of that state
+reads them.
 
 The draw, log q with its gradient and the Jacobian of the draw are closed
 forms in numpy, off the autodiff tape.
@@ -15,7 +17,7 @@ forms in numpy, off the autodiff tape.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +43,28 @@ def encode_scale(scale):
     return scale + np.log1p(-np.exp(-scale))
 
 
-class _Decoded:
-    """Keeps ``var`` = softplus(raw_scale) and its square root in step with
-    ``raw_scale``, which is assigned whole, never changed in place."""
+@dataclass
+class VariationalState:
+    """The mean-field parameters of one model, as ``(d,)`` arrays, or of a
+    stack of K models on one layout of D coordinates, as ``(K, 1, D)`` arrays
+    that broadcast against a ``(K, S, D)`` block of draws.
+
+    Each coordinate has a location ``mu``, an unconstrained scale
+    ``raw_scale`` and a ``lognormal_mask`` entry, 1.0 on a log-normal
+    coordinate and 0.0 on a normal one.  A stack's ``mask`` is 1 on each
+    member's own coordinates and 0 on the padding, which ``log_q`` leaves
+    out; padded coordinates are normal, with ``mu`` 0, and drawn at ``z`` 0
+    they are sampled as exact zeros.  ``mask`` is None when every coordinate
+    is the model's own.
+
+    ``var`` = softplus(raw_scale) and its square root are decoded when
+    ``raw_scale`` is assigned, which it is whole, never changed in place.
+    """
+
+    mu: np.ndarray
+    raw_scale: np.ndarray
+    lognormal_mask: np.ndarray
+    mask: np.ndarray = None
 
     def __setattr__(self, name, value):
         if name == "raw_scale":
@@ -51,6 +72,12 @@ class _Decoded:
             super().__setattr__("var", decode_scale(value))
             super().__setattr__("_sd", np.sqrt(self.var))
         super().__setattr__(name, value)
+
+    def __post_init__(self):
+        self.mu = np.asarray(self.mu, dtype=float)
+        self.lognormal_mask = np.asarray(self.lognormal_mask, dtype=float)
+        if not self.mu.shape == self.raw_scale.shape == self.lognormal_mask.shape:
+            raise ValueError("mu, raw_scale and lognormal_mask must have one shape")
 
     def sd(self):
         """Decoded per-coordinate standard deviations."""
@@ -60,65 +87,6 @@ class _Decoded:
     def dim(self):
         """Number of coordinates (of the shared layout, for a stack)."""
         return self.mu.shape[-1]
-
-
-@dataclass
-class VariationalState(_Decoded):
-    """Per-model variational parameters: one (mu, raw_scale) per coordinate."""
-
-    # every coordinate is the model's own (see StackedState)
-    mask = None
-
-    mu: np.ndarray
-    raw_scale: np.ndarray
-    tags: tuple[FamilyTag, ...]
-    names: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if not (len(self.mu) == len(self.raw_scale) == len(self.tags)):
-            raise ValueError("mu, raw_scale and tags must have equal length")
-        if not self.names:
-            self.names = tuple(f"theta{i}" for i in range(len(self.mu)))
-
-    @property
-    def lognormal_mask(self):
-        return np.array([t is FamilyTag.LOGNORMAL for t in self.tags], dtype=float)
-
-    # -- checkpoint serialization ------------------------------------------
-
-    def to_text(self):
-        lines = []
-        for name, tag, m, r in zip(self.names, self.tags, self.mu, self.raw_scale):
-            lines.append(f"{name} {tag.value} {float(m)!r} {float(r)!r}")
-        return "\n".join(lines)
-
-    @staticmethod
-    def from_text(text):
-        names, tags, mus, raws = [], [], [], []
-        for line in text.strip().splitlines():
-            name, tag, m, r = line.split()
-            names.append(name)
-            tags.append(FamilyTag(tag))
-            mus.append(float(m))
-            raws.append(float(r))
-        return VariationalState(np.array(mus), np.array(raws), tuple(tags), tuple(names))
-
-
-@dataclass
-class StackedState(_Decoded):
-    """The states of K models on one layout of D coordinates.
-
-    Every array is ``(K, 1, D)``, so it broadcasts against a ``(K, S, D)``
-    block of draws.  ``mask`` is 1 on each member's own coordinates and 0 on
-    the padding, which ``log_q`` leaves out.  Padded coordinates are normal,
-    with ``mu`` 0, and drawn at ``z`` 0 they are sampled as exact zeros.
-    """
-
-    mu: np.ndarray
-    raw_scale: np.ndarray
-    lognormal_mask: np.ndarray
-    mask: np.ndarray
 
 
 def _transform(mu, sd, m, z):
@@ -133,7 +101,7 @@ def sample(state: VariationalState, z):
     """Plain-array draw from q at auxiliary standard normals ``z``.
 
     ``z`` is one vector ``(dim,)`` or a block ``(..., dim)`` of draws, such
-    as ``(c, dim)``, or ``(K, S, D)`` for a ``StackedState``.
+    as ``(c, dim)``, or ``(K, S, D)`` for a stack.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != state.dim:
@@ -146,7 +114,7 @@ def log_q(state: VariationalState, theta):
     ``theta``, the variational parameters held fixed, as ``(values, grads)``.
 
     ``theta`` is one vector ``(dim,)`` or a block ``(..., dim)`` such as
-    ``(S, dim)``, or ``(K, S, D)`` for a ``StackedState``, giving one value
+    ``(S, dim)``, or ``(K, S, D)`` for a stack, giving one value
     per row.  A non-finite value or gradient raises
     ``ad.NonFiniteValueError("log_q")``.
     """

@@ -33,7 +33,7 @@ from scipy import stats
 from vbma import autodiff as ad
 from vbma import core, evidence, families, metrics, studies
 from vbma.core import VbmaConfig, estimate_grad_and_elbo, update_weights
-from vbma.families import FamilyTag, VariationalState
+from vbma.families import VariationalState
 from vbma.metrics import BmaPosterior, bayes_factor
 from vbma.models import GaussianMeanModel, GPModel
 
@@ -244,8 +244,7 @@ def test_criterion_5_conjugate_recovery(conjugate_fit):
 def test_criterion_6_gradient_unbiasedness():
     y = np.random.default_rng(0).normal(0.7, 1.0, size=25)
     model = GaussianMeanModel(y, obs_sd=1.0, prior_mean=0.0, prior_sd=1.0)
-    state = VariationalState(np.array([0.0]), families.encode_scale(np.array([0.5])),
-                             (FamilyTag.NORMAL,))
+    state = VariationalState(np.array([0.0]), families.encode_scale(np.array([0.5])), [0.0])
     lam = np.concatenate([state.mu, state.raw_scale])
 
     def analytic_elbo(l):
@@ -366,10 +365,8 @@ def test_criterion_8e_seeded_bitwise_determinism():
 
 
 def test_criterion_8f_reparametrized_samples_pass_ks():
-    normal = VariationalState(np.array([1.5]), families.encode_scale(np.array([0.49])),
-                              (FamilyTag.NORMAL,))
-    logn = VariationalState(np.array([0.5]), families.encode_scale(np.array([0.25])),
-                            (FamilyTag.LOGNORMAL,))
+    normal = VariationalState(np.array([1.5]), families.encode_scale(np.array([0.49])), [0.0])
+    logn = VariationalState(np.array([0.5]), families.encode_scale(np.array([0.25])), [1.0])
     rng = np.random.default_rng(0)
     dn = np.array([families.sample(normal, rng.standard_normal(1))[0] for _ in range(4000)])
     dl = np.array([families.sample(logn, rng.standard_normal(1))[0] for _ in range(4000)])

@@ -35,7 +35,7 @@ def single_model_cfg(tmp_path):
     # empty predictor list -> one intercept-only model (K = 1)
     csv = tmp_path / "d.csv"
     rng = np.random.default_rng(0)
-    data_io.write_csv(csv, {"y": rng.normal(5.0, 1.0, 25)})
+    data_io.write_csv(csv, ["y"], zip(rng.normal(5.0, 1.0, 25)))
     cfg = tmp_path / "one.ini"
     cfg.write_text(
         f"[data]\ncsv = {csv}\nresponse = y\ncenter = y\n\n"
@@ -235,7 +235,12 @@ def crime_fit_dir(tmp_path_factory):
     (["predict", "--levels", "0.5,x"], "cfg"),
     (["predict", "--draws", "0"], "cfg"),
     (["predict"], "subset"),
-], ids=["coverage-level-1", "predict-level-x", "predict-draws-0", "checkpoint-mismatch"])
+    # one lo/hi label, or one coverage row, per level
+    (["predict", "--levels", "0.5,0.5"], "cfg"),
+    (["coverage", "--levels", "0.5,0.5"], "cfg"),
+    (["predict", "--levels", "0.1,0.1000001"], "cfg"),
+], ids=["coverage-level-1", "predict-level-x", "predict-draws-0", "checkpoint-mismatch",
+        "predict-level-twice", "coverage-level-twice", "predict-same-label"])
 def test_bad_predictive_inputs_are_usage_errors(crime_fit_dir, capsys, argv, config):
     root, cfg, subset = crime_fit_dir
     config = cfg if config == "cfg" else subset
@@ -403,6 +408,8 @@ def test_synth_generates_loadable_datasets(tmp_path):
     assert set(gp) == {"x1", "x2", "y"} and len(gp["y"]) == 36
     heart = data_io.load_csv(heart_csv)
     assert set(heart) == {"age", "sex", "trestbps", "chol", "thalach", "y"}
+    # every line, comments included, ends in a bare newline
+    assert b"\r" not in gp_csv.read_bytes() + heart_csv.read_bytes()
 
 
 def test_synth_gp_writes_every_lattice_row(tmp_path):
@@ -411,7 +418,8 @@ def test_synth_gp_writes_every_lattice_row(tmp_path):
     gp_csv, want_csv = tmp_path / "gp.csv", tmp_path / "want.csv"
     assert run_cli(["synth", "--kind", "gp", "--file", str(gp_csv), "--grid-size", "5"]) == 0
     ds = data_io.synth_gp_dataset(grid_size=5, seed=0, n_test=25)
-    data_io.write_csv(want_csv, {c: ds.columns[c] for c in ("x1", "x2", "y")})
+    data_io.write_csv(want_csv, ["x1", "x2", "y"],
+                      zip(*(ds.columns[c] for c in ("x1", "x2", "y"))))
     rows = [line for line in gp_csv.read_text().splitlines() if not line.startswith("#")]
     assert len(rows) == 26 and rows == want_csv.read_text().splitlines()
 
@@ -512,8 +520,8 @@ def logistic_fit_dir(tmp_path_factory):
     # two logistic models, whose proper priors admit an MC evidence
     root = tmp_path_factory.mktemp("logistic")
     r = np.random.default_rng(1)
-    data_io.write_csv(root / "d.csv", {"y": (r.random(30) < 0.5).astype(float),
-                                       "a": r.normal(size=30)})
+    data_io.write_csv(root / "d.csv", ["y", "a"],
+                      zip((r.random(30) < 0.5).astype(float), r.normal(size=30)))
     cfg = root / "logistic.ini"
     cfg.write_text(f"[data]\ncsv = {root / 'd.csv'}\nresponse = y\ncenter = a\n\n"
                    "[ensemble]\nkind = logistic\npredictors = a\n\n"
@@ -576,6 +584,17 @@ def test_short_csv_row_is_usage_error(tmp_path, capsys):
                    "predictors = a\n")
     assert run_cli(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "row 3, column 'a'" in capsys.readouterr().err
+
+
+def test_repeated_csv_column_is_usage_error(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    csv.write_text("x,x,y\n1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
+    cfg = tmp_path / "repeated.ini"
+    cfg.write_text(f"[data]\ncsv = {csv}\nresponse = y\n\n[ensemble]\nkind = linear\n"
+                   "predictors = x\n")
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err
 
 
 @pytest.mark.parametrize("key, value, name", [
@@ -653,8 +672,9 @@ def test_checkpoint_parse_round_trip(tmp_path, crime_cfg):
     q, states = core.parse_checkpoint((out / "checkpoint.txt").read_text())
     assert q.tobytes() == state.q.tobytes()
     assert list(states) == [m.name for m in models]
-    for got, want in zip(states.values(), state.variational):
-        assert (got.names, got.tags) == (want.names, want.tags)
+    for m, (names, tags, got), want in zip(models, states.values(), state.variational):
+        assert (names, tags) == (m.layout.names(), m.layout.tags())
+        assert got.lognormal_mask.tobytes() == want.lognormal_mask.tobytes()
         assert got.mu.tobytes() == want.mu.tobytes()
         assert got.raw_scale.tobytes() == want.raw_scale.tobytes()
 

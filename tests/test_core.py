@@ -48,8 +48,7 @@ def analytic_elbo_grad(model, lam, h=1e-6):
 
 
 def make_state(mu, var):
-    return VariationalState(np.array([mu]), families.encode_scale(np.array([var])),
-                            (FamilyTag.NORMAL,))
+    return VariationalState(np.array([mu]), families.encode_scale(np.array([var])), [0.0])
 
 
 # -- gradient estimator -------------------------------------------------------
@@ -505,14 +504,14 @@ def test_mixed_ensemble_gives_each_model_its_own_result():
         # the model-by-model loop, written out for model i alone
         d = m.layout.dim
         vs = VariationalState(np.zeros(d), np.full(d, families.encode_scale(cfg.INIT_VAR)),
-                              m.layout.tags(), m.layout.names())
+                              [t is FamilyTag.LOGNORMAL for t in m.layout.tags()])
         opt = optimizers.make_optimizer(cfg.optimizer)
         trace = []
         for t in range(cfg.pretrain_iters):
             rng = core._model_rng(cfg.seed, t, i)
             G, L = estimate_grad_and_elbo(m, vs, rng.standard_normal((5, vs.dim)), rng=rng)
             lam = opt.step(np.concatenate([vs.mu, vs.raw_scale]), G / len(models))
-            vs = VariationalState(lam[:vs.dim], lam[vs.dim:], vs.tags, vs.names)
+            vs = VariationalState(lam[:vs.dim], lam[vs.dim:], vs.lognormal_mask)
             trace.append(L)
         np.testing.assert_allclose(state.variational[i].mu, vs.mu, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(state.variational[i].raw_scale, vs.raw_scale,
@@ -673,6 +672,38 @@ def test_seeded_fit_is_bitwise_across_blas_thread_counts(study, pretrain, joint)
                            capture_output=True, text=True, check=True).stdout
             for threads in ("1", "2")]
     assert outs[0].startswith("iteration ") and outs[0] == outs[1]
+
+
+# the checkpoint of a fit that has taken no step: zero locations, each raw
+# scale encode_scale(INIT_VAR) and q = 1/K, every float written with repr
+UNSTEPPED_CHECKPOINT = """\
+iteration 0
+phase joint
+q 0.3333333333333333 0.3333333333333333 0.3333333333333333
+[model mean]
+mu normal 0.0 -4.600166019324892
+[model lin:a+b]
+beta0 normal 0.0 -4.600166019324892
+beta[0] normal 0.0 -4.600166019324892
+beta[1] normal 0.0 -4.600166019324892
+phi lognormal 0.0 -4.600166019324892
+[model logit:a]
+beta0 normal 0.0 -4.600166019324892
+beta normal 0.0 -4.600166019324892
+"""
+
+
+def test_checkpoint_text_is_pinned():
+    X = np.array([[1.0, -1.0], [-1.0, 0.5], [0.0, 0.5]])
+    y = np.array([0.2, -0.1, 0.4])
+    models = [GaussianMeanModel(y, name="mean"), LinRegModel(X, y, predictors=("a", "b")),
+              LogisticModel(X[:, :1], (y > 0) * 1.0, predictors=("a",))]
+    state = core.run(VbmaConfig(pretrain_iters=0, joint_iters=0, window=0), models)
+    assert state.to_text() == UNSTEPPED_CHECKPOINT
+    q, states = core.parse_checkpoint(UNSTEPPED_CHECKPOINT)
+    assert q.tolist() == [1 / 3] * 3
+    assert [(names, tags) for names, tags, _ in states.values()] == [
+        (m.layout.names(), m.layout.tags()) for m in models]
 
 
 def test_a_pass_decodes_the_variances_once(monkeypatch):

@@ -51,6 +51,17 @@ def test_load_csv_locates_short_row(tmp_path):
     assert list(data_io.load_csv(p, columns=("a", "b"))["b"]) == [2.0, 5.0]
 
 
+@pytest.mark.parametrize("text, columns", [
+    ("x,x,y\n1,2,3\n4,5,6\n7,8,9\n", None),
+    ("x,y\n1,2\n", ["x", "y", "x"]),
+], ids=["in-header", "in-columns"])
+def test_load_csv_rejects_a_repeated_column_name(tmp_path, text, columns):
+    # a repeated name would collect two columns' cells into one
+    p = write(tmp_path, text)
+    with pytest.raises(IngestionError, match="column 'x' is named more than once"):
+        data_io.load_csv(p, columns=columns)
+
+
 def test_load_csv_empty_inputs(tmp_path):
     with pytest.raises(IngestionError, match="empty"):
         data_io.load_csv(write(tmp_path, ""))
@@ -66,7 +77,7 @@ def test_load_csv_skips_comment_lines(tmp_path):
 def test_round_trip_write_then_load(tmp_path):
     cols = {"x": np.array([1.25, -3.5]), "y": np.array([0.0, 7.0])}
     p = tmp_path / "rt.csv"
-    data_io.write_csv(p, cols, header_comments=["note"])
+    data_io.write_csv(p, list(cols), zip(*cols.values()), header_comments=["note"])
     back = data_io.load_csv(p)
     for k in cols:
         assert np.array_equal(back[k], cols[k])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from vbma import families, metrics
-from vbma.families import FamilyTag, VariationalState
+from vbma.families import VariationalState
 from vbma.metrics import (
     BmaPosterior,
     bayes_factor,
@@ -22,7 +22,7 @@ from vbma.models import GaussianMeanModel
 def normal_state(mu, var):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
-    return VariationalState(mu, families.encode_scale(var), (FamilyTag.NORMAL,) * len(mu))
+    return VariationalState(mu, families.encode_scale(var), np.zeros(len(mu)))
 
 
 def two_model_posterior(w=0.3, mus=(0.0, 5.0), obs_sd=0.1):

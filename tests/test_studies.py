@@ -94,7 +94,7 @@ def test_gp_predictive_means_matches_direct_computation():
     mu = np.array([0.0, 0.0, np.log(3.0), np.log(3.0), np.log(0.3)])
     state = VariationalState(
         mu, families.encode_scale(np.full(5, 1e-12)),
-        (FamilyTag.NORMAL,) + (FamilyTag.LOGNORMAL,) * 4,
+        [t is FamilyTag.LOGNORMAL for t in model.layout.tags()],
     )
     post = metrics.BmaPosterior([model], np.array([1.0]), [state])
     coords = np.column_stack([ds.column("x1", "test"), ds.column("x2", "test")])
