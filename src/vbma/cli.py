@@ -155,21 +155,34 @@ def config_hash(settings):
     return digest[:12]
 
 
+def models_hash(settings):
+    """``config_hash`` of the keys set (non-empty) in [study], [data] and
+    [ensemble]: what builds the models, not how they are fitted."""
+    return config_hash({s: {k: v for k, v in settings[s].items() if v}
+                        for s in ("study", "data", "ensemble")})
+
+
 # -- ensemble construction ----------------------------------------------------
 
 
 def build_ensemble(settings):
-    """(dataset, models) from the [study] shortcut or [data]/[ensemble]."""
+    """(dataset, models) from the [study] shortcut or [data]/[ensemble].  A
+    table that does not load, or a setting that a builder rejects with a
+    ``ValueError``, is a usage error."""
+    try:
+        return _build_ensemble(settings)
+    except (OSError, ValueError) as err:  # data_io.IngestionError is a ValueError
+        raise CliError(str(err))
+
+
+def _build_ensemble(settings):
     study = settings["study"]
     name = study.get("name")
     if name:
         if name not in STUDY_KEYS:
             raise CliError(f"unknown study '{name}' (expected crime, heart, or gp)")
-        kwargs = _library_args(study, STUDY_KEYS[name])
-        try:  # looked up at call time, where a tracer may wrap it
-            return getattr(studies, f"{name}_study")(**kwargs)
-        except ValueError as err:  # a study setting out of range
-            raise CliError(str(err))
+        # looked up at call time, where a tracer may wrap it
+        return getattr(studies, f"{name}_study")(**_library_args(study, STUDY_KEYS[name]))
 
     data = _library_args(settings["data"], DATA_KEYS)
     if "csv" not in data:
@@ -180,12 +193,9 @@ def build_ensemble(settings):
         raise CliError("[data] response is required")
     # split_mask has no defaults of its own: by default every row trains
     fraction, seed = data.pop("train_fraction", 1.0), data.pop("split_seed", 0)
-    try:
-        cols = data_io.load_csv(path)
-        n = len(next(iter(cols.values())))
-        ds = data_io.prepare(cols, train_mask=data_io.split_mask(n, fraction, seed), **data)
-    except (OSError, data_io.IngestionError, ValueError) as err:
-        raise CliError(str(err))
+    cols = data_io.load_csv(path)
+    n = len(next(iter(cols.values())))
+    ds = data_io.prepare(cols, train_mask=data_io.split_mask(n, fraction, seed), **data)
     ens = settings["ensemble"]
     kind = ens.get("kind")
     predictors = _names(ens.get("predictors", ""))
@@ -213,15 +223,21 @@ def _header(settings):
     ]
 
 
-def load_fit(out_dir, models):
-    """Reconstruct a BmaPosterior from fit artifacts in ``out_dir``."""
+def load_fit(out_dir, models, settings):
+    """Reconstruct a BmaPosterior from fit artifacts in ``out_dir``, fitted
+    on the models that ``settings`` build (its ``# models=`` line)."""
     ckpt = Path(out_dir) / "checkpoint.txt"
     if not ckpt.exists():
         raise CliError(
             f"no fit artifacts in {out_dir}; run the fit subcommand first"
         )
+    text, want = ckpt.read_text(), models_hash(settings)
+    found = [line.split("=", 1)[1] for line in text.splitlines() if line.startswith("# models=")]
+    if found != [want]:
+        raise CliError(f"{ckpt}: fitted on models={found[0] if found else '(no line)'}, but "
+                       f"[study], [data] and [ensemble] give models={want}; config mismatch?")
     try:
-        q, states = core.parse_checkpoint(ckpt.read_text())
+        q, states = core.parse_checkpoint(text)
     except ValueError as err:
         raise CliError(f"{ckpt}: a line does not parse ({err})")
     names = [m.name for m in models]
@@ -270,8 +286,8 @@ def cmd_fit(args):
     rows = zip(range(len(state.elbo_trace[0])), *state.elbo_trace)
     data_io.write_csv(out / "elbo_trace.csv", names, rows, header)
 
-    ckpt_lines = [f"# {line}" for line in header] + [state.to_text()]
-    (out / "checkpoint.txt").write_text("\n".join(ckpt_lines))
+    ckpt_lines = [f"# {line}" for line in header + [f"models={models_hash(settings)}"]]
+    (out / "checkpoint.txt").write_text("\n".join(ckpt_lines + [state.to_text()]))
 
     if args.svg:
         _elbo_svg(out / "elbo_trace.svg", state, models)
@@ -320,7 +336,7 @@ def cmd_bf(args):
         if label not in names:
             raise CliError(f"model '{label}' not in ensemble; choices: {names}")
     i, j = names.index(args.model_i), names.index(args.model_j)
-    posterior = load_fit(args.out, models)
+    posterior = load_fit(args.out, models, settings)
     priors = np.array([m.prior_weight for m in models])
     vbma_bf = metrics.bayes_factor(posterior.weights, priors, i, j)
     oracle = ()
@@ -362,7 +378,7 @@ def _predictive_setup(args):
         raise CliError(f"--draws must be >= 1, got {args.draws}")
     settings = resolve_settings(args)
     ds, models = build_ensemble(settings)
-    posterior = load_fit(args.out, models)
+    posterior = load_fit(args.out, models, settings)
     rows = "test" if (~ds.train_mask).any() else "train"
     return settings, ds, posterior, levels, rows, ds.design(ds.inputs, rows)
 

@@ -285,7 +285,11 @@ def init_state(config, models):
 def run(config: VbmaConfig, models, progress=None):
     """Execute pre-training then joint updates; returns the final state.
 
-    ``progress`` (optional) is called as progress(state) after each iteration.
+    One loop runs both phases: ``state.phase`` is "pretrain" for the first
+    ``pretrain_iters`` iterations, which step the models with q held at 1/K,
+    and "joint" for the rest, which also refresh q; it reads "joint" once
+    the run returns.  ``progress`` (optional) is called as progress(state)
+    after each iteration.
 
     A subset ensemble as its builder returned it (see
     ``models.SubsetEnsemble``: the linear or logistic subsets of a predictor
@@ -304,8 +308,9 @@ def run(config: VbmaConfig, models, progress=None):
         raise ValueError("need at least one model")
     state = init_state(config, models)
     log_prior = np.log(np.array([m.prior_weight for m in models], dtype=float))
-
-    def one_iteration(t, weights):
+    ens_elbo, w = [], config.CONV_WINDOW
+    for t in range(config.pretrain_iters + config.joint_iters):
+        state.phase = "pretrain" if t < config.pretrain_iters else "joint"
         try:
             estimates = [g.estimate(models, _model_rng(config.seed, t, j), config.n_samples)
                          for j, g in enumerate(state.groups)]
@@ -314,29 +319,17 @@ def run(config: VbmaConfig, models, progress=None):
             raise
         elbos = np.empty(len(models))
         for g, (G, L) in zip(state.groups, estimates):
-            g.step(weights, G)
+            g.step(state.q, G)
             for i, L_i in zip(g.members, L):
                 state.elbo_trace[i].append(L_i)
                 elbos[i] = L_i
-        return elbos
-
-    for t in range(config.pretrain_iters):
-        one_iteration(t, state.q)  # q frozen at 1/K
+        if state.phase == "joint":
+            state.q = update_weights(elbos, log_prior)
+            state.weight_trace.append(state.q.copy())
+            ens_elbo.append(float(state.q @ elbos))
         state.iteration += 1
         if progress:
             progress(state)
-
-    state.phase = "joint"
-    ens_elbo = []
-    for t in range(config.pretrain_iters, config.pretrain_iters + config.joint_iters):
-        elbos = one_iteration(t, state.q)
-        state.q = update_weights(elbos, log_prior)
-        state.weight_trace.append(state.q.copy())
-        state.iteration += 1
-        ens_elbo.append(float(state.q @ elbos))
-        if progress:
-            progress(state)
-        w = config.CONV_WINDOW
         if len(ens_elbo) >= 2 * w and len(state.weight_trace) >= config.window:
             recent = np.mean(ens_elbo[-w:])
             previous = np.mean(ens_elbo[-2 * w:-w])
@@ -344,6 +337,7 @@ def run(config: VbmaConfig, models, progress=None):
                 state.converged = True
                 break
 
+    state.phase = "joint"
     if state.weight_trace:  # the reported q: the trailing-window mean
         state.q = np.mean(state.weight_trace[-config.window:], axis=0)
     return state

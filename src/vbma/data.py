@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ def load_csv(path, columns=None):
     """Read a CSV into a Dataset-ready column dict.
 
     ``columns`` restricts and validates the header; every requested cell must
-    parse as a float.  Errors name the offending row/column.
+    parse as a finite float.  Errors name the offending row/column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(row for row in fh if not row.lstrip().startswith("#"))
@@ -94,11 +95,15 @@ def load_csv(path, columns=None):
                 if cell == "":
                     raise IngestionError(f"{path}: missing value at row {rownum}, column '{c}'")
                 try:
-                    data[c].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise IngestionError(
                         f"{path}: unparseable cell '{cell}' at row {rownum}, column '{c}'"
                     )
+                if not math.isfinite(value):
+                    raise IngestionError(
+                        f"{path}: non-finite cell '{cell}' at row {rownum}, column '{c}'")
+                data[c].append(value)
             nrows += 1
     if nrows == 0:
         raise IngestionError(f"{path}: no data rows")

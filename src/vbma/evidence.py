@@ -54,12 +54,8 @@ def zellner_log_evidence(model: LinRegModel) -> EvidenceEstimate:
     y = model.y
     yt = y - y.mean()
     ss_tot = float(yt @ yt)
-    if p:
-        coef, *_ = np.linalg.lstsq(model.X, yt, rcond=None)
-        fitted = model.X @ coef
-        ss_fit = float(yt @ fitted)
-    else:
-        ss_fit = 0.0
+    coef, *_ = np.linalg.lstsq(model.X, yt, rcond=None)  # fits nothing at p = 0
+    ss_fit = float(yt @ (model.X @ coef))
     q = ss_tot - g / (1.0 + g) * ss_fit
     log_ev = (
         -0.5 * (n - 1) * np.log(2.0 * np.pi)
@@ -82,7 +78,8 @@ def mc_log_evidence(model, n_samples, seed=0) -> EvidenceEstimate:
 
     Everything stays in the log domain (log-sum-exp minus log N); the
     standard error of the log evidence comes from the delta method.  Prior
-    draws are evaluated in blocks of as many rows as hold 32 MiB
+    draws, one ``model.sample_prior(rng, n)`` call per block of n, are
+    evaluated in blocks of as many rows as hold 32 MiB
     (``MC_BYTES``) of temporaries by ``model.bytes_per_draw()``, and at most
     ``MC_BATCH``.  The estimate does not depend on the block size.
     """
@@ -96,16 +93,13 @@ def mc_log_evidence(model, n_samples, seed=0) -> EvidenceEstimate:
     rng = np.random.default_rng(seed)
     batch = max(1, min(MC_BATCH, MC_BYTES // model.bytes_per_draw()))
     log_liks = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        m = min(batch, n_samples - done)
-        thetas = np.stack([model.sample_prior(rng) for _ in range(m)])
+    for lo in range(0, n_samples, batch):
+        thetas = model.sample_prior(rng, min(batch, n_samples - lo))
         if model.supports_blocks:
-            log_liks[done:done + m] = model.log_lik(thetas)
+            log_liks[lo:lo + len(thetas)] = model.log_lik(thetas)
         else:
-            for j in range(m):
-                log_liks[done + j] = model.log_lik(thetas[j])
-        done += m
+            for i, theta in enumerate(thetas, lo):
+                log_liks[i] = model.log_lik(theta)
     log_ev = logsumexp(log_liks) - np.log(n_samples)
     # delta method on the log scale: se(log m) ~ sd(w) / (mean(w) sqrt(N)),
     # computed with shifted weights for stability

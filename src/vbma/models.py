@@ -17,6 +17,9 @@ in numpy: a tape node gives one node (``ad.closed_form``), an array gives
 an array and computes no gradient.  The GP chains the gradients of ``ad.gaussian_spd_logpdf`` with
 respect to its covariance, dense or Kronecker, to its hyperparameters.  The
 normal-mean model records its densities on the tape, as user models do.
+A regression model on p predictors lays out [beta0, beta (p), ...], and
+the intercept-only model is the p = 0 case of the same formulas: a size-0
+``beta`` block and an (n, 0) design, whose terms are exact zeros.
 The subset builders, and ``studies.gp_study`` for its pair, return a
 ``SubsetEnsemble``: the K members as a list, plus one stacked model on the
 members' shared, padded layout that evaluates all of them at once, and the
@@ -189,8 +192,8 @@ class GaussianMeanModel(Model):
         logdet = n * np.log(s2) + np.log1p(n * t2 / s2)
         return float(-0.5 * (n * LOG2PI + logdet + quad))
 
-    def sample_prior(self, rng):
-        return np.array([rng.normal(self.prior_mean, self.prior_sd)])
+    def sample_prior(self, rng, n):
+        return rng.normal(self.prior_mean, self.prior_sd, size=(n, 1))
 
     def bytes_per_draw(self):
         return 8 * 4 * len(self.y)  # y - mu and its square
@@ -205,20 +208,12 @@ def _values(theta):
     return theta.value if isinstance(theta, ad.Node) else np.asarray(theta, dtype=float)
 
 
-def _linear_predictor(thetas, X, columns):
-    """(T, m) values of beta0 + x'beta, with beta = thetas[:, 1:1+p] and x the
-    ``columns`` of each row of ``X``."""
-    thetas = np.asarray(thetas, dtype=float)
-    X = np.asarray(X, dtype=float)[:, columns]
-    return thetas[:, :1] + thetas[:, 1:1 + len(columns)] @ X.T
-
-
 class _Regression(Model):
-    """What linear and logistic regression share: the design ``X`` of the p
-    ``predictors`` (no columns when p = 0), the responses ``y``, the layout
-    [beta0, beta (when p > 0), *``tail``] and the name, ``PREFIX`` and the
-    predictors joined by "+" ("intercept" when p = 0).  ``inputs`` names the
-    columns of the rows given to ``draw_predictive`` (default:
+    """What linear and logistic regression share: the (n, p) design ``X`` of
+    the p ``predictors``, the responses ``y``, the layout [beta0, beta (size
+    p, 0 for the intercept-only model), *``tail``] and the name, ``PREFIX``
+    and the predictors joined by "+" ("intercept" when p = 0).  ``inputs``
+    names the columns of the rows given to ``draw_predictive`` (default:
     ``predictors``); the model picks its predictors from them.
     """
 
@@ -226,22 +221,33 @@ class _Regression(Model):
     PREFIX: str
 
     def __init__(self, X, y, predictors, inputs, tail=()):
-        self.X = np.asarray(X, dtype=float) if len(predictors) else np.zeros((len(y), 0))
+        self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.predictors = tuple(predictors)
         self.p = len(self.predictors)
+        if self.X.shape != (len(self.y), self.p):
+            raise ValueError(f"design X must be (n, p) = {(len(self.y), self.p)} for predictors "
+                             f"{self.predictors}, got {self.X.shape}")
         self._columns = [tuple(inputs or self.predictors).index(p) for p in self.predictors]
         self.name = self.PREFIX + ("+".join(self.predictors) or "intercept")
-        beta = [ParamBlock("beta", self.p, FamilyTag.NORMAL)] if self.p else []
-        self.layout = ParamLayout([ParamBlock("beta0", 1, FamilyTag.NORMAL), *beta, *tail])
+        self.layout = ParamLayout([ParamBlock("beta0", 1, FamilyTag.NORMAL),
+                                   ParamBlock("beta", self.p, FamilyTag.NORMAL), *tail])
+
+    def _linear(self, t, rows=None):
+        """beta0 + x'beta (..., m) from an array ``t`` (..., d), for each row x
+        of the design, or of ``rows`` (m, k) with the model's ``inputs`` as
+        columns."""
+        X = self.X if rows is None else np.asarray(rows, dtype=float)[:, self._columns]
+        return t[..., :1] + t[..., self.layout.slice("beta")] @ X.T
 
 
 class LinRegModel(_Regression):
     """Linear regression on a predictor subset with Zellner's g-prior.
 
-    Priors: phi ~ 1/phi, flat intercept, slopes ~ N(0, g (X'X)^-1 / phi).
-    The design matrix must be centered (intercept handled separately).
-    ``log_lik`` and ``log_prior`` are closed forms, each one tape node.
+    Priors: phi ~ 1/phi, flat intercept, slopes ~ N(0, g (X'X)^-1 / phi),
+    with g finite and > 0.  The design matrix must be centered (intercept
+    handled separately).  ``log_lik`` and ``log_prior`` are closed forms,
+    each one tape node; at p = 0 every term of the slopes is an exact 0.
     """
 
     PREFIX = "lin:"
@@ -250,17 +256,12 @@ class LinRegModel(_Regression):
         super().__init__(X, y, predictors, inputs, [ParamBlock("phi", 1, FamilyTag.LOGNORMAL)])
         self.n = len(self.y)
         self.g = float(self.n if g is None else g)
-        if self.p:
-            self.xtx = self.X.T @ self.X
-            sign, logdet = np.linalg.slogdet(self.xtx)
-            if sign <= 0:
-                raise DecompositionError(
-                    f"singular X'X for predictor subset {self.predictors}"
-                )
-            self.logdet_xtx = logdet
-        else:
-            self.xtx = np.zeros((0, 0))
-            self.logdet_xtx = 0.0
+        if not 0 < self.g < np.inf:  # also False for nan
+            raise ValueError(f"g must be finite and > 0, got {self.g}")
+        self.xtx = self.X.T @ self.X
+        sign, self.logdet_xtx = np.linalg.slogdet(self.xtx)  # (1, 0.0) at p = 0
+        if sign <= 0:
+            raise DecompositionError(f"singular X'X for predictor subset {self.predictors}")
 
     def has_proper_prior(self):
         return False
@@ -268,17 +269,11 @@ class LinRegModel(_Regression):
     def bytes_per_draw(self):
         return 8 * 4 * self.n  # the mean, the residual and its square
 
-    def _unpack(self, t):
-        """beta0 (..., 1), beta (..., p) or None, and phi (...) from an array (..., d)."""
-        beta0 = t[..., self.layout.slice("beta0")]
-        phi = t[..., self.layout.slice("phi").start]
-        beta = t[..., self.layout.slice("beta")] if self.X.shape[1] else None
-        return beta0, beta, phi
-
     def log_lik(self, theta):
-        beta0, beta, phi = self._unpack(_values(theta))
+        t = _values(theta)
+        phi = t[..., -1]
         with np.errstate(all="ignore"):  # checked once, in ad.closed_form
-            resid = self.y - (beta0 if beta is None else beta0 + beta @ self.X.T)
+            resid = self.y - self._linear(t)
             ssq = (resid**2).sum(axis=-1)
             val = 0.5 * self.n * (np.log(phi) - LOG2PI) - 0.5 * phi * ssq
             if not isinstance(theta, ad.Node):
@@ -290,29 +285,23 @@ class LinRegModel(_Regression):
 
     def log_prior(self, theta):
         t = _values(theta)
-        _, beta, phi = self._unpack(t)
+        beta, phi = t[..., self.layout.slice("beta")], t[..., -1]
         with np.errstate(all="ignore"):  # checked once, in ad.closed_form
-            val = -np.log(phi)  # phi ~ 1/phi; flat intercept contributes 0
+            b_xtx = beta @ self.xtx  # X'X is symmetric
+            quad = (beta * b_xtx).sum(axis=-1)
+            # phi ~ 1/phi and a flat intercept, then the slopes' normal
+            val = -np.log(phi) + (-0.5 * self.p * LOG2PI + 0.5 * self.p * np.log(phi)
+                                  - 0.5 * self.p * np.log(self.g) + 0.5 * self.logdet_xtx
+                                  - 0.5 * phi / self.g * quad)
+            if not isinstance(theta, ad.Node):
+                return val
             grads = np.zeros(t.shape)  # on the layout [beta0, beta, phi]
-            grads[..., -1] = -1.0 / phi
-            if beta is not None:
-                b_xtx = beta @ self.xtx  # X'X is symmetric
-                quad = (beta * b_xtx).sum(axis=-1)
-                val = val + (
-                    -0.5 * self.p * LOG2PI
-                    + 0.5 * self.p * np.log(phi)
-                    - 0.5 * self.p * np.log(self.g)
-                    + 0.5 * self.logdet_xtx
-                    - 0.5 * phi / self.g * quad
-                )
-                grads[..., 1:-1] = (-phi / self.g)[..., None] * b_xtx
-                grads[..., -1] += 0.5 * self.p / phi - 0.5 / self.g * quad
-        if not isinstance(theta, ad.Node):
-            return val
+            grads[..., 1:-1] = (-phi / self.g)[..., None] * b_xtx
+            grads[..., -1] = -1.0 / phi + (0.5 * self.p / phi - 0.5 / self.g * quad)
         return ad.closed_form(theta, val, grads, "linreg_log_prior")
 
     def draw_predictive(self, thetas, X, rng, noise=True):
-        mean = _linear_predictor(thetas, X, self._columns)
+        mean = self._linear(np.asarray(thetas, dtype=float), X)
         if not noise:
             return mean
         phi = np.asarray(thetas, dtype=float)[:, self.layout.slice("phi")]
@@ -320,7 +309,8 @@ class LinRegModel(_Regression):
 
 
 class LogisticModel(_Regression):
-    """Bernoulli regression with logit link and independent normal priors.
+    """Bernoulli regression with logit link and independent normal priors of
+    sd ``prior_sd``, finite and > 0.
 
     ``log_lik`` and ``log_prior`` are closed forms, each one tape node.
     """
@@ -332,6 +322,8 @@ class LogisticModel(_Regression):
         if not set(np.unique(self.y)) <= {0.0, 1.0}:
             raise ValueError("responses must be binary 0/1")
         self.prior_sd = float(prior_sd)
+        if not 0 < self.prior_sd < np.inf:  # also False for nan
+            raise ValueError(f"prior_sd must be finite and > 0, got {self.prior_sd}")
         self._sign = 1.0 - 2.0 * self.y  # -1 where y=1, +1 where y=0
 
     def log_lik(self, theta):
@@ -339,7 +331,7 @@ class LogisticModel(_Regression):
         with np.errstate(all="ignore"):  # checked once, in ad.closed_form
             # log p(y|a) = -softplus((1-2y) a), the stable log-sigmoid form,
             # with one exp(-|.|) shared by softplus and its derivative sigmoid
-            s = self._sign * (t[..., 0:1] + t[..., 1:] @ self.X.T)
+            s = self._sign * self._linear(t)
             e = np.exp(-np.abs(s))
             val = -(np.maximum(s, 0.0) + np.log1p(e)).sum(axis=-1)
             if not isinstance(theta, ad.Node):
@@ -360,14 +352,14 @@ class LogisticModel(_Regression):
             grads = -t / self.prior_sd**2
         return ad.closed_form(theta, val, grads, "logistic_log_prior")
 
-    def sample_prior(self, rng):
-        return rng.normal(0.0, self.prior_sd, size=self.layout.dim)
+    def sample_prior(self, rng, n):
+        return rng.normal(0.0, self.prior_sd, size=(n, self.layout.dim))
 
     def bytes_per_draw(self):
         return 8 * 6 * len(self.y)  # the logit, exp(-|s|) and the softplus terms
 
     def draw_predictive(self, thetas, X, rng, noise=True):
-        p = 1.0 / (1.0 + np.exp(-_linear_predictor(thetas, X, self._columns)))
+        p = 1.0 / (1.0 + np.exp(-self._linear(np.asarray(thetas, dtype=float), X)))
         return (rng.random(p.shape) < p).astype(float) if noise else p
 
 
@@ -407,11 +399,13 @@ class GPModel(Model):
     BASE_JITTER = 1e-6  # relative to eta^2
     HYPER = ("eta", "nu1", "nu2", "sigma")
     # (mean, sd) of beta's normal prior, and (location, sd) of the log-normal
-    # priors on h, by name and as two arrays in HYPER order
+    # priors on h, by name; as one (2, 5) array of the locations and the sds
+    # of [beta, *h], and as the two arrays of h in HYPER order
     MEAN_PRIOR = (0.0, 1.0)
     LOGNORMAL_PRIORS = {"eta": (0.0, 1.0), "nu1": (1.0, 1.0), "nu2": (1.0, 1.0),
                         "sigma": (0.0, 1.0)}
-    _LOC, _SD = np.array([*map(LOGNORMAL_PRIORS.get, HYPER)]).T
+    _PRIORS = np.array([MEAN_PRIOR, *map(LOGNORMAL_PRIORS.get, HYPER)]).T
+    _LOC, _SD = _PRIORS[:, 1:]
     # the weight of beta's prior term: a stack's fixed-mean rows take 0
     _mean_prior_weight = 1.0
 
@@ -547,9 +541,12 @@ class GPModel(Model):
             return val
         return ad.closed_form(theta, val, g, "gp_log_prior")
 
-    def sample_prior(self, rng):
-        mean = [rng.normal(*self.MEAN_PRIOR)] if self.free_mean else []
-        return np.concatenate([mean, np.exp(rng.normal(self._LOC, self._SD))])
+    def sample_prior(self, rng, n):
+        # one standard normal per coordinate, row by row: beta's, then h's
+        loc, sd = self._PRIORS[:, -self.layout.dim:]
+        theta = loc + sd * rng.standard_normal((n, self.layout.dim))
+        theta[:, -4:] = np.exp(theta[:, -4:])
+        return theta
 
     def bytes_per_draw(self):
         if self.lattice is None:  # a row at a time, in the model's work array

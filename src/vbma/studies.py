@@ -66,11 +66,13 @@ def gp_study(grid_size=20, n_test=100, seed=0, offset_sds=2.0):
 
     The first candidate estimates its constant mean (matching how the data
     were generated); the second fixes the mean at an offset of ``offset_sds``
-    sample standard deviations, a deliberately misspecified variant.  The
-    offset needs the sample sd of at least two training rows.  The pair is
+    sample standard deviations (finite), a deliberately misspecified variant.
+    The offset needs the sample sd of at least two training rows.  The pair is
     a ``SubsetEnsemble``: ``core.run`` evaluates both in one pass per
     iteration, with the fixed-mean member padded at beta.
     """
+    if not np.isfinite(offset_sds):
+        raise ValueError(f"gp study needs a finite offset_sds, got {offset_sds}")
     if not 0 <= n_test <= max(grid_size, 0) ** 2 - 2:
         raise ValueError(f"gp study needs 0 <= n_test <= grid_size**2 - 2 (two training "
                          f"rows), got n_test={n_test}, grid_size={grid_size}")

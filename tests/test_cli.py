@@ -239,13 +239,32 @@ def crime_fit_dir(tmp_path_factory):
     (["predict", "--levels", "0.5,0.5"], "cfg"),
     (["coverage", "--levels", "0.5,0.5"], "cfg"),
     (["predict", "--levels", "0.1,0.1000001"], "cfg"),
+    # the models' names and layouts match the fit's, their settings do not
+    (["predict"], "study-g"),
+    (["coverage"], "ensemble-g"),
 ], ids=["coverage-level-1", "predict-level-x", "predict-draws-0", "checkpoint-mismatch",
-        "predict-level-twice", "coverage-level-twice", "predict-same-label"])
+        "predict-level-twice", "coverage-level-twice", "predict-same-label",
+        "study-setting-differs", "ensemble-setting-differs"])
 def test_bad_predictive_inputs_are_usage_errors(crime_fit_dir, capsys, argv, config):
     root, cfg, subset = crime_fit_dir
-    config = cfg if config == "cfg" else subset
-    assert run_cli(argv + ["--config", str(config), "--out", str(root)]) == 1
-    assert "error:" in capsys.readouterr().err
+    out = root
+    if config == "study-g":  # the crime study at g = 3, against its fit at g = n
+        config = root / "study-g.ini"
+        config.write_text(cfg.read_text().replace("name = crime\n", "name = crime\ng = 3\n"))
+    elif config == "ensemble-g":  # the subset ensemble at g = 3, against its fit at g = n
+        out = root / "subset-fit"
+        assert run_cli(["fit", "--config", str(subset), "--out", str(out), "--samples", "2",
+                        "--pretrain-iters", "2", "--joint-iters", "0", "--window", "0"]) == 0
+        config = root / "ensemble-g.ini"
+        config.write_text(subset.read_text() + "g = 3\n")  # [ensemble] is the last section
+    else:
+        config = cfg if config == "cfg" else subset
+    assert run_cli(argv + ["--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if config.stem.endswith("-g"):
+        assert f"{out / 'checkpoint.txt'}: fitted on models=" in err
+        assert not any(out.glob("predictions.csv")) and not any(out.glob("coverage.csv"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,19 +349,18 @@ def test_hopeless_draw_in_a_block_with_holes_exits_two(tmp_path, monkeypatch, ca
     # numerical failure
     cfg = tmp_path / "gp.ini"
     cfg.write_text("[study]\nname = gp\ngrid_size = 6\nn_test = 3\n")
-    sample_prior, draws = GPModel.sample_prior, []
+    sample_prior, blocks = GPModel.sample_prior, []
 
-    def one_hopeless(self, rng):
-        theta = sample_prior(self, rng)
-        draws.append(theta)
-        if len(draws) == 3:
-            theta[-4:] = [1e-161, 3.0, 3.0, 1e-170]
-        return theta
+    def one_hopeless(self, rng, n):
+        thetas = sample_prior(self, rng, n)
+        blocks.append(n)
+        thetas[2, -4:] = [1e-161, 3.0, 3.0, 1e-170]
+        return thetas
 
     monkeypatch.setattr(GPModel, "sample_prior", one_hopeless)
     argv = ["evidence", "--config", str(cfg), "--out", str(tmp_path / "o"), "--mc-samples", "8"]
     assert run_cli(argv) == 2
-    assert len(draws) == 8  # one block
+    assert blocks == [8]  # one block
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: kernel matrix not positive definite")
     assert "eta=1e-161" in err
@@ -449,6 +467,28 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                        f"[ensemble]\npredictors = M\n{kind}")
         assert run_cli(["fit", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: [ensemble] kind is required (linear or logistic)\n"
+    # a number from outside the program that no model takes: the g-prior's
+    # g, a logistic prior sd, the GP offset, or a non-finite table cell
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("M,y\n1.0,2.0\n2.0,nan\n3.0,1.0\n")
+    for text, name in (("[study]\nname = crime\ng = 0\n", "g"),
+                       ("[study]\nname = crime\ng = -1\n", "g"),
+                       ("[study]\nname = crime\ng = nan\n", "g"),
+                       ("[study]\nname = heart\nprior_sd = 0\n", "prior_sd"),
+                       ("[study]\nname = heart\nprior_sd = -2\n", "prior_sd"),
+                       ("[study]\nname = gp\noffset_sds = nan\n", "offset_sds"),
+                       ("[study]\nname = gp\noffset_sds = inf\n", "offset_sds"),
+                       ("[data]\ncsv = bundled:crime.csv\nresponse = y\n"
+                        "[ensemble]\nkind = linear\npredictors = M\ng = 0\n", "g"),
+                       ("[data]\ncsv = bundled:heart.csv\nresponse = y\n"
+                        "[ensemble]\nkind = logistic\npredictors = sex\nprior_sd = nan\n",
+                        "prior_sd"),
+                       (f"[data]\ncsv = {nan_csv}\nresponse = y\n"
+                        "[ensemble]\nkind = linear\npredictors = M\n", "column 'y'")):
+        bad.write_text(text)
+        assert run_cli(["fit", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err, text
     with pytest.raises(SystemExit):  # argparse --version/-h still exits itself
         run_cli(["--version"])
     assert run_cli(["fit"]) == 1 or run_cli(["fit", "--config", str(bad)]) == 1

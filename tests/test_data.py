@@ -38,6 +38,14 @@ def test_load_csv_locates_bad_cell(tmp_path):
         data_io.load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_rejects_a_non_finite_cell(tmp_path, cell):
+    # float() parses these, and a model fitted on them rejects every draw
+    p = write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+    with pytest.raises(IngestionError, match=f"non-finite cell '{cell}' at row 3, column 'b'"):
+        data_io.load_csv(p)
+
+
 def test_load_csv_locates_missing_value(tmp_path):
     p = write(tmp_path, "a,b\n1,\n")
     with pytest.raises(IngestionError, match="missing value"):

@@ -131,7 +131,7 @@ def gp_5x5_and_shuffled():
 
 def hand_loop_log_evidence(m, n_samples, seed):
     rng = np.random.default_rng(seed)
-    log_liks = np.array([m.log_lik(m.sample_prior(rng)) for _ in range(n_samples)])
+    log_liks = np.array([m.log_lik(m.sample_prior(rng, 1)[0]) for _ in range(n_samples)])
     return logsumexp(log_liks) - np.log(n_samples)
 
 

@@ -142,6 +142,28 @@ def test_linreg_singular_subset_rejected():
         LinRegModel(X, np.zeros(10), predictors=("a", "b"))
 
 
+@pytest.mark.parametrize("cls", [LinRegModel, LogisticModel])
+def test_intercept_only_model_is_the_p0_case(cls):
+    # the layout keeps a size-0 beta block, and the design must be (n, p)
+    y = np.array([0.0, 1.0, 1.0, 0.0])
+    m = cls(np.zeros((4, 0)), y)
+    assert m.name.endswith("intercept") and m.X.shape == (4, 0)
+    assert m.layout.slice("beta") == slice(1, 1)
+    assert m.layout.names() == (("beta0", "phi") if cls is LinRegModel else ("beta0",))
+    for X, predictors in ((np.zeros((4, 1)), ()), (np.zeros((4, 2)), ("a",)),
+                          (np.zeros((3, 1)), ("a",))):
+        with pytest.raises(ValueError, match="design X must be"):
+            cls(X, y, predictors=predictors)
+
+
+@pytest.mark.parametrize("cls, key", [(LinRegModel, "g"), (LogisticModel, "prior_sd")])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_prior_scale_must_be_finite_and_positive(cls, key, value):
+    X = np.array([[-1.0], [0.0], [1.0]])
+    with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+        cls(X, np.array([0.0, 1.0, 1.0]), predictors=("a",), **{key: value})
+
+
 def test_linreg_predictive_draws(lin_model):
     theta = np.array([0.0, 1.0, 0.0, 100.0])
     r = np.random.default_rng(0)
@@ -456,16 +478,17 @@ def test_gp_gradient_matches_fd(gp_pairs):
 
 
 def test_gp_sample_prior_draws_as_a_per_parameter_loop(gp_pair):
-    # MC evidence relies on this order of draws: the mean, then eta, nu1,
-    # nu2 and sigma, one normal each
+    # MC evidence relies on this order of draws: row by row, the mean, then
+    # eta, nu1, nu2 and sigma, one normal each; a block is the loop's rows
     for m in gp_pair:
         r, r_loop = rng(), rng()
+        want = []
         for _ in range(5):
-            want = [r_loop.normal(*m.MEAN_PRIOR)] if m.free_mean else []
+            want.append([r_loop.normal(*m.MEAN_PRIOR)] if m.free_mean else [])
             for name in ("eta", "nu1", "nu2", "sigma"):
                 loc, sd = m.LOGNORMAL_PRIORS[name]
-                want.append(np.exp(r_loop.normal(loc, sd)))
-            assert np.array_equal(m.sample_prior(r), np.array(want))
+                want[-1].append(np.exp(r_loop.normal(loc, sd)))
+        assert np.array_equal(m.sample_prior(r, 5), np.array(want))
 
 
 def tape_kernel_log_joint(m, theta):
@@ -510,8 +533,8 @@ def assert_matches_tape_kernel(m, theta):
 def test_gp_closed_form_kernel_matches_tape_on_prior_draws(gp_pairs):
     r = rng()
     for m in itertools.chain(*gp_pairs):
-        for _ in range(10):
-            assert_matches_tape_kernel(m, m.sample_prior(r))
+        for theta in m.sample_prior(r, 10):
+            assert_matches_tape_kernel(m, theta)
 
 
 def no_dense_kernel(monkeypatch, m):
@@ -572,7 +595,7 @@ def test_gp_block_with_a_hopeless_draw_raises_conditioning_error(gp_pairs, monke
     # with holes too
     for m in gp_pairs[0] + gp_pairs[2]:
         r = rng()
-        thetas = np.stack([m.sample_prior(r) for _ in range(6)])
+        thetas = m.sample_prior(r, 6)
         thetas[3, -4:] = [1e-161, 3.0, 3.0, 1e-170]
         with monkeypatch.context() as mp:
             no_dense_kernel(mp, m)
@@ -587,7 +610,7 @@ def test_gp_block_log_joint_matches_rows_on_a_lattice(gp_pairs):
     r = rng()
     for m in gp_pairs[0] + gp_pairs[2]:
         assert m.supports_blocks
-        thetas = np.stack([m.sample_prior(r) for _ in range(12)])[None]
+        thetas = m.sample_prior(r, 12)[None]
         vals, grads = ad.grad(m.log_joint, thetas)
         assert vals.shape == (1, 12) and grads.shape == thetas.shape
         for s, theta in enumerate(thetas[0]):
@@ -644,12 +667,12 @@ def test_tape_records_a_few_nodes_per_pass(gp_pairs, monkeypatch):
         models = build()[1]
         ad.grad(models.stacked.log_joint, member_draws(models.stacked, r, (len(models), 3)))
     for m in itertools.chain(*gp_pairs):
-        theta = m.sample_prior(r)
+        (theta,) = m.sample_prior(r, 1)
         ad.grad(m.log_joint, theta[None, None] if m.supports_blocks else theta)
     assert counts == [5, 5, 5, 5, 4, 4, 5, 5]
     monkeypatch.setattr(ad, "gaussian_spd_logpdf", value_only)
     for m in itertools.chain(*gp_pairs):
-        thetas = np.stack([m.sample_prior(r) for _ in range(3)])
+        thetas = m.sample_prior(r, 3)
         for theta in (thetas if not m.supports_blocks else [*thetas, thetas]):
             assert np.all(np.isfinite(m.log_lik(theta)))
         with pytest.raises(AssertionError, match="gradient computed"):
@@ -752,7 +775,7 @@ def test_gp_lattice_predict_dist_matches_the_dense_path():
     r = rng()
     for m in prediction_models():
         X, dense = prediction_inputs(m, r), dense_twin(m)
-        thetas = np.stack([m.sample_prior(r) for _ in range(20)])
+        thetas = m.sample_prior(r, 20)
         mean, var, noise_var = m.predict_dist(thetas, X)
         assert mean.shape == var.shape == (20, len(X)) and noise_var.shape == (20, 1)
         for theta, row_mean, row_var, row_noise, want_mean, want_var, want_noise in zip(
@@ -771,7 +794,7 @@ def test_gp_draw_predictive_block_matches_its_rows():
     models = prediction_models()
     for m, lattice in [(m, m) for m in models[::2]] + [(off_lattice(models[0]), models[0])]:
         X = prediction_inputs(lattice, r)
-        thetas = np.stack([m.sample_prior(r) for _ in range(7)])
+        thetas = m.sample_prior(r, 7)
         for noise in (True, False):
             block_rng, row_rng = np.random.default_rng(9), np.random.default_rng(9)
             block = m.draw_predictive(thetas, X, block_rng, noise=noise)
@@ -791,7 +814,7 @@ def test_gp_predictive_stack_holds_a_fixed_byte_budget(monkeypatch):
     m = models[0]
     X = np.column_stack([ds.column("x1", "test"), ds.column("x2", "test")])
     r = rng()
-    thetas = np.stack([m.sample_prior(r) for _ in range(1000)])
+    thetas = m.sample_prior(r, 1000)
     rows = MC_BYTES // m._predict_bytes_per_draw(len(X))
     assert 100 < rows < 500
     blocks, predict_dist = [], m.predict_dist
@@ -811,7 +834,7 @@ def test_gp_predictive_stack_holds_a_fixed_byte_budget(monkeypatch):
 
 
 def test_gp_prior_samples_positive(gp_model):
-    draws = np.array([gp_model.sample_prior(np.random.default_rng(i)) for i in range(50)])
+    draws = np.array([gp_model.sample_prior(np.random.default_rng(i), 1)[0] for i in range(50)])
     assert np.all(draws[:, 1:] > 0)
 
 
