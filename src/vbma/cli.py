@@ -14,12 +14,17 @@ flag, then ``VBMA_``-prefixed environment variable, then config file, then
 the default of the library call the key feeds.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
+
+On glibc, ``main`` keeps the heap memory the process frees (``_keep_freed_memory``);
+importing the module does not.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
+import functools
 import hashlib
 import os
 import sys
@@ -157,12 +162,22 @@ def config_hash(settings):
 
 def models_hash(settings):
     """``config_hash`` of the keys set (non-empty) in [study], [data] and
-    [ensemble]: what builds the models, not how they are fitted."""
-    return config_hash({s: {k: v for k, v in settings[s].items() if v}
-                        for s in ("study", "data", "ensemble")})
+    [ensemble], and, without a [study] name, of the bytes of the table that
+    [data] csv names: what builds the models, not how they are fitted."""
+    parts = {s: {k: v for k, v in settings[s].items() if v}
+             for s in ("study", "data", "ensemble")}
+    csv = parts["data"].get("csv")
+    if csv and "name" not in parts["study"]:
+        parts["table"] = {"sha256": hashlib.sha256(_table(csv).read_bytes()).hexdigest()}
+    return config_hash(parts)
 
 
 # -- ensemble construction ----------------------------------------------------
+
+
+def _table(csv):
+    """The file a [data] csv value names; ``bundled:<name>`` ships with vbma."""
+    return data_io.bundled_path(csv[8:]) if csv.startswith("bundled:") else Path(csv)
 
 
 def build_ensemble(settings):
@@ -188,12 +203,11 @@ def _build_ensemble(settings):
     if "csv" not in data:
         raise CliError("config needs either [study] name or [data] csv")
     csv = data.pop("csv")
-    path = data_io.bundled_path(csv[8:]) if csv.startswith("bundled:") else csv
     if "response" not in data:
         raise CliError("[data] response is required")
     # split_mask has no defaults of its own: by default every row trains
     fraction, seed = data.pop("train_fraction", 1.0), data.pop("split_seed", 0)
-    cols = data_io.load_csv(path)
+    cols = data_io.load_csv(_table(csv))
     n = len(next(iter(cols.values())))
     ds = data_io.prepare(cols, train_mask=data_io.split_mask(n, fraction, seed), **data)
     ens = settings["ensemble"]
@@ -473,6 +487,45 @@ def _coverage_svg(path, cov):
 
 # -- entry point --------------------------------------------------------------
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
+
+
+def _mallopt():
+    """glibc's ``int mallopt(int param, int value)`` in this process."""
+    fn = ctypes.CDLL(None).mallopt
+    fn.argtypes, fn.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return fn
+
+
+@functools.cache  # once per process, not ~30 us on every call of main
+def _keep_freed_memory():
+    """On glibc, keep freed heap memory in this process; elsewhere, or when
+    the environment sets glibc's malloc thresholds itself, do nothing.
+
+    By default glibc gives the freed top of the heap back to the OS and
+    serves each block above an adaptive threshold with an ``mmap`` of its
+    own, so every pass of a fit, an evidence or a predictive block faults
+    the pages of its temporaries in again: ~650 minor faults per heart
+    iteration.  Raising both thresholds keeps those pages.  Setting one
+    alone turns off glibc's adjustment of the other and adds faults.  No
+    allocation changes size or contents, so no number changes.
+    """
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if any(var in os.environ for var in MALLOC_ENV) or "glibc.malloc." in tunables:
+        return
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or a C library without the name
+        return
+    if libc.startswith("glibc"):
+        mallopt = _mallopt()
+        # 32 MiB is the most glibc's own adaptive mmap threshold reaches on a
+        # 64-bit machine; mallopt returns 1 on success, and the trim
+        # threshold alone adds faults
+        if mallopt(M_MMAP_THRESHOLD, 32 << 20):
+            mallopt(M_TRIM_THRESHOLD, 128 << 20)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -540,6 +593,7 @@ def build_parser():
 
 
 def main(argv=None):
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,8 +2,13 @@
 configuration precedence, and the exit-code contract."""
 
 import dataclasses
+import importlib.util
 import os
+import platform
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -692,6 +697,35 @@ def test_checkpoint_that_does_not_match_the_models_is_usage_error(checkpoint_cop
     assert not (out / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("bundled", [False, True], ids=["path", "bundled"])
+def test_a_table_rewritten_after_the_fit_is_a_checkpoint_mismatch(tmp_path, monkeypatch, capsys,
+                                                                  bundled):
+    # the settings are the fit's, the rows of the table they name are not
+    csv, r = tmp_path / "d.csv", np.random.default_rng(2)
+    monkeypatch.setattr(data_io, "bundled_path", lambda name: tmp_path / name)
+    data_io.write_csv(csv, ["y", "a"], zip(r.normal(size=5), r.normal(size=5)))
+    cfg = tmp_path / "table.ini"
+    cfg.write_text(f"[data]\ncsv = {'bundled:d.csv' if bundled else csv}\nresponse = y\n\n"
+                   "[ensemble]\nkind = linear\npredictors = a\n\n"
+                   "[run]\nsamples = 2\npretrain_iters = 2\njoint_iters = 0\nwindow = 0\n")
+    common = ["--config", str(cfg), "--out", str(tmp_path)]
+    assert run_cli(["fit"] + common) == 0
+    data_io.write_csv(csv, ["y", "a"], zip(r.normal(size=6), r.normal(size=6)))
+    assert run_cli(["predict"] + common) == 1
+    assert f"{tmp_path / 'checkpoint.txt'}: fitted on models=" in capsys.readouterr().err
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("study, want", [
+    ({"name": "crime"}, "72f036c9b74e"),
+    ({"name": "gp", "grid_size": "18", "n_test": "24"}, "04d8dc4840ce"),
+])
+def test_a_study_configs_models_line_hashes_its_settings_alone(study, want):
+    # hashing a [data] table's bytes leaves the checkpoints of [study] fits valid
+    settings = {"study": study, "data": {}, "ensemble": {}, "run": {"seed": "4"}}
+    assert cli.models_hash(settings) == want
+
+
 def test_numerical_failures_exit_two(tmp_path, crime_cfg, monkeypatch):
     def boom(cfg, models, progress=None):
         raise core.IterationError("synthetic blow-up")
@@ -727,3 +761,119 @@ def test_svg_emission(tmp_path, crime_cfg):
                     "--draws", "50"]) == 0
     for name in ("elbo_trace.svg", "coverage.svg"):
         assert b"<svg" in (out / name).read_bytes()[:500]
+
+
+# -- the allocator thresholds main sets ---------------------------------------
+
+ON_GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+@pytest.fixture()
+def mallopt(monkeypatch):
+    """The calls main makes to ``mallopt``, recorded, on a C library that
+    reports glibc and in an environment that sets no malloc threshold."""
+    calls = []
+    monkeypatch.setattr(cli, "_mallopt", lambda: lambda param, value: calls.append(
+        (param, value)) or 1)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    for var in (*cli.MALLOC_ENV, "GLIBC_TUNABLES"):
+        monkeypatch.delenv(var, raising=False)
+    cli._keep_freed_memory.cache_clear()
+    yield calls
+    cli._keep_freed_memory.cache_clear()
+
+
+def _synth(tmp_path):
+    return run_cli(["synth", "--kind", "heart", "--file", str(tmp_path / "h.csv")])
+
+
+def test_main_sets_both_malloc_thresholds_once(mallopt, tmp_path):
+    assert _synth(tmp_path) == 0 and _synth(tmp_path) == 0
+    assert mallopt == [(cli.M_MMAP_THRESHOLD, 33554432), (cli.M_TRIM_THRESHOLD, 134217728)]
+
+
+@pytest.mark.parametrize("var, value", [
+    ("MALLOC_TRIM_THRESHOLD_", "131072"), ("MALLOC_MMAP_THRESHOLD_", "131072"),
+    ("GLIBC_TUNABLES", "glibc.rtld.nns=2:glibc.malloc.trim_threshold=131072"),
+])
+def test_main_keeps_the_users_malloc_settings(mallopt, tmp_path, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    assert _synth(tmp_path) == 0
+    assert mallopt == []
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError])
+def test_main_leaves_a_c_library_other_than_glibc_alone(mallopt, tmp_path, monkeypatch, error):
+    def confstr(name):
+        raise error(name)
+
+    monkeypatch.setattr(os, "confstr", confstr)
+    assert _synth(tmp_path) == 0
+    assert mallopt == []
+
+
+def test_a_rejected_mmap_threshold_leaves_the_trim_threshold_alone(mallopt, tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.setattr(cli, "_mallopt", lambda: lambda param, value: mallopt.append(
+        (param, value)) and 0)
+    assert _synth(tmp_path) == 0
+    assert mallopt == [(cli.M_MMAP_THRESHOLD, 33554432)]
+
+
+def _child(script, *args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in (*cli.MALLOC_ENV, "GLIBC_TUNABLES")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# counts the lookups of mallopt, which any call to it needs, through ctypes'
+# audit event; the second count shows that the hook sees one
+IMPORT_IN_CHILD = """
+import sys
+lookups = []
+sys.addaudithook(lambda event, args: event == "ctypes.dlsym" and "mallopt" in args
+                 and lookups.append(args))
+import vbma, vbma.cli
+print(len(lookups))
+vbma.cli._mallopt()
+print(len(lookups))
+"""
+
+
+@pytest.mark.skipif(not ON_GLIBC, reason="looks mallopt up in glibc")
+def test_importing_vbma_leaves_the_allocator_alone():
+    assert _child(IMPORT_IN_CHILD).split() == ["0", "1"]
+
+
+FITS_IN_CHILD = """
+import resource, sys
+from vbma import cli
+config, root = sys.argv[1:]
+for i in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["fit", "--config", config, "--out", f"{root}/{i}", "--samples", "10",
+                     "--pretrain-iters", "20", "--joint-iters", "10", "--window", "10"]) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
+@pytest.mark.skipif(not ON_GLIBC or importlib.util.find_spec("resource") is None,
+                    reason="counts minor faults under glibc's allocator")
+@pytest.mark.parametrize("study", ["name = heart", "name = gp\ngrid_size = 18\nn_test = 24"],
+                         ids=["heart", "holed-gp"])
+def test_a_third_cli_fit_in_one_process_faults_no_pages_in(tmp_path, study):
+    # the stacked heart pass and the GP pair on a 17 x 18 lattice with 6 holes
+    # free and reallocate their temporaries every iteration: at glibc's
+    # defaults a fit took 21 780 and 7 650 minor faults
+    config = tmp_path / "study.ini"
+    config.write_text(f"[study]\n{study}\n")
+    faults = int(_child(FITS_IN_CHILD, str(config), str(tmp_path)).split()[-1])
+    assert faults < 500
+    for name in ("weights.csv", "elbo_trace.csv", "checkpoint.txt"):
+        first = (tmp_path / "0" / name).read_bytes()
+        assert all((tmp_path / f"{i}" / name).read_bytes() == first for i in (1, 2))
