@@ -598,7 +598,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, evidence_mod.ConfigurationError) as err:
+    except (CliError, evidence_mod.ConfigurationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (core.IterationError, optimizers.NonFiniteGradientError, np.linalg.LinAlgError,

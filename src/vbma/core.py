@@ -71,8 +71,8 @@ class VbmaConfig:
         if self.optimizer.lower() not in optimizers.OPTIMIZERS:
             raise ValueError(f"unknown optimizer '{self.optimizer}' "
                              f"(expected {' or '.join(optimizers.OPTIMIZERS)})")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be > 0")
+        if self.step_size is not None and not 0 < self.step_size < np.inf:  # nan too
+            raise ValueError("step_size must be finite and > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -8,7 +8,8 @@ the standard deviation used by the reparametrization transform.  Optimizing
 type, ``VariationalState``, holds the coordinates of one model or of a stack
 of models on one layout.  A state decodes its variances once, when
 ``raw_scale`` is assigned, and every draw, density and Jacobian of that state
-reads them.
+reads them.  A model's proper prior is a state too (``models.Model.prior``),
+built by ``VariationalState.exact`` to keep its standard deviations as given.
 
 The draw, log q with its gradient and the Jacobian of the draw are closed
 forms in numpy, off the autodiff tape.
@@ -79,6 +80,16 @@ class VariationalState:
         if not self.mu.shape == self.raw_scale.shape == self.lognormal_mask.shape:
             raise ValueError("mu, raw_scale and lognormal_mask must have one shape")
 
+    @classmethod
+    def exact(cls, mu, sd, lognormal_mask):
+        """A state whose standard deviations are ``sd`` and variances
+        ``sd * sd``, held as given: decoding ``raw_scale`` = encode_scale(sd^2)
+        would round them."""
+        sd = np.asarray(sd, dtype=float)
+        state = cls(mu, encode_scale(sd * sd), lognormal_mask)
+        state.var, state._sd = sd * sd, sd
+        return state
+
     def sd(self):
         """Decoded per-coordinate standard deviations."""
         return self._sd
@@ -122,24 +133,31 @@ def log_q(state: VariationalState, theta):
     if t.shape[-1] != state.dim:
         raise ValueError("theta has wrong length for this state")
     m = state.lognormal_mask
-    if ((m > 0) & (t <= 0)).any():
+    # a state without log-normal coordinates skips their terms, which would
+    # be exact zeros (log theta) and ones (dx/dtheta), as sample does
+    lognormal = m.any()
+    if lognormal and ((m > 0) & (t <= 0)).any():
         raise ValueError("log-normal coordinate requires strictly positive theta")
     var = state.var
     with np.errstate(all="ignore"):  # checked once, below
-        # log theta on log-normal coordinates, exactly 0 on normal ones
-        scale = t * m + (1.0 - m)
-        log_theta = np.log(scale)
-        x = t * (1.0 - m) + log_theta  # the coordinates on their normal scale
+        x = t  # the coordinates on their normal scale
+        if lognormal:
+            # log theta on log-normal coordinates, exactly 0 on normal ones
+            scale = t * m + (1.0 - m)
+            log_theta = np.log(scale)
+            x = t * (1.0 - m) + log_theta
         quad = (x - state.mu) ** 2 / var
         terms = np.log(2.0 * np.pi) + np.log(var) + quad
         d_x = (state.mu - x) / var  # d(-quad / 2) / dx
         if state.mask is not None:
             terms = terms * state.mask
             d_x = d_x * state.mask
-        val = -0.5 * terms.sum(axis=-1) - log_theta.sum(axis=-1)  # -log(theta) terms
-        # dx/dtheta is 1/theta on log-normal coordinates, where the Jacobian
-        # term adds -1/theta; 1 and 0 on normal ones
-        grads = (d_x - m) / scale
+        val, grads = -0.5 * terms.sum(axis=-1), d_x
+        if lognormal:
+            val = val - log_theta.sum(axis=-1)  # -log(theta) terms
+            # dx/dtheta is 1/theta on log-normal coordinates, where the
+            # Jacobian term adds -1/theta; 1 and 0 on normal ones
+            grads = (d_x - m) / scale
     if not (np.isfinite(val).all() and np.isfinite(grads).all()):
         raise ad.NonFiniteValueError("log_q")
     return val, grads

@@ -12,11 +12,16 @@ one call takes a single ``(d,)`` parameter vector, an ``(S, d)`` block of S
 draws or a ``(K, S, d)`` block and returns one value per row: the linear,
 logistic and normal-mean models, and a GP model whose training inputs lie
 on a lattice, full or with holes.  The linear, logistic and GP models
-compute ``log_lik`` and ``log_prior`` and their gradients in closed form,
-in numpy: a tape node gives one node (``ad.closed_form``), an array gives
-an array and computes no gradient.  The GP chains the gradients of ``ad.gaussian_spd_logpdf`` with
+compute ``log_lik`` and its gradient in closed form, in numpy: a tape node
+gives one node (``ad.closed_form``), an array gives an array and computes
+no gradient.  The GP chains the gradients of ``ad.gaussian_spd_logpdf`` with
 respect to its covariance, dense or Kronecker, to its hyperparameters.  The
-normal-mean model records its densities on the tape, as user models do.
+normal-mean model records its ``log_lik`` on the tape, as user models do.
+The proper priors (normal-mean, logistic and GP) are each a mean-field
+``families.VariationalState``, the model's ``prior``: ``families.log_q``
+is their ``log_prior``, one closed-form node, and ``families.sample``
+their ``sample_prior``.  The linear model's improper g-prior is its own
+closed form.
 A regression model on p predictors lays out [beta0, beta (p), ...], and
 the intercept-only model is the p = 0 case of the same formulas: a size-0
 ``beta`` block and an (n, 0) design, whose terms are exact zeros.
@@ -47,6 +52,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from . import autodiff as ad
+from . import families
 from .data import sq_exp_kernel
 from .families import FamilyTag
 
@@ -104,8 +110,19 @@ class ParamLayout:
         return tuple(out)
 
 
+def _values(theta):
+    """The array under ``theta``, a tape node or an array."""
+    return theta.value if isinstance(theta, ad.Node) else np.asarray(theta, dtype=float)
+
+
 class Model:
-    """Base class; subclasses bind their data at construction."""
+    """Base class; subclasses bind their data at construction.
+
+    A model whose prior is a product of independent normal and log-normal
+    coordinates sets ``prior``, a ``families.VariationalState`` on its
+    layout, and takes ``log_prior`` and ``sample_prior`` from it; any other
+    model overrides ``log_prior``, and ``sample_prior`` for an MC evidence.
+    """
 
     name: str
     layout: ParamLayout
@@ -119,7 +136,15 @@ class Model:
         raise NotImplementedError
 
     def log_prior(self, theta):
-        raise NotImplementedError
+        """log p(theta) of the ``prior`` state (``families.log_q``): one
+        closed-form node on the tape."""
+        val, grads = families.log_q(self.prior, _values(theta))
+        return ad.closed_form(theta, val, grads, "log_prior") if isinstance(theta, ad.Node) else val
+
+    def sample_prior(self, rng, n):
+        """An (n, d) block of prior draws, from one (n, d) block of standard
+        normals of ``rng``, row by row."""
+        return families.sample(self.prior, rng.standard_normal((n, self.layout.dim)))
 
     def log_joint(self, theta):
         return self.log_lik(theta) + self.log_prior(theta)
@@ -168,10 +193,9 @@ class GaussianMeanModel(Model):
         ssq = ad.vsum((self.y - mu) ** 2, axis=-1)
         return -0.5 * (n * (LOG2PI + 2.0 * np.log(self.obs_sd)) + ssq / self.obs_sd**2)
 
-    def log_prior(self, theta):
-        mu = theta[..., 0]
-        return -0.5 * (LOG2PI + 2.0 * np.log(self.prior_sd)
-                       + (mu - self.prior_mean) ** 2 / self.prior_sd**2)
+    @functools.cached_property
+    def prior(self):
+        return families.VariationalState.exact([self.prior_mean], [self.prior_sd], [0.0])
 
     def posterior(self):
         """Exact posterior (mean, sd)."""
@@ -192,20 +216,12 @@ class GaussianMeanModel(Model):
         logdet = n * np.log(s2) + np.log1p(n * t2 / s2)
         return float(-0.5 * (n * LOG2PI + logdet + quad))
 
-    def sample_prior(self, rng, n):
-        return rng.normal(self.prior_mean, self.prior_sd, size=(n, 1))
-
     def bytes_per_draw(self):
         return 8 * 4 * len(self.y)  # y - mu and its square
 
     def draw_predictive(self, thetas, X, rng, noise=True):
         mean = np.asarray(thetas, dtype=float)[:, :1] + np.zeros(len(X))
         return mean + rng.normal(0.0, self.obs_sd, mean.shape) if noise else mean
-
-
-def _values(theta):
-    """The array under ``theta``, a tape node or an array."""
-    return theta.value if isinstance(theta, ad.Node) else np.asarray(theta, dtype=float)
 
 
 class _Regression(Model):
@@ -246,8 +262,9 @@ class LinRegModel(_Regression):
 
     Priors: phi ~ 1/phi, flat intercept, slopes ~ N(0, g (X'X)^-1 / phi),
     with g finite and > 0.  The design matrix must be centered (intercept
-    handled separately).  ``log_lik`` and ``log_prior`` are closed forms,
-    each one tape node; at p = 0 every term of the slopes is an exact 0.
+    handled separately).  ``log_lik`` and ``log_prior`` are closed forms of
+    its own, each one tape node; at p = 0 every term of the slopes is an
+    exact 0.
     """
 
     PREFIX = "lin:"
@@ -312,7 +329,8 @@ class LogisticModel(_Regression):
     """Bernoulli regression with logit link and independent normal priors of
     sd ``prior_sd``, finite and > 0.
 
-    ``log_lik`` and ``log_prior`` are closed forms, each one tape node.
+    ``log_lik`` is a closed form, one tape node; ``prior`` is N(0,
+    prior_sd^2) on every coefficient, as a mean-field state.
     """
 
     PREFIX = "logit:"
@@ -341,19 +359,10 @@ class LogisticModel(_Regression):
                                    axis=-1)
         return ad.closed_form(theta, val, grads, "logistic_log_lik")
 
-    def log_prior(self, theta):
-        t = _values(theta)
-        d = 1 + self.p  # padding a stacked model leaves out is zero
-        with np.errstate(all="ignore"):  # checked once, in ad.closed_form
-            ssq = (t**2).sum(axis=-1)
-            val = -0.5 * (d * (LOG2PI + 2.0 * np.log(self.prior_sd)) + ssq / self.prior_sd**2)
-            if not isinstance(theta, ad.Node):
-                return val
-            grads = -t / self.prior_sd**2
-        return ad.closed_form(theta, val, grads, "logistic_log_prior")
-
-    def sample_prior(self, rng, n):
-        return rng.normal(0.0, self.prior_sd, size=(n, self.layout.dim))
+    @functools.cached_property
+    def prior(self):
+        d = self.layout.dim
+        return families.VariationalState.exact(np.zeros(d), np.full(d, self.prior_sd), np.zeros(d))
 
     def bytes_per_draw(self):
         return 8 * 6 * len(self.y)  # the logit, exp(-|s|) and the softplus terms
@@ -372,7 +381,8 @@ class GPModel(Model):
     mean is fixed at ``mean_offset``.  The positive hyperparameters h = (eta,
     nu1, nu2, sigma) (scale, the two correlation ranges, noise sd) are the
     last four coordinates and carry log-normal priors.  The priors are the
-    class constants ``MEAN_PRIOR`` and ``LOGNORMAL_PRIORS``.
+    class constants ``MEAN_PRIOR`` and ``LOGNORMAL_PRIORS``, held as one
+    mean-field state, ``prior``.
 
     The training inputs lie on a lattice when they are points of the
     Cartesian product of their distinct x1 and x2 values, with at least two
@@ -399,15 +409,10 @@ class GPModel(Model):
     BASE_JITTER = 1e-6  # relative to eta^2
     HYPER = ("eta", "nu1", "nu2", "sigma")
     # (mean, sd) of beta's normal prior, and (location, sd) of the log-normal
-    # priors on h, by name; as one (2, 5) array of the locations and the sds
-    # of [beta, *h], and as the two arrays of h in HYPER order
+    # priors on h, by name
     MEAN_PRIOR = (0.0, 1.0)
     LOGNORMAL_PRIORS = {"eta": (0.0, 1.0), "nu1": (1.0, 1.0), "nu2": (1.0, 1.0),
                         "sigma": (0.0, 1.0)}
-    _PRIORS = np.array([MEAN_PRIOR, *map(LOGNORMAL_PRIORS.get, HYPER)]).T
-    _LOC, _SD = _PRIORS[:, 1:]
-    # the weight of beta's prior term: a stack's fixed-mean rows take 0
-    _mean_prior_weight = 1.0
 
     def __init__(self, coords, y, free_mean=True, mean_offset=0.0, name="gp",
                  prior_weight=1.0):
@@ -525,28 +530,12 @@ class GPModel(Model):
             g = np.concatenate([-d_resid.sum(axis=-1, keepdims=True), g], axis=-1)
         return ad.closed_form(theta, val, g, "gp_log_lik")
 
-    def log_prior(self, theta):
-        t = _values(theta)
-        h = t[..., -4:]
-        with np.errstate(all="ignore"):  # checked once, in ad.closed_form
-            log_h = np.log(h)  # log-normal density: normal in log h, minus log h
-            val = -(log_h + 0.5 * (LOG2PI + 2.0 * np.log(self._SD)
-                                   + (log_h - self._LOC) ** 2 / self._SD**2)).sum(axis=-1)
-            g = -(1.0 + (log_h - self._LOC) / self._SD**2) / h
-            if self.free_mean:
-                (m0, s0), w, beta = self.MEAN_PRIOR, self._mean_prior_weight, t[..., 0]
-                val = val - w * (0.5 * (LOG2PI + 2.0 * np.log(s0) + (beta - m0) ** 2 / s0**2))
-                g = np.concatenate([(w * (-(beta - m0) / s0**2))[..., None], g], axis=-1)
-        if not isinstance(theta, ad.Node):
-            return val
-        return ad.closed_form(theta, val, g, "gp_log_prior")
-
-    def sample_prior(self, rng, n):
-        # one standard normal per coordinate, row by row: beta's, then h's
-        loc, sd = self._PRIORS[:, -self.layout.dim:]
-        theta = loc + sd * rng.standard_normal((n, self.layout.dim))
-        theta[:, -4:] = np.exp(theta[:, -4:])
-        return theta
+    @functools.cached_property
+    def prior(self):
+        loc, sd = np.array([self.MEAN_PRIOR, *map(self.LOGNORMAL_PRIORS.get, self.HYPER)]
+                           ).T[:, -self.layout.dim:]
+        lognormal = [t is FamilyTag.LOGNORMAL for t in self.layout.tags()]
+        return families.VariationalState.exact(loc, sd, lognormal)
 
     def bytes_per_draw(self):
         if self.lattice is None:  # a row at a time, in the model's work array
@@ -653,9 +642,10 @@ class SubsetEnsemble(list):
 
     ``stacked`` is a copy of the largest member (the model on all P
     predictors, or the free-mean GP) whose per-member constants get a leading
-    K axis: for linear and logistic models ``p``, for linear models also
-    ``logdet_xtx`` and each member's own ``xtx``, zero-padded, and for GP
-    models the mean offset and the 0/1 weight of beta's prior.  Its
+    K axis: for linear models ``p``, ``logdet_xtx`` and each member's own
+    ``xtx``, zero-padded, and for GP models the mean offset.  A logistic or
+    GP stack's ``prior`` is the largest member's with ``mask`` = ``mask[:,
+    None]``, so ``families.log_q`` leaves out each member's padding.  Its
     inherited ``log_joint`` takes a ``(K, S, D)`` block to ``(K, S)``
     values on the largest member's layout, ``[beta0, beta (P), *tail]`` or
     ``[beta, *h]``; it is None when that member takes no blocks, as a GP off
@@ -692,17 +682,18 @@ class SubsetEnsemble(list):
             return None
         stacked = copy.copy(full)
         stacked.name = f"stack of {len(self.members)}"
-        if isinstance(full, GPModel):
-            stacked.mean_offset = np.array([[m.mean_offset] for m in self.members])
-            stacked._mean_prior_weight = self.mask[:, :1] * 1.0
-            return stacked
-        stacked.p = np.array([[m.p] for m in self.members], dtype=float)
         if isinstance(full, LinRegModel):
+            stacked.p = np.array([[m.p] for m in self.members], dtype=float)
             stacked.xtx = np.zeros((len(self.members), full.p, full.p))
             for xtx, m, own in zip(stacked.xtx, self.members, self.mask):
                 cols = np.flatnonzero(own[1:1 + full.p])
                 xtx[cols[:, None], cols] = m.xtx
             stacked.logdet_xtx = np.array([[m.logdet_xtx] for m in self.members])
+            return stacked
+        if isinstance(full, GPModel):
+            stacked.mean_offset = np.array([[m.mean_offset] for m in self.members])
+        stacked.prior = copy.copy(full.prior)
+        stacked.prior.mask = self.mask[:, None]
         return stacked
 
 

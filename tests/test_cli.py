@@ -552,12 +552,23 @@ def test_study_name_alone_builds_the_library_study(name):
 
 @pytest.mark.parametrize("flags", [["--window", "-3"], ["--window", "0"],
                                    ["--pretrain-iters", "-5", "--joint-iters", "-1"],
-                                   ["--step-size", "-0.05"], ["--seed", "-1"]])
+                                   ["--step-size", "-0.05"], ["--step-size", "inf"],
+                                   ["--seed", "-1"]])
 def test_out_of_range_run_settings_are_usage_errors(tmp_path, crime_cfg, capsys, flags):
     out = tmp_path / "out"
     assert run_cli(["fit", "--config", str(crime_cfg), "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "weights.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--kind", "heart", "--file", "{tmp}/nodir/x.csv"],  # FileNotFoundError
+    ["fit", "--config", "{cfg}", "--out", "{cfg}"],  # FileExistsError: --out is a file
+])
+def test_a_failing_artifact_write_is_a_usage_error(tmp_path, crime_cfg, capsys, argv):
+    argv = [a.format(tmp=tmp_path, cfg=crime_cfg) for a in argv]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.fixture(scope="module")

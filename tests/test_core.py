@@ -736,6 +736,7 @@ def test_config_validation():
                          (dict(pretrain_iters=-5), "pretrain_iters"),
                          (dict(joint_iters=-1, window=0), "joint_iters"),
                          (dict(step_size=-0.05), "step_size"), (dict(step_size=0.0), "step_size"),
+                         (dict(step_size=np.inf), "step_size"),
                          (dict(seed=-1), "seed"), (dict(optimizer="sgd"), "optimizer")):
         with pytest.raises(ValueError, match=message):
             VbmaConfig(**bad)

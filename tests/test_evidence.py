@@ -225,6 +225,16 @@ def test_mc_default_batch_holds_a_fixed_byte_budget(monkeypatch):
     assert est.log_evidence == pytest.approx(other.log_evidence, rel=1e-12, abs=0)
 
 
+def test_mc_log_evidence_is_pinned_on_heart_and_the_gp_pair():
+    # 2e4 prior draws at seed 3, as recorded while each model had its own
+    # prior sampler; rtol 1e-12 for the BLAS of other machines
+    _, heart = studies.heart_study()
+    _, gp = studies.gp_study()
+    got = [mc_log_evidence(m, 20_000, seed=3).log_evidence for m in (heart[-1], *gp)]
+    want = [-186.08264455378745, -150.25989612639466, -160.41239986296037]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_mc_refuses_improper_priors():
     with pytest.raises(ConfigurationError, match="improper"):
         mc_log_evidence(small_lin_model(), 100)

@@ -42,6 +42,23 @@ def test_decoded_quantity_is_variance():
     assert float(state.sd()[0]) == pytest.approx(2.0)
 
 
+def test_exact_state_holds_the_given_standard_deviations():
+    # a prior as a state: sd() and var are the given sd and its square,
+    # bitwise, where decoding encode_scale(sd^2) rounds (at sd = 0.5), and
+    # log q is the product of scipy's normal and log-normal densities
+    mu, sd = np.array([0.2, 1.0, -3.0]), np.array([0.5, 0.3, 7.0])
+    state = VariationalState.exact(mu, sd, [0.0, 1.0, 0.0])
+    assert np.array_equal(state.sd(), sd) and np.array_equal(state.var, sd * sd)
+    assert not np.array_equal(families.decode_scale(families.encode_scale(sd * sd)), sd * sd)
+    theta = np.array([[0.5, 2.5, 4.0], [-1.0, 0.1, -20.0]])
+    vals, _ = families.log_q(state, theta)
+    for row, val in zip(theta, vals):
+        want = (stats.norm(0.2, 0.5).logpdf(row[0])
+                + stats.lognorm(s=0.3, scale=np.exp(1.0)).logpdf(row[1])
+                + stats.norm(-3.0, 7.0).logpdf(row[2]))
+        assert val == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_initial_state_matches_documented_defaults():
     # a fit starts each model at zero locations and the variance INIT_VAR
     model = LinRegModel(np.zeros((3, 0)), np.arange(3.0))

@@ -259,8 +259,11 @@ def tape_log_prior(m, theta):
                          - 0.5 * m.p * np.log(m.g) + 0.5 * m.logdet_xtx
                          - 0.5 * phi / m.g * quad)
         return out
+    # a stack's members count their own coordinates; its padding is zero
+    mask = m.prior.mask
+    d = m.layout.dim if mask is None else mask.sum(axis=-1)
     ssq = ad.vsum(theta**2, axis=-1)
-    return -0.5 * ((1 + m.p) * (LOG2PI + 2.0 * np.log(m.prior_sd)) + ssq / m.prior_sd**2)
+    return -0.5 * (d * (LOG2PI + 2.0 * np.log(m.prior_sd)) + ssq / m.prior_sd**2)
 
 
 def assert_closed_forms_match_tape(m, theta):
@@ -489,6 +492,18 @@ def test_gp_sample_prior_draws_as_a_per_parameter_loop(gp_pair):
                 loc, sd = m.LOGNORMAL_PRIORS[name]
                 want[-1].append(np.exp(r_loop.normal(loc, sd)))
         assert np.array_equal(m.sample_prior(r, 5), np.array(want))
+
+
+@pytest.mark.parametrize("kind", ["normal-mean", "logistic", "logistic-intercept"])
+def test_sample_prior_draws_as_a_per_coordinate_loop(kind):
+    # the same contract for the normal priors: a block is, bitwise, the rows
+    # of loc + sd z, one standard normal per coordinate in layout order
+    m = block_models()[kind]
+    loc = m.prior_mean if kind == "normal-mean" else 0.0
+    r, r_loop = rng(), rng()
+    want = [[loc + m.prior_sd * r_loop.standard_normal() for _ in range(m.layout.dim)]
+            for _ in range(6)]
+    assert np.array_equal(m.sample_prior(r, 6), np.array(want))
 
 
 def tape_kernel_log_joint(m, theta):
