@@ -632,14 +632,23 @@ def _toposort(root):
     return order
 
 
-def backward(out: Node):
-    """Reverse sweep from scalar ``out``; fills ``_grad`` on every node."""
-    if np.asarray(out.value).size != 1:
-        raise ValueError("backward requires a scalar output")
+def backward(out: Node, seed=None):
+    """Reverse sweep from ``out``; fills ``_grad`` on every node.
+
+    Without ``seed``, ``out`` must be a scalar, seeded with 1.  ``seed``, an
+    array of ``out``'s shape, is the gradient of the objective with respect
+    to ``out``: ones sweep the sum of its entries, as a row objective's does.
+    """
+    if seed is None:
+        if np.asarray(out.value).size != 1:
+            raise ValueError("backward requires a scalar output")
+        seed = np.ones_like(out.value)
+    elif np.shape(seed) != out.value.shape:
+        raise ValueError(f"seed has shape {np.shape(seed)}, the output {out.value.shape}")
     order = _toposort(out)
     for node in order:
         node._grad = None
-    out._grad = np.ones_like(out.value)
+    out._grad = seed
     for node in reversed(order):
         if node._grad is None:
             continue
@@ -661,7 +670,8 @@ def grad(f, x):
     or ``(K, S, d)``, and ``f`` returns a node of shape ``x.shape[:-1]`` whose
     entry for a row depends only on that row.  One sweep backpropagates the
     sum, so each row of the gradient is that of ``f``'s entry for the row;
-    returns ``(values x.shape[:-1], grads x.shape)``.
+    returns ``(values x.shape[:-1], grads x.shape)``.  The sweep is seeded
+    with ones, so no row-sum node enters the tape.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -677,7 +687,7 @@ def grad(f, x):
         if out.value.shape != x.shape[:-1]:
             raise ValueError(f"row objective returned shape {out.value.shape}, "
                              f"expected {x.shape[:-1]}")
-        backward(vsum(out))
+        backward(out, np.ones(out.value.shape))
     else:
         backward(out)
     g = leaf._grad

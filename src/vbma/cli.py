@@ -403,9 +403,10 @@ def cmd_predict(args):
     draws = metrics.bma_draw(posterior, X, args.draws, rng)
     names = ["row", "mean"]
     columns = [range(len(X)), draws.mean(axis=0)]
-    for lev in levels:
+    lo, hi = metrics.equal_tail_interval(draws, [1.0 - lev for lev in levels])
+    for lev, lo_lev, hi_lev in zip(levels, lo, hi):
         names += [f"lo{lev:g}", f"hi{lev:g}"]
-        columns += metrics.equal_tail_interval(draws, 1.0 - lev)
+        columns += [lo_lev, hi_lev]
     data_io.write_csv(Path(args.out) / "predictions.csv", names, zip(*columns),
                       _header(settings) + [f"rows={rows}"])
     print(f"predict: wrote {len(X)} rows ({rows} set)")
@@ -541,6 +542,7 @@ class _Parser(argparse.ArgumentParser):
         return args
 
 
+@functools.cache  # once per process; main looks the subcommand up at call time
 def build_parser():
     parser = _Parser(prog="vbma", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vbma {__version__}")
@@ -560,35 +562,29 @@ def build_parser():
     common.add_argument("--svg", action="store_true", help="also emit SVG plots")
 
     p = subs.add_parser("fit", parents=[common], help="run the variational averaging loop")
-    p.set_defaults(func=cmd_fit)
 
     p = subs.add_parser("evidence", parents=[common], help="closed-form or MC evidence baseline")
     p.add_argument("--mc-samples", type=int, default=100_000)
-    p.set_defaults(func=cmd_evidence)
 
     p = subs.add_parser("bf", parents=[common], help="Bayes factor between two fitted models")
     p.add_argument("model_i")
     p.add_argument("model_j")
     p.add_argument("--mc-samples", type=int, default=0,
                    help="MC evidence oracle sample count (proper priors)")
-    p.set_defaults(func=cmd_bf)
 
     p = subs.add_parser("predict", parents=[common], help="model-averaged predictions")
     p.add_argument("--levels", default="", help="comma-separated credibility levels")
     p.add_argument("--draws", type=int, default=1000)
-    p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("coverage", parents=[common], help="predictive-interval calibration")
     p.add_argument("--levels", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     p.add_argument("--draws", type=int, default=2000)
-    p.set_defaults(func=cmd_coverage)
 
     p = subs.add_parser("synth", help="generate a bundled-style synthetic dataset")
     p.add_argument("--kind", required=True, choices=["gp", "heart"])
     p.add_argument("--file", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=20)
-    p.set_defaults(func=cmd_synth)
     return parser
 
 
@@ -597,7 +593,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # by name, at call time, where a tracer may wrap it
+        return globals()[f"cmd_{args.command}"](args)
     except (CliError, evidence_mod.ConfigurationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -7,9 +7,10 @@ the standard deviation used by the reparametrization transform.  Optimizing
 ``raw_scale`` instead of the variance avoids constrained optimization.  One
 type, ``VariationalState``, holds the coordinates of one model or of a stack
 of models on one layout.  A state decodes its variances once, when
-``raw_scale`` is assigned, and every draw, density and Jacobian of that state
-reads them.  A model's proper prior is a state too (``models.Model.prior``),
-built by ``VariationalState.exact`` to keep its standard deviations as given.
+``raw_scale`` is assigned, with their logarithms and the draw's scale
+derivative, and every draw, density and Jacobian of that state reads them.
+A model's proper prior is a state too (``models.Model.prior``), built by
+``VariationalState.exact`` to keep its standard deviations as given.
 
 The draw, log q with its gradient and the Jacobian of the draw are closed
 forms in numpy, off the autodiff tape.
@@ -58,8 +59,10 @@ class VariationalState:
     they are sampled as exact zeros.  ``mask`` is None when every coordinate
     is the model's own.
 
-    ``var`` = softplus(raw_scale) and its square root are decoded when
-    ``raw_scale`` is assigned, which it is whole, never changed in place.
+    ``var`` = softplus(raw_scale), its square root, ``log_var`` and
+    ``dsd_draw`` = sigmoid(raw_scale) / (2 sd), the derivative of the
+    draw's scale in ``raw_scale``, are decoded when ``raw_scale`` is
+    assigned, which it is whole, never changed in place.
     """
 
     mu: np.ndarray
@@ -70,9 +73,16 @@ class VariationalState:
     def __setattr__(self, name, value):
         if name == "raw_scale":
             value = np.asarray(value, dtype=float)
-            super().__setattr__("var", decode_scale(value))
-            super().__setattr__("_sd", np.sqrt(self.var))
+            var = decode_scale(value)
+            self._set_scale(var, np.sqrt(var), value)
         super().__setattr__(name, value)
+
+    def _set_scale(self, var, sd, raw):
+        # a variance that underflows to 0 gives non-finite constants, which
+        # log_q and the optimizer reject where they read them
+        with np.errstate(divide="ignore"):
+            vars(self).update(var=var, _sd=sd, log_var=np.log(var),
+                              dsd_draw=ad.sigmoid(raw) / (2.0 * sd))
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -82,12 +92,12 @@ class VariationalState:
 
     @classmethod
     def exact(cls, mu, sd, lognormal_mask):
-        """A state whose standard deviations are ``sd`` and variances
-        ``sd * sd``, held as given: decoding ``raw_scale`` = encode_scale(sd^2)
-        would round them."""
+        """A state whose standard deviations are ``sd``, variances ``sd * sd``
+        and ``log_var`` their logarithm, held as given: decoding ``raw_scale``
+        = encode_scale(sd^2) would round them."""
         sd = np.asarray(sd, dtype=float)
         state = cls(mu, encode_scale(sd * sd), lognormal_mask)
-        state.var, state._sd = sd * sd, sd
+        state._set_scale(sd * sd, sd, state.raw_scale)
         return state
 
     def sd(self):
@@ -143,11 +153,12 @@ def log_q(state: VariationalState, theta):
         x = t  # the coordinates on their normal scale
         if lognormal:
             # log theta on log-normal coordinates, exactly 0 on normal ones
-            scale = t * m + (1.0 - m)
+            normal = 1.0 - m
+            scale = t * m + normal
             log_theta = np.log(scale)
-            x = t * (1.0 - m) + log_theta
+            x = t * normal + log_theta
         quad = (x - state.mu) ** 2 / var
-        terms = np.log(2.0 * np.pi) + np.log(var) + quad
+        terms = np.log(2.0 * np.pi) + state.log_var + quad
         d_x = (state.mu - x) / var  # d(-quad / 2) / dx
         if state.mask is not None:
             terms = terms * state.mask
@@ -172,8 +183,7 @@ def reparam_jacobian(state: VariationalState, z, theta):
     """
     z = np.asarray(z, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    dsd_draw = ad.sigmoid(state.raw_scale) / (2.0 * state.sd())
     m = state.lognormal_mask
     outer = (1.0 - m) + m * theta  # d theta / d u
-    return outer, outer * z * dsd_draw
+    return outer, outer * z * state.dsd_draw
 

@@ -64,12 +64,19 @@ def bayes_factor(weights, prior_weights, i, j):
 
 def equal_tail_interval(draws, alpha):
     """Empirical (alpha/2, 1-alpha/2) quantiles along axis 0, linear
-    interpolation: one interval per column of ``draws``."""
+    interpolation: one interval per column of ``draws``.
+
+    ``alpha`` is one level or a sequence of L; for a sequence, ``lo`` and
+    ``hi`` get a leading axis of L, row i that of ``alpha[i]``, all from one
+    ``np.quantile`` call."""
     draws = np.asarray(draws, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
     if draws.size == 0:
         raise ValueError("draws must be nonempty")
-    if not 0 < alpha < 1:
+    if not ((0 < alpha) & (alpha < 1)).all():
         raise ValueError("alpha must be in (0, 1)")
+    if alpha.size == 0:  # np.quantile takes no empty list of levels
+        return np.empty((2, 0) + draws.shape[1:])
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
     return lo, hi
 
@@ -85,11 +92,9 @@ def coverage_curve(posterior, X_test, y_test, levels, n_draws=2000, seed=0):
     if len(y_test) == 0:
         raise ValueError("test set must be nonempty")
     draws = bma_draw(posterior, X_test, n_draws, np.random.default_rng(seed))
-    out = {}
-    for lev in levels:
-        lo, hi = equal_tail_interval(draws, 1.0 - lev)
-        out[lev] = float(np.mean((lo <= y_test) & (y_test <= hi)))
-    return out
+    lo, hi = equal_tail_interval(draws, [1.0 - lev for lev in levels])
+    inside = ((lo <= y_test) & (y_test <= hi)).mean(axis=-1)
+    return {lev: float(c) for lev, c in zip(levels, inside)}
 
 
 def predictive_means(posterior, X, n_theta=50, seed=0):

@@ -71,6 +71,25 @@ def test_row_objective_gives_each_rows_gradient():
         assert np.allclose(grads[s], g, rtol=1e-14, atol=0.0)
 
 
+def test_seeded_row_sweep_is_the_row_sum_sweep():
+    # grad seeds a row objective's sweep with ones; a sweep from a row-sum
+    # node gives bitwise the same gradient, and a seed must have the
+    # output's shape
+    A = np.arange(6.0).reshape(3, 2) / 4.0
+    X = np.random.default_rng(3).standard_normal((4, 5, 3))
+
+    def f(v):
+        return ad.vsum(ad.exp(v[..., :2]) * ad.dot(v, A), axis=-1) + ad.log(1.0 + v[..., 2] ** 2)
+
+    vals, grads = ad.grad(f, X)
+    leaf = ad.Node(X)
+    out = f(leaf)
+    ad.backward(ad.vsum(out))
+    assert np.array_equal(vals, out.value) and np.array_equal(grads, leaf._grad)
+    with pytest.raises(ValueError, match="seed has shape"):
+        ad.backward(f(ad.Node(X)), np.ones(5))
+
+
 def test_row_objective_must_return_one_value_per_row():
     with pytest.raises(ValueError, match="row objective"):
         ad.grad(lambda v: ad.vsum(v), np.ones((3, 2)))

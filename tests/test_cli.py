@@ -421,6 +421,23 @@ def test_evidence_artifact(tmp_path, crime_cfg):
     assert all(l.split(",")[1] == "zellner" for l in lines[1:])
 
 
+def test_main_runs_the_subcommand_it_finds_at_call_time(tmp_path, crime_cfg, monkeypatch):
+    # the parser is built once per process, and main looks the subcommand
+    # up by name on each call, so a wrapper installed after a first call (as
+    # a tracer does) is what the next call runs
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli(["fit", "--config", str(crime_cfg), "--out", str(tmp_path)]) == 0
+    calls = []
+
+    def wrapper(args):
+        calls.append(args.command)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_predict", wrapper)
+    assert run_cli(["predict", "--config", str(crime_cfg), "--out", str(tmp_path)]) == 0
+    assert calls == ["predict"] and not (tmp_path / "predictions.csv").exists()
+
+
 def test_synth_generates_loadable_datasets(tmp_path):
     gp_csv = tmp_path / "gp.csv"
     heart_csv = tmp_path / "h.csv"

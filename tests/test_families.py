@@ -59,6 +59,25 @@ def test_exact_state_holds_the_given_standard_deviations():
         assert val == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_state_constants_are_fresh_decodes_of_raw_scale():
+    # log var and the draw's scale derivative are decoded with var and sd
+    # when raw_scale is assigned, bitwise what a decode of the new raw_scale
+    # gives; an exact state takes them from its given sd
+    raw = np.array([[-3.0, 0.0, 2.5], [40.0, -0.7, 1e-3]])
+    state = VariationalState(np.zeros(3), raw[0], [0.0, 1.0, 0.0])
+    for new in (raw[1], 0.5 * raw[0]):
+        state.raw_scale = new
+        var = families.decode_scale(new)
+        sd = np.sqrt(var)
+        for got, want in ((state.var, var), (state.sd(), sd), (state.log_var, np.log(var)),
+                          (state.dsd_draw, ad.sigmoid(new) / (2.0 * sd))):
+            assert np.array_equal(got, want)
+    sd = np.array([0.5, 0.3, 7.0])
+    exact = VariationalState.exact(np.zeros(3), sd, [0.0, 1.0, 0.0])
+    assert np.array_equal(exact.log_var, np.log(sd * sd))
+    assert np.array_equal(exact.dsd_draw, ad.sigmoid(exact.raw_scale) / (2.0 * sd))
+
+
 def test_initial_state_matches_documented_defaults():
     # a fit starts each model at zero locations and the variance INIT_VAR
     model = LinRegModel(np.zeros((3, 0)), np.arange(3.0))

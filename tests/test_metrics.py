@@ -85,6 +85,23 @@ def test_equal_tail_interval_validation():
         equal_tail_interval(np.array([]), 0.1)
     with pytest.raises(ValueError):
         equal_tail_interval(np.ones(5), 1.5)
+    with pytest.raises(ValueError):
+        equal_tail_interval(np.ones(5), [0.1, 0.0])
+
+
+@pytest.mark.parametrize("shape", [(10, 24), (1000, 100), (7, 3)])
+def test_several_levels_are_one_call_with_each_levels_interval(shape):
+    # a sequence of levels gives, row by row, bitwise the interval of each
+    # level on its own, and no level no row
+    draws = np.random.default_rng(1).standard_normal(shape)
+    alphas = [1.0 - lev for lev in (0.1, 0.5, 0.8, 0.9, 0.95)]
+    lo, hi = equal_tail_interval(draws, alphas)
+    assert lo.shape == hi.shape == (len(alphas), shape[1])
+    for alpha, lo_a, hi_a in zip(alphas, lo, hi):
+        want_lo, want_hi = equal_tail_interval(draws, alpha)
+        assert np.array_equal(lo_a, want_lo) and np.array_equal(hi_a, want_hi)
+    lo, hi = equal_tail_interval(draws, [])
+    assert lo.shape == hi.shape == (0, shape[1])
 
 
 # -- predictive mixture -------------------------------------------------------

@@ -229,6 +229,79 @@ def test_bytes_per_draw_bounds_what_a_block_allocates():
         assert 0.5 * m.bytes_per_draw() < peak / 64 < m.bytes_per_draw(), m.name
 
 
+def test_linear_block_peak_does_not_grow_with_n():
+    # log_lik reads sufficient statistics, built on first use, so a block
+    # forms no (..., n) array: the traced peak of a block of 64 draws, plain
+    # and on the tape, is the same at n = 10^2 and n = 10^5
+    r = rng()
+    peaks = []
+    for n in (10**2, 10**5):
+        X = r.standard_normal((n, 3))
+        m = LinRegModel(X - X.mean(axis=0), r.standard_normal(n), predictors=("u", "v", "w"))
+        thetas = member_draws(m, r, (64,))
+        m.log_lik(thetas[:2])  # builds the statistics
+        tracemalloc.start()
+        try:
+            m.log_lik(thetas)
+            plain = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            ad.grad(m.log_lik, thetas)
+            peaks.append((plain, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    (small_plain, small_tape), (big_plain, big_tape) = peaks
+    assert big_plain <= 1.05 * small_plain and big_tape <= 1.05 * small_tape, peaks
+    assert big_plain < 64 * m.bytes_per_draw()
+
+
+def residual_log_lik(m, theta):
+    """log_lik of a linear model, or of its stack, and its gradient from the
+    residuals y - beta0 - X beta, in extended precision: the oracle of the
+    sufficient statistics."""
+    ld = np.longdouble
+    t, X, y = (np.asarray(a, dtype=ld) for a in (theta, m.X, m.y))
+    phi = t[..., -1]
+    resid = y - t[..., :1] - t[..., 1:1 + X.shape[1]] @ X.T
+    ssq = (resid * resid).sum(axis=-1)
+    d_mean = phi[..., None] * resid
+    grads = np.concatenate([d_mean.sum(axis=-1, keepdims=True), d_mean @ X,
+                            (0.5 * m.n / phi - 0.5 * ssq)[..., None]], axis=-1)
+    return 0.5 * m.n * (np.log(phi) - ld(LOG2PI)) - 0.5 * phi * ssq, grads
+
+
+def test_linear_log_lik_from_sufficient_statistics_on_an_uncentred_design():
+    # every subset of two predictors whose means sit 1e3 from zero, and its
+    # stack, on draws at the least-squares fit and 1e-8 to 1 away from it.
+    # Values agree to 1e-12 relative (2e-14 measured).  A gradient entry is
+    # held to 1e-14 of the rounding floor of either form: phi n |x| times
+    # the size of the terms of beta0 + x'beta - y that cancel (5e-16
+    # measured); at the fit that floor is what the gradient is made of.
+    r = rng()
+    n = 40
+    u, v = r.normal(size=n), r.normal(size=n)
+    cols = {"y": 2.0 + 0.5 * u - 0.8 * v + r.normal(0.0, 0.3, n), "u": u + 1e3, "v": v - 1e3}
+    models = linreg_subset_ensemble(data_io.prepare(cols, "y"), ("u", "v"))
+    steps = np.array([0.0, 0.0, 1e-8, 1e-4, 1e-2, 1.0])[:, None]
+    block = np.zeros((len(models), len(steps), models.stacked.layout.dim))
+    for k, (m, own) in enumerate(zip(models, models.mask)):
+        fit = np.linalg.lstsq(np.column_stack([np.ones(n), m.X]), m.y, rcond=None)[0]
+        theta = np.empty((len(steps), m.layout.dim))
+        theta[:, :-1] = fit + steps * r.standard_normal((len(steps), len(fit)))
+        theta[:, -1] = np.exp(r.normal(size=len(steps)))
+        block[k][:, own] = theta
+    for m, theta in [*((m, block[k][:, own]) for k, (m, own) in enumerate(zip(models, models.mask))),
+                     (models.stacked, block)]:
+        val, g = ad.grad(m.log_lik, theta)
+        want_val, want_g = residual_log_lik(m, theta)
+        np.testing.assert_allclose(val, want_val.astype(float), rtol=1e-12)
+        np.testing.assert_array_equal(m.log_lik(theta), val)
+        x_size = np.abs(m.X).mean(axis=0)
+        size = (np.abs(theta[..., :1]) + (np.abs(theta[..., 1:-1]) @ x_size)[..., None]
+                + np.abs(m.y).mean())
+        floor = theta[..., -1:] * n * size * max(1.0, x_size.max(initial=0.0))
+        assert (np.abs(g - want_g).astype(float) <= 1e-14 * floor).all(), m.name
+
+
 # -- closed forms against the tape ---------------------------------------------
 
 
@@ -659,14 +732,15 @@ def test_gp_terms_sharing_one_tape_match_finite_differences(gp_pairs):
 
 def test_tape_records_a_few_nodes_per_pass(gp_pairs, monkeypatch):
     # every built-in log density enters the tape as one closed-form node: the
-    # leaf, log_lik, log_prior and their sum, plus the row sum of a block.
-    # The GP's plain-array log_lik asks for no gradient.
+    # leaf, log_lik, log_prior and their sum; a block's sweep is seeded with
+    # ones, with no row-sum node.  The GP's plain-array log_lik asks for no
+    # gradient.
     counts = []
     backward, real = ad.backward, ad.gaussian_spd_logpdf
 
-    def counting(out):
+    def counting(out, seed=None):
         counts.append(len(ad._toposort(out)))
-        backward(out)
+        backward(out, seed)
 
     def value_only(resid, cov, work=None):
         val, _ = real(resid, cov, work=work)
@@ -684,7 +758,7 @@ def test_tape_records_a_few_nodes_per_pass(gp_pairs, monkeypatch):
     for m in itertools.chain(*gp_pairs):
         (theta,) = m.sample_prior(r, 1)
         ad.grad(m.log_joint, theta[None, None] if m.supports_blocks else theta)
-    assert counts == [5, 5, 5, 5, 4, 4, 5, 5]
+    assert counts == [4] * 8
     monkeypatch.setattr(ad, "gaussian_spd_logpdf", value_only)
     for m in itertools.chain(*gp_pairs):
         thetas = m.sample_prior(r, 3)
