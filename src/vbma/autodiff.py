@@ -249,24 +249,23 @@ def sqrt(x):
     return Node(val, ((x, lambda g: g * 0.5 / val),))
 
 
-def _sigmoid_np(x, e):
-    # stable, with e = exp(-|x|): 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def softplus_sigmoid(x):
+    """softplus(x) = log(1 + e^x) and its derivative sigmoid(x), in numpy,
+    stable, from one e = exp(-|x|): max(x, 0) + log1p(e), and 1 / (1 + e)
+    for x >= 0, e / (1 + e) below."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(e), np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(x):
-    v = _value_of(x)
-    e = np.exp(-np.abs(v))  # shared by the value and the vjp's sigmoid
-    val = np.maximum(v, 0.0) + np.log1p(e)  # stable: max(v, 0) + log1p(exp(-|v|))
+    val, sig = softplus_sigmoid(_value_of(x))
     if _is_const(x):
         return val
-    sig = _sigmoid_np(v, e)
     return Node(_check_finite(val, "softplus"), ((x, lambda g: g * sig),))
 
 
 def sigmoid(x):
-    v = _value_of(x)
-    val = _sigmoid_np(v, np.exp(-np.abs(v)))
+    val = softplus_sigmoid(_value_of(x))[1]
     if _is_const(x):
         return val
     return Node(_check_finite(val, "sigmoid"), ((x, lambda g: g * val * (1.0 - val)),))

@@ -88,6 +88,9 @@ ENSEMBLE_KEYS = {
     "logistic": {"prior_sd": ("prior_sd", float)},
 }
 ENSEMBLES = {"linear": linreg_subset_ensemble, "logistic": logistic_subset_ensemble}
+# an ensemble holds all K = 2^p subset models of its p predictors: the 2^15
+# models of 15 already take about 0.9 GB
+MAX_PREDICTORS = 15
 
 
 def _union(tables, *own):
@@ -205,14 +208,17 @@ def _build_ensemble(settings):
     csv = data.pop("csv")
     if "response" not in data:
         raise CliError("[data] response is required")
+    ens = settings["ensemble"]
+    predictors = _names(ens.get("predictors", ""))
+    if len(predictors) > MAX_PREDICTORS:
+        raise CliError(f"[ensemble] predictors names {len(predictors)} columns, which give "
+                       f"{2 ** len(predictors)} models; at most {MAX_PREDICTORS} are allowed")
     # split_mask has no defaults of its own: by default every row trains
     fraction, seed = data.pop("train_fraction", 1.0), data.pop("split_seed", 0)
     cols = data_io.load_csv(_table(csv))
     n = len(next(iter(cols.values())))
     ds = data_io.prepare(cols, train_mask=data_io.split_mask(n, fraction, seed), **data)
-    ens = settings["ensemble"]
     kind = ens.get("kind")
-    predictors = _names(ens.get("predictors", ""))
     bad = [p for i, p in enumerate(predictors) if p not in ds.inputs or p in predictors[:i]]
     if bad:
         raise CliError(f"[ensemble] predictor {bad[0]!r} is repeated or not an input column "

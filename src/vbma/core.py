@@ -133,7 +133,8 @@ class _Group:
         # the plain-SGA update lambda <- lambda + rho q(M) G literally.
         self.lam = self.opt.step(self.lam, weights[self.members, None] * G)
         D = self.state.dim
-        self.state.mu, self.state.raw_scale = self.lam[:, None, :D], self.lam[:, None, D:]
+        self.state = families.VariationalState(self.lam[:, None, :D], self.lam[:, None, D:],
+                                               self.lognormal[:, None], self.state.mask)
 
 
 def _groups(models, config):

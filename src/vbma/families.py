@@ -6,8 +6,8 @@ Each coordinate carries a location ``mu`` and an unconstrained scale
 the standard deviation used by the reparametrization transform.  Optimizing
 ``raw_scale`` instead of the variance avoids constrained optimization.  One
 type, ``VariationalState``, holds the coordinates of one model or of a stack
-of models on one layout.  A state decodes its variances once, when
-``raw_scale`` is assigned, with their logarithms and the draw's scale
+of models on one layout.  A state is frozen, and decodes its variances
+once, when it is built, with their logarithms and the draw's scale
 derivative, and every draw, density and Jacobian of that state reads them.
 A model's proper prior is a state too (``models.Model.prior``), built by
 ``VariationalState.exact`` to keep its standard deviations as given.
@@ -19,7 +19,7 @@ forms in numpy, off the autodiff tape.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def encode_scale(scale):
     return scale + np.log1p(-np.exp(-scale))
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariationalState:
     """The mean-field parameters of one model, as ``(d,)`` arrays, or of a
     stack of K models on one layout of D coordinates, as ``(K, 1, D)`` arrays
@@ -59,46 +59,40 @@ class VariationalState:
     they are sampled as exact zeros.  ``mask`` is None when every coordinate
     is the model's own.
 
-    ``var`` = softplus(raw_scale), its square root, ``log_var`` and
-    ``dsd_draw`` = sigmoid(raw_scale) / (2 sd), the derivative of the
-    draw's scale in ``raw_scale``, are decoded when ``raw_scale`` is
-    assigned, which it is whole, never changed in place.
+    A state is frozen: a step builds the next one.  ``var`` =
+    softplus(raw_scale), its square root, ``log_var`` and ``dsd_draw`` =
+    sigmoid(raw_scale) / (2 sd), the derivative of the draw's scale in
+    ``raw_scale``, are decoded once, when the state is built, from one
+    ``ad.softplus_sigmoid``.  ``exact`` passes ``given_sd``, the standard
+    deviations whose ``raw_scale`` it encodes, and they are held as given.
     """
 
     mu: np.ndarray
     raw_scale: np.ndarray
     lognormal_mask: np.ndarray
     mask: np.ndarray = None
+    given_sd: InitVar[np.ndarray] = None
 
-    def __setattr__(self, name, value):
-        if name == "raw_scale":
-            value = np.asarray(value, dtype=float)
-            var = decode_scale(value)
-            self._set_scale(var, np.sqrt(var), value)
-        super().__setattr__(name, value)
-
-    def _set_scale(self, var, sd, raw):
+    def __post_init__(self, given_sd):
+        vars(self).update({name: np.asarray(getattr(self, name), dtype=float)
+                           for name in ("mu", "raw_scale", "lognormal_mask")})
+        if not self.mu.shape == self.raw_scale.shape == self.lognormal_mask.shape:
+            raise ValueError("mu, raw_scale and lognormal_mask must have one shape")
+        var, sig = ad.softplus_sigmoid(self.raw_scale)
+        sd, var = (np.sqrt(var), var) if given_sd is None else (given_sd, given_sd * given_sd)
         # a variance that underflows to 0 gives non-finite constants, which
         # log_q and the optimizer reject where they read them
         with np.errstate(divide="ignore"):
-            vars(self).update(var=var, _sd=sd, log_var=np.log(var),
-                              dsd_draw=ad.sigmoid(raw) / (2.0 * sd))
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.lognormal_mask = np.asarray(self.lognormal_mask, dtype=float)
-        if not self.mu.shape == self.raw_scale.shape == self.lognormal_mask.shape:
-            raise ValueError("mu, raw_scale and lognormal_mask must have one shape")
+            vars(self).update(var=var, _sd=sd, log_var=np.log(var), dsd_draw=sig / (2.0 * sd))
 
     @classmethod
-    def exact(cls, mu, sd, lognormal_mask):
+    def exact(cls, mu, sd, lognormal_mask, mask=None):
         """A state whose standard deviations are ``sd``, variances ``sd * sd``
         and ``log_var`` their logarithm, held as given: decoding ``raw_scale``
-        = encode_scale(sd^2) would round them."""
+        = encode_scale(sd^2) would round them.  ``mask`` is the state's, as
+        for a stack's prior."""
         sd = np.asarray(sd, dtype=float)
-        state = cls(mu, encode_scale(sd * sd), lognormal_mask)
-        state._set_scale(sd * sd, sd, state.raw_scale)
-        return state
+        return cls(mu, encode_scale(sd * sd), lognormal_mask, mask, sd)
 
     def sd(self):
         """Decoded per-coordinate standard deviations."""

@@ -668,10 +668,13 @@ class SubsetEnsemble(list):
 
     ``stacked`` is a copy of the largest member (the model on all P
     predictors, or the free-mean GP) whose per-member constants get a leading
-    K axis: for linear models ``p``, ``logdet_xtx`` and each member's own
-    ``xtx``, zero-padded, and for GP models the mean offset.  A logistic or
-    GP stack's ``prior`` is the largest member's with ``mask`` = ``mask[:,
-    None]``, so ``families.log_q`` leaves out each member's padding.  Its
+    K axis: for linear models ``p`` and ``logdet_xtx``, and for GP models the
+    mean offset.  The linear stack reads the full design's ``xtx``, as its
+    likelihood reads the full design's statistics: a member's padded slopes
+    are exact zeros, so its rows and columns of X'X add nothing.  A logistic
+    or GP stack's ``prior`` is the largest member's sd held exactly, with
+    ``mask`` = ``mask[:, None]``, so ``families.log_q`` leaves out each
+    member's padding.  Its
     inherited ``log_joint`` takes a ``(K, S, D)`` block to ``(K, S)``
     values on the largest member's layout, ``[beta0, beta (P), *tail]`` or
     ``[beta, *h]``; it is None when that member takes no blocks, as a GP off
@@ -710,16 +713,13 @@ class SubsetEnsemble(list):
         stacked.name = f"stack of {len(self.members)}"
         if isinstance(full, LinRegModel):
             stacked.p = np.array([[m.p] for m in self.members], dtype=float)
-            stacked.xtx = np.zeros((len(self.members), full.p, full.p))
-            for xtx, m, own in zip(stacked.xtx, self.members, self.mask):
-                cols = np.flatnonzero(own[1:1 + full.p])
-                xtx[cols[:, None], cols] = m.xtx
             stacked.logdet_xtx = np.array([[m.logdet_xtx] for m in self.members])
             return stacked
         if isinstance(full, GPModel):
             stacked.mean_offset = np.array([[m.mean_offset] for m in self.members])
-        stacked.prior = copy.copy(full.prior)
-        stacked.prior.mask = self.mask[:, None]
+        prior = full.prior
+        stacked.prior = families.VariationalState.exact(prior.mu, prior.sd(), prior.lognormal_mask,
+                                                        self.mask[:, None])
         return stacked
 
 

@@ -670,6 +670,25 @@ def test_repeated_csv_column_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "'x'" in err
 
 
+def test_more_than_fifteen_predictors_is_usage_error(tmp_path, capsys, monkeypatch):
+    # K = 2^p models: 16 predictors would build 65536 of them, so the names
+    # are refused before the table is read or any model is built
+    names = [f"x{i}" for i in range(16)]
+    csv = tmp_path / "wide.csv"
+    csv.write_text(",".join(["y", *names]) + "\n"
+                   + "".join(",".join(["1.0"] * 17) + "\n" for _ in range(3)))
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(f"[data]\ncsv = {csv}\nresponse = y\n\n[ensemble]\nkind = linear\n"
+                   f"predictors = {','.join(names)}\n")
+    monkeypatch.setattr(data_io, "load_csv", lambda *a: pytest.fail("table read"))
+    monkeypatch.setattr(cli, "ENSEMBLES", {})
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [ensemble] predictors") and "65536 models" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, name", [
     ("response", "yy", "yy"), ("log", "y,Mm", "Mm"), ("center", "y,Mm", "Mm"),
     ("predictors", "M,Nope", "Nope"), ("predictors", "M,y", "y"), ("predictors", "M,M", "M"),

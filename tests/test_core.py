@@ -708,9 +708,9 @@ def test_checkpoint_text_is_pinned():
 
 def test_a_pass_decodes_the_variances_once(monkeypatch):
     # the draw, log q and the Jacobian of a pass read one decode of the
-    # state's raw scales, made when the step assigns them
-    real, calls = ad.softplus, []
-    monkeypatch.setattr(ad, "softplus", lambda x: calls.append(None) or real(x))
+    # state's raw scales, made when the step builds the state
+    real, calls = ad.softplus_sigmoid, []
+    monkeypatch.setattr(ad, "softplus_sigmoid", lambda x: calls.append(None) or real(x))
     _, models = studies.crime_study()
     core.run(VbmaConfig(pretrain_iters=3, joint_iters=0, window=0), models)
     assert len(calls) == 1 + 3  # the initial state, then one per step

@@ -4,6 +4,8 @@ Sampling distributions are verified with Kolmogorov-Smirnov tests against
 scipy's reference distributions; densities against scipy's logpdf.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,21 +63,56 @@ def test_exact_state_holds_the_given_standard_deviations():
 
 def test_state_constants_are_fresh_decodes_of_raw_scale():
     # log var and the draw's scale derivative are decoded with var and sd
-    # when raw_scale is assigned, bitwise what a decode of the new raw_scale
-    # gives; an exact state takes them from its given sd
-    raw = np.array([[-3.0, 0.0, 2.5], [40.0, -0.7, 1e-3]])
-    state = VariationalState(np.zeros(3), raw[0], [0.0, 1.0, 0.0])
-    for new in (raw[1], 0.5 * raw[0]):
-        state.raw_scale = new
-        var = families.decode_scale(new)
+    # when a state is built, bitwise what a decode of its raw_scale gives;
+    # an exact state takes them from its given sd
+    for raw in ([-3.0, 0.0, 2.5], [40.0, -0.7, 1e-3]):
+        state = VariationalState(np.zeros(3), raw, [0.0, 1.0, 0.0])
+        var = families.decode_scale(raw)
         sd = np.sqrt(var)
         for got, want in ((state.var, var), (state.sd(), sd), (state.log_var, np.log(var)),
-                          (state.dsd_draw, ad.sigmoid(new) / (2.0 * sd))):
+                          (state.dsd_draw, ad.sigmoid(raw) / (2.0 * sd))):
             assert np.array_equal(got, want)
     sd = np.array([0.5, 0.3, 7.0])
     exact = VariationalState.exact(np.zeros(3), sd, [0.0, 1.0, 0.0])
     assert np.array_equal(exact.log_var, np.log(sd * sd))
     assert np.array_equal(exact.dsd_draw, ad.sigmoid(exact.raw_scale) / (2.0 * sd))
+
+
+def test_assigning_to_a_built_state_raises():
+    # a step builds the next state; no field of a built one changes
+    state = VariationalState(np.zeros(2), np.zeros(2), [0.0, 1.0])
+    for name in ("mu", "raw_scale"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, np.ones(2))
+    assert not state.mu.any() and not state.raw_scale.any()
+
+
+def test_built_constants_are_bitwise_the_former_decode():
+    # the former decode, written out: softplus as max(x, 0) + log1p(e) and
+    # the sigmoid as np.where(x >= 0, 1 / (1 + e), e / (1 + e)), each from
+    # its own e = exp(-|x|)
+    raw = np.array([0.0, 1e-300, -1e-300, 1e-3, -1e-3, 0.7, -0.7, 40.0, -40.0, 700.0, -700.0])
+    e = np.exp(-np.abs(raw))
+    var = np.maximum(raw, 0.0) + np.log1p(e)
+    sig = np.where(raw >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    sd = np.sqrt(var)
+    state = VariationalState(np.zeros(raw.shape), raw, np.zeros(raw.shape))
+    for got, want in ((state.var, var), (state.sd(), sd), (state.log_var, np.log(var)),
+                      (state.dsd_draw, sig / (2.0 * sd))):
+        assert np.array_equal(got, want)
+    assert np.array_equal(ad.softplus(raw), var) and np.array_equal(ad.sigmoid(raw), sig)
+    assert np.array_equal(ad.grad(lambda t: ad.vsum(ad.softplus(t)), raw)[1], sig)
+    assert np.array_equal(ad.sigmoid(ad.Node(raw)).value, sig)
+
+
+def test_exact_with_a_mask_keeps_the_given_standard_deviations():
+    # a stack's prior: the largest member's sd held bitwise, with its mask
+    sd = np.array([0.5, 0.3, 7.0, 1.0])
+    mask = np.array([[True, True, True, True], [False, True, True, False]])[:, None]
+    state = VariationalState.exact(np.zeros(4), sd, np.zeros(4), mask)
+    assert state.mask is mask
+    assert np.array_equal(state.sd(), sd) and np.array_equal(state.var, sd * sd)
+    assert np.array_equal(state.log_var, np.log(sd * sd))
 
 
 def test_initial_state_matches_documented_defaults():

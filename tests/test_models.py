@@ -12,6 +12,7 @@ from scipy import stats
 
 from vbma import autodiff as ad
 from vbma import data as data_io
+from vbma import families
 from vbma import studies
 from vbma.core import VbmaConfig, run
 from vbma.families import FamilyTag
@@ -1002,12 +1003,62 @@ def test_stack_log_joint_matches_each_member(kind):
 
 
 def test_stacked_linear_model_keeps_each_members_constants():
-    # each member's own X'X and log-determinant, not ones cut from the full X'X
+    # each member's own p and log-determinant; the X'X is the full design's,
+    # shared with the full member, not a per-member copy
     models = subset_ensembles()["linear"]
-    for xtx, logdet, m, own in zip(models.stacked.xtx, models.stacked.logdet_xtx,
-                                   models, models.mask):
-        assert own[0] and own[-1]  # beta0 and phi
-        block = np.ix_(own[1:-1], own[1:-1])
-        assert np.array_equal(xtx[block], m.xtx) and logdet[0] == m.logdet_xtx
-        xtx[block] = 0.0
-        assert not xtx.any()
+    stacked, full = models.stacked, models[-1]
+    assert stacked.p.shape == stacked.logdet_xtx.shape == (len(models), 1)
+    for p, logdet, m in zip(stacked.p, stacked.logdet_xtx, models):
+        assert p[0] == m.p and logdet[0] == m.logdet_xtx
+    assert stacked.xtx is full.xtx and full.xtx.shape == (full.p, full.p)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3], ids=["centred", "uncentred"])
+def test_linear_stack_prior_reads_the_full_designs_xtx(offset):
+    # a member's padded slopes are exact zeros, so the full X'X gives each
+    # member's g-prior, on a centred design and on one offset from it
+    r = rng()
+    n = 30
+    cols = {name: r.normal(size=n) + (offset if name != "y" else 0.0)
+            for name in ("y", "u", "v", "w")}
+    center = () if offset else ("u", "v", "w")
+    models = linreg_subset_ensemble(data_io.prepare(cols, "y", center_columns=center),
+                                    ("u", "v", "w"))
+    stacked = models.stacked
+    assert stacked.xtx is models[-1].xtx
+    block = np.zeros((len(models), 5, stacked.layout.dim))
+    own = []
+    for k, (m, pos) in enumerate(zip(models, models.mask)):
+        theta = r.standard_normal((5, m.layout.dim))
+        theta[:, -1] = np.exp(theta[:, -1])
+        block[k][:, pos] = theta
+        own.append(theta)
+    vals = stacked.log_prior(block)
+    for k, (m, theta) in enumerate(zip(models, own)):
+        np.testing.assert_allclose(vals[k], m.log_prior(theta), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "gp 15x20"])
+def test_stack_prior_rows_are_each_members_prior_rows(kind):
+    # the stack's prior holds the largest member's sd exactly, so log q of
+    # a padded block gives each member's prior rows bitwise; at prior_sd 0.5
+    # a decode of encode_scale(sd^2) would round the variance
+    if kind == "logistic":
+        r = rng()
+        cols = {name: r.normal(size=30) for name in ("u", "v")}
+        cols["y"] = (r.random(30) < 0.5).astype(float)
+        models = logistic_subset_ensemble(data_io.prepare(cols, "y"), ("u", "v"), prior_sd=0.5)
+    else:
+        models = subset_ensembles()[kind]
+    prior = models.stacked.prior
+    assert np.array_equal(prior.sd(), max(models, key=lambda m: m.layout.dim).prior.sd())
+    r = rng()
+    block = np.zeros((len(models), 4, prior.dim))
+    own = []
+    for k, (m, pos) in enumerate(zip(models, models.mask)):
+        theta = families.sample(m.prior, r.standard_normal((4, m.layout.dim)))
+        block[k][:, pos] = theta
+        own.append(theta)
+    vals, _ = families.log_q(prior, block)
+    for k, (m, theta) in enumerate(zip(models, own)):
+        assert np.array_equal(vals[k], families.log_q(m.prior, theta)[0])
