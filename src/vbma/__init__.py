@@ -8,7 +8,7 @@ model-averaged predictions without MCMC or explicit evidence integration.
 
 from .core import EnsembleState, VbmaConfig, estimate_grad_and_elbo, run, update_weights
 from .evidence import EvidenceEstimate, evidence_to_posterior, mc_log_evidence, zellner_log_evidence
-from .families import FamilyTag, VariationalState, decode_scale, encode_scale
+from .families import FamilyTag, VariationalState, encode_scale
 from .metrics import BmaPosterior, bayes_factor, bma_draw, coverage_curve, equal_tail_interval, rmse
 from .models import (
     GPModel,
@@ -35,7 +35,6 @@ __all__ = [
     "bayes_factor",
     "bma_draw",
     "coverage_curve",
-    "decode_scale",
     "encode_scale",
     "equal_tail_interval",
     "estimate_grad_and_elbo",

@@ -75,7 +75,7 @@ STUDY_KEYS = {  # feeding studies.<name>_study
     "gp": {"grid_size": ("grid_size", int), "n_test": ("n_test", int),
            "data_seed": ("seed", int), "offset_sds": ("offset_sds", float)},
 }
-DATA_KEYS = {  # the first three feed load_csv and split_mask, the rest data.prepare
+DATA_KEYS = {  # csv feeds load_csv, the rest data.prepare
     "csv": ("csv", str),
     "train_fraction": ("train_fraction", float),
     "split_seed": ("split_seed", int),
@@ -213,11 +213,7 @@ def _build_ensemble(settings):
     if len(predictors) > MAX_PREDICTORS:
         raise CliError(f"[ensemble] predictors names {len(predictors)} columns, which give "
                        f"{2 ** len(predictors)} models; at most {MAX_PREDICTORS} are allowed")
-    # split_mask has no defaults of its own: by default every row trains
-    fraction, seed = data.pop("train_fraction", 1.0), data.pop("split_seed", 0)
-    cols = data_io.load_csv(_table(csv))
-    n = len(next(iter(cols.values())))
-    ds = data_io.prepare(cols, train_mask=data_io.split_mask(n, fraction, seed), **data)
+    ds = data_io.prepare(data_io.load_csv(_table(csv)), **data)
     kind = ens.get("kind")
     bad = [p for i, p in enumerate(predictors) if p not in ds.inputs or p in predictors[:i]]
     if bad:

@@ -1,5 +1,6 @@
-"""Dataset ingestion: CSV loading, log/center preparation, splits, and the
-synthetic 2-D lattice generator for the Gaussian-process study.
+"""Dataset ingestion: CSV loading, log/center preparation with its
+train/test split, and the synthetic 2-D lattice generator for the
+Gaussian-process study.
 
 A prepared dataset holds the transformed columns only: models fit, predict
 and report on that scale, and nothing maps a prediction back to the
@@ -115,8 +116,11 @@ def bundled_path(name):
     return importlib.resources.files("vbma.datasets").joinpath(name)
 
 
-def prepare(columns, response, log_columns=(), center_columns=(), train_mask=None):
-    """Log-transform then center the named columns.
+def prepare(columns, response, log_columns=(), center_columns=(), train_fraction=1.0,
+            split_seed=0):
+    """Log-transform then center the named columns, with
+    ``split_mask(n, train_fraction, split_seed)`` as the training rows (by
+    default, every row).
 
     Centering offsets are computed on training rows only, so held-out rows
     do not leak into the transform.  A ``response``, log or center name that
@@ -126,8 +130,7 @@ def prepare(columns, response, log_columns=(), center_columns=(), train_mask=Non
     if missing:
         raise IngestionError(f"no column {missing[0]!r} (columns: {', '.join(columns)})")
     out = {}
-    n = len(next(iter(columns.values())))
-    mask = np.ones(n, dtype=bool) if train_mask is None else np.asarray(train_mask, dtype=bool)
+    mask = split_mask(len(next(iter(columns.values()))), train_fraction, split_seed)
     for name, x in columns.items():
         x = np.asarray(x, dtype=float).copy()
         if name in log_columns:

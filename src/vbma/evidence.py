@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .core import update_weights
 from .models import MC_BYTES, LinRegModel
 
 
@@ -109,16 +110,14 @@ def mc_log_evidence(model, n_samples, seed=0) -> EvidenceEstimate:
 
 
 def evidence_to_posterior(estimates, prior_weights):
-    """Posterior model probabilities from log evidences (Bayes' theorem)."""
+    """Posterior model probabilities from log evidences (Bayes' theorem):
+    ``core.update_weights`` of the log evidences and log prior weights, the
+    softmax of the weight update, which rejects a NaN and an all -inf set."""
     methods = {e.method for e in estimates}
     if EvidenceMethod.CLOSED_FORM_ZELLNER in methods and len(methods) > 1:
         raise ConfigurationError(
             "cannot mix g-prior evidences (defined up to a shared constant) "
             "with proper-prior evidences"
         )
-    logits = np.array([e.log_evidence for e in estimates]) + np.log(
-        np.asarray(prior_weights, dtype=float)
-    )
-    shifted = logits - logits.max()
-    w = np.exp(shifted)
-    return w / w.sum()
+    return update_weights([e.log_evidence for e in estimates],
+                          np.log(np.asarray(prior_weights, dtype=float)))

@@ -1,14 +1,15 @@
 """Mean-field variational families: normal and log-normal coordinates.
 
 Each coordinate carries a location ``mu`` and an unconstrained scale
-``raw_scale``.  The positive quantity recovered by the softplus decode,
-``var = log(exp(raw_scale) + 1)``, is the family VARIANCE; its square root is
-the standard deviation used by the reparametrization transform.  Optimizing
-``raw_scale`` instead of the variance avoids constrained optimization.  One
-type, ``VariationalState``, holds the coordinates of one model or of a stack
-of models on one layout.  A state is frozen, and decodes its variances
-once, when it is built, with their logarithms and the draw's scale
-derivative, and every draw, density and Jacobian of that state reads them.
+``raw_scale``.  The positive quantity recovered by the softplus decode
+(``ad.softplus``), ``var = log(exp(raw_scale) + 1)``, is the family
+VARIANCE; its square root is the standard deviation used by the
+reparametrization transform.  Optimizing ``raw_scale`` instead of the
+variance avoids constrained optimization.  One type, ``VariationalState``,
+holds the coordinates of one model or of a stack of models on one layout.
+A state is frozen, and decodes its variances once, when it is built, with
+their logarithms and the draw's scale derivative, and every draw, density
+and Jacobian of that state reads them.
 A model's proper prior is a state too (``models.Model.prior``), built by
 ``VariationalState.exact`` to keep its standard deviations as given.
 
@@ -29,11 +30,6 @@ from . import autodiff as ad
 class FamilyTag(enum.Enum):
     NORMAL = "normal"
     LOGNORMAL = "lognormal"
-
-
-def decode_scale(raw):
-    """Unconstrained value -> positive variance via softplus."""
-    return ad.softplus(raw)
 
 
 def encode_scale(scale):
@@ -130,8 +126,10 @@ def log_q(state: VariationalState, theta):
 
     ``theta`` is one vector ``(dim,)`` or a block ``(..., dim)`` such as
     ``(S, dim)``, or ``(K, S, D)`` for a stack, giving one value
-    per row.  A non-finite value or gradient raises
-    ``ad.NonFiniteValueError("log_q")``.
+    per row.  A negative log-normal coordinate raises ``ValueError``.  A
+    non-finite value or gradient raises ``ad.NonFiniteValueError("log_q")``,
+    a rejected draw: so does a log-normal coordinate of 0, a draw exp(u)
+    that underflowed.
     """
     t = np.asarray(theta, dtype=float)
     if t.shape[-1] != state.dim:
@@ -140,7 +138,7 @@ def log_q(state: VariationalState, theta):
     # a state without log-normal coordinates skips their terms, which would
     # be exact zeros (log theta) and ones (dx/dtheta), as sample does
     lognormal = m.any()
-    if lognormal and ((m > 0) & (t <= 0)).any():
+    if lognormal and ((m > 0) & (t < 0)).any():
         raise ValueError("log-normal coordinate requires strictly positive theta")
     var = state.var
     with np.errstate(all="ignore"):  # checked once, below

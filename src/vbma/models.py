@@ -394,7 +394,7 @@ class LogisticModel(_Regression):
         return 8 * 6 * len(self.y)  # the logit, exp(-|s|) and the softplus terms
 
     def draw_predictive(self, thetas, X, rng, noise=True):
-        p = 1.0 / (1.0 + np.exp(-self._linear(np.asarray(thetas, dtype=float), X)))
+        p = ad.sigmoid(self._linear(np.asarray(thetas, dtype=float), X))
         return (rng.random(p.shape) < p).astype(float) if noise else p
 
 

@@ -15,15 +15,18 @@ class NonFiniteGradientError(ValueError):
     pass
 
 
-def _checked(g):
-    """(g, g**2) as float arrays; raises unless g**2 is finite."""
-    g = np.asarray(g, dtype=float)
+def _checked(lam, g):
+    """(lam, g, g**2) as float arrays; raises unless g has lam's shape and
+    g**2 is finite."""
+    lam, g = np.asarray(lam, dtype=float), np.asarray(g, dtype=float)
+    if g.shape != lam.shape:
+        raise ValueError("gradient and parameter shapes differ")
     with np.errstate(over="ignore"):
         g2 = g**2
     if not np.all(np.isfinite(g2)):
         bad = np.flatnonzero(~np.isfinite(g2)).tolist()
         raise NonFiniteGradientError(f"non-finite gradient or its square at coordinates {bad}")
-    return g, g2
+    return lam, g, g2
 
 
 class Adam:
@@ -38,10 +41,7 @@ class Adam:
         self.t = 0
 
     def step(self, lam, g):
-        g, g2 = _checked(g)
-        lam = np.asarray(lam, dtype=float)
-        if g.shape != lam.shape:
-            raise ValueError("gradient and parameter shapes differ")
+        lam, g, g2 = _checked(lam, g)
         if self.m is None:
             self.m = np.zeros_like(lam)
             self.v = np.zeros_like(lam)
@@ -63,10 +63,7 @@ class RMSprop:
         self.sq = None
 
     def step(self, lam, g):
-        g, g2 = _checked(g)
-        lam = np.asarray(lam, dtype=float)
-        if g.shape != lam.shape:
-            raise ValueError("gradient and parameter shapes differ")
+        lam, g, g2 = _checked(lam, g)
         if self.sq is None:
             self.sq = np.zeros_like(lam)
         self.sq = self.DECAY * self.sq + (1.0 - self.DECAY) * g2

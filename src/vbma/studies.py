@@ -37,11 +37,9 @@ def crime_study(train_fraction=1.0, split_seed=0, g=None):
     default optimization budget converge.
     """
     cols = data_io.load_csv(data_io.bundled_path("crime.csv"))
-    n = len(next(iter(cols.values())))
-    mask = data_io.split_mask(n, train_fraction, split_seed)
     named = ("y",) + CRIME_PREDICTORS
     ds = data_io.prepare(cols, "y", log_columns=named, center_columns=named,
-                         train_mask=mask)
+                         train_fraction=train_fraction, split_seed=split_seed)
     return ds, linreg_subset_ensemble(ds, CRIME_PREDICTORS, g=g)
 
 

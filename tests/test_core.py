@@ -114,6 +114,27 @@ def test_rejection_resampling_and_abort():
         estimate_grad_and_elbo(model, state, np.array([[-2.0]]))
 
 
+def test_an_underflowed_log_normal_draw_is_redrawn():
+    # eta = exp(u) is exactly 0 below u ~ -745; such a draw is rejected and
+    # redrawn from rng, and a state whose every draw underflows aborts
+    model = studies.gp_study(grid_size=6, n_test=6)[1][0]
+    lognormal = [t is FamilyTag.LOGNORMAL for t in model.layout.tags()]
+    raw = families.encode_scale(np.full(5, VbmaConfig.INIT_VAR))
+    state = VariationalState(np.zeros(5), raw, lognormal)
+    z = np.zeros((3, 5))
+    z[1, 1] = -8000.0  # sd 0.1: u = -800
+    G, L = estimate_grad_and_elbo(model, state, z, rng=np.random.default_rng(0))
+    assert np.isfinite(G).all() and np.isfinite(L)
+    z[1] = np.random.default_rng(0).standard_normal(5)  # the redraw
+    G_redrawn, L_redrawn = estimate_grad_and_elbo(model, state, z)
+    assert np.array_equal(G, G_redrawn) and L == L_redrawn
+    mu = np.zeros(5)
+    mu[1] = -800.0
+    with pytest.raises(IterationError, match="rejected"):
+        estimate_grad_and_elbo(model, VariationalState(mu, raw, lognormal), np.zeros((3, 5)),
+                               rng=np.random.default_rng(0))
+
+
 class FragileBlockModel(FragileModel):
     """FragileModel evaluated over the last axis, so it takes the block pass."""
 

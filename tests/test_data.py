@@ -96,10 +96,11 @@ def test_round_trip_write_then_load(tmp_path):
 
 def test_prepare_centers_training_rows_only():
     cols = {"x": np.array([1.0, 2.0, 9.0]), "y": np.array([0.0, 0.0, 0.0])}
-    mask = np.array([True, True, False])
-    ds = data_io.prepare(cols, "y", center_columns=("x",), train_mask=mask)
+    ds = data_io.prepare(cols, "y", center_columns=("x",), train_fraction=2 / 3, split_seed=0)
+    mask = data_io.split_mask(3, 2 / 3, 0)
+    assert np.array_equal(ds.train_mask, mask) and mask.sum() == 2
     assert abs(ds.column("x", "train").mean()) < 1e-10
-    assert ds.column("x", "test")[0] == pytest.approx(9.0 - 1.5)
+    assert ds.column("x", "test")[0] == pytest.approx(cols["x"][~mask][0] - cols["x"][mask].mean())
 
 
 def test_prepare_constant_column_centers_to_zero():

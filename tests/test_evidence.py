@@ -270,6 +270,14 @@ def test_evidence_to_posterior_refuses_mixed_methods():
         evidence_to_posterior(mixed, [0.5, 0.5])
 
 
+def test_evidence_to_posterior_rejects_nan_and_all_neg_inf():
+    # the weight update's softmax, with its checks: no NaN weights
+    for values in ((-1.0, np.nan), (-np.inf, -np.inf)):
+        ests = [EvidenceEstimate(v, EvidenceMethod.MONTE_CARLO) for v in values]
+        with pytest.raises(ValueError):
+            evidence_to_posterior(ests, [0.5, 0.5])
+
+
 def test_zellner_posterior_consistent_under_g_change():
     # posterior probabilities from evidences must stay a simplex for any g
     rng = np.random.default_rng(9)

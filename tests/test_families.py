@@ -27,7 +27,7 @@ def make_state(mu, var, tags):
 @given(st.floats(min_value=1e-6, max_value=1e4))
 @settings(max_examples=100, deadline=None)
 def test_encode_decode_round_trip(v):
-    assert float(families.decode_scale(families.encode_scale(v))) == pytest.approx(v, rel=1e-9)
+    assert float(ad.softplus(families.encode_scale(v))) == pytest.approx(v, rel=1e-9)
 
 
 def test_encode_rejects_nonpositive():
@@ -51,7 +51,7 @@ def test_exact_state_holds_the_given_standard_deviations():
     mu, sd = np.array([0.2, 1.0, -3.0]), np.array([0.5, 0.3, 7.0])
     state = VariationalState.exact(mu, sd, [0.0, 1.0, 0.0])
     assert np.array_equal(state.sd(), sd) and np.array_equal(state.var, sd * sd)
-    assert not np.array_equal(families.decode_scale(families.encode_scale(sd * sd)), sd * sd)
+    assert not np.array_equal(ad.softplus(families.encode_scale(sd * sd)), sd * sd)
     theta = np.array([[0.5, 2.5, 4.0], [-1.0, 0.1, -20.0]])
     vals, _ = families.log_q(state, theta)
     for row, val in zip(theta, vals):
@@ -67,7 +67,7 @@ def test_state_constants_are_fresh_decodes_of_raw_scale():
     # an exact state takes them from its given sd
     for raw in ([-3.0, 0.0, 2.5], [40.0, -0.7, 1e-3]):
         state = VariationalState(np.zeros(3), raw, [0.0, 1.0, 0.0])
-        var = families.decode_scale(raw)
+        var = ad.softplus(raw)
         sd = np.sqrt(var)
         for got, want in ((state.var, var), (state.sd(), sd), (state.log_var, np.log(var)),
                           (state.dsd_draw, ad.sigmoid(raw) / (2.0 * sd))):
@@ -174,6 +174,9 @@ def test_log_q_rejects_negative_lognormal_coordinate():
     state = make_state([0.0], [1.0], [FamilyTag.LOGNORMAL])
     with pytest.raises(ValueError):
         families.log_q(state, np.array([-1.0]))
+    # a draw exp(u) that underflowed to 0 has no finite log q: a rejected draw
+    with pytest.raises(ad.NonFiniteValueError, match="log_q"):
+        families.log_q(state, np.array([0.0]))
 
 
 def test_log_q_gradient_in_theta_matches_fd():

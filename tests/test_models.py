@@ -441,6 +441,14 @@ def test_logistic_success_prob_and_predictive(logit_model):
                                        np.random.default_rng(0), noise=False) == pytest.approx(0.75)
 
 
+def test_logistic_predictive_far_below_zero_is_zero(logit_model):
+    # at a logit of -800, exp(800) would overflow; the stable sigmoid gives 0
+    theta = np.array([-800.0, 0.0, 0.0])
+    p = logit_model.draw_predictive(theta[None], np.array([[0.0, 0.0]]),
+                                    np.random.default_rng(0), noise=False)
+    assert p.item() == 0.0
+
+
 # -- Gaussian process ---------------------------------------------------------
 
 
