@@ -381,26 +381,24 @@ def _mT(x):
     return np.swapaxes(x, -1, -2)
 
 
-def _stack_rows(x):
-    """An (..., m, p, q) stack of m matrices as one (..., m p, q) matrix."""
-    return x.reshape(x.shape[:-3] + (-1, x.shape[-1]))
-
-
 def _kronecker_factors(r, cov):
     """The factor algebra of a ``KroneckerCov`` K_oo and a residual ``r``
-    (..., N - m), shared by ``_kronecker_logpdf`` and ``kronecker_conditional``.
+    (..., N - m), shared by ``_kronecker_logpdf`` and ``kronecker_conditional``,
+    and the only code that knows about holes.
 
-    Returns ``(l1, q1, l2, q2, d, t, u, holes)``: ``cov.eigen()``, t = Q' r
-    on the (n1, n2) lattice, with ``r`` padded with zeros at the holes and
-    Q = q1 (x) q2, and u = t / d, so that Q u = P r for P = K^-1, the full
-    lattice's inverse (Saatci 2011).  ``holes`` is None on a full lattice;
-    with m holes it is ``(keep, Wd, L, L_inv, y)``: the mask of the points
-    that remain, the rows W_k / d, flattened, with W_k = q1[i_k]' q2[j_k] for
-    hole k at (i_k, j_k), the Cholesky factor L of C = P_hh = <W_k / d, W_l>
-    and its inverse, and y = L^-1 (P r)_h.  Then K_oo^-1 = P_oo - P_oh C^-1
-    P_ho exactly, and for any x on the full lattice, x' P r - (L^-1 (P x)_h)'
-    y is x_o' K_oo^-1 r_o: x's entries at the holes cancel.  Raises
-    ``np.linalg.LinAlgError`` if a d is not positive or C does not factor.
+    Returns ``(l1, q1, l2, q2, d, t, X, logdet_C, keep)``: ``cov.eigen()``;
+    t = Q' r on the (n1, n2) lattice, with ``r`` padded with zeros at the
+    holes and Q = q1 (x) q2; the stack X = [v; Z] (..., m + 1, n1, n2); log
+    det C; and ``keep``, which indexes the points that remain on a
+    lattice-ordered last axis (the mask of them, or all of it).  With P = K^-1 =
+    Q diag(1 / d) Q' the full lattice's inverse (Saatci 2011), hole k at
+    (i_k, j_k) and W_k = Q' e_k = q1[i_k]' q2[j_k], the rows Z_k of L^-1 W / d
+    for the Cholesky factor L of C = P_hh = <W_k / d, W_l> give K_oo^-1,
+    zero-padded at the holes, as Q (diag(1 / d) - sum_k Z_k Z_k') Q'.  So v =
+    t / d - sum_k <Z_k, t> Z_k is Q' K_oo^-1 r, zero at the holes, and log
+    det K_oo = sum log d + log det C.  On a full lattice v = t / d, X is a
+    view of it and log det C is 0.  Raises ``np.linalg.LinAlgError`` if a d
+    is not positive or C does not factor.
     """
     l1, q1, l2, q2, d = cov.eigen()
     n1, n2 = d.shape[-2:]
@@ -411,84 +409,64 @@ def _kronecker_factors(r, cov):
     if not (d > 0).all():
         raise np.linalg.LinAlgError(
             f"covariance not positive definite (min eigenvalue {d.min():.3e})")
-    if m:
-        keep = np.ones(N, dtype=bool)
-        keep[holes] = False
-        r_full = np.zeros(r.shape[:-1] + (N,))
-        r_full[..., keep] = r
-        r = r_full
-    t = _mT(q1) @ r.reshape(r.shape[:-1] + (n1, n2)) @ q2
-    u = t / d
     if not m:
-        return l1, q1, l2, q2, d, t, u, None
+        t = _mT(q1) @ r.reshape(r.shape[:-1] + (n1, n2)) @ q2
+        return l1, q1, l2, q2, d, t, (t / d)[..., None, :, :], 0.0, slice(None)
+    keep = np.ones(N, dtype=bool)
+    keep[holes] = False
+    r_full = np.zeros(r.shape[:-1] + (N,))
+    r_full[..., keep] = r
+    t = _mT(q1) @ r_full.reshape(r.shape[:-1] + (n1, n2)) @ q2
     W = q1[..., holes // n2, :, None] * q2[..., holes % n2, None, :]
     W = W.reshape(W.shape[:-2] + (N,))  # row k: W_k
-    Wd = W / d.reshape(d.shape[:-2] + (1, N))
-    # C = P_hh; a C that does not factor raises LinAlgError
-    L = np.linalg.cholesky(Wd @ _mT(W))
-    L_inv = np.linalg.inv(L)
-    y = L_inv @ (W @ u.reshape(u.shape[:-2] + (N, 1)))
-    return l1, q1, l2, q2, d, t, u, (keep, Wd, L, L_inv, y)
+    Z = W / d.reshape(d.shape[:-2] + (1, N))
+    L = np.linalg.cholesky(Z @ _mT(W))  # a C that does not factor raises LinAlgError
+    Z = np.matmul(np.linalg.inv(L), Z, out=W)  # L^-1 W / d, in W's storage
+    v = t / d - (_mT(Z) @ (Z @ t.reshape(t.shape[:-2] + (N, 1)))).reshape(t.shape)
+    X = np.concatenate([v[..., None, :, :], np.broadcast_to(
+        Z.reshape(Z.shape[:-1] + (n1, n2)), v.shape[:-2] + (m, n1, n2))], axis=-3)
+    logdet_C = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    return l1, q1, l2, q2, d, t, X, logdet_C, keep
 
 
 def _kronecker_logpdf(r, cov):
     """``gaussian_spd_logpdf`` for a ``KroneckerCov``, over any leading axes
-    of ``r`` (..., N - m) and ``cov``.
+    of ``r`` (..., N - m) and ``cov``, in the terms of ``_kronecker_factors``.
 
-    With Q = q1 (x) q2, the full lattice's covariance is K = Q diag(d) Q', so
-    the density needs only t = Q' r, formed on the (n1, n2) reshape of ``r``
-    as q1' R q2, and alpha = Q (t / d) (Saatci 2011).  With A the (n1, n2)
-    reshape of alpha, the field gradients are a1: scale/2 (A a2 A' - q1
-    diag(sum_l l2_l / d_il) q1'), a2 the mirror form; scale: (sum A o (a1 A
-    a2) - sum l1 l2' / d) / 2; nugget: (sum A^2 - sum 1 / d) / 2.
-
-    With holes h, in the terms of ``_kronecker_factors``, log det K_oo =
-    sum log d + log det C and the quadratic form is r' P r - y' y, exactly;
-    the value forms no P's hole columns U_k = q1 (W_k / d) q2'.  In the
-    gradients, alpha = P r - U' L^-' y, zero at the holes, enters the full
-    lattice's formulas, and -K_oo^-1 / 2 adds the rank-m term Z' Z / 2 for
-    Z = L^-1 U: a1 gets scale/2 sum_k Z_k a2 Z_k', a2 scale/2 sum_k Z_k' a1
-    Z_k, scale <sum_k Z_k' a1 Z_k, a2> / 2 and nugget sum Z^2 / 2, each sum
-    over k one matrix product of the stacked Z_k.
+    The quadratic form is sum t o v.  The covariance gradient, zero-padded
+    at the holes, is Q Gamma Q' for Gamma = (sum_k x_k x_k' - diag(1 / d))
+    / 2, x_k the matrix X_k of the stack as a vector.  So with w = sum_k X_k
+    o X_k - 1 / d, the field gradients are a1: scale/2 q1 (sum_k X_k diag(l2)
+    X_k' - diag(sum_j l2_j / d_ij)) q1', a2 the mirror form; scale: sum l1
+    l2' o w / 2; nugget: sum w / 2; and d_resid = -Q v at the points that
+    remain.
     """
-    l1, q1, l2, q2, d, t, u, holes = _kronecker_factors(r, cov)
-    n1, n2 = d.shape[-2:]
-    N, m = n1 * n2, len(cov.holes)
+    l1, q1, l2, q2, d, t, X, logdet_C, keep = _kronecker_factors(r, cov)
     mats = (-2, -1)
-    logdet, quad = np.log(d).sum(axis=mats), (t * u).sum(axis=mats)
-    if m:
-        keep, Wd, L, L_inv, y = holes
-        logdet = logdet + 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-        quad = quad - (y * y).sum(axis=mats)
-    val = -0.5 * ((N - m) * np.log(2.0 * np.pi) + logdet + quad)
+    v = X[..., 0, :, :]
+    logdet = np.log(d).sum(axis=mats) + logdet_C
+    val = -0.5 * (r.shape[-1] * np.log(2.0 * np.pi) + logdet + (t * v).sum(axis=mats))
     _check_finite(val, "gaussian_spd_logpdf")
-    a1, a2, scale = cov[:3]
+
+    def field(q, x, l, inv_d):
+        # q (sum_k x_k' diag(l) x_k - diag(l' inv_d)) q' over the m + 1
+        # matrices x_k of x, summed as one product of them stacked atop
+        # one another
+        atop = x.reshape(x.shape[:-3] + (-1, x.shape[-1]))
+        s = _mT((x * l[..., None, :, None]).reshape(atop.shape)) @ atop
+        return (q @ s - q * (l[..., None, :] @ inv_d)) @ _mT(q)
 
     def grads():
-        A = q1 @ u @ _mT(q2)
-        if m:
-            # Z = L^-1 U, each row Z_k an (n1, n2) matrix
-            Z = (q1[..., None, :, :] @ (L_inv @ Wd).reshape(Wd.shape[:-1] + (n1, n2))
-                 @ _mT(q2)[..., None, :, :])
-            A = A - (_mT(y) @ Z.reshape(Z.shape[:-2] + (N,))).reshape(A.shape)
         inv_d = 1.0 / d
-        g_a1 = A @ a2 @ _mT(A) - (q1 * (l2[..., None, :] @ _mT(inv_d))) @ _mT(q1)
-        g_a2 = _mT(A) @ a1 @ A - (q2 * (l1[..., None, :] @ inv_d)) @ _mT(q2)
-        g_scale = ((A * (a1 @ A @ a2)).sum(axis=mats, keepdims=True)
-                   - l1[..., None, :] @ inv_d @ l2[..., :, None])
-        g_nugget = (A * A).sum(axis=mats, keepdims=True) - inv_d.sum(axis=mats, keepdims=True)
-        d_resid = -A.reshape(A.shape[:-2] + (N,))
-        if m:
-            Zt = _mT(Z)
-            a2_sum = _mT(_stack_rows(Z)) @ _stack_rows(a1[..., None, :, :] @ Z)
-            g_a1 = g_a1 + _mT(_stack_rows(Zt)) @ _stack_rows(a2[..., None, :, :] @ Zt)
-            g_a2 = g_a2 + a2_sum
-            g_scale = g_scale + (a2_sum * a2).sum(axis=mats, keepdims=True)
-            g_nugget = g_nugget + (Z * Z).sum(axis=(-3, -2, -1))[..., None, None]
-            # compress, not d_resid[..., keep], whose result is not C-ordered:
-            # a row sum over it would round differently in a block
-            d_resid = np.compress(keep, d_resid, axis=-1)
-        return d_resid, KroneckerCov(0.5 * scale * g_a1, 0.5 * scale * g_a2,
+        g_a1, g_a2 = field(q1, _mT(X), l2, _mT(inv_d)), field(q2, X, l1, inv_d)
+        w = (X * X).sum(axis=-3) - inv_d
+        g_scale = l1[..., None, :] @ w @ l2[..., :, None]
+        g_nugget = w.sum(axis=mats, keepdims=True)
+        # C-ordered, as a mask's selection is not: a row sum over it would
+        # round differently in a block
+        A = q1 @ v @ _mT(q2)
+        d_resid = -np.ascontiguousarray(A.reshape(A.shape[:-2] + (-1,))[..., keep])
+        return d_resid, KroneckerCov(0.5 * cov.scale * g_a1, 0.5 * cov.scale * g_a2,
                                      0.5 * g_scale, 0.5 * g_nugget)
 
     return (val if val.ndim else float(val)), grads
@@ -506,23 +484,18 @@ def kronecker_conditional(resid, cov, k1, k2):
     k_o for each p, with k_o the entries of k_p at the points that remain,
     as two (..., p) arrays over the leading axes of ``resid`` (..., N - m),
     ``cov``, ``k1`` and ``k2``.  With B = q1' k1 and C = q2' k2, Q' k_p is
-    the outer product of B[:, p] and C[:, p], so k_p' P r = sum_ij B_ip
-    u_ij C_jp and k_p' P k_p = sum_ij B_ip^2 C_jp^2 / d_ij; with holes, z_p =
-    L^-1 (P k_p)_h, (P k_p)_h,k = sum_ij (W_k / d)_ij B_ip C_jp, subtracts
-    z_p' y and |z_p|^2 (``_kronecker_factors``).  Raises
-    ``np.linalg.LinAlgError`` as ``gaussian_spd_logpdf`` does.
+    the outer product of B[:, p] and C[:, p], so in the terms of
+    ``_kronecker_factors`` k_p' K_oo^-1 r = sum_ij B_ip v_ij C_jp and k_p'
+    K_oo^-1 k_p = sum_ij B_ip^2 C_jp^2 / d_ij - |z_p|^2, with z_kp = sum_ij
+    B_ip Z_kij C_jp.  Raises ``np.linalg.LinAlgError`` as
+    ``gaussian_spd_logpdf`` does.
     """
-    _, q1, _, q2, d, _, u, holes = _kronecker_factors(resid, cov)
+    _, q1, _, q2, d, _, X, _, _ = _kronecker_factors(resid, cov)
     B, C = _mT(q1) @ k1, _mT(q2) @ k2
-    k_r = (B * (u @ C)).sum(axis=-2)
+    # row 0: k_p' K_oo^-1 r; rows 1 to m: z
+    BXC = (B[..., None, :, :] * (X @ C[..., None, :, :])).sum(axis=-2)
     k_k = (B * B * ((1.0 / d) @ (C * C))).sum(axis=-2)
-    if holes is not None:
-        _, Wd, _, L_inv, y = holes
-        Wd = Wd.reshape(Wd.shape[:-1] + d.shape[-2:])  # row k: (W_k / d) as (n1, n2)
-        z = L_inv @ (B[..., None, :, :] * (Wd @ C[..., None, :, :])).sum(axis=-2)
-        k_r = k_r - (z * y).sum(axis=-2)
-        k_k = k_k - (z * z).sum(axis=-2)
-    return k_r, k_k
+    return BXC[..., 0, :], k_k - (BXC[..., 1:, :] ** 2).sum(axis=-2)
 
 
 def gaussian_spd_logpdf(resid, cov, work=None):

@@ -88,8 +88,11 @@ ENSEMBLE_KEYS = {
     "logistic": {"prior_sd": ("prior_sd", float)},
 }
 ENSEMBLES = {"linear": linreg_subset_ensemble, "logistic": logistic_subset_ensemble}
-# an ensemble holds all K = 2^p subset models of its p predictors: the 2^15
-# models of 15 already take about 0.9 GB
+# an ensemble holds all K = 2^p subset models of its p predictors.  At 15, a
+# linear stack, which reads sufficient statistics, takes about 0.9 GB (758
+# MB measured at K = 32768); a logistic stack forms (K, S, n) float64
+# temporaries, about 0.13 MB a model at n = 303 and S = 10 (542 MB measured
+# at K = 4096), so about 4.4 GB (extrapolated)
 MAX_PREDICTORS = 15
 
 

@@ -65,14 +65,16 @@ class Dataset:
 def load_csv(path, columns=None):
     """Read a CSV into a Dataset-ready column dict.
 
-    ``columns`` restricts and validates the header; every requested cell must
-    parse as a finite float.  Errors name the offending row/column.
+    ``columns`` restricts and validates the header, the first line that is
+    neither blank nor a ``#`` comment; every requested cell must parse as a
+    finite float.  Errors name the offending column and the row by its line
+    number in the file.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.lstrip().startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
+        # a comment reads as a blank line, so reader.line_num counts it too
+        reader = csv.reader("\n" if line.lstrip().startswith("#") else line for line in fh)
+        header = next((row for row in reader if row), None)
+        if header is None:
             raise IngestionError(f"{path}: empty file")
         header = [h.strip() for h in header]
         wanted = list(columns) if columns is not None else header
@@ -85,9 +87,10 @@ def load_csv(path, columns=None):
         idx = {c: header.index(c) for c in wanted}
         data = {c: [] for c in wanted}
         nrows = 0
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
+            rownum = reader.line_num
             for c in wanted:
                 try:
                     cell = row[idx[c]].strip()

@@ -568,8 +568,9 @@ class GPModel(Model):
             return super().bytes_per_draw()
         n1, n2 = self.lattice
         # the factors and their eigenvectors, a few lattice-sized arrays (d,
-        # t, t / d, ...) and, with m holes, the (m, N) arrays W and W / d;
-        # tracemalloc reads 0.75-0.85 of this at 15x20 and 17x18 - 6
+        # t, v, ...) and, with m holes, the (m, N) arrays W / d and Z and the
+        # (m + 1, N) stack [v; Z]; tracemalloc reads 0.75-0.85 of this at
+        # 15x20 and 17x18 - 6
         return 8 * (2 * (n1 * n1 + n2 * n2) + (7 + 3 * len(self.holes)) * n1 * n2)
 
     def predict_dist(self, thetas, coords_new):
@@ -628,8 +629,9 @@ class GPModel(Model):
         """An upper estimate of the bytes a draw of a stack adds to the peak
         memory of ``predict_dist`` at p inputs: on a lattice, ``bytes_per_draw``
         and the cross factors, B, C and their products, and with m holes the
-        (m, n1, p) array of (P k)_h's terms; tracemalloc reads 0.6-0.86 of
-        this at 15x20, 17x18 - 6 and 11x12 - 8 for p from 1 to 400."""
+        (m, n1, p) arrays of z's terms and of their products with B;
+        tracemalloc reads 0.66-0.89 of this at 15x20, 17x18 - 6 and 11x12 - 8
+        for p from 1 to 400."""
         if self.lattice is None:  # a draw at a time; its mean and variance
             return 8 * 2 * p
         n1, n2 = self.lattice

@@ -82,6 +82,18 @@ def test_load_csv_skips_comment_lines(tmp_path):
     assert np.array_equal(data_io.load_csv(p)["a"], [1.0])
 
 
+@pytest.mark.parametrize("text, line", [
+    ("# c1\n# c2\na,b\n1,2\n3,x\n", 5),
+    ("a,b\n1,2\n\n3,x\n", 4),
+    ("\n# c1\n\na,b\n# c2\n1,2\n\n3,x\n", 8),
+], ids=["comments", "blank", "both"])
+def test_load_csv_names_the_file_line_of_a_bad_cell(tmp_path, text, line):
+    # comment and blank lines count, as in an editor
+    p = write(tmp_path, text)
+    with pytest.raises(IngestionError, match=f"unparseable cell 'x' at row {line}, column 'b'"):
+        data_io.load_csv(p)
+
+
 def test_round_trip_write_then_load(tmp_path):
     cols = {"x": np.array([1.25, -3.5]), "y": np.array([0.0, 7.0])}
     p = tmp_path / "rt.csv"

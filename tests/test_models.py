@@ -4,7 +4,9 @@ ensemble construction."""
 
 import copy
 import itertools
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +381,48 @@ def test_closed_forms_match_tape_on_rows_blocks_and_stacks(kind, spread):
         assert ad.finite_diff_check(m.log_joint, theta[1], h=1e-6) < 1e-5
         stack[k][:, own] = theta
     assert_closed_forms_match_tape(models.stacked, stack)
+
+
+def readme_user_stack():
+    """The classes of README's worked user stack, run as written."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    match = re.search(r"as `SubsetEnsemble` does\..*?```python\n(.*?)```", text, re.S)
+    assert match, "README has no worked user stack"
+    namespace = {}
+    exec(compile(match.group(1), "README.md", "exec"), namespace)
+    return namespace["UserStack"]
+
+
+def test_readme_user_stack_fits_as_the_built_in_logistic_stack():
+    # the black box end to end: README's tape-written logistic family is the
+    # tape oracles' formula, bitwise, and fitted on heart's 5 predictors as
+    # one stacked group its q and lambda are the built-in stack's; a lone
+    # member that takes the row loop fits as the built-in member does
+    UserStack = readme_user_stack()
+    built_in = studies.heart_study()[1]
+    X, y = built_in[-1].X, built_in[-1].y
+    user = UserStack(X, y)
+    assert user.mask.tolist() == built_in.mask.tolist()
+    theta = np.zeros((len(user), 3, X.shape[1] + 1))
+    theta[np.broadcast_to(user.mask[:, None], theta.shape)] = rng().standard_normal(
+        3 * user.mask.sum())
+    oracle = ad.grad(lambda th: tape_log_lik(built_in.stacked, th)
+                     + tape_log_prior(built_in.stacked, th), theta)
+    for got, expected in zip(ad.grad(user.stacked.log_joint, theta), oracle):
+        assert np.array_equal(got, expected)
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+    config = VbmaConfig(n_samples=10, pretrain_iters=100, joint_iters=100, window=50, seed=3)
+    fit, want = run(config, user), run(config, built_in)
+    assert len(fit.groups) == len(want.groups) == 1
+    close(fit.q, want.q)
+    close(fit.groups[0].lam, want.groups[0].lam)
+    lone = UserStack(X, y)[-1]
+    lone.supports_blocks = False
+    config = VbmaConfig(n_samples=10, pretrain_iters=30, joint_iters=20, window=10, seed=3)
+    close(run(config, [lone]).groups[0].lam, run(config, [built_in[-1]]).groups[0].lam)
 
 
 # -- logistic regression ------------------------------------------------------
